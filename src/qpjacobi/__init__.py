@@ -17,13 +17,13 @@ from .symbols import (
     BlockModel,
     Dioph,
     MeroScalar,
+    SymbolTables,
     TrigPoly,
     check_nondegeneracy,
-    eval_mero,
-    eval_trig,
     is_diophantine,
     locate_zeros,
     regularizer_diag,
+    symbol_tables,
 )
 from .operator import (
     BlockTridiagonal,

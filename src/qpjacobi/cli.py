@@ -1,19 +1,15 @@
 """Command-line orchestration: config ingestion, sweeps, and report emission.
 
 Every output file embeds a header with the model hash, the seed, and the
-tool version; given the same config and seed, outputs are byte-identical
-regardless of the worker-count hint.
+tool version; given the same config and seed, outputs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import __version__
 from .errors import (
@@ -46,7 +42,6 @@ class ExperimentConfig:
     model_spec: str
     out: str | None
     seed: int
-    workers: int
     params: dict = field(default_factory=dict)
 
 
@@ -57,8 +52,6 @@ def _fmt(value):
 
 
 def _meta(config, model):
-    # deliberately excludes the worker-count hint: outputs must be
-    # byte-identical regardless of it
     return {
         "tool": "qpjacobi",
         "version": __version__,
@@ -172,11 +165,7 @@ def _run_bounds(config, model):
     except (OSError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"cannot read sweep file: {exc}", field="--sweep")
     _require_lists(sweep, ("N", "lambda", "E"), "--sweep")
-    rows = []
     if p["check"] == "minor":
-        from .greens import minor_bound_slack, minor_logabs
-        from .operator import index_split
-
         report = check_minor_bound(
             model,
             sweep["N"],
@@ -186,38 +175,17 @@ def _run_bounds(config, model):
             pairs_per_instance=sweep.get("pairs"),
             seed=config.seed,
         )
-        # re-emit one row per (N, lambda, E, x) with the per-instance max slack
-        xs = (np.arange(int(sweep.get("x_count", 16))) + 0.5) / int(sweep.get("x_count", 16))
-        for n in sweep["N"]:
-            nl = n * model.l
-            for lam in sweep["lambda"]:
-                for E in sweep["E"]:
-                    if abs(E) < 1e-6:
-                        continue
-                    for x in xs:
-                        params = OperatorParams(lam=lam, x=float(x), E=float(E), window=(1, n))
-                        ht = assemble_regularized(model, params).to_dense()
-                        worst = float("-inf")
-                        quantity = float("-inf")
-                        for a in range(1, nl + 1):
-                            for b in range(1, nl + 1):
-                                pa, _ = index_split(a, model.l)
-                                pb, _ = index_split(b, model.l)
-                                ml = minor_logabs(ht, a, b)
-                                slack = minor_bound_slack(nl, ml, abs(pa - pb), lam, E)
-                                if slack > worst:
-                                    worst = slack
-                                    quantity = ml / nl
-                        rows.append((n, lam, E, float(x), quantity, worst))
-        extra = {"fitted_constant": report.fitted_constant, **report.group_constants}
+        rows = report.sweep["rows"]
     else:
         nodes = int(sweep.get("nodes", 1024))
         report = check_det_lower_bound(
             model, sweep["lambda"], sweep["E"], sweep["N"], midpoint_grid(nodes)
         )
-        for n, lam, E, value, c1, _excluded in report.sweep["rows"]:
-            rows.append((n, lam, E, float("nan"), value, c1))
-        extra = {"fitted_constant": report.fitted_constant, **report.group_constants}
+        rows = [
+            (n, lam, E, float("nan"), value, c1)
+            for n, lam, E, value, c1, _excluded in report.sweep["rows"]
+        ]
+    extra = {"fitted_constant": report.fitted_constant, **report.group_constants}
     meta = _meta(config, model)
     meta.update({k: _fmt(v) for k, v in extra.items()})
     _write_csv(config.out, meta, ("N", "lambda", "E", "x", "quantity", "slack"), rows)
@@ -323,12 +291,6 @@ def build_parser():
         sp.add_argument("--model", required=True, help="model file or bundled name")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument(
-            "--workers",
-            type=int,
-            default=int(os.environ.get("QPJACOBI_WORKERS", "1")),
-            help="worker-count hint; never changes results",
-        )
 
     sp = sub.add_parser("assemble", help="emit a finite-volume matrix as CSV")
     common(sp)
@@ -446,7 +408,6 @@ def _config_from_args(args):
         model_spec=args.model,
         out=args.out,
         seed=args.seed,
-        workers=max(1, args.workers),
         params=params,
     )
 

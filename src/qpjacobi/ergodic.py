@@ -3,6 +3,7 @@ and empirical measurement of the large-deviation set."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -10,17 +11,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZero
-from .greens import avg_logdet, logdet_grid, midpoint_grid
+from .greens import avg_logdet, logdet_grid, midpoint_grid, window_logdets
+from .symbols import TABLE_CHUNK, SymbolTables, symbol_tables
 
 #: underflowed nodes contribute this floor (roughly log of the smallest
 #: normal double) so averages stay finite; occurrences are counted
 U_FLOOR = -690.0
 
 
-def _u_values(model, lam, E, N, xs):
-    u = logdet_grid(model, lam, E, (1, N), np.asarray(xs, dtype=float)) / (N * model.l)
-    floored = int(np.count_nonzero(u < U_FLOOR))
-    return np.maximum(u, U_FLOOR), floored
+def _floor(u):
+    return np.maximum(u, U_FLOOR), int(np.count_nonzero(u < U_FLOOR))
+
+
+def _orbit_average(model, lam, E, N, Q, xs):
+    """(1/Q) sum_{j<Q} u(xs + j*omega) on a flat grid, and the floored count.
+
+    Term j reads orbit sites k = j+1..j+N, so consecutive terms share N - 1
+    of them: each slice of steps evaluates only its new orbit indices (about
+    TABLE_CHUNK phases) and keeps the last N - 1 rows of the slice before.
+    """
+    acc = np.zeros(xs.shape)
+    floored = 0
+    step = max(1, TABLE_CHUNK // (xs.size * model.l**2))
+    tab = None
+    for j0 in range(0, Q, step):
+        first = j0 + 1 if tab is None else j0 + N
+        ks = np.arange(first, min(j0 + step, Q) + N)[:, None]
+        tab = _slide(tab, symbol_tables(model, (xs + ks * model.omega) % 1.0), N - 1)
+        for u in window_logdets(model, lam, E, tab, N) / (N * model.l):
+            u, nfl = _floor(u)
+            floored += nfl
+            acc += u
+    return acc / Q, floored
+
+
+def _slide(tab, new, keep):
+    """The last `keep` rows of `tab` followed by the rows of `new`."""
+    if tab is None or keep == 0:
+        return new
+    rows = {}
+    for f in dataclasses.fields(new):
+        a, b = getattr(tab, f.name), getattr(new, f.name)
+        rows[f.name] = np.concatenate([a[len(a) - keep :], b]) if isinstance(b, np.ndarray) else b
+    return SymbolTables(**rows)
 
 
 def birkhoff_avg(model, lam, E, N, x, Q, omega=None):
@@ -36,7 +69,7 @@ def birkhoff_avg(model, lam, E, N, x, Q, omega=None):
         raise ValueError("Q must be >= 1")
     step = model.omega if omega is None else float(omega)
     xs = (float(x) + step * np.arange(Q)) % 1.0
-    u, _ = _u_values(model, lam, E, N, xs)
+    u, _ = _floor(logdet_grid(model, lam, E, (1, N), xs) / (N * model.l))
     return float(math.fsum(u) / Q)
 
 
@@ -77,13 +110,7 @@ def deviation_measure(model, lam, E, N, Q, S, sigma, x_grid, omega=None, ref=Non
         raise ValueError("x_grid must have at least 1000 nodes")
     if ref is None:
         ref = _torus_integral(m, float(lam), float(E), int(N), 4 * int(xs.size))
-    acc = np.zeros(xs.shape)
-    floored = 0
-    for j in range(Q):
-        u, nfl = _u_values(m, lam, E, N, (xs + j * m.omega) % 1.0)
-        floored += nfl
-        acc += u
-    avg = acc / Q
+    avg, floored = _orbit_average(m, lam, E, N, Q, xs.ravel())
     threshold = S * Q ** (-sigma)
     bad = int(np.count_nonzero(np.abs(avg - ref) >= threshold))
     return DeviationReport(

@@ -15,7 +15,15 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NearSingular, TooManyExclusions
-from .operator import OperatorParams, assemble_regularized, index_split, row_prefactors
+from .operator import (
+    OperatorParams,
+    assemble_regularized,
+    dense_blocks,
+    index_split,
+    regularized_blocks,
+    row_prefactors,
+)
+from .symbols import TABLE_CHUNK, symbol_tables
 
 #: pivots below this magnitude make the log-determinant the -inf sentinel
 PIVOT_FLOOR = 1e-300
@@ -105,10 +113,6 @@ class GreenEntryQuery:
             index_split(self.alpha_prime, l, n_sites),
         )
 
-    def p_distance(self, l):
-        (p, _), (pp, _) = self.split(l)
-        return abs(p - pp)
-
 
 def green_entry_cramer(model, params, query):
     """|G(alpha, alpha')| via the minor/determinant ratio.
@@ -182,6 +186,9 @@ def check_minor_bound(
         (1/Nl) log|minor| + (|p - p'|/Nl) log(lam + |E|) - log(1 + lam/|E|).
     The fitted constant is the max over samples; per-N maxima are kept so the
     caller can judge stability in N.  Samples with |E| < e_min are skipped.
+    sweep["rows"] holds one (N, lam, E, x, quantity, worst slack) row per
+    instance, where quantity is the (1/Nl) log|minor| of the first sampled
+    pair reaching the worst slack.
     """
     l = model.l
     for n in N_list:
@@ -193,6 +200,7 @@ def check_minor_bound(
     skipped_e = 0
     zero_minors = 0
     per_n = {}
+    rows = []
     best = float("-inf")
     for n in N_list:
         nl = n * l
@@ -219,16 +227,20 @@ def check_minor_bound(
                             )
                         ]
                         pairs.extend([(1, nl), (nl, 1), (1, 1)])
+                    worst = quantity = float("-inf")
                     for a, b in pairs:
                         pa, _ = index_split(a, l)
                         pb, _ = index_split(b, l)
                         mlog = minor_logabs(ht, a, b)
                         slack = minor_bound_slack(nl, mlog, abs(pa - pb), lam, E)
                         samples += 1
+                        if slack > worst:
+                            worst, quantity = slack, mlog / nl
                         if slack == float("-inf"):
                             zero_minors += 1
                             continue
                         group = max(group, slack)
+                    rows.append((n, lam, E, float(x), quantity, worst))
         per_n[f"N={n}"] = group
         best = max(best, group)
     return BoundFitReport(
@@ -244,6 +256,7 @@ def check_minor_bound(
             "skipped_small_E": skipped_e,
             "zero_minors": zero_minors,
             "seed": seed,
+            "rows": rows,
         },
     )
 
@@ -253,48 +266,53 @@ def midpoint_grid(n):
 
 
 def logdet_grid(model, lam, E, window, xs):
-    """log |det| of the regularized matrix at each phase in xs.
-
-    Scalar models use a rescaled three-term recurrence vectorized over the
-    grid; block models fall back to a dense factorization per node.
-    """
+    """log |det| of the regularized matrix at each phase in xs (see window_logdets)."""
     xs = np.asarray(xs, dtype=float)
+    sites = np.arange(int(window[0]), int(window[1]) + 1)[:, None]
+    flat = xs.reshape(-1)
+    out = np.empty(flat.shape)
+    step = max(1, TABLE_CHUNK // (sites.size * model.l**2))
+    for s in range(0, flat.size, step):
+        tab = symbol_tables(model, model.site_phase(flat[None, s : s + step], sites))
+        out[s : s + step] = window_logdets(model, lam, E, tab, sites.size)[0]
+    return out.reshape(xs.shape)
+
+
+def window_logdets(model, lam, E, tab, n):
+    """log |det| of the regularized matrices of n consecutive sites.
+
+    Axis 0 of the symbol table `tab` runs over K >= n consecutive sites;
+    the result holds one value per window start, shape (K - n + 1, ...).
+    Scalar models use a rescaled three-term recurrence vectorized over the
+    table; block models assemble the dense matrices of all nodes at once
+    and factor each with logdet_abs.
+    """
+    diag, lower, upper = regularized_blocks(tab, lam, E, model.r_sign)
+    starts = diag.shape[0] - n + 1
     if model.l == 1:
-        return _logdet_grid_scalar(model, lam, E, window, xs)
-    out = np.empty(xs.shape)
-    flat = out.reshape(-1)
-    for i, x in enumerate(xs.reshape(-1)):
-        params = OperatorParams(lam=lam, x=float(x), E=E, window=window)
-        flat[i] = logdet_abs(assemble_regularized(model, params).to_dense())
+        scale = 1.0 / math.sqrt(1.0 + E * E)
+        return _scalar_logdets(diag[..., 0, 0], tab.w[..., 0, 0], tab.m[..., 0], scale, n)
+    nl = n * model.l
+    out = np.empty((starts,) + diag.shape[1:-2])
+    rows = out.reshape(starts, -1)
+    for s in range(starts):
+        dense = dense_blocks(diag[s : s + n], lower[s : s + n - 1], upper[s : s + n - 1])
+        rows[s] = [logdet_abs(a) for a in dense.reshape(-1, nl, nl)]
     return out
 
 
-def _logdet_grid_scalar(model, lam, E, window, xs):
-    u, v = int(window[0]), int(window[1])
-    n = v - u + 1
-    sign = model.r_sign
-    scale = 1.0 / math.sqrt(1.0 + E * E)
-    fsym, rsym, wsym = model.F[0][0], model.R[0][0], model.W[0][0]
-    phases = [model.site_phase(xs, site) for site in range(u, v + 1)]
-    fn = [np.asarray(fsym.num(y), dtype=float) for y in phases]
-    fd = [np.asarray(fsym.den(y), dtype=float) for y in phases]
-    rn = [np.asarray(rsym.num(y), dtype=float) for y in phases]
-    rd = [np.asarray(rsym.den(y), dtype=float) for y in phases]
-    a = [
-        scale * (lam * fn[i] * rd[i] + sign * rn[i] * fd[i] - E * fd[i] * rd[i])
-        for i in range(n)
-    ]
-    m = [fd[i] * rd[i] for i in range(n)]
+def _scalar_logdets(a, w, m, scale, n):
+    starts = a.shape[0] - n + 1
     with np.errstate(divide="ignore"):
         if n == 1:
-            return np.log(np.abs(a[0]))
-        d_prev = np.ones_like(a[0])
-        d_cur = a[0].copy()
-        logs = np.zeros_like(a[0])
+            return np.log(np.abs(a))
+        d_prev = np.ones_like(a[:starts])
+        d_cur = a[:starts].copy()
+        logs = np.zeros_like(d_cur)
         for i in range(1, n):
-            w = np.asarray(wsym(phases[i]), dtype=float)
-            offprod = (w * m[i] * scale) * (w * m[i - 1] * scale)
-            d_new = a[i] * d_cur - offprod * d_prev
+            wi = w[i : i + starts]
+            offprod = (wi * m[i : i + starts] * scale) * (wi * m[i - 1 : i - 1 + starts] * scale)
+            d_new = a[i : i + starts] * d_cur - offprod * d_prev
             s = np.maximum(np.abs(d_new), np.abs(d_cur))
             f = np.where((s > 1e100) | ((s < 1e-100) & (s > 0.0)), s, 1.0)
             d_prev = d_cur / f

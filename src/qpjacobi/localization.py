@@ -12,6 +12,7 @@ import numpy as np
 from .errors import NearSingular, PoleProximity, TooFewPoints
 from .greens import E_MIN, green_full
 from .operator import OperatorParams, assemble_hamiltonian
+from .symbols import symbol_tables
 
 FIT_FLOOR = 1e-14
 FIT_EXCLUDE_RADIUS = 2  # near-center profile shape is not exponential
@@ -89,6 +90,37 @@ def decay_fit(profile, floor=FIT_FLOOR):
     return DecayFit(center, max(0.0, -float(beta[0])), resid, n_pts)
 
 
+def _transfer_product(model, lam, energies, n_steps, x, omega):
+    """(summed log rescalings, rows m00 m01 m10 m11 of the rescaled product,
+    used steps, skipped steps) of the scalar transfer cocycle per energy.
+
+    One symbol table covers the phases x + j*omega, j <= n_steps; step j is
+    skipped when its phase is within pole_tol of a pole or w_{j+1} ~ 0.
+    """
+    if model.l != 1:
+        raise ValueError("transfer-matrix oracle requires block size 1")
+    m = model.with_omega(omega) if omega is not None else model
+    tab = symbol_tables(m, m.site_phase(x, np.arange(n_steps + 1)))
+    w = tab.w[:, 0, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        onsite = (lam * (tab.fnum / tab.fden) + m.r_sign * (tab.rnum / tab.rden))[:-1, 0]
+    used = np.flatnonzero(~(tab.poles()[:-1] | (np.abs(w[1:]) < 1e-12)))
+    if used.size == 0:
+        raise ValueError("no usable transfer steps (orbit entirely on poles)")
+    onsite, w = onsite.tolist(), w.tolist()
+    es = np.asarray(energies, dtype=float)
+    mat = np.zeros((4,) + es.shape)
+    mat[0] = mat[3] = 1.0
+    acc = np.zeros_like(es)
+    for j in used.tolist():
+        d = (onsite[j] - es) / w[j + 1]
+        mat = np.concatenate([d * mat[:2] + (-w[j] / w[j + 1]) * mat[2:], mat[:2]])
+        s = np.maximum.reduce(np.abs(mat))
+        acc += np.log(s)
+        mat /= s
+    return acc, mat, used.size, n_steps - used.size
+
+
 def lyapunov_transfer(model, lam, E, n_steps, x=0.0, omega=None, full_output=False):
     """Transfer-matrix growth rate (1/n) log ||prod T_j|| for scalar models.
 
@@ -98,85 +130,15 @@ def lyapunov_transfer(model, lam, E, n_steps, x=0.0, omega=None, full_output=Fal
     Orbit steps that hit a pole (or a vanishing coupling) are skipped and
     counted.
     """
-    if model.l != 1:
-        raise ValueError("transfer-matrix oracle requires block size 1")
-    m = model.with_omega(omega) if omega is not None else model
-    fsym, rsym, wsym = m.F[0][0], m.R[0][0], m.W[0][0]
-    mat = np.eye(2)
-    acc = 0.0
-    used = 0
-    skipped = 0
-    w_prev = None
-    for j in range(n_steps):
-        y = m.site_phase(x, j)
-        wn = float(wsym(m.site_phase(x, j + 1)))
-        if (
-            abs(fsym.den(y)) < m.pole_tol
-            or abs(rsym.den(y)) < m.pole_tol
-            or abs(wn) < 1e-12
-        ):
-            skipped += 1
-            w_prev = None
-            continue
-        d = lam * fsym(y) + m.r_sign * rsym(y) - E
-        wp = float(wsym(y)) if w_prev is None else w_prev
-        step = np.array([[d / wn, -wp / wn], [1.0, 0.0]])
-        mat = step @ mat
-        s = np.max(np.abs(mat))
-        acc += math.log(s)
-        mat /= s
-        used += 1
-        w_prev = wn
-    if used == 0:
-        raise ValueError("no usable transfer steps (orbit entirely on poles)")
-    rate = (acc + math.log(np.linalg.norm(mat, 2))) / used
-    if full_output:
-        return rate, skipped
-    return rate
+    acc, mat, used, skipped = _transfer_product(model, lam, [E], n_steps, x, omega)
+    rate = (acc[0] + math.log(np.linalg.norm(mat[:, 0].reshape(2, 2), 2))) / used
+    return (rate, skipped) if full_output else rate
 
 
 def lyapunov_rates(model, lam, energies, n_steps, x=0.0, omega=None):
     """Vectorized transfer-matrix rates for many energies at once."""
-    if model.l != 1:
-        raise ValueError("transfer-matrix oracle requires block size 1")
-    m = model.with_omega(omega) if omega is not None else model
-    fsym, rsym, wsym = m.F[0][0], m.R[0][0], m.W[0][0]
-    es = np.asarray(energies, dtype=float)
-    m00 = np.ones_like(es)
-    m01 = np.zeros_like(es)
-    m10 = np.zeros_like(es)
-    m11 = np.ones_like(es)
-    acc = np.zeros_like(es)
-    used = 0
-    w_prev = None
-    for j in range(n_steps):
-        y = m.site_phase(x, j)
-        wn = float(wsym(m.site_phase(x, j + 1)))
-        if (
-            abs(fsym.den(y)) < m.pole_tol
-            or abs(rsym.den(y)) < m.pole_tol
-            or abs(wn) < 1e-12
-        ):
-            w_prev = None
-            continue
-        d = (lam * fsym(y) + m.r_sign * rsym(y) - es) / wn
-        b = -(float(wsym(y)) if w_prev is None else w_prev) / wn
-        n00 = d * m00 + b * m10
-        n01 = d * m01 + b * m11
-        m10, m11 = m00, m01
-        m00, m01 = n00, n01
-        s = np.maximum.reduce([np.abs(m00), np.abs(m01), np.abs(m10), np.abs(m11)])
-        acc += np.log(s)
-        m00 /= s
-        m01 /= s
-        m10 /= s
-        m11 /= s
-        used += 1
-        w_prev = wn
-    if used == 0:
-        raise ValueError("no usable transfer steps (orbit entirely on poles)")
-    final = np.log(np.sqrt(m00**2 + m01**2 + m10**2 + m11**2))
-    return (acc + final) / used
+    acc, mat, used, _ = _transfer_product(model, lam, energies, n_steps, x, omega)
+    return (acc + np.log(np.sqrt(mat[0] ** 2 + mat[1] ** 2 + mat[2] ** 2 + mat[3] ** 2))) / used
 
 
 def _pair_slack_max(g, l, rate0):

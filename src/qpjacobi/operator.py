@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .symbols import symbol_tables
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,6 @@ class BlockTridiagonal:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
-    @property
-    def dim(self):
-        return self.n_sites * self.l
-
     def block(self, i, j):
         """1-based block accessor; zero outside the tridiagonal band."""
         if not (1 <= i <= self.n_sites and 1 <= j <= self.n_sites):
@@ -78,14 +75,25 @@ class BlockTridiagonal:
         return np.zeros((self.l, self.l))
 
     def to_dense(self):
-        n, l = self.n_sites, self.l
-        out = np.zeros((n * l, n * l))
-        for i in range(n):
-            out[i * l : (i + 1) * l, i * l : (i + 1) * l] = self.diag[i]
-        for i in range(n - 1):
-            out[i * l : (i + 1) * l, (i + 1) * l : (i + 2) * l] = self.upper[i]
-            out[(i + 1) * l : (i + 2) * l, i * l : (i + 1) * l] = self.lower[i]
-        return out
+        return dense_blocks(self.diag, self.lower, self.upper)
+
+
+def dense_blocks(diag, lower, upper):
+    """Dense (..., N*l, N*l) matrices from blocks stacked along axis 0.
+
+    `diag` has shape (N, ..., l, l) and `lower`/`upper` (N-1, ..., l, l);
+    the axes in between are batch axes.
+    """
+    n, l = diag.shape[0], diag.shape[-1]
+    batch = diag.shape[1:-2]
+    out = np.zeros(batch + (n, l, n, l))
+    # the site indices are separated by a slice, so numpy puts their axis
+    # first, as in the block stacks
+    i = np.arange(n)
+    out[..., i, :, i, :] = diag
+    out[..., i[:-1], :, i[1:], :] = upper
+    out[..., i[1:], :, i[:-1], :] = lower
+    return out.reshape(batch + (n * l, n * l))
 
 
 def index_split(alpha, l, n_sites=None):
@@ -101,72 +109,53 @@ def index_split(alpha, l, n_sites=None):
     return p, alpha - p * l
 
 
+def _window_tables(model, params):
+    u, v = params.window
+    return symbol_tables(model, model.site_phase(params.x, np.arange(u, v + 1)))
+
+
 def assemble_hamiltonian(model, params):
     """H over the window: on-site lam*F + r_sign*R, hopping -W / -W^T.
 
     Raises PoleProximity (with the offending site) when the phase orbit
     comes within pole_tol of a diagonal denominator zero.
     """
-    u, v = params.window
-    n, l = params.n_sites, model.l
-    lam, sign = params.lam, model.r_sign
-    diag = np.empty((n, l, l))
-    for idx, site in enumerate(range(u, v + 1)):
-        y = model.site_phase(params.x, site)
-        model.check_poles(y, site=site)
-        diag[idx] = lam * model.f_values(y) + sign * model.r_values(y)
-    upper = np.empty((max(n - 1, 0), l, l))
-    lower = np.empty_like(upper)
-    for idx in range(n - 1):
-        y = model.site_phase(params.x, u + idx + 1)
-        wv = model.w_values(y)
-        upper[idx] = -wv
-        lower[idx] = -wv.T
-    return BlockTridiagonal(n, l, diag, lower, upper)
+    tab = _window_tables(model, params).guard(params.window[0])
+    diag = params.lam * tab.f_off + model.r_sign * tab.r_off
+    idx = np.arange(model.l)
+    diag[:, idx, idx] = params.lam * (tab.fnum / tab.fden) + model.r_sign * (tab.rnum / tab.rden)
+    upper = -tab.w[1:]
+    return BlockTridiagonal(params.n_sites, model.l, diag, np.swapaxes(upper, -1, -2), upper)
+
+
+def regularized_blocks(tab, lam, E, r_sign):
+    """Blocks of (H - E) diag{M_n / sqrt(1+E^2)} for the sites on axis 0 of `tab`.
+
+    Returns the diagonal blocks, shape (K, ..., l, l), and the lower and
+    upper blocks between consecutive sites, shape (K-1, ..., l, l).
+    Diagonal entries are built as
+        lam*numF*denR + r_sign*numR*denF - E*denF*denR
+    (never as a quotient times M), so the blocks are finite even at pole
+    phases.
+    """
+    scale = 1.0 / math.sqrt(1.0 + E * E)
+    m = tab.m[..., None, :]
+    blk = (lam * tab.f_off + r_sign * tab.r_off) * m
+    idx = np.arange(tab.m.shape[-1])
+    blk[..., idx, idx] = (
+        lam * tab.fnum * tab.rden + r_sign * tab.rnum * tab.fden - E * tab.fden * tab.rden
+    )
+    w = tab.w[1:]
+    upper = -scale * w * m[1:]
+    lower = -scale * np.swapaxes(w, -1, -2) * m[:-1]
+    return scale * blk, lower, upper
 
 
 def assemble_regularized(model, params):
-    """(H - E) right-multiplied by diag{M_n / sqrt(1+E^2)} over the window.
-
-    Diagonal entries are built as
-        lam*numF*denR + r_sign*numR*denF - E*denF*denR
-    (never as a quotient times M), so the result is finite even at pole
-    phases.
-    """
-    u, v = params.window
-    n, l = params.n_sites, model.l
-    lam, E, sign = params.lam, params.E, model.r_sign
-    scale = 1.0 / math.sqrt(1.0 + E * E)
-    phases = [model.site_phase(params.x, site) for site in range(u, v + 1)]
-    mvals = [model.m_values(y) for y in phases]
-
-    diag = np.empty((n, l, l))
-    for idx, y in enumerate(phases):
-        fden = [float(model.F[i][i].den(y)) for i in range(l)]
-        rden = [float(model.R[i][i].den(y)) for i in range(l)]
-        fnum = [float(model.F[i][i].num(y)) for i in range(l)]
-        rnum = [float(model.R[i][i].num(y)) for i in range(l)]
-        blk = np.empty((l, l))
-        for a in range(l):
-            for b in range(l):
-                if a == b:
-                    blk[a, a] = (
-                        lam * fnum[a] * rden[a]
-                        + sign * rnum[a] * fden[a]
-                        - E * fden[a] * rden[a]
-                    )
-                else:
-                    blk[a, b] = (lam * model.F[a][b](y) + sign * model.R[a][b](y)) * mvals[idx][b]
-        diag[idx] = scale * blk
-
-    upper = np.empty((max(n - 1, 0), l, l))
-    lower = np.empty_like(upper)
-    for idx in range(n - 1):
-        y_next = phases[idx + 1]
-        wv = model.w_values(y_next)
-        upper[idx] = -scale * wv * mvals[idx + 1][None, :]
-        lower[idx] = -scale * wv.T * mvals[idx][None, :]
-    return BlockTridiagonal(n, l, diag, lower, upper)
+    """(H - E) right-multiplied by diag{M_n / sqrt(1+E^2)} over the window."""
+    tab = _window_tables(model, params)
+    blocks = regularized_blocks(tab, params.lam, params.E, model.r_sign)
+    return BlockTridiagonal(params.n_sites, model.l, *blocks)
 
 
 def row_prefactors(model, params):
@@ -175,10 +164,8 @@ def row_prefactors(model, params):
     Left-multiplying the inverse of the regularized matrix by this diagonal
     recovers the Green's function of (H - E).
     """
-    u, v = params.window
-    scale = 1.0 / math.sqrt(1.0 + params.E * params.E)
-    parts = [scale * model.m_values(model.site_phase(params.x, site)) for site in range(u, v + 1)]
-    return np.concatenate(parts)
+    tab = _window_tables(model, params)
+    return (1.0 / math.sqrt(1.0 + params.E * params.E) * tab.m).ravel()
 
 
 def hopping_sup_bound(model):

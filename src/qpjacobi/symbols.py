@@ -25,6 +25,8 @@ ZERO_REFINE_TOL = 1e-10
 WITNESS_TOL = 1e-10
 #: default guard distance from denominator zeros
 DEFAULT_POLE_TOL = 1e-8
+#: phases per symbol_tables call in the sliced sweeps; bounds their memory
+TABLE_CHUNK = 1 << 14
 
 
 class TrigPoly:
@@ -78,9 +80,6 @@ class TrigPoly:
     def items(self):
         return zip(self._ks, self._cs)
 
-    def as_dict(self):
-        return dict(self.items())
-
     def coeff(self, k):
         try:
             return self._cs[self._ks.index(k)]
@@ -109,7 +108,7 @@ class TrigPoly:
         return out
 
     def __call__(self, x):
-        val = self.eval_complex(x).real
+        val = _real_values(self, np.mod(np.asarray(x, dtype=np.float64), 1.0), {})
         if np.ndim(x) == 0:
             return float(val)
         return val
@@ -159,9 +158,21 @@ class TrigPoly:
         return f"TrigPoly({{{terms}}})"
 
 
-def eval_trig(p, x):
-    """Evaluate a trigonometric polynomial at phase x (real part)."""
-    return p(x)
+def _real_values(poly, y, modes):
+    """Real part of `poly` at the reduced phases y; `modes` caches e^{2 pi i k y}.
+
+    Each term's products are rounded separately (numpy's vectorized complex
+    product may fuse them), so a value does not depend on the shape of y.
+    """
+    acc = np.zeros(np.shape(y))
+    for k, c in poly.items():
+        if k == 0:
+            acc += c.real
+            continue
+        if k not in modes:
+            modes[k] = np.exp((2j * np.pi * k) * y)
+        acc += c.real * modes[k].real - c.imag * modes[k].imag
+    return acc
 
 
 def _bisect_zero(poly, a, fa, b, fb):
@@ -237,22 +248,11 @@ class MeroScalar:
 
     def __call__(self, x):
         d = self.den(x)
-        if np.ndim(x) == 0:
-            if abs(d) < self.pole_tol:
-                raise PoleProximity(
-                    f"|den({x})| = {abs(d):.3e} < pole_tol", phase=float(x)
-                )
-            return self.num(x) / d
-        bad = np.abs(d) < self.pole_tol
-        if np.any(bad):
-            x0 = float(np.asarray(x, dtype=float).ravel()[np.flatnonzero(bad.ravel())[0]])
+        bad = np.flatnonzero(np.abs(d) < self.pole_tol)
+        if bad.size:
+            x0 = float(np.ravel(x)[bad[0]])
             raise PoleProximity(f"denominator below pole_tol at phase {x0}", phase=x0)
         return self.num(x) / d
-
-
-def eval_mero(m, x):
-    """Evaluate a meromorphic ratio; raises PoleProximity near its poles."""
-    return m(x)
 
 
 @dataclass(frozen=True)
@@ -340,52 +340,101 @@ class BlockModel:
     def with_omega(self, omega):
         return dataclasses.replace(self, omega=omega)
 
-    # -- evaluation helpers --------------------------------------------------
+    # -- evaluation views over symbol_tables ---------------------------------
 
     def site_phase(self, x, n):
         return (x + n * self.omega) % 1.0
 
     def w_values(self, y):
-        rows = [
-            np.stack([np.asarray(self.W[i][j](y), dtype=float) for j in range(self.l)], axis=-1)
-            for i in range(self.l)
-        ]
-        return np.stack(rows, axis=-2)
-
-    def _matrix_values(self, grid, y):
-        out = np.empty((self.l, self.l))
-        for i in range(self.l):
-            for j in range(self.l):
-                out[i, j] = grid[i][j](y)
-        return out
+        return symbol_tables(self, y).w
 
     def f_values(self, y):
         """F(y) as a dense matrix; raises PoleProximity near diagonal poles."""
-        return self._matrix_values(self.F, y)
+        tab = symbol_tables(self, y).guard()
+        return tab.f_off + np.diag(tab.fnum / tab.fden)
 
     def r_values(self, y):
-        return self._matrix_values(self.R, y)
+        tab = symbol_tables(self, y).guard()
+        return tab.r_off + np.diag(tab.rnum / tab.rden)
 
     def m_values(self, y):
         """Denominator products denF_ii(y) * denR_ii(y), shape (..., l)."""
-        cols = [
-            np.asarray(self.F[i][i].den(y), dtype=float)
-            * np.asarray(self.R[i][i].den(y), dtype=float)
-            for i in range(self.l)
-        ]
-        return np.stack(cols, axis=-1)
+        return symbol_tables(self, y).m
 
     def check_poles(self, y, site=None):
         """Raise PoleProximity if any diagonal denominator is below pole_tol at y."""
-        for i in range(self.l):
-            for sym in (self.F[i][i], self.R[i][i]):
-                if abs(sym.den(y)) < self.pole_tol:
-                    raise PoleProximity(
-                        f"diagonal denominator below pole_tol at phase {y}"
-                        + (f" (site {site})" if site is not None else ""),
-                        phase=float(y),
-                        site=site,
-                    )
+        symbol_tables(self, y).guard(site)
+
+
+@dataclass(frozen=True, eq=False)
+class SymbolTables:
+    """Every symbol of a BlockModel at an array of phases; see symbol_tables.
+
+    Diagonal F/R entries are split into numerator and denominator tables of
+    shape (..., l); the off-diagonal F/R entries (zero diagonal) and all of
+    W have shape (..., l, l); m = denF * denR has shape (..., l).
+    """
+
+    phases: np.ndarray
+    pole_tol: float
+    fnum: np.ndarray
+    fden: np.ndarray
+    rnum: np.ndarray
+    rden: np.ndarray
+    f_off: np.ndarray
+    r_off: np.ndarray
+    w: np.ndarray
+    m: np.ndarray
+
+    def poles(self):
+        """Mask of the phases where a diagonal denominator is below pole_tol."""
+        near = (np.abs(self.fden) < self.pole_tol) | (np.abs(self.rden) < self.pole_tol)
+        return near.any(axis=-1)
+
+    def guard(self, first_site=None):
+        """Raise PoleProximity at the first pole phase, else return self.
+
+        The error names site first_site + i for the i-th phase in C order.
+        """
+        hit = np.flatnonzero(self.poles())
+        if hit.size:
+            y = float(self.phases.ravel()[hit[0]])
+            site = None if first_site is None else first_site + int(hit[0])
+            raise PoleProximity(
+                f"diagonal denominator below pole_tol at phase {y}"
+                + (f" (site {site})" if site is not None else ""),
+                phase=y,
+                site=site,
+            )
+        return self
+
+
+def symbol_tables(model, phases):
+    """Evaluate every symbol of `model` on a phase array of any shape at once.
+
+    Each mode e^{2 pi i k y} is computed once and shared by all the symbols
+    with frequency k; constant terms need no exponential, and the symmetric
+    (j, i) entry is copied from (i, j).  The per-term formula and order are
+    those of TrigPoly.__call__, so every value is bit-identical to calling
+    that symbol at the same phase.
+    """
+    x = np.asarray(phases, dtype=np.float64)
+    y = np.mod(x, 1.0)
+    modes = {}
+    l = model.l
+    fnum, fden, rnum, rden = (np.empty(x.shape + (l,)) for _ in range(4))
+    f_off, r_off = np.zeros(x.shape + (l, l)), np.zeros(x.shape + (l, l))
+    w = np.empty(x.shape + (l, l))
+    for i in range(l):
+        fnum[..., i] = _real_values(model.F[i][i].num, y, modes)
+        fden[..., i] = _real_values(model.F[i][i].den, y, modes)
+        rnum[..., i] = _real_values(model.R[i][i].num, y, modes)
+        rden[..., i] = _real_values(model.R[i][i].den, y, modes)
+        w[..., i, i] = _real_values(model.W[i][i], y, modes)
+        for j in range(i + 1, l):
+            for grid, out in ((model.F, f_off), (model.R, r_off), (model.W, w)):
+                out[..., i, j] = out[..., j, i] = _real_values(grid[i][j], y, modes)
+    return SymbolTables(x, model.pole_tol, fnum, fden, rnum, rden, f_off, r_off, w, fden * rden)
 
 
 def regularizer_diag(model, x):
@@ -414,22 +463,14 @@ def check_nondegeneracy(model, t_grid, x_grid, threshold=WITNESS_TOL):
     xs = np.asarray(x_grid, dtype=float)
     if not ts or xs.size == 0:
         raise ValueError("t_grid and x_grid must be nonempty")
-    l = model.l
-    fden = [np.asarray(model.F[i][i].den(xs), dtype=float) for i in range(l)]
-    rden = [np.asarray(model.R[i][i].den(xs), dtype=float) for i in range(l)]
-    fnum = [np.asarray(model.F[i][i].num(xs), dtype=float) for i in range(l)]
-    mcol = [fden[j] * rden[j] for j in range(l)]
-    base = np.zeros((xs.size, l, l))
-    for i in range(l):
-        for j in range(l):
-            if i != j:
-                base[:, i, j] = np.asarray(model.F[i][j](xs), dtype=float) * mcol[j]
+    tab = symbol_tables(model, xs)
+    base = tab.f_off * tab.m[:, None, :]
+    diag = np.arange(model.l)
     witnesses = []
     failed = []
     for t in ts:
         mat = base.copy()
-        for i in range(l):
-            mat[:, i, i] = (fnum[i] - t * fden[i]) * rden[i]
+        mat[:, diag, diag] = (tab.fnum - t * tab.fden) * tab.rden
         dets = np.abs(np.linalg.det(mat))
         idx = np.flatnonzero(dets > threshold)
         if idx.size == 0:

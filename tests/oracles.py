@@ -1,0 +1,192 @@
+"""Slow reference paths kept as oracles for the vectorized ones.
+
+Each function evaluates the model one site and one symbol at a time, the
+way the package did before every consumer moved onto `symbol_tables`.
+Symbols are called at scalar phases, so these loops also pin the values of
+the scalar evaluation path.
+"""
+
+import math
+
+import numpy as np
+
+from qpjacobi.errors import PoleProximity
+from qpjacobi.greens import logdet_abs, logdet_grid, minor_bound_slack, minor_logabs
+from qpjacobi.operator import BlockTridiagonal, OperatorParams, index_split
+
+
+def check_poles(model, y, site=None):
+    for i in range(model.l):
+        for sym in (model.F[i][i], model.R[i][i]):
+            if abs(sym.den(y)) < model.pole_tol:
+                raise PoleProximity(
+                    f"diagonal denominator below pole_tol at phase {y}"
+                    + (f" (site {site})" if site is not None else ""),
+                    phase=float(y),
+                    site=site,
+                )
+
+
+def _matrix(grid, y, l):
+    return np.array([[float(grid[i][j](y)) for j in range(l)] for i in range(l)])
+
+
+def _w(model, y):
+    return _matrix(model.W, y, model.l)
+
+
+def _m(model, y):
+    return np.array([model.F[i][i].den(y) * model.R[i][i].den(y) for i in range(model.l)])
+
+
+def assemble_hamiltonian(model, params):
+    u, v = params.window
+    n, l = params.n_sites, model.l
+    diag = np.empty((n, l, l))
+    for idx, site in enumerate(range(u, v + 1)):
+        y = model.site_phase(params.x, site)
+        check_poles(model, y, site=site)
+        diag[idx] = params.lam * _matrix(model.F, y, l) + model.r_sign * _matrix(model.R, y, l)
+    upper = np.empty((max(n - 1, 0), l, l))
+    lower = np.empty_like(upper)
+    for idx in range(n - 1):
+        wv = _w(model, model.site_phase(params.x, u + idx + 1))
+        upper[idx] = -wv
+        lower[idx] = -wv.T
+    return BlockTridiagonal(n, l, diag, lower, upper)
+
+
+def assemble_regularized(model, params):
+    u, v = params.window
+    n, l = params.n_sites, model.l
+    lam, E, sign = params.lam, params.E, model.r_sign
+    scale = 1.0 / math.sqrt(1.0 + E * E)
+    phases = [model.site_phase(params.x, site) for site in range(u, v + 1)]
+    mvals = [_m(model, y) for y in phases]
+    diag = np.empty((n, l, l))
+    for idx, y in enumerate(phases):
+        fden = [float(model.F[i][i].den(y)) for i in range(l)]
+        rden = [float(model.R[i][i].den(y)) for i in range(l)]
+        fnum = [float(model.F[i][i].num(y)) for i in range(l)]
+        rnum = [float(model.R[i][i].num(y)) for i in range(l)]
+        blk = np.empty((l, l))
+        for a in range(l):
+            for b in range(l):
+                if a == b:
+                    blk[a, a] = (
+                        lam * fnum[a] * rden[a]
+                        + sign * rnum[a] * fden[a]
+                        - E * fden[a] * rden[a]
+                    )
+                else:
+                    blk[a, b] = (lam * model.F[a][b](y) + sign * model.R[a][b](y)) * mvals[idx][b]
+        diag[idx] = scale * blk
+    upper = np.empty((max(n - 1, 0), l, l))
+    lower = np.empty_like(upper)
+    for idx in range(n - 1):
+        wv = _w(model, phases[idx + 1])
+        upper[idx] = -scale * wv * mvals[idx + 1][None, :]
+        lower[idx] = -scale * wv.T * mvals[idx][None, :]
+    return BlockTridiagonal(n, l, diag, lower, upper)
+
+
+def row_prefactors(model, params):
+    u, v = params.window
+    scale = 1.0 / math.sqrt(1.0 + params.E * params.E)
+    return np.concatenate(
+        [scale * _m(model, model.site_phase(params.x, site)) for site in range(u, v + 1)]
+    )
+
+
+def logdet_per_node(model, lam, E, window, xs):
+    """Dense log |det| of the regularized matrix, one node at a time."""
+    return np.array([
+        logdet_abs(assemble_regularized(model, OperatorParams(lam, float(x), E, window)).to_dense())
+        for x in np.asarray(xs, dtype=float).ravel()
+    ])
+
+
+def orbit_average(model, lam, E, N, Q, xs, floor):
+    """Birkhoff average of the density from one logdet_grid call per orbit point."""
+    acc = np.zeros(xs.shape)
+    floored = 0
+    for j in range(Q):
+        u = logdet_grid(model, lam, E, (1, N), (xs + j * model.omega) % 1.0) / (N * model.l)
+        floored += int(np.count_nonzero(u < floor))
+        acc += np.maximum(u, floor)
+    return acc / Q, floored
+
+
+def _transfer_terms(m, lam, x, j):
+    y = m.site_phase(x, j)
+    wn = float(m.W[0][0](m.site_phase(x, j + 1)))
+    fsym, rsym = m.F[0][0], m.R[0][0]
+    if abs(fsym.den(y)) < m.pole_tol or abs(rsym.den(y)) < m.pole_tol or abs(wn) < 1e-12:
+        return None
+    return lam * fsym(y) + m.r_sign * rsym(y), float(m.W[0][0](y)), wn
+
+
+def lyapunov_transfer(m, lam, E, n_steps, x=0.0):
+    """(rate, skipped) of the scalar transfer product, one step at a time."""
+    mat = np.eye(2)
+    acc = 0.0
+    used = skipped = 0
+    for j in range(n_steps):
+        terms = _transfer_terms(m, lam, x, j)
+        if terms is None:
+            skipped += 1
+            continue
+        onsite, wp, wn = terms
+        step = np.array([[(onsite - E) / wn, -wp / wn], [1.0, 0.0]])
+        mat = step @ mat
+        s = np.max(np.abs(mat))
+        acc += math.log(s)
+        mat /= s
+        used += 1
+    return (acc + math.log(np.linalg.norm(mat, 2))) / used, skipped
+
+
+def lyapunov_rates(m, lam, energies, n_steps, x=0.0):
+    es = np.asarray(energies, dtype=float)
+    m00, m01, m10, m11 = np.ones_like(es), np.zeros_like(es), np.zeros_like(es), np.ones_like(es)
+    acc = np.zeros_like(es)
+    used = 0
+    for j in range(n_steps):
+        terms = _transfer_terms(m, lam, x, j)
+        if terms is None:
+            continue
+        onsite, wp, wn = terms
+        d = (onsite - es) / wn
+        b = -wp / wn
+        m00, m01, m10, m11 = d * m00 + b * m10, d * m01 + b * m11, m00, m01
+        s = np.maximum.reduce([np.abs(m00), np.abs(m01), np.abs(m10), np.abs(m11)])
+        acc += np.log(s)
+        m00, m01, m10, m11 = m00 / s, m01 / s, m10 / s, m11 / s
+        used += 1
+    return (acc + np.log(np.sqrt(m00**2 + m01**2 + m10**2 + m11**2))) / used
+
+
+def minor_rows(model, N_list, lambda_list, E_list, x_count, e_min):
+    """Per-instance (N, lam, E, x, quantity, worst slack) over every entry pair."""
+    xs = (np.arange(x_count) + 0.5) / x_count
+    rows = []
+    for n in N_list:
+        nl = n * model.l
+        for lam in lambda_list:
+            for E in E_list:
+                if abs(E) < e_min:
+                    continue
+                for x in xs:
+                    params = OperatorParams(lam=lam, x=float(x), E=float(E), window=(1, n))
+                    ht = assemble_regularized(model, params).to_dense()
+                    worst = quantity = float("-inf")
+                    for a in range(1, nl + 1):
+                        for b in range(1, nl + 1):
+                            pa, _ = index_split(a, model.l)
+                            pb, _ = index_split(b, model.l)
+                            ml = minor_logabs(ht, a, b)
+                            slack = minor_bound_slack(nl, ml, abs(pa - pb), lam, E)
+                            if slack > worst:
+                                worst, quantity = slack, ml / nl
+                    rows.append((n, lam, E, float(x), quantity, worst))
+    return rows

@@ -10,8 +10,6 @@ from qpjacobi.symbols import (
     MeroScalar,
     TrigPoly,
     check_nondegeneracy,
-    eval_mero,
-    eval_trig,
     is_diophantine,
     locate_zeros,
     regularizer_diag,
@@ -27,7 +25,7 @@ def tan_symbol():
 class TestTrigPoly:
     def test_constant(self):
         p = TrigPoly.constant(1.0)
-        assert eval_trig(p, 0.37) == pytest.approx(1.0, abs=1e-15)
+        assert p(0.37) == pytest.approx(1.0, abs=1e-15)
 
     def test_cosine_values(self):
         p = TrigPoly.cosine()
@@ -71,12 +69,12 @@ class TestTrigPoly:
 class TestMeroScalar:
     def test_tan_values(self):
         t = tan_symbol()
-        assert eval_mero(t, 1.0 / 8.0) == pytest.approx(1.0, abs=1e-12)
-        assert eval_mero(t, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert t(1.0 / 8.0) == pytest.approx(1.0, abs=1e-12)
+        assert t(0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_tan_pole(self):
         with pytest.raises(PoleProximity):
-            eval_mero(tan_symbol(), 0.25)
+            tan_symbol()(0.25)
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(DegenerateSymbol):
