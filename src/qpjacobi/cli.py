@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -150,11 +151,25 @@ def _run_green(config, model):
     return EXIT_OK
 
 
-def _require_lists(sweep, keys, field_name):
-    for key in keys:
+def _is_number(v):
+    return type(v) is int or type(v) is float and math.isfinite(v)
+
+
+def _check_sweep(sweep):
+    """Raise ModelFormatError unless the sweep file's lists and counts are well typed."""
+    if not isinstance(sweep, dict):
+        raise ModelFormatError("sweep file must hold a JSON object", field="--sweep")
+    for key, ok, what in (
+        ("N", lambda v: type(v) is int and v > 0, "positive ints"),
+        ("lambda", _is_number, "finite numbers"),
+        ("E", _is_number, "finite numbers"),
+    ):
         vals = sweep.get(key)
-        if not isinstance(vals, list) or not vals:
-            raise ModelFormatError(f"sweep key {key!r} must be a nonempty list", field=field_name)
+        if not isinstance(vals, list) or not vals or not all(map(ok, vals)):
+            raise ModelFormatError(f"{key!r} must be a nonempty list of {what}", field="--sweep")
+    for key in ("x_count", "pairs", "nodes"):
+        if key in sweep and not (type(sweep[key]) is int and sweep[key] >= 0):
+            raise ModelFormatError(f"{key!r} must be a non-negative int", field="--sweep")
 
 
 def _run_bounds(config, model):
@@ -164,22 +179,21 @@ def _run_bounds(config, model):
             sweep = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"cannot read sweep file: {exc}", field="--sweep")
-    _require_lists(sweep, ("N", "lambda", "E"), "--sweep")
+    _check_sweep(sweep)
     if p["check"] == "minor":
         report = check_minor_bound(
             model,
             sweep["N"],
             sweep["lambda"],
             sweep["E"],
-            x_count=int(sweep.get("x_count", 16)),
+            x_count=sweep.get("x_count", 16),
             pairs_per_instance=sweep.get("pairs"),
             seed=config.seed,
         )
         rows = report.sweep["rows"]
     else:
-        nodes = int(sweep.get("nodes", 1024))
         report = check_det_lower_bound(
-            model, sweep["lambda"], sweep["E"], sweep["N"], midpoint_grid(nodes)
+            model, sweep["lambda"], sweep["E"], sweep["N"], midpoint_grid(sweep.get("nodes", 1024))
         )
         rows = [
             (n, lam, E, float("nan"), value, c1)

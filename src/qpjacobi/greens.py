@@ -69,13 +69,21 @@ def minor_oracle(mat, alpha, alpha_prime):
 
 
 def minor_logabs(mat, alpha, alpha_prime):
-    """log |minor|; -inf for an exactly singular submatrix."""
+    """log |minor| without row alpha_prime and column alpha; -inf if singular.
+
+    Flat indices are 1-based scalars or broadcastable arrays; all requested
+    submatrices are gathered and factored in one stacked slogdet.
+    """
     a = np.asarray(mat, dtype=float)
-    sub = np.delete(np.delete(a, alpha_prime - 1, axis=0), alpha - 1, axis=1)
-    if sub.size == 0:
-        return 0.0
-    _, val = np.linalg.slogdet(sub)
-    return float(val)
+    n = a.shape[0]
+    alpha, alpha_prime = np.broadcast_arrays(alpha, alpha_prime)
+    if np.any((alpha < 1) | (alpha > n) | (alpha_prime < 1) | (alpha_prime > n)):
+        raise IndexError("flat index out of range")
+    keep = np.arange(n - 1)
+    rows = keep + (keep >= alpha_prime[..., None] - 1)
+    cols = keep + (keep >= alpha[..., None] - 1)
+    _, val = np.linalg.slogdet(a[rows[..., :, None], cols[..., None, :]])
+    return float(val) if val.ndim == 0 else val
 
 
 def green_full(model, params, residual_tol=NEAR_SINGULAR_RESIDUAL):
@@ -132,10 +140,8 @@ def green_entry_cramer(model, params, query):
     pref = abs(float(model.m_values(y)[q - 1])) / math.sqrt(1.0 + params.E**2)
     if pref == 0.0:
         return 0.0
-    mlog = minor_logabs(ht, query.alpha, query.alpha_prime)
-    if mlog == float("-inf"):
-        return 0.0
-    return math.exp(math.log(pref) + mlog - logdet)
+    # a zero minor (log -inf) gives exp(-inf) = 0
+    return math.exp(math.log(pref) + minor_logabs(ht, query.alpha, query.alpha_prime) - logdet)
 
 
 @dataclass(frozen=True)
@@ -143,11 +149,10 @@ class BoundFitReport:
     """Empirical constant for an inequality, fit with the max-slack convention.
 
     fitted_constant is the smallest constant making the inequality hold over
-    every sample; max_violation <= 0 certifies exactly that.
+    every sample.
     """
 
     fitted_constant: float
-    max_violation: float
     samples: int
     group_constants: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=dict)
@@ -161,13 +166,6 @@ class BoundFitReport:
         if scale == 0.0:
             return 0.0
         return (max(vals) - min(vals)) / scale
-
-
-def minor_bound_slack(nl, log_minor, p_dist, lam, E):
-    """Slack of the minor upper bound at one sample; -inf satisfies any bound."""
-    if log_minor == float("-inf"):
-        return float("-inf")
-    return log_minor / nl + (p_dist / nl) * math.log(lam + abs(E)) - math.log1p(lam / abs(E))
 
 
 def check_minor_bound(
@@ -184,8 +182,10 @@ def check_minor_bound(
 
     For every sampled (N, lam, E, x, alpha, alpha') the slack is
         (1/Nl) log|minor| + (|p - p'|/Nl) log(lam + |E|) - log(1 + lam/|E|).
+    A zero minor has slack -inf, which satisfies any bound; it is counted.
     The fitted constant is the max over samples; per-N maxima are kept so the
-    caller can judge stability in N.  Samples with |E| < e_min are skipped.
+    caller can judge stability in N.  Samples with |E| < e_min are skipped,
+    and a sweep left with no (N, lam, E, x) instance raises ValueError.
     sweep["rows"] holds one (N, lam, E, x, quantity, worst slack) row per
     instance, where quantity is the (1/Nl) log|minor| of the first sampled
     pair reaching the worst slack.
@@ -205,47 +205,34 @@ def check_minor_bound(
     for n in N_list:
         nl = n * l
         group = float("-inf")
-        if pairs_per_instance is None or pairs_per_instance >= nl * nl:
-            pairs = [(a, b) for a in range(1, nl + 1) for b in range(1, nl + 1)]
-            fixed_pairs = True
-        else:
-            fixed_pairs = False
+        sampled = pairs_per_instance is not None and pairs_per_instance < nl * nl
+        a, b = np.indices((nl, nl)).reshape(2, -1) + 1
         for lam in lambda_list:
             for E in E_list:
                 if abs(E) < e_min:
                     skipped_e += 1
                     continue
+                growth, shift = math.log(lam + abs(E)), math.log1p(lam / abs(E))
                 for x in xs:
                     params = OperatorParams(lam=lam, x=float(x), E=float(E), window=(1, n))
                     ht = assemble_regularized(model, params).to_dense()
-                    if not fixed_pairs:
-                        pairs = [
-                            (int(a), int(b))
-                            for a, b in zip(
-                                rng.integers(1, nl + 1, pairs_per_instance),
-                                rng.integers(1, nl + 1, pairs_per_instance),
-                            )
-                        ]
-                        pairs.extend([(1, nl), (nl, 1), (1, 1)])
-                    worst = quantity = float("-inf")
-                    for a, b in pairs:
-                        pa, _ = index_split(a, l)
-                        pb, _ = index_split(b, l)
-                        mlog = minor_logabs(ht, a, b)
-                        slack = minor_bound_slack(nl, mlog, abs(pa - pb), lam, E)
-                        samples += 1
-                        if slack > worst:
-                            worst, quantity = slack, mlog / nl
-                        if slack == float("-inf"):
-                            zero_minors += 1
-                            continue
-                        group = max(group, slack)
-                    rows.append((n, lam, E, float(x), quantity, worst))
+                    if sampled:
+                        a = np.r_[rng.integers(1, nl + 1, pairs_per_instance), 1, nl, 1]
+                        b = np.r_[rng.integers(1, nl + 1, pairs_per_instance), nl, 1, 1]
+                    mlog = minor_logabs(ht, a, b)
+                    p_dist = np.abs((a - 1) // l - (b - 1) // l)
+                    slack = mlog / nl + (p_dist / nl) * growth - shift
+                    k = int(np.argmax(slack))
+                    rows.append((n, lam, E, float(x), float(mlog[k] / nl), float(slack[k])))
+                    samples += slack.size
+                    zero_minors += int(np.count_nonzero(slack == float("-inf")))
+                    group = max(group, float(slack[k]))
         per_n[f"N={n}"] = group
         best = max(best, group)
+    if not rows:
+        raise ValueError("minor sweep sampled no instance (x_count is 0 or every |E| < e_min)")
     return BoundFitReport(
         fitted_constant=best,
-        max_violation=0.0,
         samples=samples,
         group_constants=per_n,
         sweep={
@@ -377,7 +364,6 @@ def check_det_lower_bound(model, lambda_list, E_list, N_list, x_grid):
         best = max(best, group)
     return BoundFitReport(
         fitted_constant=best,
-        max_violation=0.0,
         samples=samples,
         group_constants=per_lambda,
         sweep={

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from qpjacobi.errors import PoleProximity
-from qpjacobi.greens import logdet_abs, logdet_grid, minor_bound_slack, minor_logabs
+from qpjacobi.greens import logdet_abs, logdet_grid
 from qpjacobi.operator import BlockTridiagonal, OperatorParams, index_split
 
 
@@ -166,12 +166,34 @@ def lyapunov_rates(m, lam, energies, n_steps, x=0.0):
     return (acc + np.log(np.sqrt(m00**2 + m01**2 + m10**2 + m11**2))) / used
 
 
-def minor_rows(model, N_list, lambda_list, E_list, x_count, e_min):
-    """Per-instance (N, lam, E, x, quantity, worst slack) over every entry pair."""
+def minor_logabs(mat, alpha, alpha_prime):
+    """log |minor| of one pair: delete row alpha_prime and column alpha, then slogdet."""
+    a = np.asarray(mat, dtype=float)
+    sub = np.delete(np.delete(a, alpha_prime - 1, axis=0), alpha - 1, axis=1)
+    if sub.size == 0:
+        return 0.0
+    return float(np.linalg.slogdet(sub)[1])
+
+
+def minor_bound_slack(nl, log_minor, p_dist, lam, E):
+    if log_minor == float("-inf"):
+        return float("-inf")
+    return log_minor / nl + (p_dist / nl) * math.log(lam + abs(E)) - math.log1p(lam / abs(E))
+
+
+def minor_sweep(model, N_list, lambda_list, E_list, x_count, e_min, pairs_per_instance=None, seed=0):
+    """Rows, samples, zero minors and per-N constants of the minor sweep, one pair at a time.
+
+    Sampled pairs are drawn per instance as `pairs_per_instance` alphas, then
+    as many alpha primes, followed by the corner pairs (1, Nl), (Nl, 1), (1, 1).
+    """
+    rng = np.random.default_rng(seed)
     xs = (np.arange(x_count) + 0.5) / x_count
-    rows = []
+    rows, groups = [], {}
+    samples = zero_minors = 0
     for n in N_list:
         nl = n * model.l
+        group = float("-inf")
         for lam in lambda_list:
             for E in E_list:
                 if abs(E) < e_min:
@@ -179,14 +201,31 @@ def minor_rows(model, N_list, lambda_list, E_list, x_count, e_min):
                 for x in xs:
                     params = OperatorParams(lam=lam, x=float(x), E=float(E), window=(1, n))
                     ht = assemble_regularized(model, params).to_dense()
+                    if pairs_per_instance is None or pairs_per_instance >= nl * nl:
+                        pairs = [(a, b) for a in range(1, nl + 1) for b in range(1, nl + 1)]
+                    else:
+                        alphas = rng.integers(1, nl + 1, pairs_per_instance)
+                        primes = rng.integers(1, nl + 1, pairs_per_instance)
+                        pairs = [(int(a), int(b)) for a, b in zip(alphas, primes)]
+                        pairs += [(1, nl), (nl, 1), (1, 1)]
                     worst = quantity = float("-inf")
-                    for a in range(1, nl + 1):
-                        for b in range(1, nl + 1):
-                            pa, _ = index_split(a, model.l)
-                            pb, _ = index_split(b, model.l)
-                            ml = minor_logabs(ht, a, b)
-                            slack = minor_bound_slack(nl, ml, abs(pa - pb), lam, E)
-                            if slack > worst:
-                                worst, quantity = slack, ml / nl
+                    for a, b in pairs:
+                        pa, _ = index_split(a, model.l)
+                        pb, _ = index_split(b, model.l)
+                        ml = minor_logabs(ht, a, b)
+                        slack = minor_bound_slack(nl, ml, abs(pa - pb), lam, E)
+                        samples += 1
+                        if slack > worst:
+                            worst, quantity = slack, ml / nl
+                        if slack == float("-inf"):
+                            zero_minors += 1
+                        else:
+                            group = max(group, slack)
                     rows.append((n, lam, E, float(x), quantity, worst))
-    return rows
+        groups[f"N={n}"] = group
+    return {"rows": rows, "samples": samples, "zero_minors": zero_minors, "groups": groups}
+
+
+def minor_rows(model, N_list, lambda_list, E_list, x_count, e_min):
+    """Per-instance (N, lam, E, x, quantity, worst slack) over every entry pair."""
+    return minor_sweep(model, N_list, lambda_list, E_list, x_count, e_min)["rows"]

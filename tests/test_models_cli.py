@@ -194,6 +194,52 @@ class TestCli:
         header = [l for l in out.read_text().splitlines() if l.startswith("# fitted")]
         assert header
 
+    def _bounds(self, tmp_path, sweep, check="minor"):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(sweep))
+        out = tmp_path / "bounds.csv"
+        rc = main([
+            "bounds", "--model", "maryland", "--sweep", str(path),
+            "--check", check, "--out", str(out),
+        ])
+        return rc, out
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"N": ["4"]}, "'N'"),
+            ({"N": [4.5]}, "'N'"),
+            ({"N": [0]}, "'N'"),
+            ({"N": [True]}, "'N'"),
+            ({"lambda": ["5"]}, "'lambda'"),
+            ({"lambda": []}, "'lambda'"),
+            ({"E": [None]}, "'E'"),
+            ({"E": [float("nan")]}, "'E'"),
+            ({"x_count": 2.5}, "'x_count'"),
+            ({"x_count": -1}, "'x_count'"),
+            ({"pairs": "3"}, "'pairs'"),
+            ({"pairs": -2}, "'pairs'"),
+            ({"nodes": 512.0}, "'nodes'"),
+        ],
+    )
+    @pytest.mark.parametrize("check", ["minor", "det"])
+    def test_bounds_malformed_sweep_exits_one(self, tmp_path, capsys, change, key, check):
+        sweep = {"N": [2], "lambda": [5.0], "E": [1.0], "x_count": 2, **change}
+        rc, out = self._bounds(tmp_path, sweep, check)
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: --sweep: ") and key in err
+
+    def test_bounds_sweep_must_be_an_object(self, tmp_path, capsys):
+        rc, out = self._bounds(tmp_path, [2, 5.0, 1.0])
+        assert rc == 1 and "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [{"x_count": 0}, {"E": [1e-9, -1e-7]}])
+    def test_bounds_minor_without_an_instance_exits_one(self, tmp_path, capsys, change):
+        rc, out = self._bounds(tmp_path, {"N": [2], "lambda": [5.0], "E": [1.0], **change})
+        assert rc == 1 and not out.exists()
+        assert "no instance" in capsys.readouterr().err
+
     def test_check_model_smoke(self, tmp_path):
         for name in ("maryland", "analytic2", "mero2"):
             out = tmp_path / f"{name}.json"

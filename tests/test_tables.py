@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from qpjacobi.ergodic import U_FLOOR, _orbit_average, deviation_measure
 from qpjacobi.errors import PoleProximity
-from qpjacobi.greens import check_minor_bound, logdet_grid, midpoint_grid
+from qpjacobi.greens import check_minor_bound, logdet_grid, midpoint_grid, minor_logabs
 from qpjacobi.localization import lyapunov_rates, lyapunov_transfer
 from qpjacobi.operator import (
     OperatorParams,
@@ -19,7 +19,7 @@ from qpjacobi.operator import (
 )
 from qpjacobi.symbols import BlockModel, Dioph, MeroScalar, TrigPoly, symbol_tables
 
-from conftest import GOLDEN, pole_free_x, random_model
+from conftest import GOLDEN, atomic_maryland, pole_free_x, random_model
 
 MODELS = ("maryland", "analytic2", "mero2")
 
@@ -251,3 +251,63 @@ def test_minor_rows_with_sampled_pairs_cover_each_instance(maryland):
     rows = rep.sweep["rows"]
     assert len(rows) == 4
     assert max(r[5] for r in rows) == rep.fitted_constant
+
+
+def test_stacked_minors_equal_the_per_pair_oracle(mero2):
+    ht = assemble_regularized(mero2, OperatorParams(lam=10.0, x=0.3, E=1.0, window=(1, 3))).to_dense()
+    a, b = np.indices(ht.shape).reshape(2, -1) + 1
+    want = [oracles.minor_logabs(ht, int(i), int(j)) for i, j in zip(a, b)]
+    assert minor_logabs(ht, a, b).tolist() == want
+    assert minor_logabs(ht, a.reshape(6, 6), b.reshape(6, 6)).ravel().tolist() == want
+    got = minor_logabs(ht, 2, 5)
+    assert type(got) is float and got == oracles.minor_logabs(ht, 2, 5)
+    assert minor_logabs(np.array([[7.0]]), 1, 1) == 0.0
+    with pytest.raises(IndexError):
+        minor_logabs(ht, np.array([1, 7]), 1)
+
+
+@pytest.mark.parametrize(
+    "name, N_list, E_list, pairs",
+    [
+        ("mero2", [1, 2, 4], [1.0, 1e-9, -5.0], None),
+        ("mero2", [2, 4], [1.0, -5.0], 6),
+        ("maryland", [4, 8], [1.0, 2.0], 5),
+        ("atomic", [2, 4], [1.0, -2.0], None),
+        ("atomic", [4, 8], [1.0], 7),
+    ],
+)
+def test_minor_sweep_equals_the_per_pair_oracle(request, maryland, name, N_list, E_list, pairs):
+    model = atomic_maryland(maryland) if name == "atomic" else request.getfixturevalue(name)
+    args = (N_list, [10.0, 100.0], E_list)
+    rep = check_minor_bound(model, *args, x_count=3, pairs_per_instance=pairs, seed=5)
+    want = oracles.minor_sweep(model, *args, x_count=3, e_min=1e-6, pairs_per_instance=pairs, seed=5)
+    assert rep.sweep["rows"] == want["rows"]
+    assert rep.samples == want["samples"]
+    assert rep.sweep["zero_minors"] == want["zero_minors"]
+    assert rep.group_constants == want["groups"]
+    assert rep.fitted_constant == max(want["groups"].values())
+    if name == "atomic":
+        assert want["zero_minors"] > 0
+
+
+@pytest.mark.parametrize("x_count, E_list", [(0, [1.0]), (3, [1e-9, -1e-7])])
+def test_minor_sweep_without_an_instance_raises(maryland, x_count, E_list):
+    with pytest.raises(ValueError, match="no instance"):
+        check_minor_bound(maryland, [4], [10.0], E_list, x_count=x_count)
+
+
+def test_minor_row_reports_the_first_pair_reaching_the_worst_slack(maryland, monkeypatch):
+    # with log(lam + |E|) = L, the log-minors (L, 0, 0, L - 1) of the pairs
+    # (1,1), (1,2), (2,1), (2,2) give equal slacks to the first three pairs
+    L = float(np.log(2.0))
+    calls = []
+
+    def fake_minors(ht, a, b):
+        calls.append((a.tolist(), b.tolist()))
+        return np.array([L, 0.0, 0.0, L - 1.0])
+
+    monkeypatch.setattr("qpjacobi.greens.minor_logabs", fake_minors)
+    rep = check_minor_bound(maryland, [2], [1.0], [1.0], x_count=1)
+    assert calls == [([1, 1, 2, 2], [1, 2, 1, 2])]
+    (row,) = rep.sweep["rows"]
+    assert row[4] == L / 2 and row[5] == L / 2 - np.log1p(1.0)
