@@ -1,4 +1,4 @@
-"""Command-line orchestration: config ingestion, sweeps, and report emission.
+"""Command-line orchestration: argument parsing, sweeps, and report emission.
 
 Every output file embeds a header with the model hash, the seed, and the
 tool version; given the same config and seed, outputs are byte-identical.
@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
 from .errors import (
@@ -37,28 +36,19 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 
 
-@dataclass
-class ExperimentConfig:
-    command: str
-    model_spec: str
-    out: str | None
-    seed: int
-    params: dict = field(default_factory=dict)
-
-
 def _fmt(value):
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
 
 
-def _meta(config, model):
+def _meta(args, model):
     return {
         "tool": "qpjacobi",
         "version": __version__,
-        "command": config.command,
+        "command": args.command,
         "model_hash": model_hash(model),
-        "seed": config.seed,
+        "seed": args.seed,
     }
 
 
@@ -85,12 +75,30 @@ def _write_json(path, meta, payload):
             fh.write(text)
 
 
-def _parse_window(text):
-    try:
-        u, v = text.split(":")
-        return int(u), int(v)
-    except ValueError:
-        raise ModelFormatError("expected u:v", field="--window")
+# argparse `type=` parsers: ModelFormatError is not a ValueError, so argparse
+# lets it through to main, which reports it as a config error
+def _int_pair(field, form):
+    def parse(text):
+        try:
+            a, b = (int(s) for s in text.split(":"))
+        except ValueError:
+            raise ModelFormatError(f"expected {form}", field=field)
+        return a, b
+
+    return parse
+
+
+def _number_list(convert, field, kind, name):
+    def parse(text):
+        try:
+            vals = [convert(s) for s in text.split(",") if s]
+        except ValueError:
+            raise ModelFormatError(f"expected a comma-separated {kind} list", field=field)
+        if not vals:
+            raise ModelFormatError(f"at least one {name} value required", field=field)
+        return vals
+
+    return parse
 
 
 def _matrix_rows(block_mat):
@@ -117,34 +125,32 @@ def _warn_diophantine(model, kmax=10000):
     return chk
 
 
-def _run_assemble(config, model):
-    p = config.params
-    params = OperatorParams(lam=p["lam"], x=p["x"], E=p["E"], window=p["window"])
-    if p["matrix"] == "h":
-        mat = assemble_hamiltonian(model, params)
-    else:
-        mat = assemble_regularized(model, params)
+def _window_params(args):
+    return OperatorParams(lam=args.lam, x=args.x, E=args.E, window=args.window)
+
+
+def _run_assemble(args, model):
+    assemble = assemble_hamiltonian if args.matrix == "h" else assemble_regularized
+    mat = assemble(model, _window_params(args))
     _write_csv(
-        config.out,
-        _meta(config, model),
+        args.out,
+        _meta(args, model),
         ("block_row", "block_col", "i", "j", "value"),
         _matrix_rows(mat),
     )
     return EXIT_OK
 
 
-def _run_green(config, model):
-    p = config.params
-    params = OperatorParams(lam=p["lam"], x=p["x"], E=p["E"], window=p["window"])
-    g = green_full(model, params)
+def _run_green(args, model):
+    g = green_full(model, _window_params(args))
     l = model.l
     rows = []
     for a in range(g.shape[0]):
         for b in range(g.shape[1]):
             rows.append((a // l + 1, b // l + 1, a % l + 1, b % l + 1, float(g[a, b])))
     _write_csv(
-        config.out,
-        _meta(config, model),
+        args.out,
+        _meta(args, model),
         ("block_row", "block_col", "i", "j", "value"),
         rows,
     )
@@ -172,15 +178,14 @@ def _check_sweep(sweep):
             raise ModelFormatError(f"{key!r} must be a non-negative int", field="--sweep")
 
 
-def _run_bounds(config, model):
-    p = config.params
+def _run_bounds(args, model):
     try:
-        with open(p["sweep"]) as fh:
+        with open(args.sweep) as fh:
             sweep = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"cannot read sweep file: {exc}", field="--sweep")
     _check_sweep(sweep)
-    if p["check"] == "minor":
+    if args.check == "minor":
         report = check_minor_bound(
             model,
             sweep["N"],
@@ -188,7 +193,7 @@ def _run_bounds(config, model):
             sweep["E"],
             x_count=sweep.get("x_count", 16),
             pairs_per_instance=sweep.get("pairs"),
-            seed=config.seed,
+            seed=args.seed,
         )
         rows = report.sweep["rows"]
     else:
@@ -200,56 +205,49 @@ def _run_bounds(config, model):
             for n, lam, E, value, c1, _excluded in report.sweep["rows"]
         ]
     extra = {"fitted_constant": report.fitted_constant, **report.group_constants}
-    meta = _meta(config, model)
+    meta = _meta(args, model)
     meta.update({k: _fmt(v) for k, v in extra.items()})
-    _write_csv(config.out, meta, ("N", "lambda", "E", "x", "quantity", "slack"), rows)
+    _write_csv(args.out, meta, ("N", "lambda", "E", "x", "quantity", "slack"), rows)
     return EXIT_OK
 
 
-def _run_ldt(config, model):
-    # a rotation override was already folded into the model by run()
-    p = config.params
-    xs = midpoint_grid(p["grid"])
+def _run_ldt(args, model):
+    # main already folded an --omega override into the model
+    xs = midpoint_grid(args.grid)
     rows = []
-    for Q in p["Qs"]:
-        rep = deviation_measure(model, p["lam"], p["E"], p["N"], Q, p["S"], p["sigma"], xs)
+    for Q in args.Qs:
+        rep = deviation_measure(model, args.lam, args.E, args.N, Q, args.S, args.sigma, xs)
         rows.append((rep.Q, rep.threshold, rep.bad_fraction))
-    _write_csv(config.out, _meta(config, model), ("Q", "threshold", "bad_fraction"), rows)
+    _write_csv(args.out, _meta(args, model), ("Q", "threshold", "bad_fraction"), rows)
     return EXIT_OK
 
 
-def _run_scan(config, model):
-    p = config.params
-    report = green_decay_scan(
-        model, p["lam"], p["E"], p["x0"], p["N0"], range(p["shifts"][0], p["shifts"][1] + 1)
-    )
-    meta = _meta(config, model)
+def _run_scan(args, model):
+    a, b = args.shifts
+    report = green_decay_scan(model, args.lam, args.E, args.x0, args.N0, range(a, b + 1))
+    meta = _meta(args, model)
     meta["c11"] = _fmt(report.c11)
     meta["good_fraction"] = _fmt(report.good_fraction)
     rows = [(r.shift, r.status, r.slack) for r in report.records]
-    _write_csv(config.out, meta, ("shift", "status", "slack"), rows)
+    _write_csv(args.out, meta, ("shift", "status", "slack"), rows)
     if report.counts["near_singular"] + report.counts["pole"] > len(report.records) / 2:
         raise NearSingular("more than half of the scanned windows failed")
     return EXIT_OK
 
 
-def _run_localize(config, model):
-    p = config.params
-    report = localize(model, p["lam"], p["x0"], p["N"], margin=p["margin"])
-    _write_json(config.out, _meta(config, model), {"report": report.to_dict()})
+def _run_localize(args, model):
+    report = localize(model, args.lam, args.x0, args.N, margin=args.margin)
+    _write_json(args.out, _meta(args, model), {"report": report.to_dict()})
     return EXIT_OK
 
 
-def _run_check_model(config, model):
-    p = config.params
-    chk = _warn_diophantine(model, p["kmax"])
+def _run_check_model(args, model):
+    chk = _warn_diophantine(model, args.Kmax)
     zeros = {}
     for name, grid in (("F", model.F), ("R", model.R)):
         for i in range(model.l):
             zeros[f"{name}[{i}][{i}]"] = list(grid[i][i].zeros)
-    ts = [float(t) for t in p["t_grid"]]
-    xs = midpoint_grid(p["x_count"])
-    nd = check_nondegeneracy(model, ts, xs)
+    nd = check_nondegeneracy(model, args.t_grid, midpoint_grid(args.x_count))
     payload = {
         "diophantine": {
             "ok": chk.ok,
@@ -264,7 +262,7 @@ def _run_check_model(config, model):
             ],
         },
     }
-    _write_json(config.out, _meta(config, model), payload)
+    _write_json(args.out, _meta(args, model), payload)
     return EXIT_OK
 
 
@@ -277,16 +275,6 @@ _HANDLERS = {
     "localize": _run_localize,
     "check-model": _run_check_model,
 }
-
-
-def run(config):
-    """Execute one experiment described by an ExperimentConfig."""
-    model = resolve_model(config.model_spec)
-    if config.command != "check-model":
-        _warn_diophantine(model)
-    if config.params.get("omega") is not None:
-        model = model.with_omega(config.params["omega"])
-    return _HANDLERS[config.command](config, model)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -306,12 +294,14 @@ def build_parser():
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         sp.add_argument("--seed", type=int, default=0)
 
+    window = _int_pair("--window", "u:v")
+
     sp = sub.add_parser("assemble", help="emit a finite-volume matrix as CSV")
     common(sp)
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--E", type=float, required=True)
-    sp.add_argument("--window", required=True, help="u:v site window")
+    sp.add_argument("--window", type=window, required=True, help="u:v site window")
     sp.add_argument("--matrix", choices=("h", "htilde"), default="htilde")
 
     sp = sub.add_parser("green", help="emit the window Green's function as CSV")
@@ -319,7 +309,7 @@ def build_parser():
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--E", type=float, required=True)
-    sp.add_argument("--window", required=True)
+    sp.add_argument("--window", type=window, required=True)
 
     sp = sub.add_parser("bounds", help="minor upper bound / determinant lower bound sweeps")
     common(sp)
@@ -333,7 +323,9 @@ def build_parser():
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--sigma", type=float, default=0.3)
     sp.add_argument("--S", type=float, default=1.0)
-    sp.add_argument("--Qs", default="10,32,100,316,1000")
+    sp.add_argument(
+        "--Qs", type=_number_list(int, "--Qs", "integer", "Q"), default="10,32,100,316,1000"
+    )
     sp.add_argument("--grid", type=int, default=2000)
     sp.add_argument("--omega", type=float, default=None, help="override the model rotation")
 
@@ -345,6 +337,7 @@ def build_parser():
     sp.add_argument("--N0", type=int, default=16)
     sp.add_argument(
         "--shifts",
+        type=_int_pair("--shifts", "a:b"),
         default="-256:255",
         help="a:b inclusive shift range (use --shifts=-8:8 for negative starts)",
     )
@@ -358,80 +351,25 @@ def build_parser():
 
     sp = sub.add_parser("check-model", help="hypothesis checks: rotation, poles, nondegeneracy")
     common(sp)
-    sp.add_argument("--t-grid", default="-1,0,1")
+    sp.add_argument(
+        "--t-grid", type=_number_list(float, "--t-grid", "number", "t"), default="-1,0,1"
+    )
     sp.add_argument("--x-count", type=int, default=4096)
     sp.add_argument("--Kmax", type=int, default=10000)
 
     return parser
 
 
-def _config_from_args(args):
-    params = {}
-    if args.command in ("assemble", "green"):
-        params = {
-            "lam": args.lam,
-            "x": args.x,
-            "E": args.E,
-            "window": _parse_window(args.window),
-        }
-        if args.command == "assemble":
-            params["matrix"] = args.matrix
-    elif args.command == "bounds":
-        params = {"sweep": args.sweep, "check": args.check}
-    elif args.command == "ldt":
-        try:
-            qs = [int(s) for s in args.Qs.split(",") if s]
-        except ValueError:
-            raise ModelFormatError("expected a comma-separated integer list", field="--Qs")
-        if not qs:
-            raise ModelFormatError("at least one Q value required", field="--Qs")
-        params = {
-            "lam": args.lam,
-            "E": args.E,
-            "N": args.N,
-            "sigma": args.sigma,
-            "S": args.S,
-            "Qs": qs,
-            "grid": args.grid,
-            "omega": args.omega,
-        }
-    elif args.command == "scan":
-        try:
-            a, b = (int(s) for s in args.shifts.split(":"))
-        except ValueError:
-            raise ModelFormatError("expected a:b", field="--shifts")
-        params = {
-            "lam": args.lam,
-            "E": args.E,
-            "x0": args.x0,
-            "N0": args.N0,
-            "shifts": (a, b),
-        }
-    elif args.command == "localize":
-        params = {"lam": args.lam, "x0": args.x0, "N": args.N, "margin": args.margin}
-    elif args.command == "check-model":
-        try:
-            t_grid = [float(s) for s in args.t_grid.split(",") if s]
-        except ValueError:
-            raise ModelFormatError("expected a comma-separated number list", field="--t-grid")
-        if not t_grid:
-            raise ModelFormatError("at least one t value required", field="--t-grid")
-        params = {"t_grid": t_grid, "x_count": args.x_count, "kmax": args.Kmax}
-    return ExperimentConfig(
-        command=args.command,
-        model_spec=args.model,
-        out=args.out,
-        seed=args.seed,
-        params=params,
-    )
-
-
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        return run(config)
+        model = resolve_model(args.model)
+        if args.command != "check-model":
+            _warn_diophantine(model)
+        if args.command == "ldt" and args.omega is not None:
+            model = model.with_omega(args.omega)
+        return _HANDLERS[args.command](args, model)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
     except (ModelFormatError, FileNotFoundError, ValueError) as exc:

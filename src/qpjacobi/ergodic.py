@@ -104,6 +104,8 @@ def deviation_measure(model, lam, E, N, Q, S, sigma, x_grid, omega=None, ref=Non
         raise ValueError("Q must be >= 1")
     if S < 0 or sigma <= 0:
         raise ValueError("require S >= 0 and sigma > 0")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     m = model.with_omega(omega) if omega is not None else model
     xs = np.asarray(x_grid, dtype=float)
     if xs.size < 1000:

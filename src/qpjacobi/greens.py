@@ -34,6 +34,9 @@ NEAR_SINGULAR_RESIDUAL = 1e-6
 E_MIN = 1e-6
 #: fraction of underflowed quadrature nodes tolerated by avg_logdet
 EXCLUSION_LIMIT = 0.01
+#: matrix elements gathered per stacked slogdet in minor_logabs; bounds its
+#: memory (every pair of an N*l <= 23 window still fits in one call)
+MINOR_CHUNK = 1 << 18
 
 
 def logdet_abs(mat):
@@ -71,8 +74,9 @@ def minor_oracle(mat, alpha, alpha_prime):
 def minor_logabs(mat, alpha, alpha_prime):
     """log |minor| without row alpha_prime and column alpha; -inf if singular.
 
-    Flat indices are 1-based scalars or broadcastable arrays; all requested
-    submatrices are gathered and factored in one stacked slogdet.
+    Flat indices are 1-based scalars or broadcastable arrays; the requested
+    submatrices are gathered and factored by stacked slogdet calls of at
+    most MINOR_CHUNK matrix elements each.
     """
     a = np.asarray(mat, dtype=float)
     n = a.shape[0]
@@ -80,18 +84,23 @@ def minor_logabs(mat, alpha, alpha_prime):
     if np.any((alpha < 1) | (alpha > n) | (alpha_prime < 1) | (alpha_prime > n)):
         raise IndexError("flat index out of range")
     keep = np.arange(n - 1)
-    rows = keep + (keep >= alpha_prime[..., None] - 1)
-    cols = keep + (keep >= alpha[..., None] - 1)
-    _, val = np.linalg.slogdet(a[rows[..., :, None], cols[..., None, :]])
-    return float(val) if val.ndim == 0 else val
+    drop_col, drop_row = alpha.reshape(-1, 1) - 1, alpha_prime.reshape(-1, 1) - 1
+    out = np.empty(alpha.size)
+    step = max(1, MINOR_CHUNK // max(1, (n - 1) ** 2))
+    for s in range(0, out.size, step):
+        rows = keep + (keep >= drop_row[s : s + step])
+        cols = keep + (keep >= drop_col[s : s + step])
+        out[s : s + step] = np.linalg.slogdet(a[rows[:, :, None], cols[:, None, :]])[1]
+    return float(out[0]) if alpha.ndim == 0 else out.reshape(alpha.shape)
 
 
-def green_full(model, params, residual_tol=NEAR_SINGULAR_RESIDUAL):
+def green_full(model, params):
     """Green's function of (H - E) over the window, via the regularized route.
 
     Solves with the pole-free regularized matrix and row-scales by the
     denominator products.  The reported residual equals the max-norm defect
-    of (H - E) G - I; above `residual_tol` the energy is flagged NearSingular.
+    of (H - E) G - I; above NEAR_SINGULAR_RESIDUAL the energy is flagged
+    NearSingular.
     """
     ht = assemble_regularized(model, params).to_dense()
     n = ht.shape[0]
@@ -100,9 +109,9 @@ def green_full(model, params, residual_tol=NEAR_SINGULAR_RESIDUAL):
         lu = scipy.linalg.lu_factor(ht, check_finite=False)
         inv = scipy.linalg.lu_solve(lu, np.eye(n), check_finite=False)
     residual = float(np.max(np.abs(ht @ inv - np.eye(n))))
-    if not np.isfinite(residual) or residual > residual_tol:
+    if not np.isfinite(residual) or residual > NEAR_SINGULAR_RESIDUAL:
         raise NearSingular(
-            f"solve residual {residual:.3e} exceeds {residual_tol:.1e}",
+            f"solve residual {residual:.3e} exceeds {NEAR_SINGULAR_RESIDUAL:.1e}",
             residual=residual,
         )
     return row_prefactors(model, params)[:, None] * inv
@@ -176,7 +185,6 @@ def check_minor_bound(
     x_count=16,
     pairs_per_instance=None,
     seed=0,
-    e_min=E_MIN,
 ):
     """Sweep the scaled log-minor inequality and fit its additive constant.
 
@@ -184,7 +192,7 @@ def check_minor_bound(
         (1/Nl) log|minor| + (|p - p'|/Nl) log(lam + |E|) - log(1 + lam/|E|).
     A zero minor has slack -inf, which satisfies any bound; it is counted.
     The fitted constant is the max over samples; per-N maxima are kept so the
-    caller can judge stability in N.  Samples with |E| < e_min are skipped,
+    caller can judge stability in N.  Samples with |E| < E_MIN are skipped,
     and a sweep left with no (N, lam, E, x) instance raises ValueError.
     sweep["rows"] holds one (N, lam, E, x, quantity, worst slack) row per
     instance, where quantity is the (1/Nl) log|minor| of the first sampled
@@ -209,7 +217,7 @@ def check_minor_bound(
         a, b = np.indices((nl, nl)).reshape(2, -1) + 1
         for lam in lambda_list:
             for E in E_list:
-                if abs(E) < e_min:
+                if abs(E) < E_MIN:
                     skipped_e += 1
                     continue
                 growth, shift = math.log(lam + abs(E)), math.log1p(lam / abs(E))
@@ -230,7 +238,9 @@ def check_minor_bound(
         per_n[f"N={n}"] = group
         best = max(best, group)
     if not rows:
-        raise ValueError("minor sweep sampled no instance (x_count is 0 or every |E| < e_min)")
+        raise ValueError(
+            f"minor sweep sampled no instance (x_count is 0 or every |E| < {E_MIN:g})"
+        )
     return BoundFitReport(
         fitted_constant=best,
         samples=samples,
@@ -254,6 +264,8 @@ def midpoint_grid(n):
 
 def logdet_grid(model, lam, E, window, xs):
     """log |det| of the regularized matrix at each phase in xs (see window_logdets)."""
+    if window[1] < window[0]:
+        raise ValueError("window must hold at least one site")
     xs = np.asarray(xs, dtype=float)
     sites = np.arange(int(window[0]), int(window[1]) + 1)[:, None]
     flat = xs.reshape(-1)
@@ -315,12 +327,12 @@ class AvgLogdet:
     nodes: int
 
 
-def avg_logdet(model, lam, E, N, x_grid, exclusion_limit=EXCLUSION_LIMIT):
+def avg_logdet(model, lam, E, N, x_grid):
     """Midpoint-rule torus average of (1/Nl) log |det| of the regularized matrix.
 
     Nodes whose log-determinant underflows to -inf sit on a spectral curve
     of the sampled energy; they are excluded and counted, and more than
-    `exclusion_limit` of them raises TooManyExclusions.
+    EXCLUSION_LIMIT of them raises TooManyExclusions.
     """
     xs = np.asarray(x_grid, dtype=float)
     if xs.size < 512:
@@ -329,7 +341,7 @@ def avg_logdet(model, lam, E, N, x_grid, exclusion_limit=EXCLUSION_LIMIT):
     u = logdet_grid(model, lam, E, (1, N), xs) / nl
     finite = np.isfinite(u)
     excluded = int(xs.size - np.count_nonzero(finite))
-    if excluded > exclusion_limit * xs.size:
+    if excluded > EXCLUSION_LIMIT * xs.size:
         raise TooManyExclusions(
             f"{excluded}/{xs.size} quadrature nodes underflowed",
             excluded=excluded,

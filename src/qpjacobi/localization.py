@@ -62,10 +62,10 @@ class DecayFit:
     n_points: int
 
 
-def decay_fit(profile, floor=FIT_FLOOR):
+def decay_fit(profile):
     """Exponential decay rate of a per-site profile away from its peak.
 
-    Fits log(profile) against -|j - j*| over sites with profile > floor and
+    Fits log(profile) against -|j - j*| over sites with profile > FIT_FLOOR and
     |j - j*| >= 2; the rate is the slope clipped at zero.  The residual is
     the standard error of that slope in log units per site, i.e. how well
     the decay rate itself is determined; oscillatory dips of a cleanly
@@ -75,7 +75,7 @@ def decay_fit(profile, floor=FIT_FLOOR):
     p = np.asarray(profile, dtype=float)
     center = int(np.argmax(p))
     d = np.abs(np.arange(p.size) - center)
-    mask = (p > floor) & (d >= FIT_EXCLUDE_RADIUS)
+    mask = (p > FIT_FLOOR) & (d >= FIT_EXCLUDE_RADIUS)
     n_pts = int(np.count_nonzero(mask))
     if n_pts < FIT_MIN_POINTS:
         raise TooFewPoints(f"only {n_pts} profile sites exceed the floor")
@@ -90,7 +90,7 @@ def decay_fit(profile, floor=FIT_FLOOR):
     return DecayFit(center, max(0.0, -float(beta[0])), resid, n_pts)
 
 
-def _transfer_product(model, lam, energies, n_steps, x, omega):
+def _transfer_product(model, lam, energies, n_steps, x):
     """(summed log rescalings, rows m00 m01 m10 m11 of the rescaled product,
     used steps, skipped steps) of the scalar transfer cocycle per energy.
 
@@ -99,11 +99,10 @@ def _transfer_product(model, lam, energies, n_steps, x, omega):
     """
     if model.l != 1:
         raise ValueError("transfer-matrix oracle requires block size 1")
-    m = model.with_omega(omega) if omega is not None else model
-    tab = symbol_tables(m, m.site_phase(x, np.arange(n_steps + 1)))
+    tab = symbol_tables(model, model.site_phase(x, np.arange(n_steps + 1)))
     w = tab.w[:, 0, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        onsite = (lam * (tab.fnum / tab.fden) + m.r_sign * (tab.rnum / tab.rden))[:-1, 0]
+        onsite = (lam * (tab.fnum / tab.fden) + model.r_sign * (tab.rnum / tab.rden))[:-1, 0]
     used = np.flatnonzero(~(tab.poles()[:-1] | (np.abs(w[1:]) < 1e-12)))
     if used.size == 0:
         raise ValueError("no usable transfer steps (orbit entirely on poles)")
@@ -121,7 +120,7 @@ def _transfer_product(model, lam, energies, n_steps, x, omega):
     return acc, mat, used.size, n_steps - used.size
 
 
-def lyapunov_transfer(model, lam, E, n_steps, x=0.0, omega=None, full_output=False):
+def lyapunov_transfer(model, lam, E, n_steps, x=0.0, full_output=False):
     """Transfer-matrix growth rate (1/n) log ||prod T_j|| for scalar models.
 
     T_j = [[(d_j - 0) - E, -w_j], [1, 0]] row pair in the standard Jacobi
@@ -130,24 +129,23 @@ def lyapunov_transfer(model, lam, E, n_steps, x=0.0, omega=None, full_output=Fal
     Orbit steps that hit a pole (or a vanishing coupling) are skipped and
     counted.
     """
-    acc, mat, used, skipped = _transfer_product(model, lam, [E], n_steps, x, omega)
+    acc, mat, used, skipped = _transfer_product(model, lam, [E], n_steps, x)
     rate = (acc[0] + math.log(np.linalg.norm(mat[:, 0].reshape(2, 2), 2))) / used
     return (rate, skipped) if full_output else rate
 
 
-def lyapunov_rates(model, lam, energies, n_steps, x=0.0, omega=None):
+def lyapunov_rates(model, lam, energies, n_steps, x=0.0):
     """Vectorized transfer-matrix rates for many energies at once."""
-    acc, mat, used, _ = _transfer_product(model, lam, energies, n_steps, x, omega)
+    acc, mat, used, _ = _transfer_product(model, lam, energies, n_steps, x)
     return (acc + np.log(np.sqrt(mat[0] ** 2 + mat[1] ** 2 + mat[2] ** 2 + mat[3] ** 2))) / used
 
 
-def _pair_slack_max(g, l, rate0):
-    n = g.shape[0]
-    p = np.arange(n) // l
+def _slack_matrix(g, l, rate0):
+    """log|G| + |p - p'| * rate0 over every entry pair, and the site distances |p - p'|."""
+    p = np.arange(g.shape[0]) // l
     dist = np.abs(p[:, None] - p[None, :])
     with np.errstate(divide="ignore"):
-        slack = np.log(np.abs(g)) + dist * rate0
-    return float(np.max(slack))
+        return np.log(np.abs(g)) + dist * rate0, dist
 
 
 @dataclass(frozen=True)
@@ -167,50 +165,43 @@ class DecayScanReport:
     counts: dict
 
 
-def green_decay_scan(
-    model,
-    lam,
-    E,
-    x0,
-    N0,
-    shifts,
-    omega=None,
-    c11=None,
-    resonance_cut=None,
-):
+def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
     """Scan windows [-N0+j, N0+j] and test off-diagonal Green decay per shift.
 
     For each shift the scan computes t_j = max over entry pairs of
-    (log|G| + |p - p'| * log(lam + |E|)) / (N0 * l).  The constant c11 is
-    fitted (max-slack convention) over shifts whose spectral distance to E
-    exceeds `resonance_cut`, i.e. over the non-resonant windows; a shift is
-    good when its slack (t_j - c11) * N0 * l is <= 0 and its solve succeeded.
-    Windows whose orbit hits a pole are skipped and counted.
+    (log|G| + |p - p'| * log(lam + |E|)) / (N0 * l).  Unless c11 is given,
+    it is fitted (max-slack convention) over shifts whose spectral distance
+    to E is at least exp(-N0/2), i.e. over the non-resonant windows; a shift
+    is good when its slack (t_j - c11) * N0 * l is <= 0 and its solve
+    succeeded.  Windows whose orbit hits a pole are skipped and counted.
     """
     if abs(E) < E_MIN:
         raise ValueError(f"|E| must be >= {E_MIN}")
-    m = model.with_omega(omega) if omega is not None else model
-    if resonance_cut is None:
-        resonance_cut = math.exp(-N0 / 2.0)
+    if N0 < 1:
+        raise ValueError("N0 must be >= 1")
+    shifts = [int(j) for j in shifts]
+    if not shifts:
+        raise ValueError("no shifts to scan")
     rate0 = math.log(lam + abs(E))
-    nl = N0 * m.l
+    nl = N0 * model.l
     raw = []
     for j in shifts:
         params = OperatorParams(lam=lam, x=x0, E=E, window=(-N0 + j, N0 + j))
         try:
-            h = assemble_hamiltonian(m, params)
+            h = assemble_hamiltonian(model, params)
         except PoleProximity:
-            raw.append((int(j), "pole", float("nan"), float("nan")))
+            raw.append((j, "pole", float("nan"), float("nan")))
             continue
         dist = float(np.min(np.abs(np.linalg.eigvalsh(h.to_dense()) - E)))
         try:
-            g = green_full(m, params)
+            g = green_full(model, params)
         except NearSingular:
-            raw.append((int(j), "near_singular", float("inf"), dist))
+            raw.append((j, "near_singular", float("inf"), dist))
             continue
-        raw.append((int(j), None, _pair_slack_max(g, m.l, rate0) / nl, dist))
+        raw.append((j, None, float(np.max(_slack_matrix(g, model.l, rate0)[0])) / nl, dist))
     if c11 is None:
-        pool = [t for _, st, t, dist in raw if st is None and dist >= resonance_cut]
+        cut = math.exp(-N0 / 2.0)
+        pool = [t for _, st, t, dist in raw if st is None and dist >= cut]
         if not pool:
             raise ValueError("every scanned window is resonant; cannot fit c11")
         c11 = max(pool)
@@ -253,7 +244,7 @@ class PatchReport:
         return self.passed
 
 
-def resolvent_patch_check(model, lam, E, x0, N0, N2, c11, shifts=None, omega=None):
+def resolvent_patch_check(model, lam, E, x0, N0, N2, c11, shifts=None):
     """Green decay on the union of shifted windows covering [sqrt(N2), 2*N2].
 
     The union of [-N0+n, N0+n] over consecutive shifts is a single interval;
@@ -261,7 +252,6 @@ def resolvent_patch_check(model, lam, E, x0, N0, N2, c11, shifts=None, omega=Non
     |p - p'| > N2/10, that log|G| + |p - p'| log(lam + |E|) stays below the
     fitted-prefactor bar 2 * c11 * N0 * l.
     """
-    m = model.with_omega(omega) if omega is not None else model
     if shifts is None:
         shifts = range(int(math.isqrt(int(N2))) + 1, 2 * int(N2))
     shifts = sorted(int(s) for s in shifts)
@@ -272,16 +262,10 @@ def resolvent_patch_check(model, lam, E, x0, N0, N2, c11, shifts=None, omega=Non
         raise ValueError("shift gaps exceed 2*N0; the window union disconnects")
     window = (-N0 + shifts[0], N0 + shifts[-1])
     params = OperatorParams(lam=lam, x=x0, E=E, window=window)
-    g = green_full(m, params)
-    n = g.shape[0]
-    p = np.arange(n) // m.l
-    dist = np.abs(p[:, None] - p[None, :])
+    slack, dist = _slack_matrix(green_full(model, params), model.l, math.log(lam + abs(E)))
     far = dist > N2 / 10.0
-    rate0 = math.log(lam + abs(E))
-    with np.errstate(divide="ignore"):
-        slack = np.log(np.abs(g)) + dist * rate0
     worst = float(np.max(slack[far])) if np.any(far) else float("-inf")
-    threshold = 2.0 * c11 * N0 * m.l
+    threshold = 2.0 * c11 * N0 * model.l
     return PatchReport(
         passed=worst <= threshold,
         worst_slack=worst,
@@ -337,43 +321,33 @@ class LocalizationReport:
         }
 
 
-def localize(
-    model,
-    lam,
-    x0,
-    N,
-    omega=None,
-    margin=DEFAULT_MARGIN,
-    floor=FIT_FLOOR,
-    rate_fraction=RATE_FRACTION,
-):
+def localize(model, lam, x0, N, margin=DEFAULT_MARGIN):
     """Eigen-decompose the window [-N, N] and fit every eigenvector's decay.
 
     A pair counts as localized when its fit is reliable (log-scale RMS
     residual < 0.5), the comparison rate log(lam + |E|) is an actual decay
-    (> 0), and the fitted rate clears rate_fraction of it.  Profiles
+    (> 0), and the fitted rate clears RATE_FRACTION of it.  Profiles
     concentrated on a single block (atomic limit) count as localized by
     convention.  The aggregate fraction is taken over interior-centered
     pairs, i.e. centers at least `margin` sites from the window edge.
     """
-    m = model.with_omega(omega) if omega is not None else model
     params = OperatorParams(lam=lam, x=x0, E=0.0, window=(-N, N))
-    pairs = eigensolve(assemble_hamiltonian(m, params))
+    pairs = eigensolve(assemble_hamiltonian(model, params))
     records = []
     counts = {"fit": 0, "delta": 0, "no_fit": 0, "unreliable": 0, "interior": 0}
     n_loc = 0
     n_int = 0
     for pair in pairs:
-        profile = block_profile(pair.vector, m.l)
+        profile = block_profile(pair.vector, model.l)
         target = math.log(lam + abs(pair.energy))
         try:
-            fit = decay_fit(profile, floor=floor)
+            fit = decay_fit(profile)
             center = fit.center
             if fit.residual < FIT_RESIDUAL_MAX:
                 status = "fit"
                 rate = fit.rate
                 residual = fit.residual
-                localized = target > 0.0 and rate >= rate_fraction * target
+                localized = target > 0.0 and rate >= RATE_FRACTION * target
             else:
                 status = "unreliable"
                 rate = float("nan")
@@ -419,5 +393,5 @@ def localize(
         lam=float(lam),
         n_half=int(N),
         margin=int(margin),
-        rate_fraction=float(rate_fraction),
+        rate_fraction=float(RATE_FRACTION),
     )

@@ -452,8 +452,8 @@ class NondegeneracyReport:
     witnesses: tuple  # (t, witness phase, |det| at the witness) per t
 
 
-def check_nondegeneracy(model, t_grid, x_grid, threshold=WITNESS_TOL):
-    """For each t, find a phase where |det[(F(x) - t I) M(x)]| > threshold.
+def check_nondegeneracy(model, t_grid, x_grid):
+    """For each t, find a phase where |det[(F(x) - t I) M(x)]| > WITNESS_TOL.
 
     The determinant is assembled from numerator/denominator polynomials, so
     pole phases need no special handling.  Raises AllDegenerate listing the
@@ -472,7 +472,7 @@ def check_nondegeneracy(model, t_grid, x_grid, threshold=WITNESS_TOL):
         mat = base.copy()
         mat[:, diag, diag] = (tab.fnum - t * tab.fden) * tab.rden
         dets = np.abs(np.linalg.det(mat))
-        idx = np.flatnonzero(dets > threshold)
+        idx = np.flatnonzero(dets > WITNESS_TOL)
         if idx.size == 0:
             failed.append(t)
             witnesses.append((t, None, float(dets.max(initial=0.0))))

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from qpjacobi.ergodic import deviation_measure
+from qpjacobi.ergodic import deviation_measure, ldt_decay_fit
 from qpjacobi.greens import (
     avg_logdet,
     check_det_lower_bound,
@@ -171,6 +171,33 @@ def test_criterion_5_large_deviations(maryland):
     )
 
 
+def test_criterion_5_bad_set_decay_fit(maryland):
+    # at S = 0.1 the golden bad fractions stay off zero, so the fit can fail
+    started = time.perf_counter()
+    grid = midpoint_grid(1000)
+    ladder = (10, 32, 100, 316)
+    golden = [deviation_measure(maryland, 50.0, 1.0, 4, Q, 0.1, 0.3, grid) for Q in ladder]
+    rational = [
+        deviation_measure(maryland, 50.0, 1.0, 4, Q, 0.1, 0.3, grid, omega=0.5) for Q in ladder
+    ]
+    fractions = [r.bad_fraction for r in golden]
+    c10, golden_monotone = ldt_decay_fit(golden)
+    _, rational_monotone = ldt_decay_fit(rational)
+    _verdict(
+        5,
+        f"bad-set decay at S=0.1: golden {fractions} (c10 {c10:.2f}) vs rational "
+        f"{[r.bad_fraction for r in rational]}",
+        [
+            all(b2 < b1 for b1, b2 in zip(fractions, fractions[1:])),
+            golden_monotone,
+            c10 > 0.0,
+            not rational_monotone,
+        ],
+        started,
+        60.0,
+    )
+
+
 def test_criterion_6_localization(maryland):
     started = time.perf_counter()
     rep = localize(maryland, 20.0, 0.1, 256, margin=32)
@@ -209,6 +236,25 @@ def test_criterion_7_sublinear_bad_shifts(maryland):
         f"bad shifts {bad} <= {limit:.0f}; patch worst {patch.worst_slack:.2f} "
         f"vs bar {patch.threshold:.2f}",
         [bad <= limit, patch.passed],
+        started,
+        300.0,
+    )
+
+
+def test_criterion_7_held_out_shifts(maryland):
+    # c11 is fitted on the negative shifts only and then classifies the others
+    started = time.perf_counter()
+    fit = green_decay_scan(maryland, 20.0, 0.5, 0.1, 16, range(-256, 0))
+    held = green_decay_scan(maryland, 20.0, 0.5, 0.1, 16, range(0, 256), c11=fit.c11)
+    bad = held.counts["bad"] + held.counts["near_singular"]
+    limit = 256**0.9
+    # a smaller constant must turn shifts bad, or the held-out count shows nothing
+    tight = green_decay_scan(maryland, 20.0, 0.5, 0.1, 16, range(0, 256), c11=0.2)
+    _verdict(
+        7,
+        f"held-out bad shifts {bad} <= {limit:.0f} with c11 {fit.c11:.5f} fitted on "
+        f"shifts -256..-1 (c11 0.2: {tight.counts['bad']} bad)",
+        [bad <= limit, held.c11 == fit.c11, tight.counts["bad"] > 0],
         started,
         300.0,
     )

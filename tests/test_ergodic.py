@@ -74,6 +74,10 @@ class TestDeviationMeasure:
         with pytest.raises(ValueError):
             deviation_measure(maryland, 50.0, 1.0, 4, 10, 1.0, 0.3, midpoint_grid(100))
 
+    def test_empty_window_rejected(self, maryland):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            deviation_measure(maryland, 50.0, 1.0, 0, 10, 1.0, 0.3, midpoint_grid(1000))
+
 
 def _report(Q, bad, sigma=0.5, S=1.0):
     return DeviationReport(

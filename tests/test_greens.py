@@ -11,6 +11,7 @@ from qpjacobi.greens import (
     check_minor_bound,
     green_entry_cramer,
     green_full,
+    logdet_grid,
     logdet_abs,
     midpoint_grid,
     minor_oracle,
@@ -230,6 +231,11 @@ class TestAvgLogdet:
     def test_grid_size_enforced(self, maryland):
         with pytest.raises(ValueError):
             avg_logdet(maryland, 10.0, 0.0, 1, midpoint_grid(128))
+
+    @pytest.mark.parametrize("window", [(1, 0), (5, 2)])
+    def test_empty_window_rejected(self, maryland, window):
+        with pytest.raises(ValueError, match="at least one site"):
+            logdet_grid(maryland, 10.0, 1.0, window, midpoint_grid(8))
 
     def test_degenerate_model_excluded_nodes(self, maryland):
         zero = MeroScalar.analytic(TrigPoly.zero())

@@ -194,6 +194,31 @@ class TestGreenDecayScan:
         rep = green_decay_scan(maryland, 20.0, 0.5, x0, 4, range(-2, 12))
         assert rep.counts["pole"] >= 1
 
+    def test_slack_is_the_direct_pair_maximum(self, mero2):
+        lam, E, x0, n0 = 20.0, 0.5, 0.1, 3
+        rep = green_decay_scan(mero2, lam, E, x0, n0, range(0, 4), c11=0.0)
+        scanned = [r for r in rep.records if r.status in ("good", "bad")]
+        assert scanned
+        for rec in scanned:
+            window = (-n0 + rec.shift, n0 + rec.shift)
+            g = green_full(mero2, OperatorParams(lam=lam, x=x0, E=E, window=window))
+            p = np.arange(g.shape[0]) // mero2.l
+            dist = np.abs(p[:, None] - p[None, :])
+            want = np.max(np.log(np.abs(g)) + dist * math.log(lam + abs(E)))
+            assert rec.slack == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "N0, shifts, match",
+        [
+            (0, range(-2, 3), "N0 must be >= 1"),
+            (-1, [0], "N0 must be >= 1"),
+            (4, range(3, 3), "no shifts"),
+        ],
+    )
+    def test_empty_window_or_shift_list_rejected(self, maryland, N0, shifts, match):
+        with pytest.raises(ValueError, match=match):
+            green_decay_scan(maryland, 20.0, 0.5, 0.1, N0, shifts)
+
 
 class TestResolventPatch:
     def test_single_window_reduces_to_direct_check(self, maryland):

@@ -264,6 +264,37 @@ class TestCli:
     def test_missing_file_exits_one(self):
         assert main(["check-model", "--model", "/nonexistent/x.json", "--out", "-"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["assemble", "--lambda", "2", "--x", "0", "--E", "0", "--window", "1-3"],
+             "--window: expected u:v"),
+            (["green", "--lambda", "2", "--x", "0", "--E", "0", "--window", "1:2:3"],
+             "--window: expected u:v"),
+            (["scan", "--lambda", "20", "--E", "0.5", "--x0", "0.1", "--shifts=a:b"],
+             "--shifts: expected a:b"),
+            (["ldt", "--lambda", "50", "--E", "1", "--N", "2", "--Qs", "10,x"],
+             "--Qs: expected a comma-separated integer list"),
+            (["ldt", "--lambda", "50", "--E", "1", "--N", "2", "--Qs", ","],
+             "--Qs: at least one Q value required"),
+            (["check-model", "--t-grid", "a,b"],
+             "--t-grid: expected a comma-separated number list"),
+            (["check-model", "--t-grid=,,"], "--t-grid: at least one t value required"),
+            # windows without a site and empty shift ranges
+            (["scan", "--lambda", "20", "--E", "0.5", "--x0", "0.1", "--N0", "0", "--shifts=0:1"],
+             "N0 must be >= 1"),
+            (["scan", "--lambda", "20", "--E", "0.5", "--x0", "0.1", "--N0", "4", "--shifts=3:2"],
+             "no shifts to scan"),
+            (["ldt", "--lambda", "50", "--E", "1", "--N", "0", "--Qs", "10", "--grid", "1000"],
+             "N must be >= 1"),
+        ],
+    )
+    def test_malformed_value_exits_one(self, capsys, argv, message):
+        rc = main([*argv, "--model", "maryland", "--out", "-"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["localize", "--bogus"]) == 1
 

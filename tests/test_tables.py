@@ -266,6 +266,45 @@ def test_stacked_minors_equal_the_per_pair_oracle(mero2):
         minor_logabs(ht, np.array([1, 7]), 1)
 
 
+def test_sliced_minors_equal_one_stacked_call(mero2, monkeypatch):
+    ht = assemble_regularized(mero2, OperatorParams(lam=10.0, x=0.3, E=1.0, window=(1, 4))).to_dense()
+    a, b = np.indices(ht.shape).reshape(2, -1) + 1
+    whole = minor_logabs(ht, a, b).tolist()
+    args = ([1, 3], [10.0, 100.0], [1.0, -5.0])
+    sweep = check_minor_bound(mero2, *args, x_count=3, seed=2)
+    sampled = check_minor_bound(mero2, *args, x_count=3, pairs_per_instance=5, seed=2)
+    slogdet, sizes = np.linalg.slogdet, []
+
+    def sized(mats):
+        sizes.append(mats.size)
+        return slogdet(mats)
+
+    monkeypatch.setattr(np.linalg, "slogdet", sized)
+    for budget in (1, 49, 50, 7 * 49 + 3):
+        monkeypatch.setattr("qpjacobi.greens.MINOR_CHUNK", budget)
+        sizes.clear()
+        assert minor_logabs(ht, a, b).tolist() == whole
+        # each call stays within the budget, or holds one matrix if that exceeds it
+        assert sum(sizes) == 64 * 49 and max(sizes) == max(49, budget - budget % 49)
+        assert minor_logabs(ht, a.reshape(8, 8), b.reshape(8, 8)).ravel().tolist() == whole
+        assert minor_logabs(ht, 2, 5) == whole[1 * 8 + 4]
+        assert check_minor_bound(mero2, *args, x_count=3, seed=2) == sweep
+        assert check_minor_bound(mero2, *args, x_count=3, pairs_per_instance=5, seed=2) == sampled
+
+
+def test_benchmark_sized_minor_instance_is_one_slogdet_call(maryland, monkeypatch):
+    shapes = []
+    slogdet = np.linalg.slogdet
+
+    def counted(mats):
+        shapes.append(mats.shape)
+        return slogdet(mats)
+
+    monkeypatch.setattr(np.linalg, "slogdet", counted)
+    check_minor_bound(maryland, [16], [10.0], [1.0], x_count=2)
+    assert shapes == [(256, 15, 15)] * 2
+
+
 @pytest.mark.parametrize(
     "name, N_list, E_list, pairs",
     [
