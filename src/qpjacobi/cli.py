@@ -217,8 +217,8 @@ def _run_ldt(args, model):
     rows = []
     for Q in args.Qs:
         rep = deviation_measure(model, args.lam, args.E, args.N, Q, args.S, args.sigma, xs)
-        rows.append((rep.Q, rep.threshold, rep.bad_fraction))
-    _write_csv(args.out, _meta(args, model), ("Q", "threshold", "bad_fraction"), rows)
+        rows.append((rep.Q, rep.threshold, rep.bad_fraction, rep.floored))
+    _write_csv(args.out, _meta(args, model), ("Q", "threshold", "bad_fraction", "floored"), rows)
     return EXIT_OK
 
 

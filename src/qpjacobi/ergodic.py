@@ -5,13 +5,16 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AllZero
 from .greens import avg_logdet, logdet_grid, midpoint_grid, window_logdets
+from .operator import check_coupling
 from .symbols import TABLE_CHUNK, SymbolTables, symbol_tables
 
 #: underflowed nodes contribute this floor (roughly log of the smallest
@@ -23,18 +26,38 @@ def _floor(u):
     return np.maximum(u, U_FLOOR), int(np.count_nonzero(u < U_FLOOR))
 
 
+#: (orbit key, Q, sum of the first Q floored terms, floored count) of the
+#: last orbit summed, kept so that a larger Q on it can resume
+_orbit_sum = None
+_orbit_lock = threading.Lock()
+
+
 def _orbit_average(model, lam, E, N, Q, xs):
     """(1/Q) sum_{j<Q} u(xs + j*omega) on a flat grid, and the floored count.
 
     Term j reads orbit sites k = j+1..j+N, so consecutive terms share N - 1
     of them: each slice of steps evaluates only its new orbit indices (about
     TABLE_CHUNK phases) and keeps the last N - 1 rows of the slice before.
+    One running sum is kept, for the largest Q summed on the last orbit.  A
+    call for Q' >= that Q on the same orbit takes it out of the slot (so no
+    other call sees it half-advanced), re-evaluates the N - 1 sites it
+    overlaps and adds terms Q..Q'-1 in the order a cold call would; any
+    other call is a cold call.  A term does not depend on the slice it is
+    computed in, so the result is bit-identical to a cold call whatever
+    calls came before.
     """
-    acc = np.zeros(xs.shape)
-    floored = 0
+    global _orbit_sum
+    key = (model, float(lam), float(E), int(N), hashlib.sha256(xs).digest())
+    with _orbit_lock:
+        kept = _orbit_sum
+        if kept is not None and kept[0] == key and kept[1] <= Q:
+            _orbit_sum = None
+        else:
+            kept = None
+    start, acc, floored = kept[1:] if kept else (0, np.zeros(xs.shape), 0)
     step = max(1, TABLE_CHUNK // (xs.size * model.l**2))
     tab = None
-    for j0 in range(0, Q, step):
+    for j0 in range(start, Q, step):
         first = j0 + 1 if tab is None else j0 + N
         ks = np.arange(first, min(j0 + step, Q) + N)[:, None]
         tab = _slide(tab, symbol_tables(model, (xs + ks * model.omega) % 1.0), N - 1)
@@ -42,6 +65,9 @@ def _orbit_average(model, lam, E, N, Q, xs):
             u, nfl = _floor(u)
             floored += nfl
             acc += u
+    with _orbit_lock:
+        if _orbit_sum is None or _orbit_sum[0] != key or _orbit_sum[1] < Q:
+            _orbit_sum = key, Q, acc, floored
     return acc / Q, floored
 
 
@@ -98,8 +124,11 @@ def deviation_measure(model, lam, E, N, Q, S, sigma, x_grid, omega=None, ref=Non
     model rotation outright (orbit and operator together); that is the
     control experiment for rational rotations.  The reference integral is a
     midpoint quadrature on a grid four times finer than x_grid, cached per
-    (model, lam, E, N).
+    (model, lam, E, N).  A call for a larger Q on the same orbit resumes the
+    Birkhoff sum of an earlier call (see _orbit_average), so a Q ladder costs
+    one orbit pass to max(Q).
     """
+    check_coupling(lam)
     if Q < 1:
         raise ValueError("Q must be >= 1")
     if S < 0 or sigma <= 0:

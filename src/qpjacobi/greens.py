@@ -18,6 +18,7 @@ from .errors import NearSingular, TooManyExclusions
 from .operator import (
     OperatorParams,
     assemble_regularized,
+    check_coupling,
     dense_blocks,
     index_split,
     regularized_blocks,
@@ -198,6 +199,8 @@ def check_minor_bound(
     instance, where quantity is the (1/Nl) log|minor| of the first sampled
     pair reaching the worst slack.
     """
+    for lam in lambda_list:
+        check_coupling(lam)
     l = model.l
     for n in N_list:
         if n * l > 48:
@@ -264,6 +267,7 @@ def midpoint_grid(n):
 
 def logdet_grid(model, lam, E, window, xs):
     """log |det| of the regularized matrix at each phase in xs (see window_logdets)."""
+    check_coupling(lam)
     if window[1] < window[0]:
         raise ValueError("window must hold at least one site")
     xs = np.asarray(xs, dtype=float)
@@ -354,10 +358,14 @@ def avg_logdet(model, lam, E, N, x_grid):
 def check_det_lower_bound(model, lambda_list, E_list, N_list, x_grid):
     """Fit the additive constant in the determinant lower bound.
 
-    Per (lam, E, N) the sample constant is log(lam) - avg_logdet; the report
-    carries per-lambda maxima so stability under coupling growth can be
-    checked.
+    Per (lam, E, N) the sample constant is log(lam) - avg_logdet, so every
+    lam must be > 0; the report carries per-lambda maxima so stability under
+    coupling growth can be checked.
     """
+    for lam in lambda_list:
+        check_coupling(lam)
+        if lam == 0:
+            raise ValueError("the determinant lower bound needs lambda > 0: it fits log(lambda)")
     xs = np.asarray(x_grid, dtype=float)
     samples = 0
     per_lambda = {}

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import NearSingular, PoleProximity, TooFewPoints
 from .greens import E_MIN, green_full
-from .operator import OperatorParams, assemble_hamiltonian
+from .operator import OperatorParams, assemble_hamiltonian, check_coupling
 from .symbols import symbol_tables
 
 FIT_FLOOR = 1e-14
@@ -97,6 +97,7 @@ def _transfer_product(model, lam, energies, n_steps, x):
     One symbol table covers the phases x + j*omega, j <= n_steps; step j is
     skipped when its phase is within pole_tol of a pole or w_{j+1} ~ 0.
     """
+    check_coupling(lam)
     if model.l != 1:
         raise ValueError("transfer-matrix oracle requires block size 1")
     tab = symbol_tables(model, model.site_phase(x, np.arange(n_steps + 1)))
@@ -175,6 +176,7 @@ def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
     is good when its slack (t_j - c11) * N0 * l is <= 0 and its solve
     succeeded.  Windows whose orbit hits a pole are skipped and counted.
     """
+    check_coupling(lam)
     if abs(E) < E_MIN:
         raise ValueError(f"|E| must be >= {E_MIN}")
     if N0 < 1:
@@ -252,6 +254,7 @@ def resolvent_patch_check(model, lam, E, x0, N0, N2, c11, shifts=None):
     |p - p'| > N2/10, that log|G| + |p - p'| log(lam + |E|) stays below the
     fitted-prefactor bar 2 * c11 * N0 * l.
     """
+    check_coupling(lam)
     if shifts is None:
         shifts = range(int(math.isqrt(int(N2))) + 1, 2 * int(N2))
     shifts = sorted(int(s) for s in shifts)

@@ -19,6 +19,13 @@ import numpy as np
 from .symbols import symbol_tables
 
 
+def check_coupling(lam):
+    """Raise ValueError for a negative or NaN coupling; lam == 0 is allowed,
+    since the free control experiments need it."""
+    if not lam >= 0:
+        raise ValueError("coupling lam must be >= 0")
+
+
 @dataclass(frozen=True)
 class OperatorParams:
     lam: float
@@ -30,9 +37,7 @@ class OperatorParams:
         u, v = self.window
         if v < u:
             raise ValueError("window must satisfy v >= u")
-        # lam == 0 is allowed: the free control experiments need it
-        if self.lam < 0:
-            raise ValueError("coupling lam must be >= 0")
+        check_coupling(self.lam)
         object.__setattr__(self, "window", (int(u), int(v)))
 
     @property

@@ -163,6 +163,8 @@ def _real_values(poly, y, modes):
 
     Each term's products are rounded separately (numpy's vectorized complex
     product may fuse them), so a value does not depend on the shape of y.
+    Mode -k is the conjugate of mode k: its exponent is the exact negation
+    and sine is odd, so one exponential serves both.
     """
     acc = np.zeros(np.shape(y))
     for k, c in poly.items():
@@ -170,7 +172,7 @@ def _real_values(poly, y, modes):
             acc += c.real
             continue
         if k not in modes:
-            modes[k] = np.exp((2j * np.pi * k) * y)
+            modes[k] = np.conj(modes[-k]) if -k in modes else np.exp((2j * np.pi * k) * y)
         acc += c.real * modes[k].real - c.imag * modes[k].imag
     return acc
 
@@ -413,10 +415,10 @@ def symbol_tables(model, phases):
     """Evaluate every symbol of `model` on a phase array of any shape at once.
 
     Each mode e^{2 pi i k y} is computed once and shared by all the symbols
-    with frequency k; constant terms need no exponential, and the symmetric
-    (j, i) entry is copied from (i, j).  The per-term formula and order are
-    those of TrigPoly.__call__, so every value is bit-identical to calling
-    that symbol at the same phase.
+    with frequency k, the modes +-k share one exponential, constant terms
+    need no exponential, and the symmetric (j, i) entry is copied from
+    (i, j).  The per-term formula and order are those of TrigPoly.__call__,
+    so every value is bit-identical to calling that symbol at the same phase.
     """
     x = np.asarray(phases, dtype=np.float64)
     y = np.mod(x, 1.0)

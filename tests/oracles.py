@@ -15,6 +15,18 @@ from qpjacobi.greens import logdet_abs, logdet_grid
 from qpjacobi.operator import BlockTridiagonal, OperatorParams, index_split
 
 
+def real_values(poly, y):
+    """Real part of `poly` at the reduced phases y, one exponential per mode."""
+    acc = np.zeros(np.shape(y))
+    for k, c in poly.items():
+        if k == 0:
+            acc += c.real
+            continue
+        mode = np.exp((2j * np.pi * k) * y)
+        acc += c.real * mode.real - c.imag * mode.imag
+    return acc
+
+
 def check_poles(model, y, site=None):
     for i in range(model.l):
         for sym in (model.F[i][i], model.R[i][i]):

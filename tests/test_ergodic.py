@@ -1,11 +1,20 @@
+import functools
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import oracles
+from qpjacobi import bundled, ergodic
 from qpjacobi.ergodic import (
     DeviationReport,
     U_FLOOR,
+    _orbit_average,
     birkhoff_avg,
     deviation_measure,
     ldt_decay_fit,
@@ -124,3 +133,140 @@ class TestUnderflowFloor:
         x = 1.0 - maryland.omega
         val = birkhoff_avg(maryland, 1.0, 0.0, 1, x, 1)
         assert val == U_FLOOR
+
+
+# -- running sums resumed across calls -------------------------------------
+
+LAM, E = 50.0, 1.0
+GRID = midpoint_grid(64)
+#: with this chunk an orbit slice holds 16 steps on maryland and 4 on mero2,
+#: so short ladders cross several slice boundaries
+SMALL_CHUNK = 1 << 10
+ORBITS = [("maryland", 3, None), ("maryland", 3, 0.5), ("mero2", 2, None), ("mero2", 2, 0.5)]
+
+
+def _cold(model, N, Q, xs=GRID, lam=LAM):
+    ergodic._orbit_sum = None
+    return _orbit_average(model, lam, E, N, Q, xs)
+
+
+@functools.lru_cache(maxsize=None)
+def _ladder_truth(name, N, omega):
+    """The model, a Q ladder around the first slice boundaries, and per Q the
+    cold call (at the package's own chunk) and the oracle average."""
+    model = bundled(name)
+    model = model if omega is None else model.with_omega(omega)
+    s = SMALL_CHUNK // (GRID.size * model.l**2)
+    ladder = sorted({1, 2, 7, s - 1, s, s + 1, 2 * s + 1, 3 * s})
+    assert len(ladder) == 8
+    cold = {Q: _cold(model, N, Q) for Q in ladder}
+    oracle = {Q: oracles.orbit_average(model, LAM, E, N, Q, GRID, U_FLOOR) for Q in ladder}
+    return model, ladder, cold, oracle
+
+
+class TestResumedSums:
+    @pytest.mark.parametrize("name,N,omega", ORBITS)
+    @given(st.lists(st.integers(0, 7), min_size=1, max_size=10))
+    @example(list(range(8)))
+    @example(list(range(7, -1, -1)))
+    @example([0, 0, 6, 6, 3, 3])
+    def test_ladder_in_any_order_equals_cold_calls(self, name, N, omega, picks):
+        model, ladder, cold, oracle = _ladder_truth(name, N, omega)
+        ergodic._orbit_sum = None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ergodic, "TABLE_CHUNK", SMALL_CHUNK)
+            for i in picks:
+                Q = ladder[i]
+                avg, floored = _orbit_average(model, LAM, E, N, Q, GRID)
+                assert np.array_equal(avg, cold[Q][0]) and floored == cold[Q][1]
+                want, want_floored = oracle[Q]
+                assert np.max(np.abs(avg - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+                assert floored == want_floored
+
+    def test_interleaved_orbits_keep_their_own_sums(self, maryland):
+        orbits = [(LAM, GRID), (20.0, GRID), (LAM, GRID + 0.5 / GRID.size)]
+        Qs = (5, 40, 17)
+        cold = {
+            (i, Q): _cold(maryland, 3, Q, xs, lam) for i, (lam, xs) in enumerate(orbits) for Q in Qs
+        }
+        ergodic._orbit_sum = None
+        for Q in Qs:
+            for i, (lam, xs) in enumerate(orbits):
+                avg, floored = _orbit_average(maryland, lam, E, 3, Q, xs)
+                assert np.array_equal(avg, cold[i, Q][0]) and floored == cold[i, Q][1]
+
+    def test_mutating_a_returned_average_leaves_later_calls_unchanged(self, maryland):
+        want = {Q: _cold(maryland, 3, Q)[0] for Q in (10, 20)}
+        avg, _ = _cold(maryland, 3, 10)
+        avg += 1.0
+        assert np.array_equal(_orbit_average(maryland, LAM, E, 3, 10, GRID)[0], want[10])
+        assert np.array_equal(_orbit_average(maryland, LAM, E, 3, 20, GRID)[0], want[20])
+
+    def test_an_interrupted_call_leaves_no_half_advanced_sum(self, maryland, monkeypatch):
+        want = _cold(maryland, 3, 40)
+        _cold(maryland, 3, 10)
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            return window_logdets(*args)
+
+        window_logdets = ergodic.window_logdets
+        monkeypatch.setattr(ergodic, "TABLE_CHUNK", SMALL_CHUNK)
+        monkeypatch.setattr(ergodic, "window_logdets", failing)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            _orbit_average(maryland, LAM, E, 3, 40, GRID)
+        monkeypatch.setattr(ergodic, "window_logdets", window_logdets)
+        avg, floored = _orbit_average(maryland, LAM, E, 3, 40, GRID)
+        assert np.array_equal(avg, want[0]) and floored == want[1]
+
+    def test_a_ladder_computes_each_orbit_row_once(self, maryland, monkeypatch):
+        rows = []
+
+        def counted(model, lam, E, tab, n):
+            out = window_logdets(model, lam, E, tab, n)
+            rows.append(len(out))
+            return out
+
+        window_logdets = ergodic.window_logdets
+        monkeypatch.setattr(ergodic, "window_logdets", counted)
+        ergodic._orbit_sum = None
+        for Q in (10, 32, 100, 316, 1000):
+            deviation_measure(maryland, LAM, E, 4, Q, 1.0, 0.3, midpoint_grid(1000))
+        assert sum(rows) == 1000
+        # one running sum is kept: the largest Q of the last orbit
+        assert ergodic._orbit_sum[1] == 1000
+
+    def test_threads_sharing_an_orbit_get_cold_results(self, maryland):
+        Qs = list(range(1, 21))
+        cold = {Q: _cold(maryland, 3, Q) for Q in Qs}
+        ergodic._orbit_sum = None
+        wrong = []
+
+        def ladder(seed):
+            order = Qs * 5
+            random.Random(seed).shuffle(order)
+            for Q in order:
+                try:
+                    avg, floored = _orbit_average(maryland, LAM, E, 3, Q, GRID)
+                except Exception as exc:  # a race shows as an error in the thread
+                    wrong.append(repr(exc))
+                    return
+                if not (np.array_equal(avg, cold[Q][0]) and floored == cold[Q][1]):
+                    wrong.append(Q)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ladder, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert ergodic._orbit_sum[1] == max(Qs)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qpjacobi.cli import main
+from qpjacobi.ergodic import deviation_measure
+from qpjacobi.greens import midpoint_grid
 from qpjacobi.errors import ModelFormatError
 from qpjacobi.models import (
     bundled,
@@ -294,6 +296,55 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ldt", "--lambda", "-5", "--E", "1", "--N", "2", "--Qs", "10", "--grid", "1000"],
+            ["scan", "--lambda=-0.5", "--E", "0.2", "--x0", "0.1", "--N0", "2", "--shifts=0:1"],
+            ["localize", "--lambda", "-5", "--x0", "0.1", "--N", "8"],
+            ["assemble", "--lambda", "-1", "--x", "0.1", "--E", "0", "--window", "1:2"],
+            ["ldt", "--lambda", "nan", "--E", "1", "--N", "2", "--Qs", "10", "--grid", "1000"],
+            ["scan", "--lambda", "nan", "--E", "0.2", "--x0", "0.1", "--N0", "2", "--shifts=0:1"],
+        ],
+    )
+    def test_negative_or_nan_coupling_exits_one(self, capsys, argv):
+        rc = main([*argv, "--model", "maryland", "--out", "-"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: coupling lam must be >= 0\n"
+
+    @pytest.mark.parametrize("check", ["minor", "det"])
+    @pytest.mark.parametrize("lam", [-0.5, -5.0])
+    def test_bounds_negative_coupling_exits_one(self, tmp_path, capsys, check, lam):
+        rc, out = self._bounds(tmp_path, {"N": [2], "lambda": [5.0, lam], "E": [1.0]}, check)
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err == "error: coupling lam must be >= 0\n"
+
+    def test_bounds_det_zero_coupling_exits_one(self, tmp_path, capsys):
+        rc, out = self._bounds(tmp_path, {"N": [2], "lambda": [0.0], "E": [1.0]}, "det")
+        assert rc == 1 and not out.exists()
+        assert "needs lambda > 0" in capsys.readouterr().err
+
+    def test_ldt_floored_column_is_the_library_count(self, tmp_path):
+        # omega = 2^-11 puts orbit sites of the 1024-node midpoint grid exactly
+        # on the phase 0, where the one-site determinant vanishes at E = 0
+        out = tmp_path / "ldt.csv"
+        argv = ["--lambda", "1", "--E", "0", "--N", "1", "--grid", "1024"]
+        rc = main([
+            "ldt", "--model", "maryland", *argv, "--Qs", "1,4,2,9",
+            "--omega", repr(2.0**-11), "--out", str(out),
+        ])
+        assert rc == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert lines[0] == "Q,threshold,bad_fraction,floored"
+        model = bundled("maryland").with_omega(2.0**-11)
+        want = [
+            deviation_measure(model, 1.0, 0.0, 1, Q, 1.0, 0.3, midpoint_grid(1024)).floored
+            for Q in (1, 4, 2, 9)
+        ]
+        assert [int(l.split(",")[3]) for l in lines[1:]] == want
+        assert min(want) > 0
 
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["localize", "--bogus"]) == 1

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qpjacobi.ergodic import birkhoff_avg, deviation_measure
 from qpjacobi.errors import PoleProximity
+from qpjacobi.greens import check_det_lower_bound, check_minor_bound, logdet_grid, midpoint_grid
+from qpjacobi.localization import (
+    green_decay_scan,
+    lyapunov_rates,
+    lyapunov_transfer,
+    resolvent_patch_check,
+)
 from qpjacobi.operator import (
     BlockTridiagonal,
     OperatorParams,
@@ -21,6 +29,9 @@ from qpjacobi.symbols import regularizer_diag
 from conftest import GOLDEN, atomic_maryland, pole_free_x, random_model
 
 
+GRID_1000 = midpoint_grid(1000)
+
+
 class TestParams:
     def test_zero_coupling_allowed(self):
         OperatorParams(lam=0.0, x=0.0, E=0.0, window=(1, 4))
@@ -28,6 +39,33 @@ class TestParams:
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError):
             OperatorParams(lam=-1.0, x=0.0, E=0.0, window=(1, 4))
+
+    # each sweep checks the coupling before it takes a logarithm of it
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m, lam: deviation_measure(m, lam, 1.0, 2, 10, 1.0, 0.3, GRID_1000, ref=0.0),
+            lambda m, lam: birkhoff_avg(m, lam, 1.0, 2, 0.1, 10),
+            lambda m, lam: logdet_grid(m, lam, 1.0, (1, 2), midpoint_grid(8)),
+            lambda m, lam: green_decay_scan(m, lam, 0.2, 0.1, 2, range(2)),
+            lambda m, lam: resolvent_patch_check(m, lam, 0.2, 0.1, 2, 4, 0.3),
+            lambda m, lam: check_minor_bound(m, [2], [1.0, lam], [1.0], x_count=1),
+            lambda m, lam: check_det_lower_bound(m, [1.0, lam], [1.0], [2], midpoint_grid(512)),
+            lambda m, lam: lyapunov_rates(m, lam, [0.5, 1.0], 100),
+            lambda m, lam: lyapunov_transfer(m, lam, 0.5, 100),
+        ],
+        ids=["deviation_measure", "birkhoff_avg", "logdet_grid", "green_decay_scan",
+             "resolvent_patch_check", "check_minor_bound", "check_det_lower_bound",
+             "lyapunov_rates", "lyapunov_transfer"],
+    )
+    @pytest.mark.parametrize("lam", [-0.5, -5.0, float("nan")])
+    def test_sweeps_reject_a_negative_or_nan_coupling(self, maryland, call, lam):
+        with pytest.raises(ValueError, match="^coupling lam must be >= 0$"):
+            call(maryland, lam)
+
+    def test_det_lower_bound_needs_positive_coupling(self, maryland):
+        with pytest.raises(ValueError, match="needs lambda > 0"):
+            check_det_lower_bound(maryland, [1.0, 0.0], [1.0], [2], midpoint_grid(512))
 
     def test_reversed_window_rejected(self):
         with pytest.raises(ValueError):

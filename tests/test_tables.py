@@ -136,6 +136,33 @@ class TestSymbolTables:
             maryland.check_poles(maryland.site_phase(x, want.site), site=want.site)
         assert (scalar.value.site, scalar.value.phase) == (want.site, want.phase)
 
+    @pytest.mark.parametrize("name", MODELS)
+    @given(y=phase_arrays)
+    def test_bundled_tables_equal_one_exponential_per_mode(self, request, name, y):
+        self._equals_one_exponential_per_mode(request.getfixturevalue(name), y)
+
+    @given(st.dictionaries(st.integers(-5, 5), coeff, min_size=1, max_size=6), phase_arrays)
+    def test_random_table_equals_one_exponential_per_mode(self, raw, y):
+        p = TrigPoly(raw)
+        sym = MeroScalar.analytic(p)
+        model = BlockModel(1, [[p]], [[sym]], [[sym]], GOLDEN, Dioph(2.0, 0.1))
+        self._equals_one_exponential_per_mode(model, y)
+        assert np.array_equal(p(y), oracles.real_values(p, np.mod(y, 1.0)))
+
+    @staticmethod
+    def _equals_one_exponential_per_mode(model, y):
+        tab = symbol_tables(model, y)
+        ry = np.mod(y, 1.0)
+        for i in range(model.l):
+            F, R = model.F[i][i], model.R[i][i]
+            diag = ((tab.fnum, F.num), (tab.fden, F.den), (tab.rnum, R.num), (tab.rden, R.den))
+            for got, sym in diag:
+                assert np.array_equal(got[..., i], oracles.real_values(sym, ry))
+            for j in range(model.l):
+                off = [(tab.f_off, model.F), (tab.r_off, model.R)] if i != j else []
+                for got, grid in [(tab.w, model.W), *off]:
+                    assert np.array_equal(got[..., i, j], oracles.real_values(grid[i][j], ry))
+
     def test_views_follow_the_table(self, mero2):
         y = 0.3125
         tab = symbol_tables(mero2, y)
