@@ -228,6 +228,8 @@ def _run_scan(args, model):
     meta = _meta(args, model)
     meta["c11"] = _fmt(report.c11)
     meta["good_fraction"] = _fmt(report.good_fraction)
+    meta["pole"] = report.counts["pole"]
+    meta["near_singular"] = report.counts["near_singular"]
     rows = [(r.shift, r.status, r.slack) for r in report.records]
     _write_csv(args.out, meta, ("shift", "status", "slack"), rows)
     if report.counts["near_singular"] + report.counts["pole"] > len(report.records) / 2:

@@ -16,13 +16,12 @@ import scipy.linalg
 
 from .errors import NearSingular, TooManyExclusions
 from .operator import (
-    OperatorParams,
     assemble_regularized,
     check_coupling,
     dense_blocks,
     index_split,
     regularized_blocks,
-    row_prefactors,
+    window_tables,
 )
 from .symbols import TABLE_CHUNK, symbol_tables
 
@@ -35,8 +34,9 @@ NEAR_SINGULAR_RESIDUAL = 1e-6
 E_MIN = 1e-6
 #: fraction of underflowed quadrature nodes tolerated by avg_logdet
 EXCLUSION_LIMIT = 0.01
-#: matrix elements gathered per stacked slogdet in minor_logabs; bounds its
-#: memory (every pair of an N*l <= 23 window still fits in one call)
+#: matrix elements gathered per stacked slogdet in minor_logabs, and per
+#: stack of instance matrices in check_minor_bound; bounds their memory
+#: (every pair of an N*l <= 23 window still fits in one call)
 MINOR_CHUNK = 1 << 18
 
 
@@ -95,27 +95,60 @@ def minor_logabs(mat, alpha, alpha_prime):
     return float(out[0]) if alpha.ndim == 0 else out.reshape(alpha.shape)
 
 
-def green_full(model, params):
-    """Green's function of (H - E) over the window, via the regularized route.
+def _solve(a, b):
+    return scipy.linalg.solve(a, b, assume_a="general", check_finite=False)
 
-    Solves with the pole-free regularized matrix and row-scales by the
-    denominator products.  The reported residual equals the max-norm defect
-    of (H - E) G - I; above NEAR_SINGULAR_RESIDUAL the energy is flagged
-    NearSingular.
+
+def green_windows(tab, lam, E, r_sign):
+    """Green's functions of (H - E) on windows of consecutive sites, and their residuals.
+
+    Axis 0 of the symbol table `tab` runs over the sites of every window;
+    its other axes are batch axes and come first in the results: the Green's
+    functions have shape (..., N*l, N*l) and the residuals, the max-norm
+    defects of (H - E) G - I, shape (...).  The pole-free regularized
+    matrices are solved against the identity in one stacked call and
+    row-scaled by the denominator products.  When that call meets an
+    exactly singular matrix, the stack is solved again one matrix at a time
+    and only the singular one gets a NaN inverse, hence a NaN residual.
+
+    scipy's stacked LU solve is used because it runs the LAPACK of
+    scipy.linalg.lu_factor/lu_solve: every inverse equals theirs bit for
+    bit, where numpy's own LAPACK build can differ in the last bits.
     """
-    ht = assemble_regularized(model, params).to_dense()
-    n = ht.shape[0]
+    ht = dense_blocks(*regularized_blocks(tab, lam, E, r_sign))
+    eye = np.eye(ht.shape[-1])
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu = scipy.linalg.lu_factor(ht, check_finite=False)
-        inv = scipy.linalg.lu_solve(lu, np.eye(n), check_finite=False)
-    residual = float(np.max(np.abs(ht @ inv - np.eye(n))))
-    if not np.isfinite(residual) or residual > NEAR_SINGULAR_RESIDUAL:
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        try:
+            inv = _solve(ht, eye)
+        except np.linalg.LinAlgError:
+            inv = np.empty_like(ht)
+            for k in np.ndindex(ht.shape[:-2]):
+                try:
+                    inv[k] = _solve(ht[k], eye)
+                except np.linalg.LinAlgError:
+                    inv[k] = np.nan
+    defect = ht @ inv
+    defect -= eye
+    residual = np.max(np.abs(defect), axis=(-2, -1))
+    pref = np.moveaxis(1.0 / math.sqrt(1.0 + E * E) * tab.m, 0, -2)
+    return pref.reshape(pref.shape[:-2] + (-1, 1)) * inv, residual
+
+
+def green_full(model, params):
+    """Green's function of (H - E) over the window: green_windows on one window.
+
+    Above a residual of NEAR_SINGULAR_RESIDUAL, or at a non-finite one, the
+    energy is flagged NearSingular.
+    """
+    g, residual = green_windows(window_tables(model, params), params.lam, params.E, model.r_sign)
+    residual = float(residual)
+    if not residual <= NEAR_SINGULAR_RESIDUAL:
         raise NearSingular(
             f"solve residual {residual:.3e} exceeds {NEAR_SINGULAR_RESIDUAL:.1e}",
             residual=residual,
         )
-    return row_prefactors(model, params)[:, None] * inv
+    return g
 
 
 @dataclass(frozen=True)
@@ -203,10 +236,15 @@ def check_minor_bound(
         check_coupling(lam)
     l = model.l
     for n in N_list:
+        if n < 1:
+            raise ValueError("minor sweep needs N >= 1")
         if n * l > 48:
             raise ValueError("minor sweep limited to N*l <= 48")
     rng = np.random.default_rng(seed)
     xs = (np.arange(x_count) + 0.5) / x_count
+    # one table for sites 1..max(N) (axis 0) at every x (axis 1); N takes its first rows
+    sites = np.arange(1, max(N_list, default=0) + 1)[:, None]
+    table = symbol_tables(model, model.site_phase(xs[None, :], sites))
     samples = 0
     skipped_e = 0
     zero_minors = 0
@@ -218,26 +256,28 @@ def check_minor_bound(
         group = float("-inf")
         sampled = pairs_per_instance is not None and pairs_per_instance < nl * nl
         a, b = np.indices((nl, nl)).reshape(2, -1) + 1
+        step = max(1, MINOR_CHUNK // (nl * nl))  # instances assembled at once
         for lam in lambda_list:
             for E in E_list:
                 if abs(E) < E_MIN:
                     skipped_e += 1
                     continue
                 growth, shift = math.log(lam + abs(E)), math.log1p(lam / abs(E))
-                for x in xs:
-                    params = OperatorParams(lam=lam, x=float(x), E=float(E), window=(1, n))
-                    ht = assemble_regularized(model, params).to_dense()
-                    if sampled:
-                        a = np.r_[rng.integers(1, nl + 1, pairs_per_instance), 1, nl, 1]
-                        b = np.r_[rng.integers(1, nl + 1, pairs_per_instance), nl, 1, 1]
-                    mlog = minor_logabs(ht, a, b)
-                    p_dist = np.abs((a - 1) // l - (b - 1) // l)
-                    slack = mlog / nl + (p_dist / nl) * growth - shift
-                    k = int(np.argmax(slack))
-                    rows.append((n, lam, E, float(x), float(mlog[k] / nl), float(slack[k])))
-                    samples += slack.size
-                    zero_minors += int(np.count_nonzero(slack == float("-inf")))
-                    group = max(group, float(slack[k]))
+                for s in range(0, xs.size, step):
+                    cut = slice(s, s + step)
+                    blocks = regularized_blocks(table[:n, cut], lam, float(E), model.r_sign)
+                    for x, ht in zip(xs[cut], dense_blocks(*blocks)):
+                        if sampled:
+                            a = np.r_[rng.integers(1, nl + 1, pairs_per_instance), 1, nl, 1]
+                            b = np.r_[rng.integers(1, nl + 1, pairs_per_instance), nl, 1, 1]
+                        mlog = minor_logabs(ht, a, b)
+                        p_dist = np.abs((a - 1) // l - (b - 1) // l)
+                        slack = mlog / nl + (p_dist / nl) * growth - shift
+                        k = int(np.argmax(slack))
+                        rows.append((n, lam, E, float(x), float(mlog[k] / nl), float(slack[k])))
+                        samples += slack.size
+                        zero_minors += int(np.count_nonzero(slack == float("-inf")))
+                        group = max(group, float(slack[k]))
         per_n[f"N={n}"] = group
         best = max(best, group)
     if not rows:

@@ -9,9 +9,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearSingular, PoleProximity, TooFewPoints
-from .greens import E_MIN, green_full
-from .operator import OperatorParams, assemble_hamiltonian, check_coupling
+from .errors import TooFewPoints
+from .greens import E_MIN, NEAR_SINGULAR_RESIDUAL, green_full, green_windows
+from .operator import (
+    OperatorParams,
+    assemble_hamiltonian,
+    check_coupling,
+    dense_blocks,
+    hamiltonian_blocks,
+)
 from .symbols import symbol_tables
 
 FIT_FLOOR = 1e-14
@@ -20,6 +26,10 @@ FIT_MIN_POINTS = 4
 FIT_RESIDUAL_MAX = 0.5
 DEFAULT_MARGIN = 32
 RATE_FRACTION = 0.5
+#: matrix elements per window stack of the Green-decay scan: every array of a
+#: chunk (H, Ht, their inverses and products) holds at most this many, or
+#: one window when a window is larger
+SCAN_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -142,8 +152,9 @@ def lyapunov_rates(model, lam, energies, n_steps, x=0.0):
 
 
 def _slack_matrix(g, l, rate0):
-    """log|G| + |p - p'| * rate0 over every entry pair, and the site distances |p - p'|."""
-    p = np.arange(g.shape[0]) // l
+    """log|G| + |p - p'| * rate0 over every entry pair of the last two axes,
+    and the site distances |p - p'|."""
+    p = np.arange(g.shape[-1]) // l
     dist = np.abs(p[:, None] - p[None, :])
     with np.errstate(divide="ignore"):
         return np.log(np.abs(g)) + dist * rate0, dist
@@ -185,52 +196,50 @@ def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
     if not shifts:
         raise ValueError("no shifts to scan")
     rate0 = math.log(lam + abs(E))
-    nl = N0 * model.l
-    raw = []
-    for j in shifts:
-        params = OperatorParams(lam=lam, x=x0, E=E, window=(-N0 + j, N0 + j))
-        try:
-            h = assemble_hamiltonian(model, params)
-        except PoleProximity:
-            raw.append((j, "pole", float("nan"), float("nan")))
-            continue
-        dist = float(np.min(np.abs(np.linalg.eigvalsh(h.to_dense()) - E)))
-        try:
-            g = green_full(model, params)
-        except NearSingular:
-            raw.append((j, "near_singular", float("inf"), dist))
-            continue
-        raw.append((j, None, float(np.max(_slack_matrix(g, model.l, rate0)[0])) / nl, dist))
+    l, nl = model.l, N0 * model.l
+    # one table over the union of the windows; column k of `cols` lists the
+    # table rows of the window of shifts[k]
+    sites = np.array(sorted({j + d for j in shifts for d in range(-N0, N0 + 1)}))
+    cols = np.searchsorted(sites, np.arange(-N0, N0 + 1)[:, None] + np.array(shifts))
+    tab = symbol_tables(model, model.site_phase(x0, sites))
+    pole = tab.poles()[cols].any(axis=0)
+    dist = np.full(len(shifts), np.nan)
+    t = np.full(len(shifts), np.nan)
+    singular = np.zeros(len(shifts), dtype=bool)
+    live = np.flatnonzero(~pole)
+    step = max(1, SCAN_CHUNK // ((2 * N0 + 1) * l) ** 2)
+    for s in range(0, live.size, step):
+        k = live[s : s + step]
+        win = tab[cols[:, k]]
+        h = dense_blocks(*hamiltonian_blocks(win, lam, model.r_sign))
+        dist[k] = np.min(np.abs(np.linalg.eigvalsh(h) - E), axis=-1)
+        g, residual = green_windows(win, lam, E, model.r_sign)
+        singular[k] = ~(residual <= NEAR_SINGULAR_RESIDUAL)
+        t[k] = np.max(_slack_matrix(g, l, rate0)[0], axis=(-2, -1)) / nl
     if c11 is None:
-        cut = math.exp(-N0 / 2.0)
-        pool = [t for _, st, t, dist in raw if st is None and dist >= cut]
-        if not pool:
+        pool = t[~pole & ~singular & (dist >= math.exp(-N0 / 2.0))]
+        if not pool.size:
             raise ValueError("every scanned window is resonant; cannot fit c11")
-        c11 = max(pool)
+        c11 = float(pool.max())
     records = []
-    n_good = n_bad = n_sing = n_pole = 0
-    for j, st, t, dist in raw:
-        if st == "pole":
-            n_pole += 1
-            records.append(ShiftRecord(j, "pole", float("nan"), dist))
-        elif st == "near_singular":
-            n_sing += 1
-            records.append(ShiftRecord(j, "near_singular", float("inf"), dist))
+    counts = dict.fromkeys(("good", "bad", "near_singular", "pole"), 0)
+    for j, p, sg, tj, dj in zip(shifts, *(a.tolist() for a in (pole, singular, t, dist))):
+        if p:
+            status, slack = "pole", float("nan")
+        elif sg:
+            status, slack = "near_singular", float("inf")
         else:
-            slack = (t - c11) * nl
-            if slack <= 0.0:
-                n_good += 1
-                records.append(ShiftRecord(j, "good", slack, dist))
-            else:
-                n_bad += 1
-                records.append(ShiftRecord(j, "bad", slack, dist))
-    scanned = n_good + n_bad + n_sing
+            slack = (tj - c11) * nl
+            status = "good" if slack <= 0.0 else "bad"
+        counts[status] += 1
+        records.append(ShiftRecord(j, status, slack, dj))
+    scanned = len(records) - counts["pole"]
     return DecayScanReport(
         records=tuple(records),
         c11=float(c11),
         rate0=rate0,
-        good_fraction=n_good / scanned if scanned else 0.0,
-        counts={"good": n_good, "bad": n_bad, "near_singular": n_sing, "pole": n_pole},
+        good_fraction=counts["good"] / scanned if scanned else 0.0,
+        counts=counts,
     )
 
 

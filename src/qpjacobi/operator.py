@@ -114,7 +114,8 @@ def index_split(alpha, l, n_sites=None):
     return p, alpha - p * l
 
 
-def _window_tables(model, params):
+def window_tables(model, params):
+    """Symbol table of the window sites u..v, in site order along axis 0."""
     u, v = params.window
     return symbol_tables(model, model.site_phase(params.x, np.arange(u, v + 1)))
 
@@ -125,12 +126,22 @@ def assemble_hamiltonian(model, params):
     Raises PoleProximity (with the offending site) when the phase orbit
     comes within pole_tol of a diagonal denominator zero.
     """
-    tab = _window_tables(model, params).guard(params.window[0])
-    diag = params.lam * tab.f_off + model.r_sign * tab.r_off
-    idx = np.arange(model.l)
-    diag[:, idx, idx] = params.lam * (tab.fnum / tab.fden) + model.r_sign * (tab.rnum / tab.rden)
+    tab = window_tables(model, params).guard(params.window[0])
+    blocks = hamiltonian_blocks(tab, params.lam, model.r_sign)
+    return BlockTridiagonal(params.n_sites, model.l, *blocks)
+
+
+def hamiltonian_blocks(tab, lam, r_sign):
+    """Blocks of H for the sites on axis 0 of `tab`, shaped as in regularized_blocks.
+
+    The on-site quotients are taken as they stand, so a pole phase gives
+    non-finite entries: guard the table first.
+    """
+    diag = lam * tab.f_off + r_sign * tab.r_off
+    idx = np.arange(tab.m.shape[-1])
+    diag[..., idx, idx] = lam * (tab.fnum / tab.fden) + r_sign * (tab.rnum / tab.rden)
     upper = -tab.w[1:]
-    return BlockTridiagonal(params.n_sites, model.l, diag, np.swapaxes(upper, -1, -2), upper)
+    return diag, np.swapaxes(upper, -1, -2), upper
 
 
 def regularized_blocks(tab, lam, E, r_sign):
@@ -158,7 +169,7 @@ def regularized_blocks(tab, lam, E, r_sign):
 
 def assemble_regularized(model, params):
     """(H - E) right-multiplied by diag{M_n / sqrt(1+E^2)} over the window."""
-    tab = _window_tables(model, params)
+    tab = window_tables(model, params)
     blocks = regularized_blocks(tab, params.lam, params.E, model.r_sign)
     return BlockTridiagonal(params.n_sites, model.l, *blocks)
 
@@ -169,7 +180,7 @@ def row_prefactors(model, params):
     Left-multiplying the inverse of the regularized matrix by this diagonal
     recovers the Green's function of (H - E).
     """
-    tab = _window_tables(model, params)
+    tab = window_tables(model, params)
     return (1.0 / math.sqrt(1.0 + params.E * params.E) * tab.m).ravel()
 
 

@@ -388,6 +388,13 @@ class SymbolTables:
     w: np.ndarray
     m: np.ndarray
 
+    def __getitem__(self, index):
+        """The table at phases[index]; `index` may address the phase axes only."""
+        arrays = (self.fnum, self.fden, self.rnum, self.rden, self.f_off, self.r_off)
+        return SymbolTables(
+            self.phases[index], self.pole_tol, *(a[index] for a in (*arrays, self.w, self.m))
+        )
+
     def poles(self):
         """Mask of the phases where a diagonal denominator is below pole_tol."""
         near = (np.abs(self.fden) < self.pole_tol) | (np.abs(self.rden) < self.pole_tol)

@@ -7,12 +7,18 @@ the scalar evaluation path.
 """
 
 import math
+import warnings
 
 import numpy as np
+import scipy.linalg
 
-from qpjacobi.errors import PoleProximity
-from qpjacobi.greens import logdet_abs, logdet_grid
+from qpjacobi.errors import NearSingular, PoleProximity
+from qpjacobi.greens import NEAR_SINGULAR_RESIDUAL, logdet_abs, logdet_grid
+from qpjacobi.localization import ShiftRecord
 from qpjacobi.operator import BlockTridiagonal, OperatorParams, index_split
+from qpjacobi.operator import assemble_hamiltonian as package_hamiltonian
+from qpjacobi.operator import assemble_regularized as package_regularized
+from qpjacobi.operator import row_prefactors as package_prefactors
 
 
 def real_values(poly, y):
@@ -241,3 +247,56 @@ def minor_sweep(model, N_list, lambda_list, E_list, x_count, e_min, pairs_per_in
 def minor_rows(model, N_list, lambda_list, E_list, x_count, e_min):
     """Per-instance (N, lam, E, x, quantity, worst slack) over every entry pair."""
     return minor_sweep(model, N_list, lambda_list, E_list, x_count, e_min)["rows"]
+
+
+def green_full(model, params):
+    """Green's function from scipy's LU of one assembled regularized window."""
+    ht = package_regularized(model, params).to_dense()
+    n = ht.shape[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lu = scipy.linalg.lu_factor(ht, check_finite=False)
+        inv = scipy.linalg.lu_solve(lu, np.eye(n), check_finite=False)
+    residual = float(np.max(np.abs(ht @ inv - np.eye(n))))
+    if not np.isfinite(residual) or residual > NEAR_SINGULAR_RESIDUAL:
+        raise NearSingular(f"solve residual {residual:.3e}", residual=residual)
+    return package_prefactors(model, params)[:, None] * inv
+
+
+def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
+    """(records, c11, counts) of the Green-decay scan, one assembled and solved window at a time."""
+    rate0 = math.log(lam + abs(E))
+    nl = N0 * model.l
+    raw = []
+    for j in shifts:
+        params = OperatorParams(lam=lam, x=x0, E=E, window=(-N0 + j, N0 + j))
+        try:
+            h = package_hamiltonian(model, params)
+        except PoleProximity:
+            raw.append((j, "pole", float("nan"), float("nan")))
+            continue
+        dist = float(np.min(np.abs(np.linalg.eigvalsh(h.to_dense()) - E)))
+        try:
+            g = green_full(model, params)
+        except NearSingular:
+            raw.append((j, "near_singular", float("inf"), dist))
+            continue
+        p = np.arange(g.shape[0]) // model.l
+        with np.errstate(divide="ignore"):
+            slack = np.log(np.abs(g)) + np.abs(p[:, None] - p[None, :]) * rate0
+        raw.append((j, None, float(np.max(slack)) / nl, dist))
+    if c11 is None:
+        cut = math.exp(-N0 / 2.0)
+        c11 = max(t for _, st, t, dist in raw if st is None and dist >= cut)
+    records = []
+    counts = {"good": 0, "bad": 0, "near_singular": 0, "pole": 0}
+    for j, st, t, dist in raw:
+        if st is not None:
+            counts[st] += 1
+            records.append(ShiftRecord(j, st, float("nan") if st == "pole" else float("inf"), dist))
+            continue
+        slack = (t - c11) * nl
+        status = "good" if slack <= 0.0 else "bad"
+        counts[status] += 1
+        records.append(ShiftRecord(j, status, slack, dist))
+    return records, c11, counts

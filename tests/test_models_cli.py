@@ -6,6 +6,7 @@ import pytest
 from qpjacobi.cli import main
 from qpjacobi.ergodic import deviation_measure
 from qpjacobi.greens import midpoint_grid
+from qpjacobi.localization import green_decay_scan
 from qpjacobi.errors import ModelFormatError
 from qpjacobi.models import (
     bundled,
@@ -172,6 +173,20 @@ class TestCli:
         text = out.read_text()
         assert "shift,status,slack" in text
         assert "good" in text
+
+    def test_scan_header_counts_pole_and_near_singular_windows(self, tmp_path, maryland):
+        x0 = (0.25 - 5.0 * maryland.omega) % 1.0
+        out = tmp_path / "scan.csv"
+        rc = main([
+            "scan", "--model", "maryland", "--lambda", "20", "--E", "0.5",
+            "--x0", repr(x0), "--N0", "4", "--shifts=-8:11", "--out", str(out),
+        ])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        meta = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+        counts = green_decay_scan(maryland, 20.0, 0.5, x0, 4, range(-8, 12)).counts
+        assert meta["pole"] == str(counts["pole"]) == "9"
+        assert meta["near_singular"] == str(counts["near_singular"])
 
     def test_bounds_minor_smoke(self, tmp_path):
         sweep = tmp_path / "sweep.json"

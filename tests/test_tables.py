@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 import oracles
 from qpjacobi.ergodic import U_FLOOR, _orbit_average, deviation_measure
 from qpjacobi.errors import PoleProximity
-from qpjacobi.greens import check_minor_bound, logdet_grid, midpoint_grid, minor_logabs
-from qpjacobi.localization import lyapunov_rates, lyapunov_transfer
+from qpjacobi import greens, localization
+from qpjacobi.greens import check_minor_bound, green_full, logdet_grid, midpoint_grid, minor_logabs
+from qpjacobi.localization import green_decay_scan, lyapunov_rates, lyapunov_transfer
 from qpjacobi.operator import (
     OperatorParams,
     assemble_hamiltonian,
@@ -377,3 +378,112 @@ def test_minor_row_reports_the_first_pair_reaching_the_worst_slack(maryland, mon
     assert calls == [([1, 1, 2, 2], [1, 2, 1, 2])]
     (row,) = rep.sweep["rows"]
     assert row[4] == L / 2 and row[5] == L / 2 - np.log1p(1.0)
+
+
+def test_minor_sweep_evaluates_one_symbol_table(maryland, monkeypatch):
+    calls = []
+
+    def counted(model, phases):
+        calls.append(np.shape(phases))
+        return symbol_tables(model, phases)
+
+    monkeypatch.setattr("qpjacobi.greens.symbol_tables", counted)
+    check_minor_bound(maryland, [4, 8, 2], [10.0, 100.0], [1.0, 1e-9, 2.0], x_count=3)
+    assert calls == [(8, 3)]
+
+
+@pytest.mark.parametrize("N_list", [[0], [4, -2]])
+def test_minor_sweep_rejects_a_window_without_sites(maryland, N_list):
+    with pytest.raises(ValueError, match="N >= 1"):
+        check_minor_bound(maryland, N_list, [10.0], [1.0], x_count=2)
+
+
+# -- batched Green-decay scan -----------------------------------------------
+
+
+def _bits(records):
+    return [(r.shift, r.status, r.slack.hex(), r.spectral_dist.hex()) for r in records]
+
+
+def _near_singular_energy(maryland):
+    params = OperatorParams(lam=20.0, x=0.1, E=0.0, window=(-5, 11))
+    evals = np.linalg.eigvalsh(assemble_hamiltonian(maryland, params).to_dense())
+    return float(evals[np.argmin(np.abs(evals - 0.4))])
+
+
+# model, lam, E, x0, N0, shifts, and a status the scan must meet (x0 None: a
+# pole at site 5; E None: an eigenvalue of one window)
+SCANS = {
+    "maryland": ("maryland", 20.0, 0.5, 0.1, 8, range(-40, 40), "good"),
+    "pole_orbit": ("maryland", 20.0, 0.5, None, 4, range(-8, 12), "pole"),
+    "mero2": ("mero2", 20.0, 0.5, 0.11, 6, range(-30, 31), "good"),
+    "analytic2": ("analytic2", 5.0, 0.3, 0.2, 6, range(-20, 21), "good"),
+    "near_singular": ("maryland", 20.0, None, 0.1, 8, range(0, 7), "near_singular"),
+}
+
+
+@pytest.mark.parametrize("case", SCANS)
+def test_scan_equals_the_per_window_oracle(request, monkeypatch, case):
+    name, lam, E, x0, N0, shifts, met = SCANS[case]
+    model = request.getfixturevalue(name)
+    if x0 is None:
+        x0 = (0.25 - 5.0 * model.omega) % 1.0
+    if E is None:
+        E = _near_singular_energy(model)
+    records, c11, counts = oracles.green_decay_scan(model, lam, E, x0, N0, shifts)
+    assert counts[met] > 0
+    eigvalsh, chunks = np.linalg.eigvalsh, []
+
+    def counted(h):
+        chunks.append(h.shape[0])
+        return eigvalsh(h)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    size = ((2 * N0 + 1) * model.l) ** 2
+    live = len(shifts) - counts["pole"]
+    for per_chunk in (1, 3, localization.SCAN_CHUNK // size):
+        monkeypatch.setattr("qpjacobi.localization.SCAN_CHUNK", per_chunk * size + size - 1)
+        chunks.clear()
+        rep = green_decay_scan(model, lam, E, x0, N0, shifts)
+        assert _bits(rep.records) == _bits(records)
+        assert rep.c11 == c11 and rep.counts == counts
+        assert chunks == [min(per_chunk, live - s) for s in range(0, live, per_chunk)]
+
+
+@pytest.mark.parametrize("name, lam, E, x", [
+    ("maryland", 20.0, 0.5, 0.1),
+    ("maryland", 2.0, 1.5, 0.21),
+    ("mero2", 20.0, 0.5, 0.11),
+    ("mero2", 3.0, 0.7, 0.31),
+])
+@pytest.mark.parametrize("sites", [17, 33, 129, 201])
+def test_green_full_equals_the_lu_oracle(request, name, lam, E, x, sites):
+    model = request.getfixturevalue(name)
+    params = OperatorParams(lam=lam, x=x, E=E, window=(-(sites // 2), sites // 2))
+    assert np.array_equal(green_full(model, params), oracles.green_full(model, params))
+
+
+def test_an_exactly_singular_window_fails_alone(maryland, monkeypatch):
+    args = (maryland, 20.0, 0.5, 0.1, 4, range(-3, 4))
+    ref = green_decay_scan(*args)
+    blocks, solve, solves = greens.regularized_blocks, greens._solve, []
+
+    def singular_second_window(tab, lam, E, r_sign):
+        diag, lower, upper = blocks(tab, lam, E, r_sign)
+        for b in (diag, lower, upper):
+            b[:, 1] = 0.0
+        return diag, lower, upper
+
+    def counted(a, b):
+        solves.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr("qpjacobi.greens.regularized_blocks", singular_second_window)
+    monkeypatch.setattr("qpjacobi.greens._solve", counted)
+    got = green_decay_scan(*args, c11=ref.c11)
+    # one stacked solve meets the zero matrix, then each window is solved alone
+    assert solves == [(7, 9, 9)] + [(9, 9)] * 7
+    assert got.records[1].status == "near_singular" and got.counts["near_singular"] == 1
+    assert got.records[1].spectral_dist == ref.records[1].spectral_dist
+    others = [r for k, r in enumerate(got.records) if k != 1]
+    assert _bits(others) == _bits(r for k, r in enumerate(ref.records) if k != 1)
