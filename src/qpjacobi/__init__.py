@@ -22,7 +22,6 @@ from .symbols import (
     check_nondegeneracy,
     is_diophantine,
     locate_zeros,
-    regularizer_diag,
     symbol_tables,
 )
 from .operator import (

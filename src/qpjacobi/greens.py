@@ -25,8 +25,6 @@ from .operator import (
 )
 from .symbols import TABLE_CHUNK, symbol_tables
 
-#: pivots below this magnitude make the log-determinant the -inf sentinel
-PIVOT_FLOOR = 1e-300
 #: solve residual beyond which an energy counts as numerically singular
 NEAR_SINGULAR_RESIDUAL = 1e-6
 #: samples with |E| below this are excluded from the minor-bound sweep,
@@ -41,19 +39,15 @@ MINOR_CHUNK = 1 << 18
 
 
 def logdet_abs(mat):
-    """log |det| from a row-pivoted LU; -inf when a pivot underflows."""
-    a = np.asarray(mat, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if a.size == 0:
-        return 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, _ = scipy.linalg.lu_factor(a, check_finite=False)
-    d = np.abs(np.diag(lu))
-    if np.any(d < PIVOT_FLOOR):
-        return float("-inf")
-    return float(np.sum(np.log(d)))
+    """log |det| of a matrix, or of each matrix of a (..., n, n) stack.
+
+    One stacked slogdet call; the result is -inf where the sign is 0 or the
+    log is not finite, and a float for a single matrix.
+    """
+    with np.errstate(invalid="ignore"):  # a NaN entry: the -inf rule below covers it
+        sign, logdet = np.linalg.slogdet(np.asarray(mat, dtype=float))
+    out = np.where((sign == 0) | ~np.isfinite(logdet), -np.inf, logdet)
+    return float(out) if out.ndim == 0 else out
 
 
 def minor_oracle(mat, alpha, alpha_prime):
@@ -111,8 +105,8 @@ def green_windows(tab, lam, E, r_sign):
     exactly singular matrix, the stack is solved again one matrix at a time
     and only the singular one gets a NaN inverse, hence a NaN residual.
 
-    scipy's stacked LU solve is used because it runs the LAPACK of
-    scipy.linalg.lu_factor/lu_solve: every inverse equals theirs bit for
+    scipy's stacked LU solve is used because it runs the LAPACK of scipy's
+    one-matrix LU factor and solve: every inverse equals theirs bit for
     bit, where numpy's own LAPACK build can differ in the last bits.
     """
     ht = dense_blocks(*regularized_blocks(tab, lam, E, r_sign))
@@ -174,8 +168,8 @@ def green_entry_cramer(model, params, query):
     if not isinstance(query, GreenEntryQuery):
         query = GreenEntryQuery(*query)
     ht = assemble_regularized(model, params).to_dense()
-    sign, logdet = np.linalg.slogdet(ht)
-    if sign == 0 or not np.isfinite(logdet):
+    logdet = logdet_abs(ht)
+    if logdet == float("-inf"):
         raise NearSingular("regularized matrix is numerically singular")
     (p, q), _ = query.split(model.l, params.n_sites)
     u, _ = params.window
@@ -327,21 +321,18 @@ def window_logdets(model, lam, E, tab, n):
     Axis 0 of the symbol table `tab` runs over K >= n consecutive sites;
     the result holds one value per window start, shape (K - n + 1, ...).
     Scalar models use a rescaled three-term recurrence vectorized over the
-    table; block models assemble the dense matrices of all nodes at once
-    and factor each with logdet_abs.
+    table; block models assemble the dense matrices of all nodes of a start
+    at once and pass the stack to logdet_abs.
     """
     diag, lower, upper = regularized_blocks(tab, lam, E, model.r_sign)
     starts = diag.shape[0] - n + 1
     if model.l == 1:
         scale = 1.0 / math.sqrt(1.0 + E * E)
         return _scalar_logdets(diag[..., 0, 0], tab.w[..., 0, 0], tab.m[..., 0], scale, n)
-    nl = n * model.l
-    out = np.empty((starts,) + diag.shape[1:-2])
-    rows = out.reshape(starts, -1)
-    for s in range(starts):
-        dense = dense_blocks(diag[s : s + n], lower[s : s + n - 1], upper[s : s + n - 1])
-        rows[s] = [logdet_abs(a) for a in dense.reshape(-1, nl, nl)]
-    return out
+    return np.array([
+        logdet_abs(dense_blocks(diag[s : s + n], lower[s : s + n - 1], upper[s : s + n - 1]))
+        for s in range(starts)
+    ])
 
 
 def _scalar_logdets(a, w, m, scale, n):

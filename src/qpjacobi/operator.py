@@ -174,16 +174,6 @@ def assemble_regularized(model, params):
     return BlockTridiagonal(params.n_sites, model.l, *blocks)
 
 
-def row_prefactors(model, params):
-    """Flat vector of M_qq(x + site*omega) / sqrt(1+E^2) along the window.
-
-    Left-multiplying the inverse of the regularized matrix by this diagonal
-    recovers the Green's function of (H - E).
-    """
-    tab = window_tables(model, params)
-    return (1.0 / math.sqrt(1.0 + params.E * params.E) * tab.m).ravel()
-
-
 def hopping_sup_bound(model):
     """Coefficient-sum bound for sup_x of any regularized hopping entry."""
     best = 0.0

@@ -19,7 +19,8 @@ from .errors import AllDegenerate, DegenerateSymbol, PoleProximity
 
 TWO_PI = 2.0 * math.pi
 
-#: bisection is pushed until the symbol magnitude drops below this value
+#: a companion-matrix root is a zero when the symbol magnitude at its phase
+#: is at most this value times the symbol's coefficient sum (its sup bound)
 ZERO_REFINE_TOL = 1e-10
 #: a nondegeneracy witness must exceed this determinant magnitude
 WITNESS_TOL = 1e-10
@@ -142,13 +143,10 @@ class TrigPoly:
 
     __rmul__ = __mul__
 
-    def coeffs_equal(self, other):
-        return self._ks == other._ks and self._cs == other._cs
-
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        return self.coeffs_equal(other)
+        return self._ks == other._ks and self._cs == other._cs
 
     def __hash__(self):
         return hash((self._ks, self._cs))
@@ -177,50 +175,23 @@ def _real_values(poly, y, modes):
     return acc
 
 
-def _bisect_zero(poly, a, fa, b, fb):
-    while b - a > 1e-15:
-        mid = 0.5 * (a + b)
-        fm = poly(mid)
-        if abs(fm) <= ZERO_REFINE_TOL:
-            return mid
-        if fa * fm < 0.0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+def locate_zeros(den):
+    """Phases in [0, 1) where `den` vanishes, sorted, each listed as often as
+    its multiplicity.
 
-
-def locate_zeros(den, grid_size=4096):
-    """Phases in [0, 1) where `den` vanishes, found by a uniform sign-change
-    scan refined with bisection.
-
-    Zero pairs closer than one grid cell and tangential (no-sign-change)
-    zeros are missed; that is a documented limitation of the scan.
+    With z = e^{2 pi i x}, z^d * den is a polynomial of degree 2d in z; its
+    roots (np.roots, the eigenvalues of the companion matrix) are mapped to
+    phases, and a root counts as a zero when |den| at its phase is at most
+    ZERO_REFINE_TOL * den.coeff_abs_sum().
     """
     if den.is_zero:
         raise DegenerateSymbol("cannot locate zeros of the zero symbol")
-    xs = np.arange(grid_size) / grid_size
-    vals = den(xs)
-    found = []
-    for i in range(grid_size):
-        a, fa = xs[i], vals[i]
-        if i + 1 < grid_size:
-            b, fb = xs[i + 1], vals[i + 1]
-        else:
-            b, fb = 1.0, vals[0]
-        if fa == 0.0:
-            found.append(a)
-        elif fa * fb < 0.0:
-            found.append(_bisect_zero(den, a, fa, b, fb) % 1.0)
-    found.sort()
-    merged = []
-    for z in found:
-        if merged and abs(z - merged[-1]) < 1e-9:
-            continue
-        merged.append(z)
-    if len(merged) > 1 and abs((merged[0] + 1.0) - merged[-1]) < 1e-9:
-        merged.pop()
-    return tuple(merged)
+    d = den.degree
+    roots = np.roots([den.coeff(k) for k in range(d, -d - 1, -1)])
+    # np.mod rounds a phase just below 0 up to 1.0; the second reduction maps it to 0
+    phases = np.sort(np.mod(np.angle(roots) / TWO_PI, 1.0) % 1.0)
+    tol = ZERO_REFINE_TOL * den.coeff_abs_sum()
+    return tuple(float(x) for x in phases if abs(den(x)) <= tol)
 
 
 @dataclass(frozen=True)
@@ -233,12 +204,12 @@ class MeroScalar:
     pole_tol: float = DEFAULT_POLE_TOL
 
     @classmethod
-    def from_ratio(cls, num, den=None, pole_tol=DEFAULT_POLE_TOL, grid_size=4096):
+    def from_ratio(cls, num, den=None, pole_tol=DEFAULT_POLE_TOL):
         if den is None:
             den = TrigPoly.constant(1.0)
         if den.is_zero:
             raise DegenerateSymbol("denominator is identically zero")
-        return cls(num, den, locate_zeros(den, grid_size), float(pole_tol))
+        return cls(num, den, locate_zeros(den), float(pole_tol))
 
     @classmethod
     def analytic(cls, poly, pole_tol=DEFAULT_POLE_TOL):
@@ -336,7 +307,7 @@ class BlockModel:
                         raise ValueError(f"{name}[{i}][{j}] must be a TrigPoly")
             for i in range(self.l):
                 for j in range(i + 1, self.l):
-                    if not grid[i][j].coeffs_equal(grid[j][i]):
+                    if grid[i][j] != grid[j][i]:
                         raise ValueError(f"{name} is not symmetric at ({i},{j})")
 
     def with_omega(self, omega):
@@ -444,15 +415,6 @@ def symbol_tables(model, phases):
             for grid, out in ((model.F, f_off), (model.R, r_off), (model.W, w)):
                 out[..., i, j] = out[..., j, i] = _real_values(grid[i][j], y, modes)
     return SymbolTables(x, model.pole_tol, fnum, fden, rnum, rden, f_off, r_off, w, fden * rden)
-
-
-def regularizer_diag(model, x):
-    """Diagonal matrix with entries denF_ii(x) * denR_ii(x).
-
-    This is the column scaling that removes the diagonal poles from the
-    finite-volume matrix; it is analytic, so no pole guard is needed.
-    """
-    return np.diag(model.m_values(x))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ from qpjacobi.localization import ShiftRecord
 from qpjacobi.operator import BlockTridiagonal, OperatorParams, index_split
 from qpjacobi.operator import assemble_hamiltonian as package_hamiltonian
 from qpjacobi.operator import assemble_regularized as package_regularized
-from qpjacobi.operator import row_prefactors as package_prefactors
+
+#: pivots below this magnitude make logdet_lu the -inf sentinel
+PIVOT_FLOOR = 1e-300
 
 
 def real_values(poly, y):
@@ -114,6 +116,22 @@ def row_prefactors(model, params):
     return np.concatenate(
         [scale * _m(model, model.site_phase(params.x, site)) for site in range(u, v + 1)]
     )
+
+
+def logdet_lu(mat):
+    """log |det| from a row-pivoted LU; -inf when a pivot underflows."""
+    a = np.asarray(mat, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    if a.size == 0:
+        return 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lu, _ = scipy.linalg.lu_factor(a, check_finite=False)
+    d = np.abs(np.diag(lu))
+    if np.any(d < PIVOT_FLOOR):
+        return float("-inf")
+    return float(np.sum(np.log(d)))
 
 
 def logdet_per_node(model, lam, E, window, xs):
@@ -260,7 +278,7 @@ def green_full(model, params):
     residual = float(np.max(np.abs(ht @ inv - np.eye(n))))
     if not np.isfinite(residual) or residual > NEAR_SINGULAR_RESIDUAL:
         raise NearSingular(f"solve residual {residual:.3e}", residual=residual)
-    return package_prefactors(model, params)[:, None] * inv
+    return row_prefactors(model, params)[:, None] * inv
 
 
 def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):

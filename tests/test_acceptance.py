@@ -145,6 +145,29 @@ def test_criterion_4_determinant_lower_bound(maryland):
     )
 
 
+def test_criterion_4_determinant_lower_bound_mero2(mero2):
+    # the block model has no closed form; the bound and its stability are checked
+    started = time.perf_counter()
+    rep = check_det_lower_bound(
+        mero2, [100.0, 200.0, 1000.0, 2000.0], [0.5], [4, 16], midpoint_grid(1024)
+    )
+    drift_100 = abs(
+        rep.group_constants["lambda=200"] - rep.group_constants["lambda=100"]
+    ) / abs(rep.group_constants["lambda=100"])
+    drift_1000 = abs(
+        rep.group_constants["lambda=2000"] - rep.group_constants["lambda=1000"]
+    ) / abs(rep.group_constants["lambda=1000"])
+    excluded = sum(row[5] for row in rep.sweep["rows"])
+    _verdict(
+        4,
+        f"mero2 determinant lower bound (C1 {rep.fitted_constant:.3f}, doubling drift "
+        f"{drift_100:.4f} / {drift_1000:.4f}, {excluded} excluded nodes)",
+        [rep.fitted_constant < 5.0, drift_100 < 0.1, drift_1000 < 0.1],
+        started,
+        120.0,
+    )
+
+
 def test_criterion_5_large_deviations(maryland):
     started = time.perf_counter()
     grid = midpoint_grid(2000)
@@ -186,6 +209,33 @@ def test_criterion_5_bad_set_decay_fit(maryland):
     _verdict(
         5,
         f"bad-set decay at S=0.1: golden {fractions} (c10 {c10:.2f}) vs rational "
+        f"{[r.bad_fraction for r in rational]}",
+        [
+            all(b2 < b1 for b1, b2 in zip(fractions, fractions[1:])),
+            golden_monotone,
+            c10 > 0.0,
+            not rational_monotone,
+        ],
+        started,
+        60.0,
+    )
+
+
+def test_criterion_5_bad_set_decay_fit_mero2(mero2):
+    # the block model through the same S = 0.1 ladder as maryland
+    started = time.perf_counter()
+    grid = midpoint_grid(1000)
+    ladder = (10, 32, 100, 316)
+    golden = [deviation_measure(mero2, 50.0, 1.0, 4, Q, 0.1, 0.3, grid) for Q in ladder]
+    rational = [
+        deviation_measure(mero2, 50.0, 1.0, 4, Q, 0.1, 0.3, grid, omega=0.5) for Q in ladder
+    ]
+    fractions = [r.bad_fraction for r in golden]
+    c10, golden_monotone = ldt_decay_fit(golden)
+    _, rational_monotone = ldt_decay_fit(rational)
+    _verdict(
+        5,
+        f"mero2 bad-set decay at S=0.1: golden {fractions} (c10 {c10:.2f}) vs rational "
         f"{[r.bad_fraction for r in rational]}",
         [
             all(b2 < b1 for b1, b2 in zip(fractions, fractions[1:])),

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from qpjacobi import ergodic, greens
 from qpjacobi.errors import NearSingular, TooManyExclusions
 from qpjacobi.greens import (
     GreenEntryQuery,
@@ -17,7 +19,7 @@ from qpjacobi.greens import (
     minor_oracle,
 )
 from qpjacobi.operator import OperatorParams, assemble_hamiltonian, assemble_regularized
-from qpjacobi.symbols import BlockModel, Dioph, MeroScalar, TrigPoly
+from qpjacobi.symbols import BlockModel, Dioph, MeroScalar, TrigPoly, symbol_tables
 
 from conftest import GOLDEN, atomic_maryland, random_model, well_conditioned_params
 
@@ -61,6 +63,97 @@ class TestLogdet:
             a = a + a.T
             want = float(np.sum(np.log(np.abs(np.linalg.eigvalsh(a)))))
             assert logdet_abs(a) == pytest.approx(want, rel=1e-9)
+
+
+def logdet_lu_stack(mat):
+    """logdet_abs from the LU oracle: one logdet_lu call per matrix of the stack."""
+    a = np.asarray(mat, dtype=float)
+    out = np.array([oracles.logdet_lu(m) for m in a.reshape((-1,) + a.shape[-2:])])
+    return float(out[0]) if a.ndim == 2 else out.reshape(a.shape[:-2])
+
+
+def _close_to_lu(got, want):
+    """Equal -inf masks, and finite values within 1e-13 * max(1, |value|)."""
+    got, want = np.asarray(got), np.asarray(want)
+    finite = np.isfinite(want)
+    return np.array_equal(np.isfinite(got), finite) and bool(
+        np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * np.maximum(1.0, np.abs(want[finite])))
+    )
+
+
+class TestStackedLogdet:
+    def test_random_stacks_match_lu_oracle(self):
+        rng = np.random.default_rng(12)
+        for shape in ((7, 5, 5), (2, 3, 4, 4), (1, 12, 12)):
+            a = rng.normal(size=shape) * rng.uniform(0.1, 100.0, size=shape[:-2] + (1, 1))
+            got = logdet_abs(a)
+            assert got.shape == shape[:-2]
+            assert _close_to_lu(got, logdet_lu_stack(a))
+
+    @pytest.mark.parametrize("name", ["mero2", "analytic2"])
+    @pytest.mark.parametrize("N", [4, 16])
+    def test_model_windows_match_lu_oracle(self, name, N, request):
+        model = request.getfixturevalue(name)
+        xs = midpoint_grid(32)
+        for lam, E in ((2.0, 0.5), (100.0, 3.0)):
+            got = logdet_grid(model, lam, E, (1, N), xs)
+            want = [
+                oracles.logdet_lu(
+                    assemble_regularized(model, OperatorParams(lam, float(x), E, (1, N))).to_dense()
+                )
+                for x in xs
+            ]
+            assert _close_to_lu(got, want)
+
+    def test_singular_member_of_a_stack(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(4, 6, 6))
+        a[2, :, 3] = 0.0
+        got = logdet_abs(a)
+        assert got[2] == float("-inf") and oracles.logdet_lu(a[2]) == float("-inf")
+        keep = [0, 1, 3]
+        assert np.array_equal(got[keep], [logdet_abs(a[k]) for k in keep])
+        assert np.all(np.isfinite(got[keep])) and _close_to_lu(got[keep], logdet_lu_stack(a[keep]))
+
+    def test_non_finite_entry_is_neg_infinity(self):
+        for bad in (np.nan, np.inf):
+            a = np.eye(3)
+            a[1, 2] = bad
+            assert logdet_abs(a) == float("-inf")
+            assert logdet_abs(np.stack([2.0 * np.eye(3), a])).tolist() == [
+                3.0 * math.log(2.0),
+                float("-inf"),
+            ]
+
+    def test_empty_matrix(self):
+        got = logdet_abs(np.zeros((0, 0)))
+        assert got == 0.0 and isinstance(got, float)
+        assert logdet_abs(np.zeros((3, 0, 0))).tolist() == [0.0, 0.0, 0.0]
+
+    def test_pole_orbit_counts_match_lu_oracle(self, mero2, monkeypatch):
+        # The first site of the first nodes sits on a pole of a diagonal
+        # denominator.  The last of them, x = 1 - omega, puts it at phase 0,
+        # where the numerator of F[0][0] and R[0][1] vanish exactly: at lam = 0
+        # and this E the first entry of the one-site matrix is exactly 0 and
+        # the matrix is singular.
+        poles = [z for i in range(2) for sym in (mero2.F[i][i], mero2.R[i][i]) for z in sym.zeros]
+        xs = midpoint_grid(1000)
+        xs[: len(poles)] = (np.array(poles) - mero2.omega) % 1.0
+        xs[len(poles)] = 1.0 - mero2.omega
+        tab = symbol_tables(mero2, np.zeros(1))
+        E = float(-tab.rnum[0, 0] / tab.rden[0, 0])
+        singular = OperatorParams(0.0, 1.0 - mero2.omega, E, (1, 1))
+        assert assemble_regularized(mero2, singular).diag[0, 0, 0] == 0.0
+
+        def counts():
+            monkeypatch.setattr(ergodic, "_orbit_sum", None)
+            excluded = [avg_logdet(mero2, lam, E, 1, xs).excluded for lam in (0.0, 5.0)]
+            floored = [ergodic._orbit_average(mero2, lam, E, 1, 3, xs)[1] for lam in (0.0, 5.0)]
+            return excluded, floored
+
+        got = counts()
+        monkeypatch.setattr(greens, "logdet_abs", logdet_lu_stack)
+        assert counts() == got == ([1, 0], [1, 0])
 
 
 class TestMinorOracle:

@@ -22,10 +22,9 @@ from qpjacobi.operator import (
     hopping_sup_bound,
     index_split,
     onsite_sup_bound,
-    row_prefactors,
 )
-from qpjacobi.symbols import regularizer_diag
 
+import oracles
 from conftest import GOLDEN, atomic_maryland, pole_free_x, random_model
 
 
@@ -159,7 +158,7 @@ class TestAssembleRegularized:
         params = OperatorParams(lam=2.0, x=x, E=0.0, window=(1, 5))
         ht = assemble_regularized(maryland, params).to_dense()
         h = assemble_hamiltonian(maryland, params).to_dense()
-        m = np.diag(row_prefactors(maryland, params))  # E=0 so scale is exactly 1
+        m = np.diag(oracles.row_prefactors(maryland, params))  # E=0 so scale is exactly 1
         direct = h @ m
         assert np.max(np.abs(ht - direct)) <= 1e-12 * np.max(np.abs(direct))
 
@@ -173,7 +172,7 @@ class TestAssembleRegularized:
         m = np.zeros_like(h)
         for idx, site in enumerate(range(1, 5)):
             y = mero2.site_phase(params.x, site)
-            m[idx * 2 : idx * 2 + 2, idx * 2 : idx * 2 + 2] = regularizer_diag(mero2, y)
+            m[idx * 2 : idx * 2 + 2, idx * 2 : idx * 2 + 2] = np.diag(mero2.m_values(y))
         direct = (h - params.E * np.eye(h.shape[0])) @ m * scale
         assert np.max(np.abs(ht - direct)) <= 1e-12 * np.max(np.abs(direct))
 

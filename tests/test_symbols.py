@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from qpjacobi.symbols import (
     check_nondegeneracy,
     is_diophantine,
     locate_zeros,
-    regularizer_diag,
 )
 
 from conftest import GOLDEN, random_trig
@@ -125,6 +125,75 @@ class TestLocateZeros:
             assert gap < 2e-6
 
 
+def mp_zeros(den):
+    """Phases of the roots of z^d * den on the unit circle, from mpmath at 50 digits."""
+    d = den.degree
+    coeffs = [mpmath.mpc(den.coeff(k).real, den.coeff(k).imag) for k in range(d, -d - 1, -1)]
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots(coeffs, maxsteps=500, extraprec=300)
+        return sorted(
+            float(mpmath.arg(z) / (2 * mpmath.pi) % 1) for z in roots if abs(abs(z) - 1) < 1e-6
+        )
+
+
+def _circle_gap(a, b):
+    gap = abs(a - b) % 1.0
+    return min(gap, 1.0 - gap)
+
+
+class TestLocateZerosAgainstMpmath:
+    def test_exact_cosine_and_sine_zeros(self):
+        assert locate_zeros(TrigPoly.cosine()) == (0.25, 0.75)
+        assert locate_zeros(TrigPoly.sine()) == (0.0, 0.5)
+
+    def test_zero_at_phase_zero_stays_in_the_unit_interval(self):
+        # the root at z = 1 comes out with a tiny negative angle, whose phase
+        # np.mod rounds up to 1.0
+        den = TrigPoly.sine() * (TrigPoly.constant(2.0) + TrigPoly.cosine(shift=0.1))
+        assert locate_zeros(den) == (0.0, 0.5)
+
+    @pytest.mark.parametrize("seed", [3, 11, 42])  # the denominators of test_against_fine_grid_scan
+    def test_simple_zeros(self, seed):
+        rng = np.random.default_rng(seed)
+        den = random_trig(rng, 3) + TrigPoly.cosine(k=3)
+        zeros, want = locate_zeros(den), mp_zeros(den)
+        assert len(zeros) == len(want)
+        assert max((_circle_gap(z, w) for z, w in zip(zeros, want)), default=0.0) <= 1e-12
+
+    def test_close_pair(self):
+        # two simple zeros 4.5e-5 apart: one cell of a 4096-point scan holds both
+        den = TrigPoly.cosine(shift=0.123) - TrigPoly.constant(0.99999999)
+        zeros, want = locate_zeros(den), mp_zeros(den)
+        assert len(zeros) == len(want) == 2
+        assert max(_circle_gap(z, w) for z, w in zip(zeros, want)) <= 1e-12
+
+    def test_tangential_zero_listed_twice(self):
+        den = TrigPoly.constant(1.0) - TrigPoly.cosine(shift=0.123)
+        zeros, want = locate_zeros(den), mp_zeros(den)
+        assert len(zeros) == len(want) == 2
+        assert max(_circle_gap(z, w) for z, w in zip(zeros, want)) <= 1e-7
+        assert max(_circle_gap(z, 0.123) for z in zeros) <= 1e-7
+
+    def test_double_zeros_of_a_square(self):
+        rng = np.random.default_rng(7)
+        p = random_trig(rng, 2) + TrigPoly.cosine(k=2)
+        simple = locate_zeros(p)
+        zeros, want = locate_zeros(p * p), mp_zeros(p * p)
+        assert simple and len(zeros) == len(want) == 2 * len(simple)
+        assert max(_circle_gap(z, w) for z, w in zip(zeros, want)) <= 1e-7
+        assert max(_circle_gap(z, s) for z, s in zip(zeros, np.repeat(simple, 2))) <= 1e-7
+
+    def test_near_tangential_without_zeros(self):
+        den = TrigPoly.cosine(shift=0.123) - TrigPoly.constant(1.0000001)
+        assert locate_zeros(den) == () and mp_zeros(den) == []
+
+    def test_large_coefficients_keep_their_zeros(self):
+        den = 1e6 * (TrigPoly.cosine(k=3, shift=0.1) + TrigPoly.constant(0.3))
+        zeros, want = locate_zeros(den), mp_zeros(den)
+        assert len(zeros) == len(want) == 6
+        assert max(_circle_gap(z, w) for z, w in zip(zeros, want)) <= 1e-12
+
+
 class TestDiophantine:
     def test_golden_ratio_passes(self):
         chk = is_diophantine(GOLDEN, 2.0, 0.1, 10_000)
@@ -174,19 +243,19 @@ def _denominator_model():
 
 class TestRegularizerDiag:
     def test_maryland_values(self, maryland):
-        assert np.allclose(regularizer_diag(maryland, 0.0), [[1.0]], atol=1e-15)
-        assert np.allclose(regularizer_diag(maryland, 0.25), [[0.0]], atol=1e-12)
+        assert np.allclose(np.diag(maryland.m_values(0.0)), [[1.0]], atol=1e-15)
+        assert np.allclose(np.diag(maryland.m_values(0.25)), [[0.0]], atol=1e-12)
 
     def test_block_denominator_products(self):
         m = _denominator_model()
-        d = regularizer_diag(m, 1.0 / 6.0)
+        d = np.diag(m.m_values(1.0 / 6.0))
         assert np.allclose(np.diag(d), [0.5, 0.5], atol=1e-12)
         assert np.allclose(d, np.diag(np.diag(d)))
 
     def test_product_of_diagonal_evaluations(self, mero2):
         rng = np.random.default_rng(5)
         for x in rng.uniform(size=100):
-            got = np.diag(regularizer_diag(mero2, x))
+            got = mero2.m_values(x)
             want = [
                 mero2.F[i][i].den(x) * mero2.R[i][i].den(x) for i in range(mero2.l)
             ]

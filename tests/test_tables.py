@@ -16,7 +16,6 @@ from qpjacobi.operator import (
     OperatorParams,
     assemble_hamiltonian,
     assemble_regularized,
-    row_prefactors,
 )
 from qpjacobi.symbols import BlockModel, Dioph, MeroScalar, TrigPoly, symbol_tables
 
@@ -190,7 +189,6 @@ def test_assembly_matches_per_site_oracle(name, request):
             )
             _same_blocks(assemble_hamiltonian(model, params), oracles.assemble_hamiltonian(model, params))
             _same_blocks(assemble_regularized(model, params), oracles.assemble_regularized(model, params))
-            assert _rel_err(row_prefactors(model, params), oracles.row_prefactors(model, params)) <= 1e-14
 
 
 @pytest.mark.parametrize("name", MODELS)
