@@ -55,8 +55,7 @@ def _meta(args, model):
 def _write_csv(path, meta, columns, rows):
     lines = [f"# {k}={v}" for k, v in meta.items()]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     text = "\n".join(lines) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -144,15 +143,15 @@ def _run_assemble(args, model):
 def _run_green(args, model):
     g = green_full(model, _window_params(args))
     l = model.l
-    rows = []
-    for a in range(g.shape[0]):
-        for b in range(g.shape[1]):
-            rows.append((a // l + 1, b // l + 1, a % l + 1, b % l + 1, float(g[a, b])))
+    site = [str(a // l + 1) for a in range(g.shape[0])]
+    comp = [str(a % l + 1) for a in range(g.shape[0])]
+    # a row is its four index columns, joined once, and the value
+    index = [f"{sa},{sb},{ca},{cb}" for sa, ca in zip(site, comp) for sb, cb in zip(site, comp)]
     _write_csv(
         args.out,
         _meta(args, model),
         ("block_row", "block_col", "i", "j", "value"),
-        rows,
+        zip(index, g.ravel().tolist()),
     )
     return EXIT_OK
 
@@ -195,19 +194,16 @@ def _run_bounds(args, model):
             pairs_per_instance=sweep.get("pairs"),
             seed=args.seed,
         )
-        rows = report.sweep["rows"]
+        columns = ("N", "lambda", "E", "x", "quantity", "slack")
     else:
         report = check_det_lower_bound(
             model, sweep["lambda"], sweep["E"], sweep["N"], midpoint_grid(sweep.get("nodes", 1024))
         )
-        rows = [
-            (n, lam, E, float("nan"), value, c1)
-            for n, lam, E, value, c1, _excluded in report.sweep["rows"]
-        ]
+        columns = ("N", "lambda", "E", "quantity", "slack", "excluded")
     extra = {"fitted_constant": report.fitted_constant, **report.group_constants}
     meta = _meta(args, model)
     meta.update({k: _fmt(v) for k, v in extra.items()})
-    _write_csv(args.out, meta, ("N", "lambda", "E", "x", "quantity", "slack"), rows)
+    _write_csv(args.out, meta, columns, report.sweep["rows"])
     return EXIT_OK
 
 

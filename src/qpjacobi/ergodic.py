@@ -15,7 +15,7 @@ import numpy as np
 from .errors import AllZero
 from .greens import avg_logdet, logdet_grid, midpoint_grid, window_logdets
 from .operator import check_coupling
-from .symbols import TABLE_CHUNK, SymbolTables, symbol_tables
+from .symbols import TABLE_CHUNK, SymbolTables, reduce_phase, symbol_tables
 
 #: underflowed nodes contribute this floor (roughly log of the smallest
 #: normal double) so averages stay finite; occurrences are counted
@@ -60,7 +60,7 @@ def _orbit_average(model, lam, E, N, Q, xs):
     for j0 in range(start, Q, step):
         first = j0 + 1 if tab is None else j0 + N
         ks = np.arange(first, min(j0 + step, Q) + N)[:, None]
-        tab = _slide(tab, symbol_tables(model, (xs + ks * model.omega) % 1.0), N - 1)
+        tab = _slide(tab, symbol_tables(model, reduce_phase(xs + ks * model.omega)), N - 1)
         for u in window_logdets(model, lam, E, tab, N) / (N * model.l):
             u, nfl = _floor(u)
             floored += nfl
@@ -94,7 +94,7 @@ def birkhoff_avg(model, lam, E, N, x, Q, omega=None):
     if Q < 1:
         raise ValueError("Q must be >= 1")
     step = model.omega if omega is None else float(omega)
-    xs = (float(x) + step * np.arange(Q)) % 1.0
+    xs = reduce_phase(float(x) + step * np.arange(Q))
     u, _ = _floor(logdet_grid(model, lam, E, (1, N), xs) / (N * model.l))
     return float(math.fsum(u) / Q)
 

@@ -21,6 +21,7 @@ from .operator import (
     dense_blocks,
     index_split,
     regularized_blocks,
+    regularized_diagonal,
     window_tables,
 )
 from .symbols import TABLE_CHUNK, symbol_tables
@@ -321,38 +322,55 @@ def window_logdets(model, lam, E, tab, n):
     Axis 0 of the symbol table `tab` runs over K >= n consecutive sites;
     the result holds one value per window start, shape (K - n + 1, ...).
     Scalar models use a rescaled three-term recurrence vectorized over the
-    table; block models assemble the dense matrices of all nodes of a start
-    at once and pass the stack to logdet_abs.
+    table, which reads only the diagonal; block models assemble the dense
+    matrices of all nodes of a start at once and pass the stack to
+    logdet_abs.
     """
-    diag, lower, upper = regularized_blocks(tab, lam, E, model.r_sign)
-    starts = diag.shape[0] - n + 1
     if model.l == 1:
         scale = 1.0 / math.sqrt(1.0 + E * E)
-        return _scalar_logdets(diag[..., 0, 0], tab.w[..., 0, 0], tab.m[..., 0], scale, n)
+        a = regularized_diagonal(tab, lam, E, model.r_sign)[..., 0]
+        return _scalar_logdets(a, tab.w[..., 0, 0], tab.m[..., 0], scale, n)
+    diag, lower, upper = regularized_blocks(tab, lam, E, model.r_sign)
     return np.array([
         logdet_abs(dense_blocks(diag[s : s + n], lower[s : s + n - 1], upper[s : s + n - 1]))
-        for s in range(starts)
+        for s in range(diag.shape[0] - n + 1)
     ])
 
 
 def _scalar_logdets(a, w, m, scale, n):
+    """log |D_n| of the three-term recurrence D_i = a_i D_{i-1} - b_i D_{i-2}.
+
+    b_i, the product of the two off-diagonal entries that join sites i - 1
+    and i, is formed once for every site of the table.  Rows where max(|D_i|,
+    |D_{i-1}|) leaves [1e-100, 1e100] (zero aside) are divided by it and
+    its log is carried; a step where no row does skips the rescale, which
+    would divide by 1.0 and add log(1.0) = +0.0 to a sum that is never -0.0.
+    """
     starts = a.shape[0] - n + 1
     with np.errstate(divide="ignore"):
         if n == 1:
             return np.log(np.abs(a))
+        offprod = (w[1:] * m[1:] * scale) * (w[1:] * m[:-1] * scale)
         d_prev = np.ones_like(a[:starts])
         d_cur = a[:starts].copy()
+        abs_cur = np.abs(d_cur)
         logs = np.zeros_like(d_cur)
         for i in range(1, n):
-            wi = w[i : i + starts]
-            offprod = (wi * m[i : i + starts] * scale) * (wi * m[i - 1 : i - 1 + starts] * scale)
-            d_new = a[i : i + starts] * d_cur - offprod * d_prev
-            s = np.maximum(np.abs(d_new), np.abs(d_cur))
-            f = np.where((s > 1e100) | ((s < 1e-100) & (s > 0.0)), s, 1.0)
-            d_prev = d_cur / f
-            d_cur = d_new / f
-            logs += np.log(f)
-        return logs + np.log(np.abs(d_cur))
+            d_new = a[i : i + starts] * d_cur
+            d_new -= offprod[i - 1 : i - 1 + starts] * d_prev
+            abs_new = np.abs(d_new)
+            s = np.maximum(abs_new, abs_cur)
+            # NaN-blind extremes; a zero s only sends the step down the rescale path
+            hi, lo = np.fmax.reduce(s, None, initial=0.0), np.fmin.reduce(s, None, initial=1.0)
+            if hi > 1e100 or lo < 1e-100:
+                f = np.where((s > 1e100) | ((s < 1e-100) & (s > 0.0)), s, 1.0)
+                d_prev = d_cur / f
+                d_cur = d_new / f
+                abs_cur = np.abs(d_cur)
+                logs += np.log(f)
+            else:
+                d_prev, d_cur, abs_cur = d_cur, d_new, abs_new
+        return logs + np.log(abs_cur)
 
 
 @dataclass(frozen=True)

@@ -148,23 +148,31 @@ def regularized_blocks(tab, lam, E, r_sign):
     """Blocks of (H - E) diag{M_n / sqrt(1+E^2)} for the sites on axis 0 of `tab`.
 
     Returns the diagonal blocks, shape (K, ..., l, l), and the lower and
-    upper blocks between consecutive sites, shape (K-1, ..., l, l).
-    Diagonal entries are built as
-        lam*numF*denR + r_sign*numR*denF - E*denF*denR
-    (never as a quotient times M), so the blocks are finite even at pole
-    phases.
+    upper blocks between consecutive sites, shape (K-1, ..., l, l).  The
+    diagonal entries are those of regularized_diagonal.
     """
     scale = 1.0 / math.sqrt(1.0 + E * E)
     m = tab.m[..., None, :]
-    blk = (lam * tab.f_off + r_sign * tab.r_off) * m
+    blk = scale * ((lam * tab.f_off + r_sign * tab.r_off) * m)
     idx = np.arange(tab.m.shape[-1])
-    blk[..., idx, idx] = (
-        lam * tab.fnum * tab.rden + r_sign * tab.rnum * tab.fden - E * tab.fden * tab.rden
-    )
+    blk[..., idx, idx] = regularized_diagonal(tab, lam, E, r_sign)
     w = tab.w[1:]
     upper = -scale * w * m[1:]
     lower = -scale * np.swapaxes(w, -1, -2) * m[:-1]
-    return scale * blk, lower, upper
+    return blk, lower, upper
+
+
+def regularized_diagonal(tab, lam, E, r_sign):
+    """Diagonal entries of the regularized on-site blocks, shape (..., l).
+
+    Each is built as
+        (lam*numF*denR + r_sign*numR*denF - E*denF*denR) * (1/sqrt(1+E^2))
+    (never as a quotient times M), so it is finite even at pole phases.
+    """
+    scale = 1.0 / math.sqrt(1.0 + E * E)
+    return scale * (
+        lam * tab.fnum * tab.rden + r_sign * tab.rnum * tab.fden - E * tab.fden * tab.rden
+    )
 
 
 def assemble_regularized(model, params):

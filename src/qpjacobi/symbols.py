@@ -30,6 +30,17 @@ DEFAULT_POLE_TOL = 1e-8
 TABLE_CHUNK = 1 << 14
 
 
+def reduce_phase(x):
+    """x mod 1: np.mod(x, 1.0) bit for bit on every finite double, without its division.
+
+    x - floor(x) and np.mod's fmod-then-add-1 round the same exact value
+    once, so they agree; both give +0.0 at integers and -0.0, and 1.0 for a
+    negative x too small to keep its place below 1.  A scalar gives a float.
+    """
+    y = np.subtract(x, np.floor(x))
+    return float(y) if np.isscalar(x) else y
+
+
 class TrigPoly:
     """Finite Fourier series sum_k c_k e^{2 pi i k x} with c_{-k} = conj(c_k).
 
@@ -102,14 +113,14 @@ class TrigPoly:
     # -- evaluation --------------------------------------------------------
 
     def eval_complex(self, x):
-        y = np.mod(np.asarray(x, dtype=np.float64), 1.0)
+        y = reduce_phase(np.asarray(x, dtype=np.float64))
         out = np.zeros(y.shape, dtype=np.complex128)
         for k, c in self.items():
             out += c * np.exp((2j * np.pi * k) * y)
         return out
 
     def __call__(self, x):
-        val = _real_values(self, np.mod(np.asarray(x, dtype=np.float64), 1.0), {})
+        val = _real_values(self, reduce_phase(np.asarray(x, dtype=np.float64)), {})
         if np.ndim(x) == 0:
             return float(val)
         return val
@@ -159,19 +170,37 @@ class TrigPoly:
 def _real_values(poly, y, modes):
     """Real part of `poly` at the reduced phases y; `modes` caches e^{2 pi i k y}.
 
-    Each term's products are rounded separately (numpy's vectorized complex
-    product may fuse them), so a value does not depend on the shape of y.
-    Mode -k is the conjugate of mode k: its exponent is the exact negation
-    and sine is odd, so one exponential serves both.
+    Each term c.real*cos - c.imag*sin has its products rounded separately
+    (numpy's vectorized complex product may fuse them), so a value does not
+    depend on the shape of y.  One exponential serves the modes +-k: the
+    exponent of -k is the exact negation and sine is odd, so mode -k reads
+    the cached parts of mode k with the sign folded into c.imag.  A zero
+    coefficient part adds no product; that keeps every bit, because the
+    accumulator starts at +0.0 and never becomes -0.0, so adding a zero of
+    either sign leaves it as it is.
     """
     acc = np.zeros(np.shape(y))
     for k, c in poly.items():
+        cr, ci = c.real, c.imag
         if k == 0:
-            acc += c.real
+            acc += cr
             continue
-        if k not in modes:
-            modes[k] = np.conj(modes[-k]) if -k in modes else np.exp((2j * np.pi * k) * y)
-        acc += c.real * modes[k].real - c.imag * modes[k].imag
+        if k in modes:
+            re, im = modes[k]
+        elif -k in modes:
+            re, im = modes[-k]
+            ci = -ci
+        else:
+            mode = np.exp((2j * np.pi * k) * y)
+            re, im = modes[k] = mode.real, mode.imag
+        if ci == 0.0:
+            acc += cr * re
+        elif cr == 0.0:
+            acc -= ci * im
+        else:
+            term = cr * re
+            term -= ci * im
+            acc += term
     return acc
 
 
@@ -188,8 +217,8 @@ def locate_zeros(den):
         raise DegenerateSymbol("cannot locate zeros of the zero symbol")
     d = den.degree
     roots = np.roots([den.coeff(k) for k in range(d, -d - 1, -1)])
-    # np.mod rounds a phase just below 0 up to 1.0; the second reduction maps it to 0
-    phases = np.sort(np.mod(np.angle(roots) / TWO_PI, 1.0) % 1.0)
+    # a phase just below 0 reduces to 1.0; the second reduction maps it to 0
+    phases = np.sort(reduce_phase(reduce_phase(np.angle(roots) / TWO_PI)))
     tol = ZERO_REFINE_TOL * den.coeff_abs_sum()
     return tuple(float(x) for x in phases if abs(den(x)) <= tol)
 
@@ -249,7 +278,7 @@ def is_diophantine(omega, A, C0, Kmax):
     if A <= 1.0 or C0 <= 0.0:
         raise ValueError("require A > 1 and C0 > 0")
     ks = np.arange(1, int(Kmax) + 1, dtype=np.float64)
-    frac = np.mod(ks * float(omega), 1.0)
+    frac = reduce_phase(ks * float(omega))
     dist = np.minimum(frac, 1.0 - frac)
     margin = dist * ks**A / C0
     i = int(np.argmin(margin))
@@ -292,7 +321,7 @@ class BlockModel:
             raise ValueError("block size l must be >= 1")
         if self.r_sign not in (-1, 1):
             raise ValueError("r_sign must be +1 or -1")
-        object.__setattr__(self, "omega", float(self.omega) % 1.0)
+        object.__setattr__(self, "omega", reduce_phase(float(self.omega)))
         object.__setattr__(self, "W", _as_grid(self.W, self.l, "W"))
         object.__setattr__(self, "R", _as_grid(self.R, self.l, "R"))
         object.__setattr__(self, "F", _as_grid(self.F, self.l, "F"))
@@ -316,7 +345,7 @@ class BlockModel:
     # -- evaluation views over symbol_tables ---------------------------------
 
     def site_phase(self, x, n):
-        return (x + n * self.omega) % 1.0
+        return reduce_phase(x + n * self.omega)
 
     def w_values(self, y):
         return symbol_tables(self, y).w
@@ -399,7 +428,7 @@ def symbol_tables(model, phases):
     so every value is bit-identical to calling that symbol at the same phase.
     """
     x = np.asarray(phases, dtype=np.float64)
-    y = np.mod(x, 1.0)
+    y = reduce_phase(x)
     modes = {}
     l = model.l
     fnum, fden, rnum, rden = (np.empty(x.shape + (l,)) for _ in range(4))

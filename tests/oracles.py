@@ -134,6 +134,28 @@ def logdet_lu(mat):
     return float(np.sum(np.log(d)))
 
 
+def scalar_logdets(a, w, m, scale, n):
+    """The l = 1 recurrence as it stood before its off-diagonal products were
+    formed once per table: products every step, a rescale every step."""
+    starts = a.shape[0] - n + 1
+    with np.errstate(divide="ignore"):
+        if n == 1:
+            return np.log(np.abs(a))
+        d_prev = np.ones_like(a[:starts])
+        d_cur = a[:starts].copy()
+        logs = np.zeros_like(d_cur)
+        for i in range(1, n):
+            wi = w[i : i + starts]
+            offprod = (wi * m[i : i + starts] * scale) * (wi * m[i - 1 : i - 1 + starts] * scale)
+            d_new = a[i : i + starts] * d_cur - offprod * d_prev
+            s = np.maximum(np.abs(d_new), np.abs(d_cur))
+            f = np.where((s > 1e100) | ((s < 1e-100) & (s > 0.0)), s, 1.0)
+            d_prev = d_cur / f
+            d_cur = d_new / f
+            logs += np.log(f)
+        return logs + np.log(np.abs(d_cur))
+
+
 def logdet_per_node(model, lam, E, window, xs):
     """Dense log |det| of the regularized matrix, one node at a time."""
     return np.array([

@@ -146,7 +146,10 @@ def test_criterion_4_determinant_lower_bound(maryland):
 
 
 def test_criterion_4_determinant_lower_bound_mero2(mero2):
-    # the block model has no closed form; the bound and its stability are checked
+    # the block model has no closed form; the bound and its stability are checked.
+    # The model measures C1 1.143 and drift 0.0014 / 0.0003; an operator that
+    # drops lam from its diagonal numerators (C1 3.44, drift 0.0120) or swaps
+    # F and R on the diagonal (C1 2.30, drift 0.0131) must fail.
     started = time.perf_counter()
     rep = check_det_lower_bound(
         mero2, [100.0, 200.0, 1000.0, 2000.0], [0.5], [4, 16], midpoint_grid(1024)
@@ -162,7 +165,7 @@ def test_criterion_4_determinant_lower_bound_mero2(mero2):
         4,
         f"mero2 determinant lower bound (C1 {rep.fitted_constant:.3f}, doubling drift "
         f"{drift_100:.4f} / {drift_1000:.4f}, {excluded} excluded nodes)",
-        [rep.fitted_constant < 5.0, drift_100 < 0.1, drift_1000 < 0.1],
+        [rep.fitted_constant < 2.0, drift_100 < 0.005, drift_1000 < 0.005],
         started,
         120.0,
     )

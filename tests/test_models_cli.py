@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from qpjacobi import cli
 from qpjacobi.cli import main
 from qpjacobi.ergodic import deviation_measure
-from qpjacobi.greens import midpoint_grid
+from qpjacobi.greens import check_det_lower_bound, green_full, midpoint_grid
 from qpjacobi.localization import green_decay_scan
 from qpjacobi.errors import ModelFormatError
 from qpjacobi.models import (
@@ -163,6 +164,22 @@ class TestCli:
         assert rc == 0
         assert "block_row,block_col,i,j,value" in out.read_text()
 
+    def test_green_rows_index_every_entry(self, tmp_path):
+        out = tmp_path / "g.csv"
+        rc = main([
+            "green", "--model", "mero2", "--lambda", "3", "--x", "0.05",
+            "--E", "0.4", "--window=-1:2", "--out", str(out),
+        ])
+        assert rc == 0
+        g = green_full(bundled("mero2"), OperatorParams(lam=3.0, x=0.05, E=0.4, window=(-1, 2)))
+        want = [
+            f"{a // 2 + 1},{b // 2 + 1},{a % 2 + 1},{b % 2 + 1},{float(g[a, b]):.17g}"
+            for a in range(8)
+            for b in range(8)
+        ]
+        table = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert table[1:] == want
+
     def test_scan_smoke(self, tmp_path):
         out = tmp_path / "scan.csv"
         rc = main([
@@ -210,6 +227,24 @@ class TestCli:
         assert rc == 0
         header = [l for l in out.read_text().splitlines() if l.startswith("# fitted")]
         assert header
+
+    def test_bounds_det_rows_are_the_report_rows(self, tmp_path, monkeypatch):
+        reports = []
+
+        def keep(*args, **kwargs):
+            reports.append(check_det_lower_bound(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "check_det_lower_bound", keep)
+        rc, out = self._bounds(
+            tmp_path, {"N": [1, 3], "lambda": [2.0, 50.0], "E": [0.0, 0.5], "nodes": 512}, "det"
+        )
+        assert rc == 0
+        table = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert table[0] == "N,lambda,E,quantity,slack,excluded"
+        rows = reports[0].sweep["rows"]
+        assert [l.split(",") for l in table[1:]] == [[cli._fmt(v) for v in r] for r in rows]
+        assert [int(l.split(",")[-1]) for l in table[1:]] == [r[5] for r in rows]
 
     def _bounds(self, tmp_path, sweep, check="minor"):
         path = tmp_path / "sweep.json"

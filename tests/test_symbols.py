@@ -1,7 +1,9 @@
+import functools
+
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpjacobi.errors import AllDegenerate, DegenerateSymbol, PoleProximity
@@ -13,6 +15,7 @@ from qpjacobi.symbols import (
     check_nondegeneracy,
     is_diophantine,
     locate_zeros,
+    reduce_phase,
 )
 
 from conftest import GOLDEN, random_trig
@@ -20,6 +23,49 @@ from conftest import GOLDEN, random_trig
 
 def tan_symbol():
     return MeroScalar.from_ratio(TrigPoly.sine(), TrigPoly.cosine())
+
+
+#: signed zeros, integers, the edge of exact integers, huge values, the
+#: fractional parts next to 0 and 1, and negatives so small that x + 1
+#: rounds to 1.0
+EDGE_PHASES = (
+    0.0, -0.0, 1.0, -1.0, 3.0, -3.0, 0.5, -0.5,
+    2.0**52 + 0.5, -(2.0**52) - 0.5, 2.0**53, -(2.0**53), 1e300, -1e300,
+    1.0 - 2.0**-53, -(1.0 - 2.0**-53), 2.0**-53, -(2.0**-53), -(2.0**-54), -1e-20,
+    5e-324, -5e-324,
+)
+
+
+def _bytes(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _examples(values):
+    return lambda test: functools.reduce(lambda t, x: example(x)(t), values, test)
+
+
+class TestReducePhase:
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @_examples(EDGE_PHASES)
+    def test_equals_np_mod_by_bytes(self, x):
+        assert _bytes(reduce_phase(x)) == _bytes(np.mod(x, 1.0))
+        arr = np.array([x, -x, x + 0.5])
+        assert _bytes(reduce_phase(arr)) == _bytes(np.mod(arr, 1.0))
+
+    def test_random_doubles_equal_np_mod_by_bytes(self):
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 2**63, 100_000, dtype=np.int64).view(np.float64)
+        scaled = rng.uniform(-1.0, 1.0, 100_000) * 10.0 ** rng.integers(-40, 20, 100_000)
+        for x in (bits[np.isfinite(bits)], -bits[np.isfinite(bits)], scaled):
+            assert _bytes(reduce_phase(x)) == _bytes(np.mod(x, 1.0))
+
+    def test_a_scalar_gives_a_float(self):
+        assert type(reduce_phase(2.75)) is float and reduce_phase(2.75) == 0.75
+        assert type(reduce_phase(np.float64(-0.25))) is float
+        assert reduce_phase(-1e-20) == 1.0
+        model = BlockModel(1, [[TrigPoly.constant(1.0)]], [[tan_symbol()]], [[tan_symbol()]],
+                           GOLDEN, Dioph(2.0, 0.1))
+        assert type(model.site_phase(0.1, 3)) is float
 
 
 class TestTrigPoly:

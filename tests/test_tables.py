@@ -10,12 +10,21 @@ import oracles
 from qpjacobi.ergodic import U_FLOOR, _orbit_average, deviation_measure
 from qpjacobi.errors import PoleProximity
 from qpjacobi import greens, localization
-from qpjacobi.greens import check_minor_bound, green_full, logdet_grid, midpoint_grid, minor_logabs
+from qpjacobi.greens import (
+    _scalar_logdets,
+    check_minor_bound,
+    green_full,
+    logdet_grid,
+    midpoint_grid,
+    minor_logabs,
+    window_logdets,
+)
 from qpjacobi.localization import green_decay_scan, lyapunov_rates, lyapunov_transfer
 from qpjacobi.operator import (
     OperatorParams,
     assemble_hamiltonian,
     assemble_regularized,
+    regularized_blocks,
 )
 from qpjacobi.symbols import BlockModel, Dioph, MeroScalar, TrigPoly, symbol_tables
 
@@ -163,6 +172,21 @@ class TestSymbolTables:
                 for got, grid in [(tab.w, model.W), *off]:
                     assert np.array_equal(got[..., i, j], oracles.real_values(grid[i][j], ry))
 
+    @pytest.mark.parametrize("kind", ["real", "imaginary", "mixed"])
+    @given(data=st.data(), y=phase_arrays)
+    def test_table_bytes_equal_one_exponential_per_mode(self, kind, data, y):
+        # array_equal would let a -0.0 stand for +0.0; the bytes must match
+        part = st.floats(-2, 2)
+        c = {"real": part.map(complex), "imaginary": part.map(lambda t: complex(0.0, t))}
+        polys = st.dictionaries(st.integers(-4, 4), c.get(kind, coeff), min_size=1, max_size=5)
+        num, den, w = TrigPoly(data.draw(polys)), _den(data.draw(polys)), TrigPoly(data.draw(polys))
+        f = MeroScalar(num, den, ())
+        model = BlockModel(1, [[w]], [[MeroScalar.analytic(w)]], [[f]], GOLDEN, Dioph(2.0, 0.1))
+        tab = symbol_tables(model, y)
+        ry = np.mod(y, 1.0)
+        for got, sym in ((tab.fnum, num), (tab.fden, den), (tab.rnum, w), (tab.w[..., 0], w)):
+            assert got[..., 0].tobytes() == oracles.real_values(sym, ry).tobytes()
+
     def test_views_follow_the_table(self, mero2):
         y = 0.3125
         tab = symbol_tables(mero2, y)
@@ -210,6 +234,53 @@ def test_logdet_grid_matches_per_node_factorization(name, request):
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
     if model.l > 1:
         assert np.array_equal(got, want)
+
+
+# -- the l = 1 recurrence --------------------------------------------------
+
+
+def _recurrence_inputs(kind, n, rng):
+    """(a, w, m) of an n-site recurrence with 3 extra starts and 8 grid columns."""
+    shape = (n + 3, 8)
+    a = rng.uniform(0.5, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+    w, m = rng.uniform(0.5, 2.0, shape), rng.uniform(0.5, 2.0, shape)
+    up, down = slice(None), slice(0, 0)
+    if kind == "none":
+        up = slice(0, 0)
+    elif kind == "down":
+        up, down = slice(0, 0), slice(None)
+    elif kind == "mixed":
+        up, down = slice(0, 3), slice(3, 6)
+        a[:, 6], w[:, 6] = 0.0, 0.0  # an exactly singular column: log 0
+    a[:, up] *= 1e120  # every D_i leaves 1e100 upward
+    a[:, down] *= 1e-60  # D_i sinks below 1e-100 from i = 2 on
+    w[:, down] *= 1e-60
+    return a, w, m
+
+
+@pytest.mark.parametrize("kind", ["up", "down", "mixed", "none"])
+@pytest.mark.parametrize("n", range(1, 17))
+def test_recurrence_bytes_equal_the_rescale_every_step_loop(kind, n):
+    rng = np.random.default_rng(100 * n + len(kind))
+    a, w, m = _recurrence_inputs(kind, n, rng)
+    got = _scalar_logdets(a, w, m, 0.7, n)
+    want = oracles.scalar_logdets(a, w, m, 0.7, n)
+    assert got.shape == want.shape == (4, 8)
+    assert got.tobytes() == want.tobytes()
+    if kind != "none" and n >= 7:
+        # |log D_n| beyond 745 is out of reach of an unrescaled double
+        assert np.max(np.abs(got[np.isfinite(got)])) > 745.0
+
+
+@pytest.mark.parametrize("lam, E", [(1e120, 0.5), (50.0, 1.0), (0.0, 3.0)])
+def test_diagonal_only_logdets_equal_the_block_diagonal(maryland, lam, E):
+    xs = midpoint_grid(500)
+    tab = symbol_tables(maryland, maryland.site_phase(xs[None, :], np.arange(1, 9)[:, None]))
+    diag = regularized_blocks(tab, lam, E, maryland.r_sign)[0][..., 0, 0]
+    scale = 1.0 / np.sqrt(1.0 + E * E)
+    for n in (1, 4, 8):
+        want = oracles.scalar_logdets(diag, tab.w[..., 0, 0], tab.m[..., 0], scale, n)
+        assert window_logdets(maryland, lam, E, tab, n).tobytes() == want.tobytes()
 
 
 # -- Birkhoff sums along the orbit -----------------------------------------
