@@ -29,21 +29,17 @@ from .operator import (
     OperatorParams,
     assemble_hamiltonian,
     assemble_regularized,
-    index_split,
 )
 from .greens import (
     BoundFitReport,
-    GreenEntryQuery,
     avg_logdet,
     check_det_lower_bound,
     check_minor_bound,
-    green_entry_cramer,
     green_full,
     logdet_abs,
     midpoint_grid,
-    minor_oracle,
 )
-from .ergodic import DeviationReport, birkhoff_avg, deviation_measure, ldt_decay_fit
+from .ergodic import DeviationReport, deviation_measure, ldt_decay_fit
 from .localization import (
     DecayFit,
     EigenPair,
@@ -54,7 +50,6 @@ from .localization import (
     green_decay_scan,
     localize,
     lyapunov_rates,
-    lyapunov_transfer,
     resolvent_patch_check,
 )
 from .models import bundled, load_model, model_hash, resolve_model, save_model

@@ -87,6 +87,19 @@ def _int_pair(field, form):
     return parse
 
 
+def _finite(field):
+    def parse(text):
+        try:
+            val = float(text)
+        except ValueError:
+            val = math.nan
+        if not math.isfinite(val):
+            raise ModelFormatError("expected a finite number", field=field)
+        return val
+
+    return parse
+
+
 def _number_list(convert, field, kind, name):
     def parse(text):
         try:
@@ -297,16 +310,16 @@ def build_parser():
     sp = sub.add_parser("assemble", help="emit a finite-volume matrix as CSV")
     common(sp)
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--E", type=float, required=True)
+    sp.add_argument("--x", type=_finite("--x"), required=True)
+    sp.add_argument("--E", type=_finite("--E"), required=True)
     sp.add_argument("--window", type=window, required=True, help="u:v site window")
     sp.add_argument("--matrix", choices=("h", "htilde"), default="htilde")
 
     sp = sub.add_parser("green", help="emit the window Green's function as CSV")
     common(sp)
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--E", type=float, required=True)
+    sp.add_argument("--x", type=_finite("--x"), required=True)
+    sp.add_argument("--E", type=_finite("--E"), required=True)
     sp.add_argument("--window", type=window, required=True)
 
     sp = sub.add_parser("bounds", help="minor upper bound / determinant lower bound sweeps")
@@ -317,21 +330,23 @@ def build_parser():
     sp = sub.add_parser("ldt", help="large-deviation measurement over a Q ladder")
     common(sp)
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--E", type=float, required=True)
+    sp.add_argument("--E", type=_finite("--E"), required=True)
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--sigma", type=float, default=0.3)
-    sp.add_argument("--S", type=float, default=1.0)
+    sp.add_argument("--sigma", type=_finite("--sigma"), default=0.3)
+    sp.add_argument("--S", type=_finite("--S"), default=1.0)
     sp.add_argument(
         "--Qs", type=_number_list(int, "--Qs", "integer", "Q"), default="10,32,100,316,1000"
     )
     sp.add_argument("--grid", type=int, default=2000)
-    sp.add_argument("--omega", type=float, default=None, help="override the model rotation")
+    sp.add_argument(
+        "--omega", type=_finite("--omega"), default=None, help="override the model rotation"
+    )
 
     sp = sub.add_parser("scan", help="Green decay over shifted windows")
     common(sp)
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--E", type=float, required=True)
-    sp.add_argument("--x0", type=float, required=True)
+    sp.add_argument("--E", type=_finite("--E"), required=True)
+    sp.add_argument("--x0", type=_finite("--x0"), required=True)
     sp.add_argument("--N0", type=int, default=16)
     sp.add_argument(
         "--shifts",
@@ -343,7 +358,7 @@ def build_parser():
     sp = sub.add_parser("localize", help="eigenpair decay-rate report as JSON")
     common(sp)
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--x0", type=float, required=True)
+    sp.add_argument("--x0", type=_finite("--x0"), required=True)
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--margin", type=int, default=32)
 

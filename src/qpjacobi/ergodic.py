@@ -6,14 +6,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AllZero
-from .greens import avg_logdet, logdet_grid, midpoint_grid, window_logdets
+from .greens import avg_logdet, midpoint_grid, window_logdets
 from .operator import check_coupling
 from .symbols import TABLE_CHUNK, SymbolTables, reduce_phase, symbol_tables
 
@@ -82,23 +81,6 @@ def _slide(tab, new, keep):
     return SymbolTables(**rows)
 
 
-def birkhoff_avg(model, lam, E, N, x, Q, omega=None):
-    """(1/Q) sum_{j<Q} u(x + j*omega) with u the log-determinant density.
-
-    `omega` is the orbit step and defaults to the model rotation; u itself is
-    a fixed function of the base phase, always built with the model's own
-    rotation for its site shifts.  Summation is compensated, so reordering
-    the orbit cannot move the result by more than ~1e-12.  Underflow nodes
-    contribute the -690 floor.
-    """
-    if Q < 1:
-        raise ValueError("Q must be >= 1")
-    step = model.omega if omega is None else float(omega)
-    xs = reduce_phase(float(x) + step * np.arange(Q))
-    u, _ = _floor(logdet_grid(model, lam, E, (1, N), xs) / (N * model.l))
-    return float(math.fsum(u) / Q)
-
-
 @functools.lru_cache(maxsize=64)
 def _torus_integral(model, lam, E, N, nodes):
     return avg_logdet(model, lam, E, N, midpoint_grid(nodes)).value
@@ -120,18 +102,17 @@ def deviation_measure(model, lam, E, N, Q, S, sigma, x_grid, omega=None, ref=Non
     """Fraction of grid phases whose Q-step Birkhoff average deviates from the
     torus integral by at least S * Q^(-sigma).
 
-    Unlike birkhoff_avg's orbit-step argument, `omega` here replaces the
-    model rotation outright (orbit and operator together); that is the
-    control experiment for rational rotations.  The reference integral is a
-    midpoint quadrature on a grid four times finer than x_grid, cached per
-    (model, lam, E, N).  A call for a larger Q on the same orbit resumes the
-    Birkhoff sum of an earlier call (see _orbit_average), so a Q ladder costs
-    one orbit pass to max(Q).
+    `omega` replaces the model rotation outright (orbit and operator
+    together); that is the control experiment for rational rotations.  The
+    reference integral is a midpoint quadrature on a grid four times finer
+    than x_grid, cached per (model, lam, E, N).  A call for a larger Q on the
+    same orbit resumes the Birkhoff sum of an earlier call (see
+    _orbit_average), so a Q ladder costs one orbit pass to max(Q).
     """
     check_coupling(lam)
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    if S < 0 or sigma <= 0:
+    if not (S >= 0 and sigma > 0):
         raise ValueError("require S >= 0 and sigma > 0")
     if N < 1:
         raise ValueError("N must be >= 1")

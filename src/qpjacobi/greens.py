@@ -1,4 +1,4 @@
-"""Determinants, minors, Green's-function entries, and the two bound checks.
+"""Determinants, minors, Green's functions, and the two bound checks.
 
 All determinant work happens in log-magnitude domain: at coupling 1e3 and a
 few dozen sites the determinant itself overflows doubles, but its log is a
@@ -16,10 +16,8 @@ import scipy.linalg
 
 from .errors import NearSingular, TooManyExclusions
 from .operator import (
-    assemble_regularized,
     check_coupling,
     dense_blocks,
-    index_split,
     regularized_blocks,
     regularized_diagonal,
     window_tables,
@@ -49,22 +47,6 @@ def logdet_abs(mat):
         sign, logdet = np.linalg.slogdet(np.asarray(mat, dtype=float))
     out = np.where((sign == 0) | ~np.isfinite(logdet), -np.inf, logdet)
     return float(out) if out.ndim == 0 else out
-
-
-def minor_oracle(mat, alpha, alpha_prime):
-    """Determinant of `mat` with row alpha_prime and column alpha deleted.
-
-    Flat indices are 1-based.  This is the minor that pairs with the
-    (alpha, alpha_prime) entry of the inverse under Cramer's rule.
-    """
-    a = np.asarray(mat, dtype=float)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
-        raise ValueError("matrix must be square")
-    if not (1 <= alpha <= n and 1 <= alpha_prime <= n):
-        raise IndexError("flat index out of range")
-    sub = np.delete(np.delete(a, alpha_prime - 1, axis=0), alpha - 1, axis=1)
-    return float(np.linalg.det(sub))
 
 
 def minor_logabs(mat, alpha, alpha_prime):
@@ -144,42 +126,6 @@ def green_full(model, params):
             residual=residual,
         )
     return g
-
-
-@dataclass(frozen=True)
-class GreenEntryQuery:
-    """A pair of 1-based flat indices into an N*l window matrix."""
-
-    alpha: int
-    alpha_prime: int
-
-    def split(self, l, n_sites=None):
-        return (
-            index_split(self.alpha, l, n_sites),
-            index_split(self.alpha_prime, l, n_sites),
-        )
-
-
-def green_entry_cramer(model, params, query):
-    """|G(alpha, alpha')| via the minor/determinant ratio.
-
-    The row prefactor uses the site and intra-block index of alpha, which is
-    what the exact diagonal-scaling identity dictates.
-    """
-    if not isinstance(query, GreenEntryQuery):
-        query = GreenEntryQuery(*query)
-    ht = assemble_regularized(model, params).to_dense()
-    logdet = logdet_abs(ht)
-    if logdet == float("-inf"):
-        raise NearSingular("regularized matrix is numerically singular")
-    (p, q), _ = query.split(model.l, params.n_sites)
-    u, _ = params.window
-    y = model.site_phase(params.x, u + p)
-    pref = abs(float(model.m_values(y)[q - 1])) / math.sqrt(1.0 + params.E**2)
-    if pref == 0.0:
-        return 0.0
-    # a zero minor (log -inf) gives exp(-inf) = 0
-    return math.exp(math.log(pref) + minor_logabs(ht, query.alpha, query.alpha_prime) - logdet)
 
 
 @dataclass(frozen=True)

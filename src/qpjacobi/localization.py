@@ -100,12 +100,14 @@ def decay_fit(profile):
     return DecayFit(center, max(0.0, -float(beta[0])), resid, n_pts)
 
 
-def _transfer_product(model, lam, energies, n_steps, x):
-    """(summed log rescalings, rows m00 m01 m10 m11 of the rescaled product,
-    used steps, skipped steps) of the scalar transfer cocycle per energy.
+def lyapunov_rates(model, lam, energies, n_steps, x=0.0):
+    """Transfer-matrix growth rates (1/n) log ||prod T_j|| of a scalar model
+    for many energies at once, ||.|| the Frobenius norm and n the steps used.
 
-    One symbol table covers the phases x + j*omega, j <= n_steps; step j is
-    skipped when its phase is within pole_tol of a pole or w_{j+1} ~ 0.
+    T_j = [[(d_j - E) / w_{j+1}, -w_j / w_{j+1}], [1, 0]] with d_j = lam*F +
+    r_sign*R.  One symbol table covers the phases x + j*omega, j <= n_steps;
+    step j is skipped when its phase is within pole_tol of a pole or
+    w_{j+1} ~ 0.  The product is rescaled by its max-norm at every step.
     """
     check_coupling(lam)
     if model.l != 1:
@@ -119,6 +121,7 @@ def _transfer_product(model, lam, energies, n_steps, x):
         raise ValueError("no usable transfer steps (orbit entirely on poles)")
     onsite, w = onsite.tolist(), w.tolist()
     es = np.asarray(energies, dtype=float)
+    # rows m00 m01 m10 m11 of the rescaled product, and the summed log rescalings
     mat = np.zeros((4,) + es.shape)
     mat[0] = mat[3] = 1.0
     acc = np.zeros_like(es)
@@ -128,27 +131,8 @@ def _transfer_product(model, lam, energies, n_steps, x):
         s = np.maximum.reduce(np.abs(mat))
         acc += np.log(s)
         mat /= s
-    return acc, mat, used.size, n_steps - used.size
-
-
-def lyapunov_transfer(model, lam, E, n_steps, x=0.0, full_output=False):
-    """Transfer-matrix growth rate (1/n) log ||prod T_j|| for scalar models.
-
-    T_j = [[(d_j - 0) - E, -w_j], [1, 0]] row pair in the standard Jacobi
-    normalization d_j = lam*F + r_sign*R, divided through by the forward
-    coupling; for unit coupling this is [[lam*F - R - E, -1], [1, 0]].
-    Orbit steps that hit a pole (or a vanishing coupling) are skipped and
-    counted.
-    """
-    acc, mat, used, skipped = _transfer_product(model, lam, [E], n_steps, x)
-    rate = (acc[0] + math.log(np.linalg.norm(mat[:, 0].reshape(2, 2), 2))) / used
-    return (rate, skipped) if full_output else rate
-
-
-def lyapunov_rates(model, lam, energies, n_steps, x=0.0):
-    """Vectorized transfer-matrix rates for many energies at once."""
-    acc, mat, used, _ = _transfer_product(model, lam, energies, n_steps, x)
-    return (acc + np.log(np.sqrt(mat[0] ** 2 + mat[1] ** 2 + mat[2] ** 2 + mat[3] ** 2))) / used
+    norm = np.sqrt(mat[0] ** 2 + mat[1] ** 2 + mat[2] ** 2 + mat[3] ** 2)
+    return (acc + np.log(norm)) / used.size
 
 
 def _slack_matrix(g, l, rate0):

@@ -101,19 +101,6 @@ def dense_blocks(diag, lower, upper):
     return out.reshape(batch + (n * l, n * l))
 
 
-def index_split(alpha, l, n_sites=None):
-    """Split a 1-based flat index into (site offset p, intra-block index q).
-
-    alpha = p*l + q with p in [0, N-1] and q in [1, l]; the map is bijective.
-    """
-    if alpha < 1:
-        raise IndexError("flat index must be >= 1")
-    if n_sites is not None and alpha > n_sites * l:
-        raise IndexError("flat index out of range")
-    p = (alpha - 1) // l
-    return p, alpha - p * l
-
-
 def window_tables(model, params):
     """Symbol table of the window sites u..v, in site order along axis 0."""
     u, v = params.window

@@ -15,7 +15,7 @@ import scipy.linalg
 from qpjacobi.errors import NearSingular, PoleProximity
 from qpjacobi.greens import NEAR_SINGULAR_RESIDUAL, logdet_abs, logdet_grid
 from qpjacobi.localization import ShiftRecord
-from qpjacobi.operator import BlockTridiagonal, OperatorParams, index_split
+from qpjacobi.operator import BlockTridiagonal, OperatorParams
 from qpjacobi.operator import assemble_hamiltonian as package_hamiltonian
 from qpjacobi.operator import assemble_regularized as package_regularized
 
@@ -268,10 +268,9 @@ def minor_sweep(model, N_list, lambda_list, E_list, x_count, e_min, pairs_per_in
                         pairs += [(1, nl), (nl, 1), (1, 1)]
                     worst = quantity = float("-inf")
                     for a, b in pairs:
-                        pa, _ = index_split(a, model.l)
-                        pb, _ = index_split(b, model.l)
                         ml = minor_logabs(ht, a, b)
-                        slack = minor_bound_slack(nl, ml, abs(pa - pb), lam, E)
+                        p_dist = abs((a - 1) // model.l - (b - 1) // model.l)
+                        slack = minor_bound_slack(nl, ml, p_dist, lam, E)
                         samples += 1
                         if slack > worst:
                             worst, quantity = slack, ml / nl

@@ -15,7 +15,6 @@ from qpjacobi.ergodic import (
     DeviationReport,
     U_FLOOR,
     _orbit_average,
-    birkhoff_avg,
     deviation_measure,
     ldt_decay_fit,
 )
@@ -30,29 +29,33 @@ def u_at(model, lam, E, N, x):
 class TestBirkhoff:
     def test_single_step_is_u(self, maryland):
         x = 0.1234
-        got = birkhoff_avg(maryland, 5.0, 1.0, 2, x, 1)
-        assert got == pytest.approx(u_at(maryland, 5.0, 1.0, 2, x), abs=1e-12)
+        got, _ = _orbit_average(maryland, 5.0, 1.0, 2, 1, np.array([x]))
+        assert got[0] == pytest.approx(u_at(maryland, 5.0, 1.0, 2, x), abs=1e-12)
 
     def test_zero_rotation_constant_orbit(self, maryland):
-        x = 0.37
-        got = birkhoff_avg(maryland, 5.0, 1.0, 2, x, 50, omega=0.0)
-        assert got == pytest.approx(u_at(maryland, 5.0, 1.0, 2, x), abs=1e-10)
+        x, still = 0.37, maryland.with_omega(0.0)
+        got, _ = _orbit_average(still, 5.0, 1.0, 2, 50, np.array([x]))
+        assert got[0] == pytest.approx(u_at(still, 5.0, 1.0, 2, x), abs=1e-10)
 
     def test_converges_to_torus_average(self, maryland):
         ref = avg_logdet(maryland, 50.0, 1.0, 4, midpoint_grid(8192)).value
-        got = birkhoff_avg(maryland, 50.0, 1.0, 4, 0.123, 10_000)
-        assert abs(got - ref) < 0.05
+        got, _ = _orbit_average(maryland, 50.0, 1.0, 4, 10_000, np.array([0.123]))
+        assert abs(got[0] - ref) < 0.05
 
     def test_time_reversal_agreement(self, maryland):
+        # the reversed rotation visits the same windows in reverse order, and
+        # reversing a window leaves the determinant of a scalar Jacobi matrix
+        # with constant hopping unchanged
         lam, E, N, Q, x = 5.0, 1.0, 3, 400, 0.1234
         w = maryland.omega
-        fwd = birkhoff_avg(maryland, lam, E, N, x, Q)
-        back = birkhoff_avg(maryland, lam, E, N, (x + (Q - 1) * w) % 1.0, Q, omega=-w)
-        assert abs(fwd - back) < 1e-12
+        fwd, _ = _orbit_average(maryland, lam, E, N, Q, np.array([x]))
+        end = np.array([(x + (Q + N) * w) % 1.0])
+        back, _ = _orbit_average(maryland.with_omega(-w), lam, E, N, Q, end)
+        assert abs(fwd[0] - back[0]) < 1e-12
 
     def test_invalid_q(self, maryland):
-        with pytest.raises(ValueError):
-            birkhoff_avg(maryland, 5.0, 1.0, 2, 0.1, 0)
+        with pytest.raises(ValueError, match="Q must be >= 1"):
+            deviation_measure(maryland, 5.0, 1.0, 2, 0, 1.0, 0.3, midpoint_grid(1000), ref=0.0)
 
 
 class TestDeviationMeasure:
@@ -86,6 +89,13 @@ class TestDeviationMeasure:
     def test_empty_window_rejected(self, maryland):
         with pytest.raises(ValueError, match="N must be >= 1"):
             deviation_measure(maryland, 50.0, 1.0, 0, 10, 1.0, 0.3, midpoint_grid(1000))
+
+    @pytest.mark.parametrize(
+        "S,sigma", [(math.nan, 0.3), (1.0, math.nan), (-1.0, 0.3), (1.0, 0.0)]
+    )
+    def test_bad_threshold_scale_rejected(self, maryland, S, sigma):
+        with pytest.raises(ValueError, match="require S >= 0 and sigma > 0"):
+            deviation_measure(maryland, 50.0, 1.0, 4, 10, S, sigma, midpoint_grid(1000), ref=0.0)
 
 
 def _report(Q, bad, sigma=0.5, S=1.0):
@@ -131,8 +141,8 @@ class TestUnderflowFloor:
         # site phase exactly 0 makes the single-site determinant exactly zero,
         # so u underflows to -inf and is floored
         x = 1.0 - maryland.omega
-        val = birkhoff_avg(maryland, 1.0, 0.0, 1, x, 1)
-        assert val == U_FLOOR
+        avg, floored = _orbit_average(maryland, 1.0, 0.0, 1, 1, np.array([x]))
+        assert (avg.tolist(), floored) == ([U_FLOOR], 1)
 
 
 # -- running sums resumed across calls -------------------------------------

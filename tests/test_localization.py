@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qpjacobi.errors import TooFewPoints
 from qpjacobi.greens import green_full, logdet_abs, midpoint_grid, avg_logdet
 from qpjacobi.localization import (
@@ -16,7 +17,6 @@ from qpjacobi.localization import (
     green_decay_scan,
     localize,
     lyapunov_rates,
-    lyapunov_transfer,
     resolvent_patch_check,
 )
 from qpjacobi.operator import OperatorParams, assemble_hamiltonian, assemble_regularized
@@ -133,41 +133,49 @@ class TestDecayFit:
         assert decay_fit(prof).center == 4
 
 
+def lyapunov_rate(model, lam, E, n_steps, x=0.0):
+    return lyapunov_rates(model, lam, [E], n_steps, x=x)[0]
+
+
 class TestLyapunov:
     def test_free_laplacian_is_elliptic(self, maryland):
-        rate = lyapunov_transfer(maryland, 0.0, 0.0, 40_000, x=0.1)
+        rate = lyapunov_rate(maryland, 0.0, 0.0, 40_000, x=0.1)
         assert abs(rate) < 0.02
 
     def test_large_coupling_matches_torus_average(self, maryland):
         # at strong coupling, the growth rate tracks the torus average of the
         # log-determinant density at a single site shifted by log 2
         lam = 1e4
-        rate = lyapunov_transfer(maryland, lam, 0.0, 50_000, x=0.1)
+        rate = lyapunov_rate(maryland, lam, 0.0, 50_000, x=0.1)
         ref = avg_logdet(maryland, lam, 0.0, 1, midpoint_grid(8192)).value + math.log(2.0)
         assert abs(rate - ref) <= 0.05 * abs(ref)
 
     def test_step_doubling_converges(self, maryland):
-        a = lyapunov_transfer(maryland, 20.0, 0.5, 20_000, x=0.1)
-        b = lyapunov_transfer(maryland, 20.0, 0.5, 40_000, x=0.1)
+        a = lyapunov_rate(maryland, 20.0, 0.5, 20_000, x=0.1)
+        b = lyapunov_rate(maryland, 20.0, 0.5, 40_000, x=0.1)
         assert abs(b - a) <= 0.01 * abs(a)
 
     def test_batched_matches_scalar(self, maryland):
         es = np.array([0.3, 1.1])
         batch = lyapunov_rates(maryland, 20.0, es, 5_000, x=0.1)
         for e, want in zip(es, batch):
-            got = lyapunov_transfer(maryland, 20.0, float(e), 5_000, x=0.1)
+            got = lyapunov_rate(maryland, 20.0, float(e), 5_000, x=0.1)
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_requires_scalar_blocks(self, mero2):
-        with pytest.raises(ValueError):
-            lyapunov_transfer(mero2, 1.0, 0.0, 100)
+        with pytest.raises(ValueError, match="requires block size 1"):
+            lyapunov_rates(mero2, 1.0, [0.0], 100)
 
     def test_pole_steps_skipped(self, maryland):
         # site 3 of this orbit sits exactly on the tangent pole
         x = (0.25 - 3.0 * maryland.omega) % 1.0
-        rate, skipped = lyapunov_transfer(maryland, 5.0, 0.0, 50, x=x, full_output=True)
+        want, skipped = oracles.lyapunov_transfer(maryland, 5.0, 0.0, 50, x=x)
         assert skipped >= 1
+        rate = lyapunov_rate(maryland, 5.0, 0.0, 50, x=x)
         assert np.isfinite(rate)
+        # same skipped steps; the oracle's 2-norm and the Frobenius norm agree
+        # on the nearly rank-one product
+        assert rate == pytest.approx(want, rel=1e-9)
 
 
 class TestGreenDecayScan:

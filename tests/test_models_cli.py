@@ -348,6 +348,32 @@ class TestCli:
         assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["assemble", "--lambda", "2", "--x", "nan", "--E", "0", "--window", "1:3"], "--x"),
+            (["assemble", "--lambda", "2", "--x", "0.1", "--E", "inf", "--window", "1:3"], "--E"),
+            (["green", "--lambda", "2", "--x", "0.1", "--E", "nan", "--window", "1:3"], "--E"),
+            (["green", "--lambda", "2", "--x", "zero", "--E", "0", "--window", "1:3"], "--x"),
+            (["ldt", "--lambda", "50", "--E", "nan", "--N", "2", "--Qs", "10"], "--E"),
+            (["ldt", "--lambda", "50", "--E", "1", "--N", "2", "--Qs", "10", "--S", "nan"], "--S"),
+            (["ldt", "--lambda", "50", "--E", "1", "--N", "2", "--Qs", "10", "--sigma", "nan"],
+             "--sigma"),
+            (["ldt", "--lambda", "50", "--E", "1", "--N", "2", "--Qs", "10", "--omega", "nan"],
+             "--omega"),
+            (["ldt", "--lambda", "50", "--E", "1", "--N", "2", "--Qs", "10", "--omega=-inf"],
+             "--omega"),
+            (["scan", "--lambda", "20", "--E", "nan", "--x0", "0.1", "--N0", "2"], "--E"),
+            (["scan", "--lambda", "20", "--E", "0.5", "--x0", "nan", "--N0", "2"], "--x0"),
+            (["localize", "--lambda", "20", "--x0", "nan", "--N", "8"], "--x0"),
+        ],
+    )
+    def test_non_finite_number_exits_one(self, capsys, argv, field):
+        rc = main([*argv, "--model", "maryland", "--out", "-"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == f"error: {field}: expected a finite number\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["ldt", "--lambda", "-5", "--E", "1", "--N", "2", "--Qs", "10", "--grid", "1000"],

@@ -2,16 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from qpjacobi.ergodic import birkhoff_avg, deviation_measure
+from qpjacobi.ergodic import deviation_measure
 from qpjacobi.errors import PoleProximity
 from qpjacobi.greens import check_det_lower_bound, check_minor_bound, logdet_grid, midpoint_grid
 from qpjacobi.localization import (
     green_decay_scan,
     lyapunov_rates,
-    lyapunov_transfer,
     resolvent_patch_check,
 )
 from qpjacobi.operator import (
@@ -20,7 +17,6 @@ from qpjacobi.operator import (
     assemble_hamiltonian,
     assemble_regularized,
     hopping_sup_bound,
-    index_split,
     onsite_sup_bound,
 )
 
@@ -44,18 +40,15 @@ class TestParams:
         "call",
         [
             lambda m, lam: deviation_measure(m, lam, 1.0, 2, 10, 1.0, 0.3, GRID_1000, ref=0.0),
-            lambda m, lam: birkhoff_avg(m, lam, 1.0, 2, 0.1, 10),
             lambda m, lam: logdet_grid(m, lam, 1.0, (1, 2), midpoint_grid(8)),
             lambda m, lam: green_decay_scan(m, lam, 0.2, 0.1, 2, range(2)),
             lambda m, lam: resolvent_patch_check(m, lam, 0.2, 0.1, 2, 4, 0.3),
             lambda m, lam: check_minor_bound(m, [2], [1.0, lam], [1.0], x_count=1),
             lambda m, lam: check_det_lower_bound(m, [1.0, lam], [1.0], [2], midpoint_grid(512)),
             lambda m, lam: lyapunov_rates(m, lam, [0.5, 1.0], 100),
-            lambda m, lam: lyapunov_transfer(m, lam, 0.5, 100),
         ],
-        ids=["deviation_measure", "birkhoff_avg", "logdet_grid", "green_decay_scan",
-             "resolvent_patch_check", "check_minor_bound", "check_det_lower_bound",
-             "lyapunov_rates", "lyapunov_transfer"],
+        ids=["deviation_measure", "logdet_grid", "green_decay_scan", "resolvent_patch_check",
+             "check_minor_bound", "check_det_lower_bound", "lyapunov_rates"],
     )
     @pytest.mark.parametrize("lam", [-0.5, -5.0, float("nan")])
     def test_sweeps_reject_a_negative_or_nan_coupling(self, maryland, call, lam):
@@ -69,24 +62,6 @@ class TestParams:
     def test_reversed_window_rejected(self):
         with pytest.raises(ValueError):
             OperatorParams(lam=1.0, x=0.0, E=0.0, window=(3, 1))
-
-
-class TestIndexSplit:
-    @pytest.mark.parametrize("alpha,l,expect", [(1, 3, (0, 1)), (3, 3, (0, 3)), (4, 3, (1, 1))])
-    def test_examples(self, alpha, l, expect):
-        assert index_split(alpha, l) == expect
-
-    @given(st.integers(1, 500), st.integers(1, 8))
-    def test_round_trip(self, alpha, l):
-        p, q = index_split(alpha, l)
-        assert 1 <= q <= l
-        assert p * l + q == alpha
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            index_split(0, 2)
-        with pytest.raises(IndexError):
-            index_split(7, 2, n_sites=3)
 
 
 class TestAssembleHamiltonian:
