@@ -58,6 +58,8 @@ def minor_logabs(mat, alpha, alpha_prime):
     """
     a = np.asarray(mat, dtype=float)
     n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("minor_logabs needs a square matrix")
     alpha, alpha_prime = np.broadcast_arrays(alpha, alpha_prime)
     if np.any((alpha < 1) | (alpha > n) | (alpha_prime < 1) | (alpha_prime > n)):
         raise IndexError("flat index out of range")

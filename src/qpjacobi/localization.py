@@ -5,7 +5,7 @@ resolvent patching check on a union of good windows."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,20 +48,20 @@ def eigensolve(ht):
     a = ht.to_dense()
     evals, vecs = np.linalg.eigh(a)
     residuals = np.linalg.norm(a @ vecs - vecs * evals[None, :], axis=0)
-    out = []
-    for i in range(evals.size):
-        v = vecs[:, i].copy()
-        v.setflags(write=False)
-        out.append(EigenPair(float(evals[i]), v, float(residuals[i])))
-    return out
+    # every vector is a read-only row of one array: one allocation, not one per pair
+    rows = vecs.T.copy()
+    rows.setflags(write=False)
+    return [EigenPair(*pair) for pair in zip(evals.tolist(), rows, residuals.tolist())]
 
 
-def block_profile(vector, l):
-    """Per-site two-norms of an eigenvector grouped into l-blocks."""
-    v = np.asarray(vector, dtype=float)
-    if v.size % l != 0:
+def block_profile(vectors, l):
+    """Per-site two-norms of eigenvectors grouped into l-blocks, for one
+    vector (n_sites * l,) or a stack (..., n_sites * l)."""
+    v = np.asarray(vectors, dtype=float)
+    if v.shape[-1] % l != 0:
         raise ValueError("vector length is not divisible by the block size")
-    return np.linalg.norm(v.reshape(-1, l), axis=1)
+    # np.linalg.norm's arithmetic, with one stack-sized temporary fewer
+    return np.sqrt(np.square(v).reshape(v.shape[:-1] + (-1, l)).sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class DecayFit:
     n_points: int
 
 
-def decay_fit(profile):
+def decay_fit(profiles):
     """Exponential decay rate of a per-site profile away from its peak.
 
     Fits log(profile) against -|j - j*| over sites with profile > FIT_FLOOR and
@@ -81,23 +81,46 @@ def decay_fit(profile):
     the decay rate itself is determined; oscillatory dips of a cleanly
     decaying profile inflate the point scatter but not this number.  Ties
     for the peak break to the smallest index.
+
+    `profiles` is one profile (n_sites,) or a stack (..., n_sites).  The
+    fit points of every profile are gathered into one list, and each
+    least-squares fit is taken in closed form from per-profile sums of the
+    centred points, so a stack is one pass that holds only its fit points.
+    A stack gives arrays over its leading axes, with a NaN rate and residual
+    where fewer than FIT_MIN_POINTS sites qualify (`n_points` says so); one
+    profile gives ints and floats and raises TooFewPoints instead.  No more
+    than two sites share a distance from the peak, so the distances of a fit
+    never all coincide and the slope is always defined.
     """
-    p = np.asarray(profile, dtype=float)
-    center = int(np.argmax(p))
-    d = np.abs(np.arange(p.size) - center)
-    mask = (p > FIT_FLOOR) & (d >= FIT_EXCLUDE_RADIUS)
-    n_pts = int(np.count_nonzero(mask))
-    if n_pts < FIT_MIN_POINTS:
-        raise TooFewPoints(f"only {n_pts} profile sites exceed the floor")
-    x = d[mask].astype(float)
-    y = np.log(p[mask])
-    design = np.stack([x, np.ones_like(x)], axis=1)
-    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    misfit = y - design @ beta
-    sigma2 = float(misfit @ misfit) / max(n_pts - 2, 1)
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    resid = math.sqrt(sigma2 / sxx) if sxx > 0 else float("inf")
-    return DecayFit(center, max(0.0, -float(beta[0])), resid, n_pts)
+    p = np.asarray(profiles, dtype=float)
+    flat = p.reshape(-1, p.shape[-1])
+    center = np.argmax(flat, axis=-1)
+    row, col = np.nonzero(flat > FIT_FLOOR)
+    d = np.abs(col - center[row])
+    far = d >= FIT_EXCLUDE_RADIUS
+    row, col, x = row[far], col[far], d[far].astype(float)
+    y = np.log(flat[row, col])
+    n_pts = np.bincount(row, minlength=len(flat))
+
+    def total(w):
+        return np.bincount(row, weights=w, minlength=len(flat))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xc = x - (total(x) / n_pts)[row]
+        yc = y - (total(y) / n_pts)[row]
+        sxx = total(xc * xc)
+        slope = total(xc * yc) / sxx
+        misfit = yc - slope[row] * xc
+        resid = np.sqrt(total(misfit * misfit) / (n_pts - 2) / sxx)
+    few = n_pts < FIT_MIN_POINTS
+    # where(), not maximum(): a zero slope must give the rate +0.0
+    rate = np.where(few, np.nan, np.where(slope < 0.0, -slope, 0.0))
+    resid = np.where(few, np.nan, resid)
+    if p.ndim > 1:
+        return DecayFit(*(a.reshape(p.shape[:-1]) for a in (center, rate, resid, n_pts)))
+    if few[0]:
+        raise TooFewPoints(f"only {n_pts[0]} profile sites exceed the floor")
+    return DecayFit(int(center[0]), float(rate[0]), float(resid[0]), int(n_pts[0]))
 
 
 def lyapunov_rates(model, lam, energies, n_steps, x=0.0):
@@ -115,7 +138,7 @@ def lyapunov_rates(model, lam, energies, n_steps, x=0.0):
     tab = symbol_tables(model, model.site_phase(x, np.arange(n_steps + 1)))
     w = tab.w[:, 0, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        onsite = (lam * (tab.fnum / tab.fden) + model.r_sign * (tab.rnum / tab.rden))[:-1, 0]
+        onsite = hamiltonian_blocks(tab, lam, model.r_sign)[0][:-1, 0, 0]
     used = np.flatnonzero(~(tab.poles()[:-1] | (np.abs(w[1:]) < 1e-12)))
     if used.size == 0:
         raise ValueError("no usable transfer steps (orbit entirely on poles)")
@@ -282,18 +305,6 @@ class PairRecord:
     localized: bool
     status: str  # fit | delta | no_fit | unreliable
 
-    def to_dict(self):
-        return {
-            "energy": self.energy,
-            "center_site": self.center_site,
-            "rate": self.rate,
-            "fit_residual": self.fit_residual,
-            "target_rate": self.target_rate,
-            "interior": self.interior,
-            "localized": self.localized,
-            "status": self.status,
-        }
-
 
 @dataclass(frozen=True)
 class LocalizationReport:
@@ -313,7 +324,7 @@ class LocalizationReport:
             "half_width": self.n_half,
             "margin": self.margin,
             "rate_fraction": self.rate_fraction,
-            "records": [r.to_dict() for r in self.records],
+            "records": [asdict(r) for r in self.records],
         }
 
 
@@ -329,62 +340,27 @@ def localize(model, lam, x0, N, margin=DEFAULT_MARGIN):
     """
     params = OperatorParams(lam=lam, x=x0, E=0.0, window=(-N, N))
     pairs = eigensolve(assemble_hamiltonian(model, params))
-    records = []
-    counts = {"fit": 0, "delta": 0, "no_fit": 0, "unreliable": 0, "interior": 0}
-    n_loc = 0
-    n_int = 0
-    for pair in pairs:
-        profile = block_profile(pair.vector, model.l)
-        target = math.log(lam + abs(pair.energy))
-        try:
-            fit = decay_fit(profile)
-            center = fit.center
-            if fit.residual < FIT_RESIDUAL_MAX:
-                status = "fit"
-                rate = fit.rate
-                residual = fit.residual
-                localized = target > 0.0 and rate >= RATE_FRACTION * target
-            else:
-                status = "unreliable"
-                rate = float("nan")
-                residual = fit.residual
-                localized = False
-        except TooFewPoints:
-            center = int(np.argmax(profile))
-            if profile[center] ** 2 >= 0.99:
-                status = "delta"
-                rate = float("inf")
-                residual = 0.0
-                localized = True
-            else:
-                status = "no_fit"
-                rate = float("nan")
-                residual = float("nan")
-                localized = False
-        counts[status] += 1
-        site = center - N
-        interior = abs(site) <= N - margin
-        if interior:
-            counts["interior"] += 1
-            n_int += 1
-            if localized:
-                n_loc += 1
-        records.append(
-            PairRecord(
-                energy=pair.energy,
-                center_site=site,
-                rate=rate,
-                fit_residual=residual,
-                target_rate=target,
-                interior=interior,
-                localized=localized,
-                status=status,
-            )
-        )
-    aggregate = n_loc / n_int if n_int else 0.0
+    profiles = block_profile(np.stack([pair.vector for pair in pairs]), model.l)
+    fit = decay_fit(profiles)
+    energy = np.array([pair.energy for pair in pairs])
+    target = np.array([math.log(lam + abs(pair.energy)) for pair in pairs])
+    few = fit.n_points < FIT_MIN_POINTS
+    reliable = fit.residual < FIT_RESIDUAL_MAX  # False where few: the residual is NaN
+    delta = few & (profiles.max(axis=-1) ** 2 >= 0.99)
+    status = np.select([reliable, delta, few], ["fit", "delta", "no_fit"], "unreliable")
+    rate = np.select([reliable, delta], [fit.rate, np.inf], np.nan)
+    residual = np.where(delta, 0.0, fit.residual)
+    localized = delta | (reliable & (target > 0.0) & (fit.rate >= RATE_FRACTION * target))
+    site = fit.center - N
+    interior = np.abs(site) <= N - margin
+    counts = {
+        s: int(np.count_nonzero(status == s)) for s in ("fit", "delta", "no_fit", "unreliable")
+    }
+    counts["interior"] = int(np.count_nonzero(interior))
+    columns = (energy, site, rate, residual, target, interior, localized, status)
     return LocalizationReport(
-        records=tuple(records),
-        aggregate_fraction=aggregate,
+        records=tuple(map(PairRecord, *(c.tolist() for c in columns))),
+        aggregate_fraction=float(np.mean(localized[interior])) if counts["interior"] else 0.0,
         counts=counts,
         lam=float(lam),
         n_half=int(N),

@@ -20,10 +20,12 @@ from .symbols import symbol_tables
 
 
 def check_coupling(lam):
-    """Raise ValueError for a negative or NaN coupling; lam == 0 is allowed,
-    since the free control experiments need it."""
+    """Raise ValueError for a negative, NaN or infinite coupling; lam == 0 is
+    allowed, since the free control experiments need it."""
     if not lam >= 0:
         raise ValueError("coupling lam must be >= 0")
+    if lam == math.inf:
+        raise ValueError("coupling lam must be finite")
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,22 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from qpjacobi.errors import NearSingular, PoleProximity
+from qpjacobi.errors import NearSingular, PoleProximity, TooFewPoints
 from qpjacobi.greens import NEAR_SINGULAR_RESIDUAL, logdet_abs, logdet_grid
-from qpjacobi.localization import ShiftRecord
+from qpjacobi.localization import (
+    DEFAULT_MARGIN,
+    FIT_EXCLUDE_RADIUS,
+    FIT_FLOOR,
+    FIT_MIN_POINTS,
+    FIT_RESIDUAL_MAX,
+    RATE_FRACTION,
+    DecayFit,
+    LocalizationReport,
+    PairRecord,
+    ShiftRecord,
+    block_profile,
+    eigensolve,
+)
 from qpjacobi.operator import BlockTridiagonal, OperatorParams
 from qpjacobi.operator import assemble_hamiltonian as package_hamiltonian
 from qpjacobi.operator import assemble_regularized as package_regularized
@@ -339,3 +352,91 @@ def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
         counts[status] += 1
         records.append(ShiftRecord(j, status, slack, dist))
     return records, c11, counts
+
+
+def decay_fit(profile):
+    """DecayFit of one profile from its own lstsq call."""
+    p = np.asarray(profile, dtype=float)
+    center = int(np.argmax(p))
+    d = np.abs(np.arange(p.size) - center)
+    mask = (p > FIT_FLOOR) & (d >= FIT_EXCLUDE_RADIUS)
+    n_pts = int(np.count_nonzero(mask))
+    if n_pts < FIT_MIN_POINTS:
+        raise TooFewPoints(f"only {n_pts} profile sites exceed the floor")
+    x = d[mask].astype(float)
+    y = np.log(p[mask])
+    design = np.stack([x, np.ones_like(x)], axis=1)
+    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    misfit = y - design @ beta
+    sigma2 = float(misfit @ misfit) / max(n_pts - 2, 1)
+    sxx = float(np.sum((x - x.mean()) ** 2))
+    resid = math.sqrt(sigma2 / sxx) if sxx > 0 else float("inf")
+    return DecayFit(center, max(0.0, -float(beta[0])), resid, n_pts)
+
+
+def localize(model, lam, x0, N, margin=DEFAULT_MARGIN):
+    """LocalizationReport from one decay_fit call and one status ladder per eigenpair."""
+    params = OperatorParams(lam=lam, x=x0, E=0.0, window=(-N, N))
+    pairs = eigensolve(package_hamiltonian(model, params))
+    records = []
+    counts = {"fit": 0, "delta": 0, "no_fit": 0, "unreliable": 0, "interior": 0}
+    n_loc = 0
+    n_int = 0
+    for pair in pairs:
+        profile = block_profile(pair.vector, model.l)
+        target = math.log(lam + abs(pair.energy))
+        try:
+            fit = decay_fit(profile)
+            center = fit.center
+            if fit.residual < FIT_RESIDUAL_MAX:
+                status = "fit"
+                rate = fit.rate
+                residual = fit.residual
+                localized = target > 0.0 and rate >= RATE_FRACTION * target
+            else:
+                status = "unreliable"
+                rate = float("nan")
+                residual = fit.residual
+                localized = False
+        except TooFewPoints:
+            center = int(np.argmax(profile))
+            if profile[center] ** 2 >= 0.99:
+                status = "delta"
+                rate = float("inf")
+                residual = 0.0
+                localized = True
+            else:
+                status = "no_fit"
+                rate = float("nan")
+                residual = float("nan")
+                localized = False
+        counts[status] += 1
+        site = center - N
+        interior = abs(site) <= N - margin
+        if interior:
+            counts["interior"] += 1
+            n_int += 1
+            if localized:
+                n_loc += 1
+        records.append(
+            PairRecord(
+                energy=pair.energy,
+                center_site=site,
+                rate=rate,
+                fit_residual=residual,
+                target_rate=target,
+                interior=interior,
+                localized=localized,
+                status=status,
+            )
+        )
+    aggregate = n_loc / n_int if n_int else 0.0
+    return LocalizationReport(
+        records=tuple(records),
+        aggregate_fraction=aggregate,
+        counts=counts,
+        lam=float(lam),
+        n_half=int(N),
+        margin=int(margin),
+        rate_fraction=float(RATE_FRACTION),
+    )

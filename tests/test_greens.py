@@ -189,6 +189,10 @@ class TestMinorOracle:
         with pytest.raises(IndexError):
             minor_logabs(np.eye(2), 1, 0)
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            minor_logabs(np.ones((2, 3)), 1, 1)
+
 
 class TestCramerIdentity:
     def test_random_instances(self):

@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 import oracles
 from qpjacobi.errors import TooFewPoints
 from qpjacobi.greens import green_full, logdet_abs, midpoint_grid, avg_logdet
+from qpjacobi import localization
 from qpjacobi.localization import (
+    FIT_FLOOR,
+    FIT_MIN_POINTS,
+    DecayFit,
     block_profile,
     decay_fit,
     eigensolve,
@@ -131,6 +135,117 @@ class TestDecayFit:
         prof[4] = 0.5
         prof[9] = 0.5
         assert decay_fit(prof).center == 4
+
+
+#: profile entries: zero, the fit floor and values either side of it, and
+#: repeated values that tie for the peak
+PROFILE_VALUES = st.one_of(
+    st.sampled_from([0.0, 1e-15, FIT_FLOOR, 2e-14, 0.5, 1.0]), st.floats(1e-13, 1.0)
+)
+
+
+@st.composite
+def profile_stacks(draw):
+    """Stacks of equal-length profiles: arbitrary, flat and planted exponential
+    rows, which between them have too few fit points, ties and zero slopes."""
+    n = draw(st.integers(1, 40))
+    arbitrary = st.lists(PROFILE_VALUES, min_size=n, max_size=n)
+    flat = PROFILE_VALUES.map(lambda v: [v] * n)
+    planted = st.builds(
+        lambda c, r: np.exp(-r * np.abs(np.arange(n) - c)).tolist(),
+        st.integers(0, n - 1),
+        st.floats(0.0, 5.0),
+    )
+    rows = draw(st.lists(st.one_of(arbitrary, flat, planted), min_size=1, max_size=6))
+    return np.array(rows)
+
+
+def _close(got, want):
+    """Within 1e-12 relative; NaN, infinities and the sign of a zero exactly."""
+    if not math.isfinite(want):
+        return got == want or math.isnan(got) and math.isnan(want)
+    if got == want == 0.0:
+        return math.copysign(1.0, got) == math.copysign(1.0, want)
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+class TestDecayFitOracle:
+    """The stacked closed-form fit against one lstsq call per profile."""
+
+    @given(profile_stacks())
+    @settings(max_examples=200)
+    def test_stack_matches_the_per_profile_oracle(self, profiles):
+        fit = decay_fit(profiles)
+        for i, prof in enumerate(profiles):
+            row = DecayFit(*(a[i].item() for a in dataclasses.astuple(fit)))
+            try:
+                want = oracles.decay_fit(prof)
+            except TooFewPoints as exc:
+                assert row.n_points < FIT_MIN_POINTS
+                assert str(exc) == f"only {row.n_points} profile sites exceed the floor"
+                assert row.center == int(np.argmax(prof))
+                assert math.isnan(row.rate) and math.isnan(row.residual)
+                with pytest.raises(TooFewPoints, match=f"^{exc}$"):
+                    decay_fit(prof)
+                continue
+            assert (row.center, row.n_points) == (want.center, want.n_points)
+            assert _close(row.rate, want.rate), (row, want)
+            assert _close(row.residual, want.residual), (row, want)
+            # one profile is the stack of one: the same numbers, as ints and floats
+            assert decay_fit(prof) == row
+
+    def test_leading_axes_are_kept(self):
+        profiles = np.exp(-0.5 * np.abs(np.arange(12) - np.arange(6)[:, None])).reshape(2, 3, 12)
+        fit = decay_fit(profiles)
+        assert fit.center.shape == fit.rate.shape == fit.residual.shape == (2, 3)
+        assert fit.n_points.tolist() == [[10, 9, 9], [9, 9, 9]]
+        assert np.allclose(fit.rate, 0.5, atol=1e-12)
+
+
+#: the phases x0 of the benchmark's windowed jobs
+X0_GRID = tuple(round(0.11 + 0.05 * v, 2) for v in range(8))
+
+
+def assert_same_report(got, want):
+    """Equal reports, except that fitted rates and residuals may move in their
+    last bits."""
+    assert list(got.counts.items()) == list(want.counts.items())
+    assert got.aggregate_fraction == want.aggregate_fraction
+    assert len(got.records) == len(want.records)
+    for g, w in zip(got.records, want.records):
+        assert dataclasses.replace(g, rate=0.0, fit_residual=0.0) == dataclasses.replace(
+            w, rate=0.0, fit_residual=0.0
+        )
+        assert _close(g.rate, w.rate) and _close(g.fit_residual, w.fit_residual), (g, w)
+
+
+class TestLocalizeOracle:
+    """localize against the per-pair fit and status ladder it replaced."""
+
+    @pytest.mark.parametrize("lam", [0.0, 2.0, 5.0, 20.0])
+    @pytest.mark.parametrize("name", ["maryland", "analytic2", "mero2"])
+    def test_bundled_models(self, request, name, lam):
+        model = request.getfixturevalue(name)
+        for x0 in X0_GRID:
+            want = oracles.localize(model, lam, x0, 24, margin=6)
+            assert_same_report(localize(model, lam, x0, 24, margin=6), want)
+
+    def test_delta_and_no_fit_pairs(self, maryland):
+        # decoupled sites give one-site profiles; three sites leave no pair a fit
+        for model, lam, x0, N, status, count in (
+            (atomic_maryland(maryland), 5.0, 0.1, 6, "delta", 13),
+            (constant_diag_model(0.7), 1.0, 0.0, 1, "no_fit", 3),
+        ):
+            got = localize(model, lam, x0, N, margin=0)
+            assert got.counts[status] == count
+            assert_same_report(got, oracles.localize(model, lam, x0, N, margin=0))
+
+    def test_one_decay_fit_call(self, maryland, monkeypatch):
+        calls = []
+        fit = localization.decay_fit
+        monkeypatch.setattr(localization, "decay_fit", lambda p: calls.append(p.shape) or fit(p))
+        localize(maryland, 20.0, 0.1, 16, margin=4)
+        assert calls == [(33, 33)]
 
 
 def lyapunov_rate(model, lam, E, n_steps, x=0.0):

@@ -390,6 +390,20 @@ class TestCli:
         assert rc == 1 and captured.out == ""
         assert captured.err == "error: coupling lam must be >= 0\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["assemble", "--lambda", "inf", "--x", "0.1", "--E", "0", "--window", "1:2"],
+            ["ldt", "--lambda", "inf", "--E", "1", "--N", "2", "--Qs", "10", "--grid", "1000"],
+            ["localize", "--lambda", "inf", "--x0", "0.1", "--N", "8"],
+        ],
+    )
+    def test_infinite_coupling_exits_one(self, capsys, argv):
+        rc = main([*argv, "--model", "maryland", "--out", "-"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: coupling lam must be finite\n"
+
     @pytest.mark.parametrize("check", ["minor", "det"])
     @pytest.mark.parametrize("lam", [-0.5, -5.0])
     def test_bounds_negative_coupling_exits_one(self, tmp_path, capsys, check, lam):

@@ -36,7 +36,7 @@ class TestParams:
             OperatorParams(lam=-1.0, x=0.0, E=0.0, window=(1, 4))
 
     # each sweep checks the coupling before it takes a logarithm of it
-    @pytest.mark.parametrize(
+    sweeps = pytest.mark.parametrize(
         "call",
         [
             lambda m, lam: deviation_measure(m, lam, 1.0, 2, 10, 1.0, 0.3, GRID_1000, ref=0.0),
@@ -50,10 +50,17 @@ class TestParams:
         ids=["deviation_measure", "logdet_grid", "green_decay_scan", "resolvent_patch_check",
              "check_minor_bound", "check_det_lower_bound", "lyapunov_rates"],
     )
+
+    @sweeps
     @pytest.mark.parametrize("lam", [-0.5, -5.0, float("nan")])
     def test_sweeps_reject_a_negative_or_nan_coupling(self, maryland, call, lam):
         with pytest.raises(ValueError, match="^coupling lam must be >= 0$"):
             call(maryland, lam)
+
+    @sweeps
+    def test_sweeps_reject_an_infinite_coupling(self, maryland, call):
+        with pytest.raises(ValueError, match="^coupling lam must be finite$"):
+            call(maryland, math.inf)
 
     def test_det_lower_bound_needs_positive_coupling(self, maryland):
         with pytest.raises(ValueError, match="needs lambda > 0"):
