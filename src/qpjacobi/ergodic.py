@@ -3,7 +3,6 @@ and empirical measurement of the large-deviation set."""
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import threading
@@ -21,10 +20,6 @@ from .symbols import TABLE_CHUNK, SymbolTables, reduce_phase, symbol_tables
 U_FLOOR = -690.0
 
 
-def _floor(u):
-    return np.maximum(u, U_FLOOR), int(np.count_nonzero(u < U_FLOOR))
-
-
 #: (orbit key, Q, sum of the first Q floored terms, floored count) of the
 #: last orbit summed, kept so that a larger Q on it can resume
 _orbit_sum = None
@@ -37,13 +32,15 @@ def _orbit_average(model, lam, E, N, Q, xs):
     Term j reads orbit sites k = j+1..j+N, so consecutive terms share N - 1
     of them: each slice of steps evaluates only its new orbit indices (about
     TABLE_CHUNK phases) and keeps the last N - 1 rows of the slice before.
-    One running sum is kept, for the largest Q summed on the last orbit.  A
-    call for Q' >= that Q on the same orbit takes it out of the slot (so no
-    other call sees it half-advanced), re-evaluates the N - 1 sites it
-    overlaps and adds terms Q..Q'-1 in the order a cold call would; any
-    other call is a cold call.  A term does not depend on the slice it is
-    computed in, so the result is bit-identical to a cold call whatever
-    calls came before.
+    The call holds one buffer set, a symbol table of step + N - 1 rows in
+    one allocation, and every slice writes it in place: the kept rows move
+    to the top and the new rows follow.  One running sum is kept, for
+    the largest Q summed on the last orbit.  A call for Q' >= that Q on the
+    same orbit takes it out of the slot (so no other call sees it
+    half-advanced), re-evaluates the N - 1 sites it overlaps and adds terms
+    Q..Q'-1 in the order a cold call would; any other call is a cold call.
+    A term does not depend on the slice it is computed in, so the result is
+    bit-identical to a cold call whatever calls came before.
     """
     global _orbit_sum
     key = (model, float(lam), float(E), int(N), hashlib.sha256(xs).digest())
@@ -54,31 +51,28 @@ def _orbit_average(model, lam, E, N, Q, xs):
         else:
             kept = None
     start, acc, floored = kept[1:] if kept else (0, np.zeros(xs.shape), 0)
-    step = max(1, TABLE_CHUNK // (xs.size * model.l**2))
-    tab = None
+    step, keep = max(1, TABLE_CHUNK // (xs.size * model.l**2)), N - 1
+    rows = min(step, Q - start) + keep
+    tab = SymbolTables.empty(model, (rows, xs.size))
     for j0 in range(start, Q, step):
-        first = j0 + 1 if tab is None else j0 + N
-        ks = np.arange(first, min(j0 + step, Q) + N)[:, None]
-        tab = _slide(tab, symbol_tables(model, reduce_phase(xs + ks * model.omega)), N - 1)
-        for u in window_logdets(model, lam, E, tab, N) / (N * model.l):
-            u, nfl = _floor(u)
-            floored += nfl
-            acc += u
+        new = keep if j0 > start else 0  # the first row this slice evaluates
+        if new:
+            for a in tab.arrays():
+                a[:keep] = a[step : step + keep]  # numpy copies overlapping rows correctly
+        end = keep + min(step, Q - j0)
+        ks = np.arange(j0 + 1 + new, j0 + 1 + end)[:, None]
+        # the unreduced phases go into rows of m, which symbol_tables overwrites
+        x = np.add(xs, ks * model.omega, out=tab.m[new:end, :, 0])
+        symbol_tables(model, reduce_phase(x, out=tab.phases[new:end]), out=tab[new:end])
+        u = window_logdets(model, lam, E, tab[:end], N)
+        u /= N * model.l
+        for row in u:
+            floored += int(np.count_nonzero(row < U_FLOOR))
+            acc += np.maximum(row, U_FLOOR, out=row)
     with _orbit_lock:
         if _orbit_sum is None or _orbit_sum[0] != key or _orbit_sum[1] < Q:
             _orbit_sum = key, Q, acc, floored
     return acc / Q, floored
-
-
-def _slide(tab, new, keep):
-    """The last `keep` rows of `tab` followed by the rows of `new`."""
-    if tab is None or keep == 0:
-        return new
-    rows = {}
-    for f in dataclasses.fields(new):
-        a, b = getattr(tab, f.name), getattr(new, f.name)
-        rows[f.name] = np.concatenate([a[len(a) - keep :], b]) if isinstance(b, np.ndarray) else b
-    return SymbolTables(**rows)
 
 
 @functools.lru_cache(maxsize=64)

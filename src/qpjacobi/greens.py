@@ -293,21 +293,30 @@ def _scalar_logdets(a, w, m, scale, n):
     |D_{i-1}|) leaves [1e-100, 1e100] (zero aside) are divided by it and
     its log is carried; a step where no row does skips the rescale, which
     would divide by 1.0 and add log(1.0) = +0.0 to a sum that is never -0.0.
+    The products, the three D rows and the two |D| rows live in one work
+    block for the whole call, and each step writes into the rows the step
+    before has freed; only a rescale step allocates its rows anew.
     """
     starts = a.shape[0] - n + 1
     with np.errstate(divide="ignore"):
         if n == 1:
             return np.log(np.abs(a))
-        offprod = (w[1:] * m[1:] * scale) * (w[1:] * m[:-1] * scale)
-        d_prev = np.ones_like(a[:starts])
-        d_cur = a[:starts].copy()
-        abs_cur = np.abs(d_cur)
+        offprod, factor, *rows = np.empty((6,) + w[1:].shape)
+        np.multiply(w[1:], m[1:], out=offprod)
+        offprod *= scale
+        np.multiply(w[1:], m[:-1], out=factor)
+        factor *= scale
+        offprod *= factor
+        d_prev, d_cur, d_new, abs_cur, abs_new = (r[:starts] for r in [factor, *rows])
+        d_prev.fill(1.0)
+        d_cur[...] = a[:starts]
+        np.abs(d_cur, out=abs_cur)
         logs = np.zeros_like(d_cur)
         for i in range(1, n):
-            d_new = a[i : i + starts] * d_cur
-            d_new -= offprod[i - 1 : i - 1 + starts] * d_prev
-            abs_new = np.abs(d_new)
-            s = np.maximum(abs_new, abs_cur)
+            np.multiply(a[i : i + starts], d_cur, out=d_new)
+            d_new -= np.multiply(offprod[i - 1 : i - 1 + starts], d_prev, out=d_prev)
+            np.abs(d_new, out=abs_new)
+            s = np.maximum(abs_new, abs_cur, out=d_prev)
             # NaN-blind extremes; a zero s only sends the step down the rescale path
             hi, lo = np.fmax.reduce(s, None, initial=0.0), np.fmin.reduce(s, None, initial=1.0)
             if hi > 1e100 or lo < 1e-100:
@@ -316,9 +325,12 @@ def _scalar_logdets(a, w, m, scale, n):
                 d_cur = d_new / f
                 abs_cur = np.abs(d_cur)
                 logs += np.log(f)
+                d_new = s
             else:
-                d_prev, d_cur, abs_cur = d_cur, d_new, abs_new
-        return logs + np.log(abs_cur)
+                d_prev, d_cur, d_new = d_cur, d_new, s
+                abs_cur, abs_new = abs_new, abs_cur
+        logs += np.log(abs_cur, out=abs_cur)
+        return logs
 
 
 @dataclass(frozen=True)

@@ -315,11 +315,13 @@ class LocalizationReport:
     n_half: int
     margin: int
     rate_fraction: float
+    max_eigen_residual: float  # the largest ||H v - E v|| of the eigenbasis
 
     def to_dict(self):
         return {
             "aggregate_fraction": self.aggregate_fraction,
             "counts": dict(self.counts),
+            "max_eigen_residual": self.max_eigen_residual,
             "lambda": self.lam,
             "half_width": self.n_half,
             "margin": self.margin,
@@ -336,7 +338,9 @@ def localize(model, lam, x0, N, margin=DEFAULT_MARGIN):
     (> 0), and the fitted rate clears RATE_FRACTION of it.  Profiles
     concentrated on a single block (atomic limit) count as localized by
     convention.  The aggregate fraction is taken over interior-centered
-    pairs, i.e. centers at least `margin` sites from the window edge.
+    pairs, i.e. centers at least `margin` sites from the window edge.  The
+    report carries the largest eigenpair residual ||H v - E v||, the check
+    on the eigensolve.
     """
     params = OperatorParams(lam=lam, x=x0, E=0.0, window=(-N, N))
     pairs = eigensolve(assemble_hamiltonian(model, params))
@@ -366,4 +370,5 @@ def localize(model, lam, x0, N, margin=DEFAULT_MARGIN):
         n_half=int(N),
         margin=int(margin),
         rate_fraction=float(RATE_FRACTION),
+        max_eigen_residual=float(np.max([pair.residual for pair in pairs])),
     )

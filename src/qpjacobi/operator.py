@@ -159,9 +159,16 @@ def regularized_diagonal(tab, lam, E, r_sign):
     (never as a quotient times M), so it is finite even at pole phases.
     """
     scale = 1.0 / math.sqrt(1.0 + E * E)
-    return scale * (
-        lam * tab.fnum * tab.rden + r_sign * tab.rnum * tab.fden - E * tab.fden * tab.rden
-    )
+    out = np.multiply(lam, tab.fnum)
+    out *= tab.rden
+    term = np.multiply(r_sign, tab.rnum)
+    term *= tab.fden
+    out += term
+    np.multiply(E, tab.fden, out=term)
+    term *= tab.rden
+    out -= term
+    out *= scale
+    return out
 
 
 def assemble_regularized(model, params):

@@ -26,18 +26,23 @@ ZERO_REFINE_TOL = 1e-10
 WITNESS_TOL = 1e-10
 #: default guard distance from denominator zeros
 DEFAULT_POLE_TOL = 1e-8
-#: phases per symbol_tables call in the sliced sweeps; bounds their memory
+#: phases per symbol_tables call in the sliced sweeps; bounds their memory.
+#: It also sizes the buffer set of a Birkhoff sum: a table of
+#: TABLE_CHUNK // (grid size * l^2) + N - 1 orbit rows, reused by every slice
 TABLE_CHUNK = 1 << 14
 
 
-def reduce_phase(x):
+def reduce_phase(x, out=None):
     """x mod 1: np.mod(x, 1.0) bit for bit on every finite double, without its division.
 
     x - floor(x) and np.mod's fmod-then-add-1 round the same exact value
     once, so they agree; both give +0.0 at integers and -0.0, and 1.0 for a
     negative x too small to keep its place below 1.  A scalar gives a float.
+    The floor is written into `out` (a new array by default, never x
+    itself) and the difference over it.
     """
-    y = np.subtract(x, np.floor(x))
+    y = np.floor(x, out=out)
+    y = np.subtract(x, y, out=y if isinstance(y, np.ndarray) else None)
     return float(y) if np.isscalar(x) else y
 
 
@@ -120,7 +125,9 @@ class TrigPoly:
         return out
 
     def __call__(self, x):
-        val = _real_values(self, reduce_phase(np.asarray(x, dtype=np.float64)), {})
+        y = reduce_phase(np.asarray(x, dtype=np.float64))
+        term = np.empty(y.shape), np.empty(y.shape)
+        val = _real_values(self, _modes([self], y), np.empty(y.shape), term)
         if np.ndim(x) == 0:
             return float(val)
         return val
@@ -167,41 +174,55 @@ class TrigPoly:
         return f"TrigPoly({{{terms}}})"
 
 
-def _real_values(poly, y, modes):
-    """Real part of `poly` at the reduced phases y; `modes` caches e^{2 pi i k y}.
+def _modes(polys, y):
+    """The parts of e^{2 pi i k y} for every frequency k > 0 of the polys, by k.
 
+    One exponential per frequency, formed in one complex array: the product
+    with 2 pi i k and the exponential are written in place.
+    """
+    ks = sorted({abs(k) for poly in polys for k, _ in poly.items() if k})
+    waves = np.empty((len(ks),) + np.shape(y), dtype=np.complex128)
+    modes = {}
+    for i, k in enumerate(ks):
+        wave = waves[i, ...]  # a view, also for 0-d phases
+        np.exp(np.multiply(y, 2j * np.pi * k, out=wave), out=wave)
+        modes[k] = wave.real, wave.imag
+    return modes
+
+
+def _real_values(poly, modes, out, term):
+    """Real part of `poly`, accumulated into `out` from +0.0 and returned.
+
+    `modes` holds the parts of e^{2 pi i k y} for the frequencies k > 0 of
+    `poly` (see _modes) and `term` is a pair of scratch arrays shaped as out.
     Each term c.real*cos - c.imag*sin has its products rounded separately
     (numpy's vectorized complex product may fuse them), so a value does not
     depend on the shape of y.  One exponential serves the modes +-k: the
     exponent of -k is the exact negation and sine is odd, so mode -k reads
-    the cached parts of mode k with the sign folded into c.imag.  A zero
+    the parts of mode k with the sign folded into c.imag.  A zero
     coefficient part adds no product; that keeps every bit, because the
     accumulator starts at +0.0 and never becomes -0.0, so adding a zero of
     either sign leaves it as it is.
     """
-    acc = np.zeros(np.shape(y))
+    out.fill(0.0)
+    t, t2 = term
     for k, c in poly.items():
         cr, ci = c.real, c.imag
         if k == 0:
-            acc += cr
+            out += cr
             continue
-        if k in modes:
-            re, im = modes[k]
-        elif -k in modes:
-            re, im = modes[-k]
+        re, im = modes[abs(k)]
+        if k < 0:
             ci = -ci
-        else:
-            mode = np.exp((2j * np.pi * k) * y)
-            re, im = modes[k] = mode.real, mode.imag
         if ci == 0.0:
-            acc += cr * re
+            out += np.multiply(cr, re, out=t)
         elif cr == 0.0:
-            acc -= ci * im
+            out -= np.multiply(ci, im, out=t)
         else:
-            term = cr * re
-            term -= ci * im
-            acc += term
-    return acc
+            np.multiply(cr, re, out=t)
+            t -= np.multiply(ci, im, out=t2)
+            out += t
+    return out
 
 
 def locate_zeros(den):
@@ -388,12 +409,31 @@ class SymbolTables:
     w: np.ndarray
     m: np.ndarray
 
+    @classmethod
+    def empty(cls, model, shape):
+        """An unfilled table of `model` for a phase array of `shape`, which
+        symbol_tables(model, phases, out=...) fills; its nine arrays are
+        contiguous pieces of one allocation."""
+        l = model.l
+        shapes = [shape] + [shape + (l,)] * 4 + [shape + (l, l)] * 3 + [shape + (l,)]
+        sizes = [math.prod(s) for s in shapes]
+        block, end, arrays = np.empty(sum(sizes)), 0, []
+        for s, n in zip(shapes, sizes):
+            arrays.append(block[end : end + n].reshape(s))
+            end += n
+        return cls(arrays[0], model.pole_tol, *arrays[1:])
+
+    def arrays(self):
+        """The phases and the eight symbol arrays, in field order."""
+        return (
+            self.phases, self.fnum, self.fden, self.rnum, self.rden,
+            self.f_off, self.r_off, self.w, self.m,
+        )
+
     def __getitem__(self, index):
         """The table at phases[index]; `index` may address the phase axes only."""
-        arrays = (self.fnum, self.fden, self.rnum, self.rden, self.f_off, self.r_off)
-        return SymbolTables(
-            self.phases[index], self.pole_tol, *(a[index] for a in (*arrays, self.w, self.m))
-        )
+        phases, *arrays = (a[index] for a in self.arrays())
+        return SymbolTables(phases, self.pole_tol, *arrays)
 
     def poles(self):
         """Mask of the phases where a diagonal denominator is below pole_tol."""
@@ -418,32 +458,48 @@ class SymbolTables:
         return self
 
 
-def symbol_tables(model, phases):
+def symbol_tables(model, phases, out=None):
     """Evaluate every symbol of `model` on a phase array of any shape at once.
 
-    Each mode e^{2 pi i k y} is computed once and shared by all the symbols
-    with frequency k, the modes +-k share one exponential, constant terms
-    need no exponential, and the symmetric (j, i) entry is copied from
-    (i, j).  The per-term formula and order are those of TrigPoly.__call__,
-    so every value is bit-identical to calling that symbol at the same phase.
+    With `out`, a table of the same shape (see SymbolTables.empty), every
+    field of it is written in place, the phases included, and it is
+    returned; without it a new table is.  Each mode e^{2 pi i k y} is
+    computed once and shared by all the symbols with frequency k, the modes
+    +-k share one exponential, constant terms need no exponential, and the
+    symmetric (j, i) entry is copied from (i, j).  The per-term formula and
+    order are those of TrigPoly.__call__, so every value is bit-identical to
+    calling that symbol at the same phase.
     """
     x = np.asarray(phases, dtype=np.float64)
+    tab = SymbolTables.empty(model, x.shape) if out is None else out
+    tab.phases[...] = x
     y = reduce_phase(x)
-    modes = {}
-    l = model.l
-    fnum, fden, rnum, rden = (np.empty(x.shape + (l,)) for _ in range(4))
-    f_off, r_off = np.zeros(x.shape + (l, l)), np.zeros(x.shape + (l, l))
-    w = np.empty(x.shape + (l, l))
-    for i in range(l):
-        fnum[..., i] = _real_values(model.F[i][i].num, y, modes)
-        fden[..., i] = _real_values(model.F[i][i].den, y, modes)
-        rnum[..., i] = _real_values(model.R[i][i].num, y, modes)
-        rden[..., i] = _real_values(model.R[i][i].den, y, modes)
-        w[..., i, i] = _real_values(model.W[i][i], y, modes)
-        for j in range(i + 1, l):
-            for grid, out in ((model.F, f_off), (model.R, r_off), (model.W, w)):
-                out[..., i, j] = out[..., j, i] = _real_values(grid[i][j], y, modes)
-    return SymbolTables(x, model.pole_tol, fnum, fden, rnum, rden, f_off, r_off, w, fden * rden)
+    off = ((model.F, tab.f_off), (model.R, tab.r_off), (model.W, tab.w))
+    # (symbol, the entry it fills, the symmetric entry copied from it)
+    entries = []
+    for i in range(model.l):
+        entries += [
+            (model.F[i][i].num, tab.fnum[..., i], None),
+            (model.F[i][i].den, tab.fden[..., i], None),
+            (model.R[i][i].num, tab.rnum[..., i], None),
+            (model.R[i][i].den, tab.rden[..., i], None),
+            (model.W[i][i], tab.w[..., i, i], None),
+        ]
+        tab.f_off[..., i, i] = tab.r_off[..., i, i] = 0.0
+        for j in range(i + 1, model.l):
+            entries += [(grid[i][j], a[..., i, j], a[..., j, i]) for grid, a in off]
+    modes = _modes([poly for poly, _, _ in entries], y)
+    term = np.empty(y.shape), np.empty(y.shape)
+    acc = np.empty(y.shape)  # a strided (l >= 2) entry sums here, faster, and is copied
+    for poly, entry, mirror in entries:
+        if entry.flags.c_contiguous:
+            _real_values(poly, modes, entry, term)
+        else:
+            entry[...] = _real_values(poly, modes, acc, term)
+        if mirror is not None:
+            mirror[...] = entry
+    np.multiply(tab.fden, tab.rden, out=tab.m)
+    return tab
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,14 @@ def orbit_average(model, lam, E, N, Q, xs, floor):
     return acc / Q, floored
 
 
+def maryland_lyapunov(lam, E):
+    """Lyapunov exponent of the Maryland model lam*tan(2 pi x) with unit
+    hopping (Figotin & Pastur, CMP 95, 401 (1984)):
+    cosh L = (sqrt((2 - E)^2 + lam^2) + sqrt((2 + E)^2 + lam^2)) / 4."""
+    E = np.asarray(E, dtype=float)
+    return np.arccosh((np.sqrt((2.0 - E) ** 2 + lam**2) + np.sqrt((2.0 + E) ** 2 + lam**2)) / 4.0)
+
+
 def _transfer_terms(m, lam, x, j):
     y = m.site_phase(x, j)
     wn = float(m.W[0][0](m.site_phase(x, j + 1)))
@@ -439,4 +447,5 @@ def localize(model, lam, x0, N, margin=DEFAULT_MARGIN):
         n_half=int(N),
         margin=int(margin),
         rate_fraction=float(RATE_FRACTION),
+        max_eigen_residual=float(np.max([pair.residual for pair in pairs])),
     )

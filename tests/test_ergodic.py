@@ -280,3 +280,82 @@ class TestResumedSums:
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
         assert ergodic._orbit_sum[1] == max(Qs)
+
+
+# -- one buffer set per call -----------------------------------------------
+
+#: (model, N, omega, E, chunk): with GRID an orbit slice holds one step
+#: (N = 2: the kept row sits right below its target) or two steps, fewer
+#: than the N - 1 = 5 rows a slice keeps, so the rows that move to the top
+#: overlap their target.  The last orbit puts one grid node on phase 0 at
+#: every other step, where the one-site determinant at E = 0 vanishes, so
+#: a term is floored
+BUFFER_ORBITS = [
+    (name, N, omega, E, chunk * GRID.size * l2)
+    for name, l2 in (("maryland", 1), ("mero2", 4))
+    for omega in (None, 0.5)
+    for N, chunk in ((2, 1), (6, 2))
+] + [("maryland", 1, 2.0**-7, 0.0, GRID.size)]
+BUFFER_LADDER = (1, 2, 3, 4, 7, 12)
+
+
+@functools.lru_cache(maxsize=None)
+def _buffer_truth(name, N, omega, E):
+    """Per Q of BUFFER_LADDER the cold call at the package's own chunk (one
+    slice, no row moves) and the oracle average."""
+    model = bundled(name)
+    model = model if omega is None else model.with_omega(omega)
+    cold = {}
+    for Q in BUFFER_LADDER:
+        ergodic._orbit_sum = None
+        cold[Q] = _orbit_average(model, LAM, E, N, Q, GRID)
+    oracle = {Q: oracles.orbit_average(model, LAM, E, N, Q, GRID, U_FLOOR) for Q in BUFFER_LADDER}
+    return model, cold, oracle
+
+
+class TestBufferSet:
+    @pytest.mark.parametrize("name,N,omega,E,chunk", BUFFER_ORBITS)
+    @given(st.lists(st.integers(0, len(BUFFER_LADDER) - 1), min_size=1, max_size=10))
+    @example(list(range(len(BUFFER_LADDER))))
+    @example(list(range(len(BUFFER_LADDER) - 1, -1, -1)))
+    def test_small_slices_equal_cold_calls(self, name, N, omega, E, chunk, picks):
+        model, cold, oracle = _buffer_truth(name, N, omega, E)
+        assert max(1, chunk // (GRID.size * model.l**2)) in (1, 2)
+        ergodic._orbit_sum = None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ergodic, "TABLE_CHUNK", chunk)
+            for i in picks:
+                Q = BUFFER_LADDER[i]
+                avg, floored = _orbit_average(model, LAM, E, N, Q, GRID)
+                assert np.array_equal(avg, cold[Q][0]) and floored == cold[Q][1]
+                want, want_floored = oracle[Q]
+                assert np.max(np.abs(avg - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+                assert floored == want_floored
+
+    def test_the_floored_orbit_floors_terms(self):
+        _, cold, _ = _buffer_truth("maryland", 1, 2.0**-7, 0.0)
+        assert cold[12][1] == 6 and np.all(cold[12][0] > U_FLOOR)
+
+    def test_writes_into_results_and_buffers_leave_the_kept_sum(self, maryland, monkeypatch):
+        want = {Q: _cold(maryland, 6, Q) for Q in (5, 9, 14)}
+        seen = []
+
+        def spy(model, lam, E, tab, n):
+            out = window_logdets(model, lam, E, tab, n)
+            seen.append((tab, out))
+            return out
+
+        window_logdets = ergodic.window_logdets
+        monkeypatch.setattr(ergodic, "window_logdets", spy)
+        monkeypatch.setattr(ergodic, "TABLE_CHUNK", 2 * GRID.size)
+        ergodic._orbit_sum = None
+        for Q in (5, 9, 14):
+            avg, floored = _orbit_average(maryland, LAM, E, 6, Q, GRID)
+            assert np.array_equal(avg, want[Q][0]) and floored == want[Q][1]
+            # the average, each slice's table and its log-determinants
+            avg[...] = np.nan
+            for tab, out in seen:
+                out[...] = np.nan
+                for a in tab.arrays():
+                    a[...] = np.nan
+        assert ergodic._orbit_sum[1] == 14 and np.all(np.isfinite(ergodic._orbit_sum[2]))

@@ -211,6 +211,7 @@ def assert_same_report(got, want):
     last bits."""
     assert list(got.counts.items()) == list(want.counts.items())
     assert got.aggregate_fraction == want.aggregate_fraction
+    assert got.max_eigen_residual == want.max_eigen_residual
     assert len(got.records) == len(want.records)
     for g, w in zip(got.records, want.records):
         assert dataclasses.replace(g, rate=0.0, fit_residual=0.0) == dataclasses.replace(
@@ -276,6 +277,12 @@ class TestLyapunov:
         for e, want in zip(es, batch):
             got = lyapunov_rate(maryland, 20.0, float(e), 5_000, x=0.1)
             assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 20.0])
+    def test_maryland_rates_match_the_closed_form(self, maryland, lam):
+        energies = np.linspace(-6.0, 6.0, 25)
+        got = lyapunov_rates(maryland, lam, energies, 20_000, x=0.31)
+        assert np.max(np.abs(got - oracles.maryland_lyapunov(lam, energies))) < 2e-3
 
     def test_requires_scalar_blocks(self, mero2):
         with pytest.raises(ValueError, match="requires block size 1"):
@@ -426,6 +433,27 @@ class TestBoundaryCoupling:
 
 
 class TestLocalize:
+    @pytest.mark.parametrize("name,N", [("maryland", 256), ("analytic2", 256), ("mero2", 128)])
+    def test_eigen_residual_is_reported(self, request, name, N):
+        # the benchmark's localize sizes
+        rep = localize(request.getfixturevalue(name), 20.0, 0.31, N, margin=32)
+        assert 0.0 < rep.max_eigen_residual < 1e-10
+        doc = rep.to_dict()
+        assert doc["max_eigen_residual"] == rep.max_eigen_residual
+        assert "max_eigen_residual" not in doc["counts"]
+
+    def test_a_corrupted_eigenvector_raises_the_residual(self, maryland, monkeypatch):
+        clean = localize(maryland, 20.0, 0.31, 32, margin=4).max_eigen_residual
+        eigh = np.linalg.eigh
+
+        def corrupted(a):
+            evals, vecs = eigh(a)
+            vecs[0, 7] += 1e-3  # (H - E) e_0 holds a unit hopping entry
+            return evals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", corrupted)
+        assert localize(maryland, 20.0, 0.31, 32, margin=4).max_eigen_residual > 1e-4 > 1e6 * clean
+
     def test_atomic_limit_is_fully_localized(self, maryland):
         model = atomic_maryland(maryland)
         rep = localize(model, 5.0, 0.1, 24, margin=4)
