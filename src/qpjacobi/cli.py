@@ -207,7 +207,7 @@ def _run_bounds(args, model):
             pairs_per_instance=sweep.get("pairs"),
             seed=args.seed,
         )
-        columns = ("N", "lambda", "E", "x", "quantity", "slack")
+        columns = ("N", "lambda", "E", "x", "quantity", "slack", "zero_minors")
     else:
         report = check_det_lower_bound(
             model, sweep["lambda"], sweep["E"], sweep["N"], midpoint_grid(sweep.get("nodes", 1024))

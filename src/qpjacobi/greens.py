@@ -8,11 +8,9 @@ well-behaved sum of pivot logs.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NearSingular, TooManyExclusions
 from .operator import (
@@ -74,10 +72,6 @@ def minor_logabs(mat, alpha, alpha_prime):
     return float(out[0]) if alpha.ndim == 0 else out.reshape(alpha.shape)
 
 
-def _solve(a, b):
-    return scipy.linalg.solve(a, b, assume_a="general", check_finite=False)
-
-
 def green_windows(tab, lam, E, r_sign):
     """Green's functions of (H - E) on windows of consecutive sites, and their residuals.
 
@@ -85,28 +79,23 @@ def green_windows(tab, lam, E, r_sign):
     its other axes are batch axes and come first in the results: the Green's
     functions have shape (..., N*l, N*l) and the residuals, the max-norm
     defects of (H - E) G - I, shape (...).  The pole-free regularized
-    matrices are solved against the identity in one stacked call and
-    row-scaled by the denominator products.  When that call meets an
-    exactly singular matrix, the stack is solved again one matrix at a time
-    and only the singular one gets a NaN inverse, hence a NaN residual.
-
-    scipy's stacked LU solve is used because it runs the LAPACK of scipy's
-    one-matrix LU factor and solve: every inverse equals theirs bit for
-    bit, where numpy's own LAPACK build can differ in the last bits.
+    matrices are inverted in one stacked call and row-scaled by the
+    denominator products.  When that call meets an exactly singular matrix,
+    each matrix is inverted alone and only the singular one gets a NaN
+    inverse, hence a NaN residual.  numpy inverts a stack one matrix at a
+    time, so a stacked inverse equals the one-matrix inverse bit for bit.
     """
     ht = dense_blocks(*regularized_blocks(tab, lam, E, r_sign))
+    try:
+        inv = np.linalg.inv(ht)
+    except np.linalg.LinAlgError:
+        inv = np.empty_like(ht)
+        for k in np.ndindex(ht.shape[:-2]):
+            try:
+                inv[k] = np.linalg.inv(ht[k])
+            except np.linalg.LinAlgError:
+                inv[k] = np.nan
     eye = np.eye(ht.shape[-1])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        try:
-            inv = _solve(ht, eye)
-        except np.linalg.LinAlgError:
-            inv = np.empty_like(ht)
-            for k in np.ndindex(ht.shape[:-2]):
-                try:
-                    inv[k] = _solve(ht[k], eye)
-                except np.linalg.LinAlgError:
-                    inv[k] = np.nan
     defect = ht @ inv
     defect -= eye
     residual = np.max(np.abs(defect), axis=(-2, -1))
@@ -171,9 +160,10 @@ def check_minor_bound(
     The fitted constant is the max over samples; per-N maxima are kept so the
     caller can judge stability in N.  Samples with |E| < E_MIN are skipped,
     and a sweep left with no (N, lam, E, x) instance raises ValueError.
-    sweep["rows"] holds one (N, lam, E, x, quantity, worst slack) row per
-    instance, where quantity is the (1/Nl) log|minor| of the first sampled
-    pair reaching the worst slack.
+    sweep["rows"] holds one (N, lam, E, x, quantity, worst slack, zero
+    minors) row per instance, where quantity is the (1/Nl) log|minor| of the
+    first sampled pair reaching the worst slack and zero minors counts the
+    instance's -inf minors; they sum to sweep["zero_minors"].
     """
     for lam in lambda_list:
         check_coupling(lam)
@@ -217,9 +207,11 @@ def check_minor_bound(
                         p_dist = np.abs((a - 1) // l - (b - 1) // l)
                         slack = mlog / nl + (p_dist / nl) * growth - shift
                         k = int(np.argmax(slack))
-                        rows.append((n, lam, E, float(x), float(mlog[k] / nl), float(slack[k])))
+                        zeros = int(np.count_nonzero(slack == float("-inf")))
+                        quantity = float(mlog[k] / nl)
+                        rows.append((n, lam, E, float(x), quantity, float(slack[k]), zeros))
                         samples += slack.size
-                        zero_minors += int(np.count_nonzero(slack == float("-inf")))
+                        zero_minors += zeros
                         group = max(group, float(slack[k]))
         per_n[f"N={n}"] = group
         best = max(best, group)

@@ -288,6 +288,7 @@ def minor_sweep(model, N_list, lambda_list, E_list, x_count, e_min, pairs_per_in
                         pairs = [(int(a), int(b)) for a, b in zip(alphas, primes)]
                         pairs += [(1, nl), (nl, 1), (1, 1)]
                     worst = quantity = float("-inf")
+                    zeros = 0
                     for a, b in pairs:
                         ml = minor_logabs(ht, a, b)
                         p_dist = abs((a - 1) // model.l - (b - 1) // model.l)
@@ -296,30 +297,42 @@ def minor_sweep(model, N_list, lambda_list, E_list, x_count, e_min, pairs_per_in
                         if slack > worst:
                             worst, quantity = slack, ml / nl
                         if slack == float("-inf"):
-                            zero_minors += 1
+                            zeros += 1
                         else:
                             group = max(group, slack)
-                    rows.append((n, lam, E, float(x), quantity, worst))
+                    rows.append((n, lam, E, float(x), quantity, worst, zeros))
+                    zero_minors += zeros
         groups[f"N={n}"] = group
     return {"rows": rows, "samples": samples, "zero_minors": zero_minors, "groups": groups}
 
 
 def minor_rows(model, N_list, lambda_list, E_list, x_count, e_min):
-    """Per-instance (N, lam, E, x, quantity, worst slack) over every entry pair."""
+    """Per-instance (N, lam, E, x, quantity, worst slack, zero minors) over every entry pair."""
     return minor_sweep(model, N_list, lambda_list, E_list, x_count, e_min)["rows"]
 
 
 def green_full(model, params):
-    """Green's function from scipy's LU of one assembled regularized window."""
+    """Green's function from numpy's inverse of one assembled regularized window."""
     ht = package_regularized(model, params).to_dense()
     n = ht.shape[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu = scipy.linalg.lu_factor(ht, check_finite=False)
-        inv = scipy.linalg.lu_solve(lu, np.eye(n), check_finite=False)
+    try:
+        inv = np.linalg.inv(ht)
+    except np.linalg.LinAlgError:
+        inv = np.full_like(ht, np.nan)
     residual = float(np.max(np.abs(ht @ inv - np.eye(n))))
     if not np.isfinite(residual) or residual > NEAR_SINGULAR_RESIDUAL:
         raise NearSingular(f"solve residual {residual:.3e}", residual=residual)
+    return row_prefactors(model, params)[:, None] * inv
+
+
+def green_scipy_lu(model, params):
+    """Green's function from scipy's LU factor and solve of one assembled
+    regularized window: a second LAPACK build, with no residual check."""
+    ht = package_regularized(model, params).to_dense()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lu = scipy.linalg.lu_factor(ht, check_finite=False)
+        inv = scipy.linalg.lu_solve(lu, np.eye(ht.shape[0]), check_finite=False)
     return row_prefactors(model, params)[:, None] * inv
 
 

@@ -322,6 +322,23 @@ class TestAvgLogdet:
         assert res.excluded == 0
         assert res.value == pytest.approx(math.log(10.0) - math.log(2.0), abs=1e-3)
 
+    @pytest.mark.parametrize(
+        "lam, E, n_gap", [(0.5, 1.0, -0.333), (2.0, 0.3, -0.155), (20.0, 0.5, -0.003)]
+    )
+    def test_maryland_thouless_gap_shrinks_like_one_over_n(self, maryland, lam, E, n_gap):
+        # gap(N) = (1/N)<log|det Ht|> - <log|m|> + log(1 + E^2)/2 - L(E), with
+        # m = cos(2 pi x), whose torus average of log|m| is -log 2.  N*gap at
+        # N = 8, 32, 128 on 65536 nodes: -0.336/-0.331/-0.330, -0.155 at each N,
+        # and -0.0025/-0.0026/-0.0025; 8192 nodes stay within 0.003 of that
+        L = float(oracles.maryland_lyapunov(lam, E))
+        gaps = []
+        for n in (8, 32, 128):
+            u = logdet_grid(maryland, lam, E, (1, n), midpoint_grid(8192))
+            assert np.all(np.isfinite(u))
+            gaps.append(np.mean(u) / n + math.log(2.0) + 0.5 * math.log1p(E * E) - L)
+            assert abs(n * gaps[-1] - n_gap) <= 0.015
+        assert abs(gaps[0]) > abs(gaps[1]) > abs(gaps[2])
+
     def test_coupling_homogeneity(self, maryland):
         grid = midpoint_grid(512)
         base = avg_logdet(maryland, 7.0, 0.0, 1, grid).value

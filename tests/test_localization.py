@@ -442,6 +442,18 @@ class TestLocalize:
         assert doc["max_eigen_residual"] == rep.max_eigen_residual
         assert "max_eigen_residual" not in doc["counts"]
 
+    @pytest.mark.parametrize("lam", [2.0, 20.0])
+    @pytest.mark.parametrize("x0", [0.11, 0.31])
+    def test_maryland_rates_follow_the_lyapunov_exponent(self, maryland, lam, x0):
+        # interior fit pairs (449 of them): median rate/L(E) 1.000 to 1.011,
+        # 5th to 95th percentile within [0.943, 1.089]
+        rep = localize(maryland, lam, x0, 256)
+        fits = [r for r in rep.records if r.interior and r.status == "fit"]
+        assert len(fits) >= 400
+        ratio = [r.rate for r in fits] / oracles.maryland_lyapunov(lam, [r.energy for r in fits])
+        assert 0.98 <= np.median(ratio) <= 1.03
+        assert 0.92 <= np.percentile(ratio, 5) and np.percentile(ratio, 95) <= 1.11
+
     def test_a_corrupted_eigenvector_raises_the_residual(self, maryland, monkeypatch):
         clean = localize(maryland, 20.0, 0.31, 32, margin=4).max_eigen_residual
         eigh = np.linalg.eigh

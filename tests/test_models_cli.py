@@ -6,7 +6,7 @@ import pytest
 from qpjacobi import cli
 from qpjacobi.cli import main
 from qpjacobi.ergodic import deviation_measure
-from qpjacobi.greens import check_det_lower_bound, green_full, midpoint_grid
+from qpjacobi.greens import check_det_lower_bound, check_minor_bound, green_full, midpoint_grid
 from qpjacobi.localization import green_decay_scan
 from qpjacobi.errors import ModelFormatError
 from qpjacobi.models import (
@@ -19,7 +19,7 @@ from qpjacobi.models import (
 )
 from qpjacobi.operator import OperatorParams, assemble_hamiltonian
 
-from conftest import random_model
+from conftest import atomic_maryland, random_model
 
 
 class TestRoundTrip:
@@ -214,7 +214,7 @@ class TestCli:
             "--check", "minor", "--out", str(out),
         ])
         assert rc == 0
-        assert "N,lambda,E,x,quantity,slack" in out.read_text()
+        assert "N,lambda,E,x,quantity,slack,zero_minors" in out.read_text()
 
     def test_bounds_det_smoke(self, tmp_path):
         sweep = tmp_path / "sweep.json"
@@ -245,6 +245,32 @@ class TestCli:
         rows = reports[0].sweep["rows"]
         assert [l.split(",") for l in table[1:]] == [[cli._fmt(v) for v in r] for r in rows]
         assert [int(l.split(",")[-1]) for l in table[1:]] == [r[5] for r in rows]
+
+    def test_bounds_minor_zero_minors_column_sums_to_the_report(self, tmp_path, monkeypatch):
+        # the hopping is off, so every off-diagonal block minor vanishes
+        model = tmp_path / "atomic.json"
+        save_model(atomic_maryland(bundled("maryland")), model)
+        reports = []
+
+        def keep(*args, **kwargs):
+            reports.append(check_minor_bound(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "check_minor_bound", keep)
+        sweep = tmp_path / "sweep.json"
+        doc = {"N": [2, 4], "lambda": [10.0], "E": [1.0, -2.0], "x_count": 3}
+        sweep.write_text(json.dumps(doc))
+        out = tmp_path / "minor.csv"
+        rc = main([
+            "bounds", "--model", str(model), "--sweep", str(sweep),
+            "--check", "minor", "--out", str(out),
+        ])
+        assert rc == 0
+        table = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert table[0][-1] == "zero_minors"
+        zeros = [int(row[-1]) for row in table[1:]]
+        assert zeros == [row[6] for row in reports[0].sweep["rows"]]
+        assert sum(zeros) == reports[0].sweep["zero_minors"] > 0
 
     def _bounds(self, tmp_path, sweep, check="minor"):
         path = tmp_path / "sweep.json"

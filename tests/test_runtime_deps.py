@@ -1,0 +1,67 @@
+"""The package runs on numpy alone: scipy is a test dependency only."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import qpjacobi
+
+SRC = pathlib.Path(qpjacobi.__file__).resolve().parents[1]
+
+
+def _python(code, cwd):
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_import_loads_no_scipy(tmp_path):
+    proc = _python(
+        "import sys, qpjacobi, qpjacobi.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
+    minor = {"N": [2, 3], "lambda": [10], "E": [1.0], "x_count": 2}
+    (tmp_path / "minor.json").write_text(json.dumps(minor))
+    (tmp_path / "det.json").write_text(json.dumps({"N": [2], "lambda": [10], "E": [0.5], "nodes": 512}))
+    maryland = ["--model", "maryland", "--lambda", "20"]
+    argvs = {
+        "assemble": ["assemble", *maryland, "--x", "0.1", "--E", "0.5", "--window", "1:3"],
+        "green": ["green", "--model", "mero2", "--lambda", "20", "--x", "0.1", "--E", "0.5",
+                  "--window", "1:3"],
+        "scan": ["scan", *maryland, "--E", "0.5", "--x0", "0.1", "--N0", "2", "--shifts=-3:3"],
+        # site 5 of this orbit sits on the pole of tan(2 pi x) at phase 1/4
+        "pole_scan": ["scan", *maryland, "--E", "0.5", "--x0", "POLE_X0", "--N0", "4",
+                      "--shifts=-8:11"],
+        "minor": ["bounds", "--model", "maryland", "--sweep", "minor.json", "--check", "minor"],
+        "det": ["bounds", "--model", "mero2", "--sweep", "det.json", "--check", "det"],
+        "ldt": ["ldt", "--model", "maryland", "--lambda", "50", "--E", "1", "--N", "2",
+                "--Qs", "10,32", "--grid", "1000"],
+        "localize": ["localize", *maryland, "--x0", "0.41", "--N", "32", "--margin", "8"],
+        "check-model": ["check-model", "--model", "mero2", "--x-count", "64", "--Kmax", "100"],
+    }
+    code = f"""
+import json, sys
+sys.modules["scipy"] = None
+from qpjacobi import bundled, cli
+argvs = {argvs!r}
+pole_x0 = repr((0.25 - 5 * bundled("maryland").omega) % 1.0)
+rcs = {{}}
+for name, argv in argvs.items():
+    argv = [pole_x0 if a == "POLE_X0" else a for a in argv]
+    rcs[name] = cli.main([*argv, "--out", name + ".out"])
+print(json.dumps(rcs))
+"""
+    proc = _python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == dict.fromkeys(argvs, 0)
+    assert "# pole=9" in (tmp_path / "pole_scan.out").read_text().splitlines()
