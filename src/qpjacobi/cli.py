@@ -23,7 +23,7 @@ from .ergodic import deviation_measure
 from .greens import (
     check_det_lower_bound,
     check_minor_bound,
-    green_full,
+    green_solve,
     midpoint_grid,
 )
 from .localization import green_decay_scan, localize
@@ -52,11 +52,13 @@ def _meta(args, model):
     }
 
 
-def _write_csv(path, meta, columns, rows):
-    lines = [f"# {k}={v}" for k, v in meta.items()]
-    lines.append(",".join(columns))
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
-    text = "\n".join(lines) + "\n"
+def _csv_lines(rows):
+    return (",".join(map(_fmt, row)) for row in rows)
+
+
+def _write_csv(path, meta, columns, lines):
+    """Write the '# key=value' header, the column names and the ready-made table lines."""
+    text = "\n".join([*(f"# {k}={v}" for k, v in meta.items()), ",".join(columns), *lines]) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -148,23 +150,25 @@ def _run_assemble(args, model):
         args.out,
         _meta(args, model),
         ("block_row", "block_col", "i", "j", "value"),
-        _matrix_rows(mat),
+        _csv_lines(_matrix_rows(mat)),
     )
     return EXIT_OK
 
 
 def _run_green(args, model):
-    g = green_full(model, _window_params(args))
+    g, residual = green_solve(model, _window_params(args))
     l = model.l
     site = [str(a // l + 1) for a in range(g.shape[0])]
     comp = [str(a % l + 1) for a in range(g.shape[0])]
     # a row is its four index columns, joined once, and the value
     index = [f"{sa},{sb},{ca},{cb}" for sa, ca in zip(site, comp) for sb, cb in zip(site, comp)]
+    meta = _meta(args, model)
+    meta["residual"] = _fmt(residual)
     _write_csv(
         args.out,
-        _meta(args, model),
+        meta,
         ("block_row", "block_col", "i", "j", "value"),
-        zip(index, g.ravel().tolist()),
+        [f"{i},{v:.17g}" for i, v in zip(index, g.ravel().tolist())],
     )
     return EXIT_OK
 
@@ -216,7 +220,7 @@ def _run_bounds(args, model):
     extra = {"fitted_constant": report.fitted_constant, **report.group_constants}
     meta = _meta(args, model)
     meta.update({k: _fmt(v) for k, v in extra.items()})
-    _write_csv(args.out, meta, columns, report.sweep["rows"])
+    _write_csv(args.out, meta, columns, _csv_lines(report.sweep["rows"]))
     return EXIT_OK
 
 
@@ -227,7 +231,8 @@ def _run_ldt(args, model):
     for Q in args.Qs:
         rep = deviation_measure(model, args.lam, args.E, args.N, Q, args.S, args.sigma, xs)
         rows.append((rep.Q, rep.threshold, rep.bad_fraction, rep.floored))
-    _write_csv(args.out, _meta(args, model), ("Q", "threshold", "bad_fraction", "floored"), rows)
+    columns = ("Q", "threshold", "bad_fraction", "floored")
+    _write_csv(args.out, _meta(args, model), columns, _csv_lines(rows))
     return EXIT_OK
 
 
@@ -240,7 +245,7 @@ def _run_scan(args, model):
     meta["pole"] = report.counts["pole"]
     meta["near_singular"] = report.counts["near_singular"]
     rows = [(r.shift, r.status, r.slack) for r in report.records]
-    _write_csv(args.out, meta, ("shift", "status", "slack"), rows)
+    _write_csv(args.out, meta, ("shift", "status", "slack"), _csv_lines(rows))
     if report.counts["near_singular"] + report.counts["pole"] > len(report.records) / 2:
         raise NearSingular("more than half of the scanned windows failed")
     return EXIT_OK

@@ -50,26 +50,37 @@ def logdet_abs(mat):
 def minor_logabs(mat, alpha, alpha_prime):
     """log |minor| without row alpha_prime and column alpha; -inf if singular.
 
-    Flat indices are 1-based scalars or broadcastable arrays; the requested
-    submatrices are gathered and factored by stacked slogdet calls of at
-    most MINOR_CHUNK matrix elements each.
+    `mat` is one matrix (n, n) or a stack (..., n, n).  Flat indices are
+    1-based scalars or broadcastable arrays; the result has the stack axes
+    first, then the pair shape, and is a float for one matrix and one pair.
+    The flat index of every requested submatrix is built once per call and
+    gathered from each matrix.  Stacked slogdet calls of at most MINOR_CHUNK
+    matrix elements factor the submatrices of whole matrices; a matrix whose
+    submatrices alone exceed that budget is split by pairs.
     """
     a = np.asarray(mat, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("minor_logabs needs a square matrix")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError("minor_logabs needs a square matrix or a stack of them")
+    n = a.shape[-1]
     alpha, alpha_prime = np.broadcast_arrays(alpha, alpha_prime)
     if np.any((alpha < 1) | (alpha > n) | (alpha_prime < 1) | (alpha_prime > n)):
         raise IndexError("flat index out of range")
     keep = np.arange(n - 1)
-    drop_col, drop_row = alpha.reshape(-1, 1) - 1, alpha_prime.reshape(-1, 1) - 1
-    out = np.empty(alpha.size)
-    step = max(1, MINOR_CHUNK // max(1, (n - 1) ** 2))
-    for s in range(0, out.size, step):
-        rows = keep + (keep >= drop_row[s : s + step])
-        cols = keep + (keep >= drop_col[s : s + step])
-        out[s : s + step] = np.linalg.slogdet(a[rows[:, :, None], cols[:, None, :]])[1]
-    return float(out[0]) if alpha.ndim == 0 else out.reshape(alpha.shape)
+    rows = keep + (keep >= alpha_prime.reshape(-1, 1) - 1)
+    cols = keep + (keep >= alpha.reshape(-1, 1) - 1)
+    flat = rows[:, :, None] * n + cols[:, None, :]  # (pairs, n - 1, n - 1)
+    mats = a.reshape(math.prod(a.shape[:-2]), n * n)
+    out = np.empty((mats.shape[0], flat.shape[0]))
+    whole = MINOR_CHUNK // max(1, flat.size)  # matrices per slogdet stack
+    inst, pairs = (whole, flat.shape[0]) if whole else (1, max(1, MINOR_CHUNK // (n - 1) ** 2))
+    for s in range(0, mats.shape[0], inst):
+        for t in range(0, flat.shape[0], pairs):
+            sub = np.take(mats[s : s + inst], flat[t : t + pairs], axis=1)
+            k, p = sub.shape[:2]
+            logdet = np.linalg.slogdet(sub.reshape(k * p, n - 1, n - 1))[1]
+            out[s : s + k, t : t + p] = logdet.reshape(k, p)
+    out = out.reshape(a.shape[:-2] + alpha.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def green_windows(tab, lam, E, r_sign):
@@ -103,11 +114,11 @@ def green_windows(tab, lam, E, r_sign):
     return pref.reshape(pref.shape[:-2] + (-1, 1)) * inv, residual
 
 
-def green_full(model, params):
-    """Green's function of (H - E) over the window: green_windows on one window.
+def green_solve(model, params):
+    """Green's function of (H - E) over the window, and its solve residual.
 
-    Above a residual of NEAR_SINGULAR_RESIDUAL, or at a non-finite one, the
-    energy is flagged NearSingular.
+    green_windows on one window.  Above a residual of NEAR_SINGULAR_RESIDUAL,
+    or at a non-finite one, the energy is flagged NearSingular.
     """
     g, residual = green_windows(window_tables(model, params), params.lam, params.E, model.r_sign)
     residual = float(residual)
@@ -116,7 +127,12 @@ def green_full(model, params):
             f"solve residual {residual:.3e} exceeds {NEAR_SINGULAR_RESIDUAL:.1e}",
             residual=residual,
         )
-    return g
+    return g, residual
+
+
+def green_full(model, params):
+    """Green's function of (H - E) over the window (see green_solve)."""
+    return green_solve(model, params)[0]
 
 
 @dataclass(frozen=True)
@@ -189,6 +205,7 @@ def check_minor_bound(
         group = float("-inf")
         sampled = pairs_per_instance is not None and pairs_per_instance < nl * nl
         a, b = np.indices((nl, nl)).reshape(2, -1) + 1
+        corners = ((1, nl, 1), (nl, 1, 1))  # the pairs (1, nl), (nl, 1), (1, 1)
         step = max(1, MINOR_CHUNK // (nl * nl))  # instances assembled at once
         for lam in lambda_list:
             for E in E_list:
@@ -199,20 +216,30 @@ def check_minor_bound(
                 for s in range(0, xs.size, step):
                     cut = slice(s, s + step)
                     blocks = regularized_blocks(table[:n, cut], lam, float(E), model.r_sign)
-                    for x, ht in zip(xs[cut], dense_blocks(*blocks)):
-                        if sampled:
-                            a = np.r_[rng.integers(1, nl + 1, pairs_per_instance), 1, nl, 1]
-                            b = np.r_[rng.integers(1, nl + 1, pairs_per_instance), nl, 1, 1]
-                        mlog = minor_logabs(ht, a, b)
-                        p_dist = np.abs((a - 1) // l - (b - 1) // l)
-                        slack = mlog / nl + (p_dist / nl) * growth - shift
-                        k = int(np.argmax(slack))
-                        zeros = int(np.count_nonzero(slack == float("-inf")))
-                        quantity = float(mlog[k] / nl)
-                        rows.append((n, lam, E, float(x), quantity, float(slack[k]), zeros))
-                        samples += slack.size
-                        zero_minors += zeros
-                        group = max(group, float(slack[k]))
+                    hts = dense_blocks(*blocks)
+                    if sampled:  # each instance draws its alphas, then its alpha primes
+                        a, b = np.array([
+                            [np.r_[rng.integers(1, nl + 1, pairs_per_instance), c] for c in corners]
+                            for _ in hts
+                        ]).transpose(1, 0, 2)
+                        mlog = np.array([minor_logabs(*args) for args in zip(hts, a, b)])
+                    else:
+                        mlog = minor_logabs(hts, a, b)
+                    p_dist = np.abs((a - 1) // l - (b - 1) // l)
+                    slack = mlog / nl + (p_dist / nl) * growth - shift
+                    k = np.argmax(slack, axis=1)
+                    at = np.arange(k.size)
+                    zeros = np.count_nonzero(slack == float("-inf"), axis=1)
+                    for x, quantity, worst, z in zip(
+                        xs[cut].tolist(),
+                        (mlog[at, k] / nl).tolist(),
+                        slack[at, k].tolist(),
+                        zeros.tolist(),
+                    ):
+                        rows.append((n, lam, E, x, quantity, worst, z))
+                        group = max(group, worst)
+                    samples += slack.size
+                    zero_minors += int(zeros.sum())
         per_n[f"N={n}"] = group
         best = max(best, group)
     if not rows:

@@ -5,7 +5,7 @@ resolvent patching check on a union of good windows."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -326,7 +326,7 @@ class LocalizationReport:
             "half_width": self.n_half,
             "margin": self.margin,
             "rate_fraction": self.rate_fraction,
-            "records": [asdict(r) for r in self.records],
+            "records": [dict(vars(r)) for r in self.records],
         }
 
 

@@ -6,7 +6,13 @@ import pytest
 from qpjacobi import cli
 from qpjacobi.cli import main
 from qpjacobi.ergodic import deviation_measure
-from qpjacobi.greens import check_det_lower_bound, check_minor_bound, green_full, midpoint_grid
+from qpjacobi.greens import (
+    check_det_lower_bound,
+    check_minor_bound,
+    green_full,
+    green_solve,
+    midpoint_grid,
+)
 from qpjacobi.localization import green_decay_scan
 from qpjacobi.errors import ModelFormatError
 from qpjacobi.models import (
@@ -179,6 +185,20 @@ class TestCli:
         ]
         table = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert table[1:] == want
+
+    def test_green_header_carries_the_solve_residual(self, tmp_path):
+        out = tmp_path / "g.csv"
+        rc = main([
+            "green", "--model", "mero2", "--lambda", "3", "--x", "0.05",
+            "--E", "0.4", "--window=-1:2", "--out", str(out),
+        ])
+        assert rc == 0
+        header = [l for l in out.read_text().splitlines() if l.startswith("# residual=")]
+        g, residual = green_solve(
+            bundled("mero2"), OperatorParams(lam=3.0, x=0.05, E=0.4, window=(-1, 2))
+        )
+        assert header == [f"# residual={residual:.17g}"]
+        assert float(header[0].split("=")[1]) == residual <= 1e-6
 
     def test_scan_smoke(self, tmp_path):
         out = tmp_path / "scan.csv"

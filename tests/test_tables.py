@@ -381,6 +381,65 @@ def test_sliced_minors_equal_one_stacked_call(mero2, monkeypatch):
         assert check_minor_bound(mero2, *args, x_count=3, pairs_per_instance=5, seed=2) == sampled
 
 
+@pytest.mark.parametrize("budget", [greens.MINOR_CHUNK, 3 * 64 * 49, 64 * 49 - 1, 5 * 49, 1])
+def test_stacked_minors_equal_per_matrix_calls(mero2, monkeypatch, budget):
+    stack = np.array([
+        [
+            assemble_regularized(mero2, OperatorParams(lam=lam, x=x, E=1.0, window=(1, 4))).to_dense()
+            for x in (0.1, 0.3, 0.7)
+        ]
+        for lam in (10.0, 100.0)
+    ])
+    stack[1, 2, :, 0] = 0.0  # a singular matrix
+    a, b = np.indices((8, 8)).reshape(2, -1) + 1
+    pairs = [(2, 5), (a, b), (a.reshape(4, 16), b.reshape(4, 16)), (np.array([[3], [8]]), a[:5])]
+    want = [
+        [[oracles.minor_logabs(m, i, j) for i, j in zip(*map(np.ravel, np.broadcast_arrays(*pair)))]
+         for m in stack.reshape(6, 8, 8)]
+        for pair in pairs
+    ]
+    slogdet, shapes = np.linalg.slogdet, []
+
+    def sized(mats):
+        shapes.append(mats.shape)
+        return slogdet(mats)
+
+    monkeypatch.setattr(np.linalg, "slogdet", sized)
+    monkeypatch.setattr("qpjacobi.greens.MINOR_CHUNK", budget)
+    for pair, rows in zip(pairs, want):
+        shape = np.broadcast(*pair).shape
+        one = [minor_logabs(m, *pair) for m in stack.reshape(6, 8, 8)]
+        assert [np.ravel(v).tolist() for v in one] == rows
+        shapes.clear()
+        got = minor_logabs(stack, *pair)
+        assert got.shape == (2, 3) + shape
+        assert got.reshape(6, -1).tolist() == rows
+        # every call stays within the budget, or holds one submatrix if that exceeds it
+        assert sum(k for k, _, _ in shapes) == 6 * len(rows[0])
+        assert all(k * 49 <= max(budget, 49) for k, _, _ in shapes)
+        assert minor_logabs(stack.reshape(6, 8, 8), *pair).reshape(6, -1).tolist() == rows
+    # the zero first column leaves only the minors that delete it (alpha = 1) finite
+    assert np.isfinite(want[1][5][:8]).all() and want[1][5][8:] == [float("-inf")] * 56
+    if budget == 3 * 64 * 49:
+        shapes.clear()
+        minor_logabs(stack, a, b)
+        assert shapes == [(3 * 64, 7, 7)] * 2
+
+
+def test_stacked_minors_of_order_one_and_bad_arguments():
+    stack = np.array([[[7.0]], [[0.0]], [[-2.0]]])
+    assert minor_logabs(stack, 1, 1).tolist() == [0.0] * 3
+    assert minor_logabs(stack, np.ones((2, 2), dtype=int), 1).shape == (3, 2, 2)
+    with pytest.raises(ValueError, match="square"):
+        minor_logabs(np.ones((2, 3, 4)), 1, 1)
+    with pytest.raises(ValueError, match="square"):
+        minor_logabs(np.ones(3), 1, 1)
+    with pytest.raises(IndexError):
+        minor_logabs(np.ones((2, 3, 3)), np.array([1, 4]), 1)
+    with pytest.raises(IndexError):
+        minor_logabs(np.ones((2, 3, 3)), 1, 0)
+
+
 def test_benchmark_sized_minor_instance_is_one_slogdet_call(maryland, monkeypatch):
     shapes = []
     slogdet = np.linalg.slogdet
@@ -391,7 +450,8 @@ def test_benchmark_sized_minor_instance_is_one_slogdet_call(maryland, monkeypatc
 
     monkeypatch.setattr(np.linalg, "slogdet", counted)
     check_minor_bound(maryland, [16], [10.0], [1.0], x_count=2)
-    assert shapes == [(256, 15, 15)] * 2
+    # both x share one call: 2 * 256 * 15**2 elements fit in MINOR_CHUNK
+    assert shapes == [(512, 15, 15)]
 
 
 @pytest.mark.parametrize(
@@ -430,9 +490,9 @@ def test_minor_row_reports_the_first_pair_reaching_the_worst_slack(maryland, mon
     L = float(np.log(2.0))
     calls = []
 
-    def fake_minors(ht, a, b):
+    def fake_minors(hts, a, b):
         calls.append((a.tolist(), b.tolist()))
-        return np.array([L, 0.0, 0.0, L - 1.0])
+        return np.array([[L, 0.0, 0.0, L - 1.0]])  # one row per instance
 
     monkeypatch.setattr("qpjacobi.greens.minor_logabs", fake_minors)
     rep = check_minor_bound(maryland, [2], [1.0], [1.0], x_count=1)
