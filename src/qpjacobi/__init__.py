@@ -25,7 +25,6 @@ from .symbols import (
     symbol_tables,
 )
 from .operator import (
-    BlockTridiagonal,
     OperatorParams,
     assemble_hamiltonian,
     assemble_regularized,
@@ -35,14 +34,12 @@ from .greens import (
     avg_logdet,
     check_det_lower_bound,
     check_minor_bound,
-    green_full,
     logdet_abs,
     midpoint_grid,
 )
 from .ergodic import DeviationReport, deviation_measure, ldt_decay_fit
 from .localization import (
     DecayFit,
-    EigenPair,
     LocalizationReport,
     block_profile,
     decay_fit,

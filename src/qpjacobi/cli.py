@@ -115,18 +115,17 @@ def _number_list(convert, field, kind, name):
     return parse
 
 
-def _matrix_rows(block_mat):
-    rows = []
-    n, l = block_mat.n_sites, block_mat.l
-    for bi in range(1, n + 1):
-        for bj in (bi - 1, bi, bi + 1):
-            if not (1 <= bj <= n):
-                continue
-            blk = block_mat.block(bi, bj)
-            for i in range(l):
-                for j in range(l):
-                    rows.append((bi, bj, i + 1, j + 1, float(blk[i, j])))
-    return rows
+def _matrix_rows(mat, l):
+    """(block_row, block_col, i, j, value) of every band block of a dense window matrix."""
+    n = mat.shape[0] // l
+    blocks = mat.reshape(n, l, n, l)
+    return [
+        (bi + 1, bj + 1, i + 1, j + 1, float(blocks[bi, i, bj, j]))
+        for bi in range(n)
+        for bj in range(max(bi - 1, 0), min(bi + 2, n))
+        for i in range(l)
+        for j in range(l)
+    ]
 
 
 def _warn_diophantine(model, kmax=10000):
@@ -150,7 +149,7 @@ def _run_assemble(args, model):
         args.out,
         _meta(args, model),
         ("block_row", "block_col", "i", "j", "value"),
-        _csv_lines(_matrix_rows(mat)),
+        _csv_lines(_matrix_rows(mat, model.l)),
     )
     return EXIT_OK
 
@@ -231,8 +230,11 @@ def _run_ldt(args, model):
     for Q in args.Qs:
         rep = deviation_measure(model, args.lam, args.E, args.N, Q, args.S, args.sigma, xs)
         rows.append((rep.Q, rep.threshold, rep.bad_fraction, rep.floored))
+    meta = _meta(args, model)
+    # every Q of the ladder shares one reference integral
+    meta["integral"] = _fmt(rep.integral)
     columns = ("Q", "threshold", "bad_fraction", "floored")
-    _write_csv(args.out, _meta(args, model), columns, _csv_lines(rows))
+    _write_csv(args.out, meta, columns, _csv_lines(rows))
     return EXIT_OK
 
 

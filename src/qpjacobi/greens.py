@@ -130,11 +130,6 @@ def green_solve(model, params):
     return g, residual
 
 
-def green_full(model, params):
-    """Green's function of (H - E) over the window (see green_solve)."""
-    return green_solve(model, params)[0]
-
-
 @dataclass(frozen=True)
 class BoundFitReport:
     """Empirical constant for an inequality, fit with the max-slack convention.

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooFewPoints
-from .greens import E_MIN, NEAR_SINGULAR_RESIDUAL, green_full, green_windows
+from .greens import E_MIN, NEAR_SINGULAR_RESIDUAL, green_solve, green_windows
 from .operator import (
     OperatorParams,
     assemble_hamiltonian,
@@ -32,26 +32,16 @@ RATE_FRACTION = 0.5
 SCAN_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    energy: float
-    vector: np.ndarray
-    residual: float
+def eigensolve(h):
+    """Full symmetric eigendecomposition of a dense window matrix.
 
-
-def eigensolve(ht):
-    """Full symmetric eigendecomposition of a block tridiagonal matrix.
-
-    Pairs come back sorted by energy with unit vectors and the two-norm
-    residual ||H v - E v||.
+    Returns the energies in ascending order, the unit eigenvectors as the
+    columns of one (n, n) array, and each pair's two-norm residual
+    ||H v - E v||, all straight from one np.linalg.eigh call.
     """
-    a = ht.to_dense()
-    evals, vecs = np.linalg.eigh(a)
-    residuals = np.linalg.norm(a @ vecs - vecs * evals[None, :], axis=0)
-    # every vector is a read-only row of one array: one allocation, not one per pair
-    rows = vecs.T.copy()
-    rows.setflags(write=False)
-    return [EigenPair(*pair) for pair in zip(evals.tolist(), rows, residuals.tolist())]
+    energies, vectors = np.linalg.eigh(h)
+    residuals = np.linalg.norm(h @ vectors - vectors * energies, axis=0)
+    return energies, vectors, residuals
 
 
 def block_profile(vectors, l):
@@ -281,7 +271,7 @@ def resolvent_patch_check(model, lam, E, x0, N0, N2, c11, shifts=None):
         raise ValueError("shift gaps exceed 2*N0; the window union disconnects")
     window = (-N0 + shifts[0], N0 + shifts[-1])
     params = OperatorParams(lam=lam, x=x0, E=E, window=window)
-    slack, dist = _slack_matrix(green_full(model, params), model.l, math.log(lam + abs(E)))
+    slack, dist = _slack_matrix(green_solve(model, params)[0], model.l, math.log(lam + abs(E)))
     far = dist > N2 / 10.0
     worst = float(np.max(slack[far])) if np.any(far) else float("-inf")
     threshold = 2.0 * c11 * N0 * model.l
@@ -340,14 +330,18 @@ def localize(model, lam, x0, N, margin=DEFAULT_MARGIN):
     convention.  The aggregate fraction is taken over interior-centered
     pairs, i.e. centers at least `margin` sites from the window edge.  The
     report carries the largest eigenpair residual ||H v - E v||, the check
-    on the eigensolve.
+    on the eigensolve.  An energy with lam + |E| == 0 (lam = 0, E = 0) has
+    the target -inf and counts as localized only by the delta convention.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    if margin < 0:
+        raise ValueError("margin must be >= 0")
     params = OperatorParams(lam=lam, x=x0, E=0.0, window=(-N, N))
-    pairs = eigensolve(assemble_hamiltonian(model, params))
-    profiles = block_profile(np.stack([pair.vector for pair in pairs]), model.l)
+    energy, vectors, residuals = eigensolve(assemble_hamiltonian(model, params))
+    profiles = block_profile(vectors.T, model.l)
     fit = decay_fit(profiles)
-    energy = np.array([pair.energy for pair in pairs])
-    target = np.array([math.log(lam + abs(pair.energy)) for pair in pairs])
+    target = np.array([math.log(a) if a > 0.0 else -math.inf for a in (lam + abs(energy)).tolist()])
     few = fit.n_points < FIT_MIN_POINTS
     reliable = fit.residual < FIT_RESIDUAL_MAX  # False where few: the residual is NaN
     delta = few & (profiles.max(axis=-1) ** 2 >= 0.99)
@@ -370,5 +364,5 @@ def localize(model, lam, x0, N, margin=DEFAULT_MARGIN):
         n_half=int(N),
         margin=int(margin),
         rate_fraction=float(RATE_FRACTION),
-        max_eigen_residual=float(np.max([pair.residual for pair in pairs])),
+        max_eigen_residual=float(np.max(residuals)),
     )

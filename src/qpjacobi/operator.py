@@ -48,43 +48,6 @@ class OperatorParams:
         return v - u + 1
 
 
-@dataclass(frozen=True)
-class BlockTridiagonal:
-    """Block-banded storage: N diagonal blocks, N-1 sub/super blocks, all l x l."""
-
-    n_sites: int
-    l: int
-    diag: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        n, l = self.n_sites, self.l
-        for name, arr, shape in (
-            ("diag", self.diag, (n, l, l)),
-            ("lower", self.lower, (max(n - 1, 0), l, l)),
-            ("upper", self.upper, (max(n - 1, 0), l, l)),
-        ):
-            a = np.array(arr, dtype=float).reshape(shape)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
-    def block(self, i, j):
-        """1-based block accessor; zero outside the tridiagonal band."""
-        if not (1 <= i <= self.n_sites and 1 <= j <= self.n_sites):
-            raise IndexError("block index out of range")
-        if i == j:
-            return self.diag[i - 1]
-        if i == j + 1:
-            return self.lower[j - 1]
-        if j == i + 1:
-            return self.upper[i - 1]
-        return np.zeros((self.l, self.l))
-
-    def to_dense(self):
-        return dense_blocks(self.diag, self.lower, self.upper)
-
-
 def dense_blocks(diag, lower, upper):
     """Dense (..., N*l, N*l) matrices from blocks stacked along axis 0.
 
@@ -110,14 +73,13 @@ def window_tables(model, params):
 
 
 def assemble_hamiltonian(model, params):
-    """H over the window: on-site lam*F + r_sign*R, hopping -W / -W^T.
+    """Dense (N*l, N*l) H over the window: on-site lam*F + r_sign*R, hopping -W / -W^T.
 
     Raises PoleProximity (with the offending site) when the phase orbit
     comes within pole_tol of a diagonal denominator zero.
     """
     tab = window_tables(model, params).guard(params.window[0])
-    blocks = hamiltonian_blocks(tab, params.lam, model.r_sign)
-    return BlockTridiagonal(params.n_sites, model.l, *blocks)
+    return dense_blocks(*hamiltonian_blocks(tab, params.lam, model.r_sign))
 
 
 def hamiltonian_blocks(tab, lam, r_sign):
@@ -172,10 +134,9 @@ def regularized_diagonal(tab, lam, E, r_sign):
 
 
 def assemble_regularized(model, params):
-    """(H - E) right-multiplied by diag{M_n / sqrt(1+E^2)} over the window."""
+    """Dense (N*l, N*l) (H - E) right-multiplied by diag{M_n / sqrt(1+E^2)} over the window."""
     tab = window_tables(model, params)
-    blocks = regularized_blocks(tab, params.lam, params.E, model.r_sign)
-    return BlockTridiagonal(params.n_sites, model.l, *blocks)
+    return dense_blocks(*regularized_blocks(tab, params.lam, params.E, model.r_sign))
 
 
 def hopping_sup_bound(model):

@@ -93,6 +93,14 @@ def pole_free_x(model, rng, window, margin=1e-2, tries=200):
     raise RuntimeError("could not find a pole-free phase")
 
 
+def band_blocks(mat, l):
+    """Diagonal, lower and upper l x l block stacks of a dense block-tridiagonal matrix."""
+    n = mat.shape[0] // l
+    blocks = mat.reshape(n, l, n, l).swapaxes(1, 2)
+    i = np.arange(n)
+    return blocks[i, i], blocks[i[1:], i[:-1]], blocks[i[:-1], i[1:]]
+
+
 def well_conditioned_params(model, rng, window, lam_range=(0.5, 3.0), cond_max=1e7):
     """Random OperatorParams whose regularized matrix is comfortably invertible."""
     from qpjacobi.operator import assemble_regularized
@@ -102,7 +110,7 @@ def well_conditioned_params(model, rng, window, lam_range=(0.5, 3.0), cond_max=1
         x = pole_free_x(model, rng, window)
         E = float(rng.uniform(-3.0, 3.0))
         params = OperatorParams(lam=lam, x=x, E=E, window=window)
-        ht = assemble_regularized(model, params).to_dense()
+        ht = assemble_regularized(model, params)
         if np.linalg.cond(ht) < cond_max:
             return params
     raise RuntimeError("could not find a well-conditioned instance")

@@ -28,7 +28,7 @@ from qpjacobi.localization import (
     block_profile,
     eigensolve,
 )
-from qpjacobi.operator import BlockTridiagonal, OperatorParams
+from qpjacobi.operator import OperatorParams
 from qpjacobi.operator import assemble_hamiltonian as package_hamiltonian
 from qpjacobi.operator import assemble_regularized as package_regularized
 
@@ -72,6 +72,18 @@ def _m(model, y):
     return np.array([model.F[i][i].den(y) * model.R[i][i].den(y) for i in range(model.l)])
 
 
+def _dense(diag, lower, upper):
+    """Dense (n*l, n*l) matrix of n diagonal and n-1 lower/upper l x l blocks, block by block."""
+    n, l = diag.shape[0], diag.shape[-1]
+    out = np.zeros((n * l, n * l))
+    for i in range(n):
+        out[i * l : (i + 1) * l, i * l : (i + 1) * l] = diag[i]
+    for i in range(n - 1):
+        out[(i + 1) * l : (i + 2) * l, i * l : (i + 1) * l] = lower[i]
+        out[i * l : (i + 1) * l, (i + 1) * l : (i + 2) * l] = upper[i]
+    return out
+
+
 def assemble_hamiltonian(model, params):
     u, v = params.window
     n, l = params.n_sites, model.l
@@ -86,7 +98,7 @@ def assemble_hamiltonian(model, params):
         wv = _w(model, model.site_phase(params.x, u + idx + 1))
         upper[idx] = -wv
         lower[idx] = -wv.T
-    return BlockTridiagonal(n, l, diag, lower, upper)
+    return _dense(diag, lower, upper)
 
 
 def assemble_regularized(model, params):
@@ -120,7 +132,7 @@ def assemble_regularized(model, params):
         wv = _w(model, phases[idx + 1])
         upper[idx] = -scale * wv * mvals[idx + 1][None, :]
         lower[idx] = -scale * wv.T * mvals[idx][None, :]
-    return BlockTridiagonal(n, l, diag, lower, upper)
+    return _dense(diag, lower, upper)
 
 
 def row_prefactors(model, params):
@@ -172,7 +184,7 @@ def scalar_logdets(a, w, m, scale, n):
 def logdet_per_node(model, lam, E, window, xs):
     """Dense log |det| of the regularized matrix, one node at a time."""
     return np.array([
-        logdet_abs(assemble_regularized(model, OperatorParams(lam, float(x), E, window)).to_dense())
+        logdet_abs(assemble_regularized(model, OperatorParams(lam, float(x), E, window)))
         for x in np.asarray(xs, dtype=float).ravel()
     ])
 
@@ -279,7 +291,7 @@ def minor_sweep(model, N_list, lambda_list, E_list, x_count, e_min, pairs_per_in
                     continue
                 for x in xs:
                     params = OperatorParams(lam=lam, x=float(x), E=float(E), window=(1, n))
-                    ht = assemble_regularized(model, params).to_dense()
+                    ht = assemble_regularized(model, params)
                     if pairs_per_instance is None or pairs_per_instance >= nl * nl:
                         pairs = [(a, b) for a in range(1, nl + 1) for b in range(1, nl + 1)]
                     else:
@@ -313,7 +325,7 @@ def minor_rows(model, N_list, lambda_list, E_list, x_count, e_min):
 
 def green_full(model, params):
     """Green's function from numpy's inverse of one assembled regularized window."""
-    ht = package_regularized(model, params).to_dense()
+    ht = package_regularized(model, params)
     n = ht.shape[0]
     try:
         inv = np.linalg.inv(ht)
@@ -328,7 +340,7 @@ def green_full(model, params):
 def green_scipy_lu(model, params):
     """Green's function from scipy's LU factor and solve of one assembled
     regularized window: a second LAPACK build, with no residual check."""
-    ht = package_regularized(model, params).to_dense()
+    ht = package_regularized(model, params)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         lu = scipy.linalg.lu_factor(ht, check_finite=False)
@@ -348,7 +360,7 @@ def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
         except PoleProximity:
             raw.append((j, "pole", float("nan"), float("nan")))
             continue
-        dist = float(np.min(np.abs(np.linalg.eigvalsh(h.to_dense()) - E)))
+        dist = float(np.min(np.abs(np.linalg.eigvalsh(h) - E)))
         try:
             g = green_full(model, params)
         except NearSingular:
@@ -398,14 +410,14 @@ def decay_fit(profile):
 def localize(model, lam, x0, N, margin=DEFAULT_MARGIN):
     """LocalizationReport from one decay_fit call and one status ladder per eigenpair."""
     params = OperatorParams(lam=lam, x=x0, E=0.0, window=(-N, N))
-    pairs = eigensolve(package_hamiltonian(model, params))
+    energies, vectors, residuals = eigensolve(package_hamiltonian(model, params))
     records = []
     counts = {"fit": 0, "delta": 0, "no_fit": 0, "unreliable": 0, "interior": 0}
     n_loc = 0
     n_int = 0
-    for pair in pairs:
-        profile = block_profile(pair.vector, model.l)
-        target = math.log(lam + abs(pair.energy))
+    for energy, vector in zip(energies.tolist(), vectors.T):
+        profile = block_profile(vector, model.l)
+        target = math.log(lam + abs(energy)) if lam + abs(energy) > 0.0 else -math.inf
         try:
             fit = decay_fit(profile)
             center = fit.center
@@ -441,7 +453,7 @@ def localize(model, lam, x0, N, margin=DEFAULT_MARGIN):
                 n_loc += 1
         records.append(
             PairRecord(
-                energy=pair.energy,
+                energy=energy,
                 center_site=site,
                 rate=rate,
                 fit_residual=residual,
@@ -460,5 +472,5 @@ def localize(model, lam, x0, N, margin=DEFAULT_MARGIN):
         n_half=int(N),
         margin=int(margin),
         rate_fraction=float(RATE_FRACTION),
-        max_eigen_residual=float(np.max([pair.residual for pair in pairs])),
+        max_eigen_residual=float(np.max(residuals)),
     )

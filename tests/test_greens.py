@@ -10,7 +10,7 @@ from qpjacobi.greens import (
     avg_logdet,
     check_det_lower_bound,
     check_minor_bound,
-    green_full,
+    green_solve,
     logdet_grid,
     logdet_abs,
     midpoint_grid,
@@ -102,7 +102,7 @@ class TestStackedLogdet:
             got = logdet_grid(model, lam, E, (1, N), xs)
             want = [
                 oracles.logdet_lu(
-                    assemble_regularized(model, OperatorParams(lam, float(x), E, (1, N))).to_dense()
+                    assemble_regularized(model, OperatorParams(lam, float(x), E, (1, N)))
                 )
                 for x in xs
             ]
@@ -146,7 +146,7 @@ class TestStackedLogdet:
         tab = symbol_tables(mero2, np.zeros(1))
         E = float(-tab.rnum[0, 0] / tab.rden[0, 0])
         singular = OperatorParams(0.0, 1.0 - mero2.omega, E, (1, 1))
-        assert assemble_regularized(mero2, singular).diag[0, 0, 0] == 0.0
+        assert assemble_regularized(mero2, singular)[0, 0] == 0.0
 
         def counts():
             monkeypatch.setattr(ergodic, "_orbit_sum", None)
@@ -201,7 +201,7 @@ class TestCramerIdentity:
             model = random_model(rng)
             n = int(rng.integers(2, max(3, 20 // model.l + 1)))
             params = well_conditioned_params(model, rng, (1, n))
-            ht = assemble_regularized(model, params).to_dense()
+            ht = assemble_regularized(model, params)
             inv = np.linalg.inv(ht)
             det = abs(np.linalg.det(ht))
             nl = ht.shape[0]
@@ -216,45 +216,45 @@ class TestCramerIdentity:
 class TestGreenFull:
     def test_scalar_closed_form(self, maryland):
         lam, E, x = 3.0, 0.7, 0.05
-        g = green_full(maryland, OperatorParams(lam=lam, x=x, E=E, window=(1, 1)))
+        g = green_solve(maryland, OperatorParams(lam=lam, x=x, E=E, window=(1, 1)))[0]
         want = 1.0 / (lam * math.tan(2.0 * math.pi * ((x + GOLDEN) % 1.0)) - E)
         assert g[0, 0] == pytest.approx(want, rel=1e-12)
 
     def test_matches_direct_inverse(self, mero2):
         rng = np.random.default_rng(37)
         params = well_conditioned_params(mero2, rng, (1, 4))
-        g = green_full(mero2, params)
-        h = assemble_hamiltonian(mero2, params).to_dense()
+        g = green_solve(mero2, params)[0]
+        h = assemble_hamiltonian(mero2, params)
         direct = np.linalg.inv(h - params.E * np.eye(h.shape[0]))
         assert np.max(np.abs(g - direct)) <= 1e-9 * np.max(np.abs(direct))
 
     def test_symmetric(self, maryland):
         rng = np.random.default_rng(41)
         params = well_conditioned_params(maryland, rng, (1, 6))
-        g = green_full(maryland, params)
+        g = green_solve(maryland, params)[0]
         assert np.max(np.abs(g - g.T)) <= 1e-10 * max(1.0, np.max(np.abs(g)))
 
     def test_residual_definition_matches_hamiltonian(self, maryland):
         rng = np.random.default_rng(43)
         params = well_conditioned_params(maryland, rng, (1, 8))
-        g = green_full(maryland, params)
-        h = assemble_hamiltonian(maryland, params).to_dense()
+        g = green_solve(maryland, params)[0]
+        h = assemble_hamiltonian(maryland, params)
         defect = np.max(np.abs((h - params.E * np.eye(h.shape[0])) @ g - np.eye(h.shape[0])))
         assert defect <= 1e-8
 
     def test_near_singular_energy(self, maryland):
         params = OperatorParams(lam=2.0, x=0.05, E=0.0, window=(1, 6))
-        evals = np.linalg.eigvalsh(assemble_hamiltonian(maryland, params).to_dense())
+        evals = np.linalg.eigvalsh(assemble_hamiltonian(maryland, params))
         bad = OperatorParams(lam=2.0, x=0.05, E=float(evals[2]), window=(1, 6))
         with pytest.raises(NearSingular):
-            green_full(maryland, bad)
+            green_solve(maryland, bad)
 
 
 def cramer_abs(model, params):
     """|G| over the window from Cramer's rule on the regularized matrix:
     |G(a, b)| = |m_a| / sqrt(1 + E^2) * |minor(a, b)| / |det Ht|, where m_a
     is the denominator product of the site and component of row a."""
-    ht = assemble_regularized(model, params).to_dense()
+    ht = assemble_regularized(model, params)
     a, b = np.indices(ht.shape) + 1
     pref = np.abs(window_tables(model, params).m.reshape(-1, 1)) / math.sqrt(1.0 + params.E**2)
     return pref * np.exp(minor_logabs(ht, a, b) - logdet_abs(ht))
@@ -272,7 +272,7 @@ class TestGreenEntryCramer:
         model = atomic_maryland(maryland)
         rng = np.random.default_rng(47)
         params = well_conditioned_params(model, rng, (1, 4))
-        h = assemble_hamiltonian(model, params).to_dense()
+        h = assemble_hamiltonian(model, params)
         got = np.diag(cramer_abs(model, params))
         want = 1.0 / np.abs(np.diag(h) - params.E)
         assert got == pytest.approx(want, rel=1e-9)
@@ -286,7 +286,7 @@ class TestGreenEntryCramer:
         rng = np.random.default_rng(53)
         model = random_model(rng, l=2)
         params = well_conditioned_params(model, rng, (1, 3))
-        g = np.abs(green_full(model, params))
+        g = np.abs(green_solve(model, params)[0])
         got = cramer_abs(model, params)
         assert np.all(np.abs(got - g) <= 1e-8 * np.maximum(np.maximum(got, g), 1e-30))
 

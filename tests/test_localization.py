@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from qpjacobi.errors import TooFewPoints
-from qpjacobi.greens import green_full, logdet_abs, midpoint_grid, avg_logdet
+from qpjacobi.greens import green_solve, logdet_abs, midpoint_grid, avg_logdet
 from qpjacobi import localization
 from qpjacobi.localization import (
     FIT_FLOOR,
@@ -43,33 +43,31 @@ class TestEigensolve:
         model = atomic_maryland(maryland)
         params = OperatorParams(lam=2.0, x=0.1, E=0.0, window=(1, 6))
         h = assemble_hamiltonian(model, params)
-        pairs = eigensolve(h)
-        want = np.sort(np.diag(h.to_dense()))
-        assert np.allclose([p.energy for p in pairs], want, rtol=1e-14)
+        energies, _, _ = eigensolve(h)
+        assert np.allclose(energies, np.sort(np.diag(h)), rtol=1e-14)
 
     def test_two_site_closed_form(self):
         model = constant_diag_model(0.7)
         h = assemble_hamiltonian(model, OperatorParams(lam=1.0, x=0.0, E=0.0, window=(1, 2)))
-        pairs = eigensolve(h)
-        assert [p.energy for p in pairs] == pytest.approx([0.7 - 1.0, 0.7 + 1.0], abs=1e-12)
+        energies, _, _ = eigensolve(h)
+        assert energies.tolist() == pytest.approx([0.7 - 1.0, 0.7 + 1.0], abs=1e-12)
 
     def test_against_independent_dense_solver(self, maryland):
         params = OperatorParams(lam=2.0, x=0.1, E=0.0, window=(-32, 31))
         h = assemble_hamiltonian(maryland, params)
-        pairs = eigensolve(h)
-        oracle = scipy.linalg.eigh(h.to_dense(), eigvals_only=True)
+        energies, _, _ = eigensolve(h)
+        oracle = scipy.linalg.eigh(h, eigvals_only=True)
         scale = max(1.0, float(np.max(np.abs(oracle))))
-        assert np.max(np.abs(np.array([p.energy for p in pairs]) - oracle)) <= 1e-9 * scale
+        assert np.max(np.abs(energies - oracle)) <= 1e-9 * scale
 
     def test_residuals_and_orthonormality(self, mero2):
         rng = np.random.default_rng(61)
         x = pole_free_x(mero2, rng, (1, 8))
         h = assemble_hamiltonian(mero2, OperatorParams(lam=3.0, x=x, E=0.0, window=(1, 8)))
-        pairs = eigensolve(h)
-        for p in pairs:
-            assert p.residual <= 1e-8 * max(1.0, abs(p.energy))
-            assert np.linalg.norm(p.vector) == pytest.approx(1.0, abs=1e-12)
-        vmat = np.stack([p.vector for p in pairs], axis=1)
+        energies, vmat, residuals = eigensolve(h)
+        for energy, vector, residual in zip(energies, vmat.T, residuals):
+            assert residual <= 1e-8 * max(1.0, abs(energy))
+            assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-12)
         gram = vmat.T @ vmat
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-10
 
@@ -303,7 +301,7 @@ class TestLyapunov:
 class TestGreenDecayScan:
     def test_energy_outside_spectrum_all_good(self, maryland):
         params = OperatorParams(lam=5.0, x=0.1, E=0.0, window=(-24, 24))
-        h = assemble_hamiltonian(maryland, params).to_dense()
+        h = assemble_hamiltonian(maryland, params)
         e_far = float(np.max(np.abs(np.linalg.eigvalsh(h)))) + 10.0
         rep = green_decay_scan(maryland, 5.0, e_far, 0.1, 8, range(-8, 9))
         assert rep.counts["bad"] == 0
@@ -313,7 +311,7 @@ class TestGreenDecayScan:
     def test_eigenvalue_energy_flagged_near_singular(self, maryland):
         shift = 3
         params = OperatorParams(lam=20.0, x=0.1, E=0.0, window=(-8 + shift, 8 + shift))
-        evals = np.linalg.eigvalsh(assemble_hamiltonian(maryland, params).to_dense())
+        evals = np.linalg.eigvalsh(assemble_hamiltonian(maryland, params))
         e_bad = float(evals[np.argmin(np.abs(evals - 0.4))])
         rep = green_decay_scan(maryland, 20.0, e_bad, 0.1, 8, range(shift - 3, shift + 4))
         statuses = {r.shift: r.status for r in rep.records}
@@ -331,7 +329,7 @@ class TestGreenDecayScan:
         assert scanned
         for rec in scanned:
             window = (-n0 + rec.shift, n0 + rec.shift)
-            g = green_full(mero2, OperatorParams(lam=lam, x=x0, E=E, window=window))
+            g = green_solve(mero2, OperatorParams(lam=lam, x=x0, E=E, window=window))[0]
             p = np.arange(g.shape[0]) // mero2.l
             dist = np.abs(p[:, None] - p[None, :])
             want = np.max(np.log(np.abs(g)) + dist * math.log(lam + abs(E)))
@@ -354,7 +352,7 @@ class TestResolventPatch:
     def test_single_window_reduces_to_direct_check(self, maryland):
         lam, E, x0, n0 = 20.0, 0.5, 0.1, 8
         patch = resolvent_patch_check(maryland, lam, E, x0, n0, 4, c11=0.3, shifts=[5])
-        g = green_full(maryland, OperatorParams(lam=lam, x=x0, E=E, window=(-n0 + 5, n0 + 5)))
+        g = green_solve(maryland, OperatorParams(lam=lam, x=x0, E=E, window=(-n0 + 5, n0 + 5)))[0]
         p = np.arange(g.shape[0])
         dist = np.abs(p[:, None] - p[None, :])
         far = dist > 0.4
@@ -368,10 +366,10 @@ class TestResolventPatch:
             model = random_model(rng, l=1)
             x = pole_free_x(model, rng, (-6, 6))
             params = OperatorParams(lam=1.5, x=x, E=0.0, window=(-6, 6))
-            h = assemble_hamiltonian(model, params).to_dense()
+            h = assemble_hamiltonian(model, params)
             evals = np.linalg.eigvalsh(h)
             e_far = float(evals.max()) + 1.5
-            g = green_full(model, dataclasses.replace(params, E=e_far))
+            g = green_solve(model, dataclasses.replace(params, E=e_far))[0]
             d = float(np.min(np.abs(evals - e_far)))
             assert d >= 1.0
             assert np.linalg.norm(g, 2) <= 1.0 / d + 1e-9
@@ -388,8 +386,8 @@ class TestSpectralConsistency:
         for _ in range(3):
             n = 8
             params = well_conditioned_params(mero2, rng, (1, n))
-            h = assemble_hamiltonian(mero2, params).to_dense()
-            ht = assemble_regularized(mero2, params).to_dense()
+            h = assemble_hamiltonian(mero2, params)
+            ht = assemble_regularized(mero2, params)
             evals = np.linalg.eigvalsh(h)
             m_logs = 0.0
             for site in range(1, n + 1):
@@ -411,18 +409,18 @@ class TestBoundaryCoupling:
         rng = np.random.default_rng(79)
         x = pole_free_x(model, rng, (-12, 12))
         big = OperatorParams(lam=4.0, x=x, E=0.0, window=(-12, 12))
-        pairs = eigensolve(assemble_hamiltonian(model, big))
-        pair = pairs[len(pairs) // 2]
+        energies, vectors, _ = eigensolve(assemble_hamiltonian(model, big))
+        energy, vector = energies[len(energies) // 2], vectors[:, len(energies) // 2]
         l = model.l
         u, v = -5, 6
         sub = OperatorParams(lam=4.0, x=x, E=0.0, window=(u, v))
-        h_sub = assemble_hamiltonian(model, sub).to_dense()
+        h_sub = assemble_hamiltonian(model, sub)
         # block coordinates inside the big window
         def blk(site):
             idx = site - big.window[0]
-            return pair.vector[idx * l : (idx + 1) * l]
+            return vector[idx * l : (idx + 1) * l]
         phi_sub = np.concatenate([blk(s) for s in range(u, v + 1)])
-        resid = (h_sub - pair.energy * np.eye(h_sub.shape[0])) @ phi_sub
+        resid = (h_sub - energy * np.eye(h_sub.shape[0])) @ phi_sub
         w_u = model.w_values(model.site_phase(x, u))
         w_v1 = model.w_values(model.site_phase(x, v + 1))
         want_u = w_u.T @ blk(u - 1)
@@ -471,6 +469,25 @@ class TestLocalize:
         rep = localize(model, 5.0, 0.1, 24, margin=4)
         assert rep.counts["delta"] == len(rep.records)
         assert rep.aggregate_fraction == 1.0
+
+    @pytest.mark.parametrize("N", [0, 3])
+    def test_zero_coupling_and_zero_energy_give_the_target_minus_inf(self, maryland, N):
+        # at lam = 0 the decoupled maryland window is the zero matrix: every
+        # energy is exactly 0, so lam + |E| = 0 and log(lam + |E|) = -inf
+        model = maryland if N == 0 else atomic_maryland(maryland)
+        rep = localize(model, 0.0, 0.1, N, margin=0)
+        assert [r.energy for r in rep.records] == [0.0] * (2 * N + 1)
+        assert [r.target_rate for r in rep.records] == [-math.inf] * (2 * N + 1)
+        # such a pair is localized only by the delta convention
+        assert rep.counts["delta"] == 2 * N + 1 and rep.aggregate_fraction == 1.0
+        assert_same_report(rep, oracles.localize(model, 0.0, 0.1, N, margin=0))
+
+    @pytest.mark.parametrize(
+        "N, margin, match", [(-1, 0, "^N must be >= 0$"), (4, -1, "^margin must be >= 0$")]
+    )
+    def test_negative_half_width_or_margin_rejected(self, maryland, N, margin, match):
+        with pytest.raises(ValueError, match=match):
+            localize(maryland, 20.0, 0.1, N, margin=margin)
 
     def test_free_laplacian_not_localized(self, maryland):
         rep = localize(maryland, 0.0, 0.1, 64, margin=8)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from qpjacobi.ergodic import deviation_measure
 from qpjacobi.greens import (
     check_det_lower_bound,
     check_minor_bound,
-    green_full,
     green_solve,
     midpoint_grid,
 )
@@ -23,7 +23,7 @@ from qpjacobi.models import (
     model_to_dict,
     save_model,
 )
-from qpjacobi.operator import OperatorParams, assemble_hamiltonian
+from qpjacobi.operator import OperatorParams, assemble_hamiltonian, assemble_regularized
 
 from conftest import atomic_maryland, random_model
 
@@ -159,7 +159,34 @@ class TestCli:
         model = bundled("maryland")
         h = assemble_hamiltonian(model, OperatorParams(lam=2.0, x=0.0, E=0.0, window=(1, 3)))
         for br, bc, i, j, val in rows:
-            assert float(val) == h.block(int(br), int(bc))[int(i) - 1, int(j) - 1]
+            assert (i, j) == ("1", "1")  # l = 1: the blocks are the entries
+            assert float(val) == h[int(br) - 1, int(bc) - 1]
+
+    @pytest.mark.parametrize("matrix", ["h", "htilde"])
+    def test_assemble_rows_are_the_band_entries_in_order(self, tmp_path, matrix):
+        out = tmp_path / "m.csv"
+        rc = main([
+            "assemble", "--model", "mero2", "--lambda", "3", "--x", "0.05",
+            "--E", "0.4", "--window=-1:2", "--matrix", matrix, "--out", str(out),
+        ])
+        assert rc == 0
+        assemble = assemble_hamiltonian if matrix == "h" else assemble_regularized
+        mat = assemble(bundled("mero2"), OperatorParams(lam=3.0, x=0.05, E=0.4, window=(-1, 2)))
+        # l = 2 and 4 sites: rows run over (block_row, block_col, i, j) in
+        # lexicographic order, and over the band |block_row - block_col| <= 1 only
+        keys = sorted(
+            (a // 2 + 1, b // 2 + 1, a % 2 + 1, b % 2 + 1)
+            for a in range(8)
+            for b in range(8)
+            if abs(a // 2 - b // 2) <= 1
+        )
+        want = [
+            f"{br},{bc},{i},{j},{float(mat[2 * br + i - 3, 2 * bc + j - 3]):.17g}"
+            for br, bc, i, j in keys
+        ]
+        table = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert table[0] == "block_row,block_col,i,j,value"
+        assert table[1:] == want and len(want) == (3 * 4 - 2) * 2 * 2
 
     def test_green_smoke(self, tmp_path):
         out = tmp_path / "g.csv"
@@ -177,7 +204,7 @@ class TestCli:
             "--E", "0.4", "--window=-1:2", "--out", str(out),
         ])
         assert rc == 0
-        g = green_full(bundled("mero2"), OperatorParams(lam=3.0, x=0.05, E=0.4, window=(-1, 2)))
+        g = green_solve(bundled("mero2"), OperatorParams(lam=3.0, x=0.05, E=0.4, window=(-1, 2)))[0]
         want = [
             f"{a // 2 + 1},{b // 2 + 1},{a % 2 + 1},{b % 2 + 1},{float(g[a, b]):.17g}"
             for a in range(8)
@@ -482,13 +509,53 @@ class TestCli:
         assert [int(l.split(",")[3]) for l in lines[1:]] == want
         assert min(want) > 0
 
+    def test_localize_zero_coupling_at_a_zero_energy(self, tmp_path):
+        # one maryland site at lam = 0 is the 1 x 1 zero matrix: lam + |E| = 0
+        out = tmp_path / "loc.json"
+        rc = main([
+            "localize", "--model", "maryland", "--lambda", "0", "--x0", "0.1",
+            "--N", "0", "--margin", "0", "--out", str(out),
+        ])
+        assert rc == 0
+        (record,) = json.loads(out.read_text())["report"]["records"]
+        assert record["energy"] == 0.0 and record["target_rate"] == -math.inf
+        assert record["status"] == "delta" and record["localized"] is True
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--N", "-1"], "N must be >= 0"),
+            (["--N", "8", "--margin", "-1"], "margin must be >= 0"),
+        ],
+    )
+    def test_localize_negative_half_width_or_margin_exits_one(self, capsys, flags, message):
+        rc = main([
+            "localize", "--model", "maryland", "--lambda", "20", "--x0", "0.1",
+            *flags, "--out", "-",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_ldt_header_carries_the_reference_integral(self, tmp_path):
+        out = tmp_path / "ldt.csv"
+        rc = main([
+            "ldt", "--model", "maryland", "--lambda", "50", "--E", "1", "--N", "2",
+            "--Qs", "10,32", "--grid", "1000", "--out", str(out),
+        ])
+        assert rc == 0
+        header = [l for l in out.read_text().splitlines() if l.startswith("# integral=")]
+        model, grid = bundled("maryland"), midpoint_grid(1000)
+        rep = deviation_measure(model, 50.0, 1.0, 2, 10, 1.0, 0.3, grid)
+        assert header == [f"# integral={rep.integral:.17g}"]
+
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["localize", "--bogus"]) == 1
 
     def test_near_singular_energy_exits_two(self, tmp_path, capsys):
         model = bundled("maryland")
         h = assemble_hamiltonian(model, OperatorParams(lam=2.0, x=0.05, E=0.0, window=(1, 4)))
-        e_bad = float(np.linalg.eigvalsh(h.to_dense())[1])
+        e_bad = float(np.linalg.eigvalsh(h)[1])
         rc = main([
             "green", "--model", "maryland", "--lambda", "2", "--x", "0.05",
             "--E", repr(e_bad), "--window", "1:4", "--out", "-",

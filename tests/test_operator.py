@@ -12,16 +12,19 @@ from qpjacobi.localization import (
     resolvent_patch_check,
 )
 from qpjacobi.operator import (
-    BlockTridiagonal,
     OperatorParams,
     assemble_hamiltonian,
     assemble_regularized,
+    dense_blocks,
+    hamiltonian_blocks,
     hopping_sup_bound,
     onsite_sup_bound,
+    regularized_blocks,
+    window_tables,
 )
 
 import oracles
-from conftest import GOLDEN, atomic_maryland, pole_free_x, random_model
+from conftest import GOLDEN, atomic_maryland, band_blocks, pole_free_x, random_model
 
 
 GRID_1000 = midpoint_grid(1000)
@@ -74,16 +77,16 @@ class TestParams:
 class TestAssembleHamiltonian:
     def test_maryland_window(self, maryland):
         params = OperatorParams(lam=2.0, x=0.0, E=0.0, window=(1, 3))
-        h = assemble_hamiltonian(maryland, params)
+        diag, lower, upper = band_blocks(assemble_hamiltonian(maryland, params), 1)
         expect = [2.0 * math.tan(2.0 * math.pi * ((n * GOLDEN) % 1.0)) for n in (1, 2, 3)]
-        assert np.allclose(h.diag.ravel(), expect, rtol=1e-12)
-        assert np.allclose(h.upper.ravel(), [-1.0, -1.0])
-        assert np.allclose(h.lower.ravel(), [-1.0, -1.0])
+        assert np.allclose(diag.ravel(), expect, rtol=1e-12)
+        assert np.allclose(upper.ravel(), [-1.0, -1.0])
+        assert np.allclose(lower.ravel(), [-1.0, -1.0])
 
     def test_zero_coupling_is_block_diagonal(self, maryland):
         model = atomic_maryland(maryland)
         params = OperatorParams(lam=2.0, x=0.1, E=0.0, window=(1, 5))
-        dense = assemble_hamiltonian(model, params).to_dense()
+        dense = assemble_hamiltonian(model, params)
         assert np.allclose(dense, np.diag(np.diag(dense)))
 
     def test_dense_symmetry(self):
@@ -92,7 +95,7 @@ class TestAssembleHamiltonian:
         x = pole_free_x(model, rng, (1, 4))
         dense = assemble_hamiltonian(
             model, OperatorParams(lam=1.3, x=x, E=0.0, window=(1, 4))
-        ).to_dense()
+        )
         assert np.max(np.abs(dense - dense.T)) <= 1e-14 * max(1.0, np.max(np.abs(dense)))
 
     def test_translation_covariance_exact_arithmetic(self, maryland):
@@ -104,9 +107,7 @@ class TestAssembleHamiltonian:
         b = assemble_hamiltonian(
             model, OperatorParams(lam=2.0, x=x + 0.375, E=0.0, window=(1, 5))
         )
-        assert np.array_equal(a.diag, b.diag)
-        assert np.array_equal(a.upper, b.upper)
-        assert np.array_equal(a.lower, b.lower)
+        assert np.array_equal(a, b)
 
     def test_translation_covariance_generic(self, mero2):
         rng = np.random.default_rng(3)
@@ -115,9 +116,10 @@ class TestAssembleHamiltonian:
         b = assemble_hamiltonian(
             mero2, OperatorParams(lam=2.0, x=x + mero2.omega, E=0.0, window=(1, 5))
         )
-        scale = max(1.0, np.max(np.abs(a.diag)))
-        assert np.max(np.abs(a.diag - b.diag)) <= 1e-12 * scale
-        assert np.max(np.abs(a.upper - b.upper)) <= 1e-12 * scale
+        (a_diag, _, a_upper), (b_diag, _, b_upper) = (band_blocks(m, mero2.l) for m in (a, b))
+        scale = max(1.0, np.max(np.abs(a_diag)))
+        assert np.max(np.abs(a_diag - b_diag)) <= 1e-12 * scale
+        assert np.max(np.abs(a_upper - b_upper)) <= 1e-12 * scale
 
     def test_pole_reports_site(self, maryland):
         # site 2 lands exactly on the cosine zero
@@ -132,14 +134,14 @@ class TestAssembleRegularized:
         ht = assemble_regularized(
             maryland, OperatorParams(lam=1.0, x=0.0, E=0.0, window=(1, 1))
         )
-        assert ht.diag[0, 0, 0] == pytest.approx(math.sin(2.0 * math.pi * GOLDEN), abs=1e-15)
+        assert ht[0, 0] == pytest.approx(math.sin(2.0 * math.pi * GOLDEN), abs=1e-15)
 
     def test_zero_energy_matches_h_times_m(self, maryland):
         rng = np.random.default_rng(11)
         x = pole_free_x(maryland, rng, (1, 5))
         params = OperatorParams(lam=2.0, x=x, E=0.0, window=(1, 5))
-        ht = assemble_regularized(maryland, params).to_dense()
-        h = assemble_hamiltonian(maryland, params).to_dense()
+        ht = assemble_regularized(maryland, params)
+        h = assemble_hamiltonian(maryland, params)
         m = np.diag(oracles.row_prefactors(maryland, params))  # E=0 so scale is exactly 1
         direct = h @ m
         assert np.max(np.abs(ht - direct)) <= 1e-12 * np.max(np.abs(direct))
@@ -148,8 +150,8 @@ class TestAssembleRegularized:
         rng = np.random.default_rng(29)
         x = pole_free_x(mero2, rng, (1, 4))
         params = OperatorParams(lam=1.7, x=x, E=0.6, window=(1, 4))
-        ht = assemble_regularized(mero2, params).to_dense()
-        h = assemble_hamiltonian(mero2, params).to_dense()
+        ht = assemble_regularized(mero2, params)
+        h = assemble_hamiltonian(mero2, params)
         scale = 1.0 / math.sqrt(1.0 + params.E**2)
         m = np.zeros_like(h)
         for idx, site in enumerate(range(1, 5)):
@@ -173,7 +175,8 @@ class TestAssembleRegularized:
                 ht = assemble_regularized(
                     model, OperatorParams(lam=lam, x=x, E=E, window=(1, 4))
                 )
-                worst = max(np.max(np.abs(ht.diag)), np.max(np.abs(ht.upper)))
+                diag, _, upper = band_blocks(ht, model.l)
+                worst = max(np.max(np.abs(diag)), np.max(np.abs(upper)))
                 assert worst <= lam * s1 + s2 + abs(E) * s3 + hop + 1e-9
                 assert worst <= (s1 + s2 + s3 + hop) * (lam + abs(E))
 
@@ -196,36 +199,35 @@ class TestAssembleRegularized:
         ht = assemble_regularized(
             maryland, OperatorParams(lam=1.0, x=x, E=0.0, window=(1, 2))
         )
-        assert np.all(np.isfinite(ht.to_dense()))
+        assert np.all(np.isfinite(ht))
 
 
-class TestBlockTridiagonal:
+class TestDenseBlocks:
     def test_single_block_dense(self):
-        b = BlockTridiagonal(1, 2, np.ones((1, 2, 2)), np.empty((0, 2, 2)), np.empty((0, 2, 2)))
-        assert np.array_equal(b.to_dense(), np.ones((2, 2)))
+        dense = dense_blocks(np.ones((1, 2, 2)), np.empty((0, 2, 2)), np.empty((0, 2, 2)))
+        assert np.array_equal(dense, np.ones((2, 2)))
 
     def test_two_site_scalar(self):
-        b = BlockTridiagonal(
-            2, 1, np.array([[[1.0]], [[2.0]]]), np.array([[[3.0]]]), np.array([[[4.0]]])
+        dense = dense_blocks(
+            np.array([[[1.0]], [[2.0]]]), np.array([[[3.0]]]), np.array([[[4.0]]])
         )
-        assert np.array_equal(b.to_dense(), np.array([[1.0, 4.0], [3.0, 2.0]]))
+        assert np.array_equal(dense, np.array([[1.0, 4.0], [3.0, 2.0]]))
 
-    def test_band_structure_and_accessors(self):
+    @pytest.mark.parametrize("name", ["maryland", "mero2"])
+    def test_assembly_is_the_dense_band_of_the_stacked_blocks(self, name, request):
+        model = request.getfixturevalue(name)
         rng = np.random.default_rng(2)
-        n, l = 5, 2
-        b = BlockTridiagonal(
-            n, l, rng.normal(size=(n, l, l)), rng.normal(size=(n - 1, l, l)),
-            rng.normal(size=(n - 1, l, l)),
-        )
-        dense = b.to_dense()
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                blk = dense[(i - 1) * l : i * l, (j - 1) * l : j * l]
-                assert np.array_equal(blk, b.block(i, j))
-                if abs(i - j) > 1:
-                    assert np.all(blk == 0.0)
-
-    def test_blocks_are_read_only(self):
-        b = BlockTridiagonal(1, 1, np.ones((1, 1, 1)), np.empty((0, 1, 1)), np.empty((0, 1, 1)))
-        with pytest.raises(ValueError):
-            b.diag[0, 0, 0] = 2.0
+        params = OperatorParams(lam=3.0, x=pole_free_x(model, rng, (-2, 4)), E=0.7, window=(-2, 4))
+        tab = window_tables(model, params)
+        l, n = model.l, params.n_sites
+        p = np.arange(n * l) // l
+        off = np.abs(p[:, None] - p[None, :]) > 1
+        for got, blocks in (
+            (assemble_hamiltonian(model, params), hamiltonian_blocks(tab, 3.0, model.r_sign)),
+            (assemble_regularized(model, params), regularized_blocks(tab, 3.0, 0.7, model.r_sign)),
+        ):
+            assert got.shape == (n * l, n * l)
+            assert np.array_equal(got, dense_blocks(*blocks))
+            for have, want in zip(band_blocks(got, l), blocks):
+                assert np.array_equal(have, want)
+            assert np.count_nonzero(off) > 0 and not got[off].any()

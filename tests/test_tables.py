@@ -13,7 +13,7 @@ from qpjacobi import greens, localization
 from qpjacobi.greens import (
     _scalar_logdets,
     check_minor_bound,
-    green_full,
+    green_solve,
     logdet_grid,
     midpoint_grid,
     minor_logabs,
@@ -28,7 +28,7 @@ from qpjacobi.operator import (
 )
 from qpjacobi.symbols import BlockModel, Dioph, MeroScalar, TrigPoly, symbol_tables
 
-from conftest import GOLDEN, atomic_maryland, pole_free_x, random_model
+from conftest import GOLDEN, atomic_maryland, band_blocks, pole_free_x, random_model
 
 MODELS = ("maryland", "analytic2", "mero2")
 
@@ -40,9 +40,13 @@ def _rel_err(got, want):
     return float(np.max(np.abs(got - want), initial=0.0)) / (scale if scale else 1.0)
 
 
-def _same_blocks(got, want, tol=1e-14):
-    for name in ("diag", "lower", "upper"):
-        assert _rel_err(getattr(got, name), getattr(want, name)) <= tol, name
+def _same_blocks(got, want, l, tol=1e-14):
+    """Dense window matrices that agree block family by block family and vanish off the band."""
+    for name, g, w in zip(("diag", "lower", "upper"), band_blocks(got, l), band_blocks(want, l)):
+        assert _rel_err(g, w) <= tol, name
+    p = np.arange(got.shape[0]) // l
+    off = np.abs(p[:, None] - p[None, :]) > 1
+    assert not got[off].any() and not want[off].any()
 
 
 # -- symbol_tables ----------------------------------------------------------
@@ -211,8 +215,11 @@ def test_assembly_matches_per_site_oracle(name, request):
                 E=float(rng.uniform(-3.0, 3.0)),
                 window=window,
             )
-            _same_blocks(assemble_hamiltonian(model, params), oracles.assemble_hamiltonian(model, params))
-            _same_blocks(assemble_regularized(model, params), oracles.assemble_regularized(model, params))
+            for package, oracle in (
+                (assemble_hamiltonian, oracles.assemble_hamiltonian),
+                (assemble_regularized, oracles.assemble_regularized),
+            ):
+                _same_blocks(package(model, params), oracle(model, params), model.l)
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -221,8 +228,8 @@ def test_regularized_assembly_is_finite_on_a_pole(name, request):
     pole = model.F[0][0].zeros[0] if model.F[0][0].zeros else 0.25
     params = OperatorParams(lam=3.0, x=pole - 2 * model.omega, E=0.5, window=(0, 5))
     got = assemble_regularized(model, params)
-    _same_blocks(got, oracles.assemble_regularized(model, params))
-    assert np.all(np.isfinite(got.to_dense()))
+    _same_blocks(got, oracles.assemble_regularized(model, params), model.l)
+    assert np.all(np.isfinite(got))
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -343,7 +350,7 @@ def test_minor_rows_with_sampled_pairs_cover_each_instance(maryland):
 
 
 def test_stacked_minors_equal_the_per_pair_oracle(mero2):
-    ht = assemble_regularized(mero2, OperatorParams(lam=10.0, x=0.3, E=1.0, window=(1, 3))).to_dense()
+    ht = assemble_regularized(mero2, OperatorParams(lam=10.0, x=0.3, E=1.0, window=(1, 3)))
     a, b = np.indices(ht.shape).reshape(2, -1) + 1
     want = [oracles.minor_logabs(ht, int(i), int(j)) for i, j in zip(a, b)]
     assert minor_logabs(ht, a, b).tolist() == want
@@ -356,7 +363,7 @@ def test_stacked_minors_equal_the_per_pair_oracle(mero2):
 
 
 def test_sliced_minors_equal_one_stacked_call(mero2, monkeypatch):
-    ht = assemble_regularized(mero2, OperatorParams(lam=10.0, x=0.3, E=1.0, window=(1, 4))).to_dense()
+    ht = assemble_regularized(mero2, OperatorParams(lam=10.0, x=0.3, E=1.0, window=(1, 4)))
     a, b = np.indices(ht.shape).reshape(2, -1) + 1
     whole = minor_logabs(ht, a, b).tolist()
     args = ([1, 3], [10.0, 100.0], [1.0, -5.0])
@@ -385,7 +392,7 @@ def test_sliced_minors_equal_one_stacked_call(mero2, monkeypatch):
 def test_stacked_minors_equal_per_matrix_calls(mero2, monkeypatch, budget):
     stack = np.array([
         [
-            assemble_regularized(mero2, OperatorParams(lam=lam, x=x, E=1.0, window=(1, 4))).to_dense()
+            assemble_regularized(mero2, OperatorParams(lam=lam, x=x, E=1.0, window=(1, 4)))
             for x in (0.1, 0.3, 0.7)
         ]
         for lam in (10.0, 100.0)
@@ -528,7 +535,7 @@ def _bits(records):
 
 def _near_singular_energy(maryland):
     params = OperatorParams(lam=20.0, x=0.1, E=0.0, window=(-5, 11))
-    evals = np.linalg.eigvalsh(assemble_hamiltonian(maryland, params).to_dense())
+    evals = np.linalg.eigvalsh(assemble_hamiltonian(maryland, params))
     return float(evals[np.argmin(np.abs(evals - 0.4))])
 
 
@@ -585,7 +592,7 @@ GREEN_SITES = pytest.mark.parametrize("sites", [17, 33, 129, 201])
 def test_green_full_equals_the_lu_oracle(request, name, lam, E, x, sites):
     model = request.getfixturevalue(name)
     params = OperatorParams(lam=lam, x=x, E=E, window=(-(sites // 2), sites // 2))
-    assert np.array_equal(green_full(model, params), oracles.green_full(model, params))
+    assert np.array_equal(green_solve(model, params)[0], oracles.green_full(model, params))
 
 
 @GREEN_CASES
@@ -596,7 +603,7 @@ def test_green_full_agrees_with_scipy_lu(request, name, lam, E, x, sites):
     # at lam 3 with 129 and 201 sites)
     model = request.getfixturevalue(name)
     params = OperatorParams(lam=lam, x=x, E=E, window=(-(sites // 2), sites // 2))
-    got, want = np.abs(green_full(model, params)), np.abs(oracles.green_scipy_lu(model, params))
+    got, want = np.abs(green_solve(model, params)[0]), np.abs(oracles.green_scipy_lu(model, params))
     assert np.array_equal(got == 0.0, want == 0.0)
     nonzero = got != 0.0
     assert np.max(np.abs(np.log(got[nonzero]) - np.log(want[nonzero]))) <= 1e-9
