@@ -10,7 +10,6 @@ from .errors import (
     ModelFormatError,
     NearSingular,
     PoleProximity,
-    TooFewPoints,
     TooManyExclusions,
 )
 from .symbols import (

@@ -27,7 +27,7 @@ from .greens import (
     midpoint_grid,
 )
 from .localization import green_decay_scan, localize
-from .models import model_hash, resolve_model
+from .models import is_number, model_hash, resolve_model
 from .operator import OperatorParams, assemble_hamiltonian, assemble_regularized
 from .symbols import check_nondegeneracy, is_diophantine
 
@@ -172,18 +172,14 @@ def _run_green(args, model):
     return EXIT_OK
 
 
-def _is_number(v):
-    return type(v) is int or type(v) is float and math.isfinite(v)
-
-
 def _check_sweep(sweep):
     """Raise ModelFormatError unless the sweep file's lists and counts are well typed."""
     if not isinstance(sweep, dict):
         raise ModelFormatError("sweep file must hold a JSON object", field="--sweep")
     for key, ok, what in (
         ("N", lambda v: type(v) is int and v > 0, "positive ints"),
-        ("lambda", _is_number, "finite numbers"),
-        ("E", _is_number, "finite numbers"),
+        ("lambda", is_number, "finite numbers"),
+        ("E", is_number, "finite numbers"),
     ):
         vals = sweep.get(key)
         if not isinstance(vals, list) or not vals or not all(map(ok, vals)):
@@ -385,10 +381,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         model = resolve_model(args.model)
-        if args.command != "check-model":
-            _warn_diophantine(model)
         if args.command == "ldt" and args.omega is not None:
             model = model.with_omega(args.omega)
+        if args.command != "check-model":
+            _warn_diophantine(model)
         return _HANDLERS[args.command](args, model)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK

@@ -92,7 +92,7 @@ class DeviationReport:
     floored: int
 
 
-def deviation_measure(model, lam, E, N, Q, S, sigma, x_grid, omega=None, ref=None):
+def deviation_measure(model, lam, E, N, Q, S, sigma, x_grid, omega=None):
     """Fraction of grid phases whose Q-step Birkhoff average deviates from the
     torus integral by at least S * Q^(-sigma).
 
@@ -114,8 +114,7 @@ def deviation_measure(model, lam, E, N, Q, S, sigma, x_grid, omega=None, ref=Non
     xs = np.asarray(x_grid, dtype=float)
     if xs.size < 1000:
         raise ValueError("x_grid must have at least 1000 nodes")
-    if ref is None:
-        ref = _torus_integral(m, float(lam), float(E), int(N), 4 * int(xs.size))
+    ref = _torus_integral(m, float(lam), float(E), int(N), 4 * int(xs.size))
     avg, floored = _orbit_average(m, lam, E, N, Q, xs.ravel())
     threshold = S * Q ** (-sigma)
     bad = int(np.count_nonzero(np.abs(avg - ref) >= threshold))

@@ -39,10 +39,6 @@ class TooManyExclusions(Exception):
         self.total = total
 
 
-class TooFewPoints(Exception):
-    """Not enough profile sites above the floor to fit a decay rate."""
-
-
 class AllZero(Exception):
     """Every deviation report had bad_fraction == 0; nothing to fit."""
 

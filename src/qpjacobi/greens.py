@@ -143,16 +143,6 @@ class BoundFitReport:
     group_constants: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=dict)
 
-    def group_spread(self):
-        """Relative spread of the per-group constants (stability diagnostic)."""
-        vals = [v for v in self.group_constants.values() if np.isfinite(v)]
-        if len(vals) < 2:
-            return 0.0
-        scale = max(abs(v) for v in vals)
-        if scale == 0.0:
-            return 0.0
-        return (max(vals) - min(vals)) / scale
-
 
 def check_minor_bound(
     model,

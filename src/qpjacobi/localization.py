@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewPoints
 from .greens import E_MIN, NEAR_SINGULAR_RESIDUAL, green_solve, green_windows
 from .operator import (
     OperatorParams,
@@ -76,11 +75,11 @@ def decay_fit(profiles):
     fit points of every profile are gathered into one list, and each
     least-squares fit is taken in closed form from per-profile sums of the
     centred points, so a stack is one pass that holds only its fit points.
-    A stack gives arrays over its leading axes, with a NaN rate and residual
-    where fewer than FIT_MIN_POINTS sites qualify (`n_points` says so); one
-    profile gives ints and floats and raises TooFewPoints instead.  No more
-    than two sites share a distance from the peak, so the distances of a fit
-    never all coincide and the slope is always defined.
+    Each field keeps the leading axes of the input, so one profile gives
+    numpy scalars.  The rate and residual are NaN where fewer than
+    FIT_MIN_POINTS sites qualify (`n_points` says so).  No more than two
+    sites share a distance from the peak, so the distances of a fit never
+    all coincide and the slope is always defined.
     """
     p = np.asarray(profiles, dtype=float)
     flat = p.reshape(-1, p.shape[-1])
@@ -106,11 +105,7 @@ def decay_fit(profiles):
     # where(), not maximum(): a zero slope must give the rate +0.0
     rate = np.where(few, np.nan, np.where(slope < 0.0, -slope, 0.0))
     resid = np.where(few, np.nan, resid)
-    if p.ndim > 1:
-        return DecayFit(*(a.reshape(p.shape[:-1]) for a in (center, rate, resid, n_pts)))
-    if few[0]:
-        raise TooFewPoints(f"only {n_pts[0]} profile sites exceed the floor")
-    return DecayFit(int(center[0]), float(rate[0]), float(resid[0]), int(n_pts[0]))
+    return DecayFit(*(a.reshape(p.shape[:-1])[()] for a in (center, rate, resid, n_pts)))
 
 
 def lyapunov_rates(model, lam, energies, n_steps, x=0.0):
@@ -247,9 +242,6 @@ class PatchReport:
     threshold: float
     window: tuple
     pairs_checked: int
-
-    def __bool__(self):
-        return self.passed
 
 
 def resolvent_patch_check(model, lam, E, x0, N0, N2, c11, shifts=None):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import importlib.resources
 import json
+import math
 import re
 
 from .errors import DegenerateSymbol, ModelFormatError
@@ -16,6 +17,21 @@ _ENTRY_RE = re.compile(r"^([WRF])\[(\d+)\]\[(\d+)\]$")
 BUNDLED = ("maryland", "analytic2", "mero2")
 
 
+def is_number(v):
+    """True for an int or a finite float as JSON gives them; a bool is not a number."""
+    return type(v) is int or type(v) is float and math.isfinite(v)
+
+
+def _scalar(value, field, integral=False):
+    """`value` as a float, or as an int where `integral`; ModelFormatError
+    naming `field` unless it is a finite number (an int, where `integral`)."""
+    if integral and type(value) is not int:
+        raise ModelFormatError("expected an integer", field=field)
+    if not is_number(value):
+        raise ModelFormatError("expected a finite number", field=field)
+    return value if integral else float(value)
+
+
 def _parse_coeffs(rows, field):
     if not isinstance(rows, list):
         raise ModelFormatError("coefficient table must be a list", field=field)
@@ -24,13 +40,10 @@ def _parse_coeffs(rows, field):
         here = f"{field}[{i}]"
         if not (isinstance(row, list) and len(row) == 3):
             raise ModelFormatError("expected [k, re, im]", field=here)
-        k, re_part, im_part = row
-        if not isinstance(k, int):
-            raise ModelFormatError("frequency k must be an integer", field=here)
-        try:
-            c = complex(float(re_part), float(im_part))
-        except (TypeError, ValueError):
-            raise ModelFormatError("coefficients must be numbers", field=here)
+        k, re_part, im_part = (
+            _scalar(v, f"{here}[{n}]", integral=n == 0) for n, v in enumerate(row)
+        )
+        c = complex(re_part, im_part)
         if k in coeffs:
             raise ModelFormatError(f"duplicate frequency k={k}", field=here)
         coeffs[k] = c
@@ -52,24 +65,18 @@ def model_from_dict(cfg):
     """
     if not isinstance(cfg, dict):
         raise ModelFormatError("model config must be a JSON object", field="$")
-    try:
-        l = int(cfg["l"])
-    except (KeyError, TypeError, ValueError):
-        raise ModelFormatError("missing or non-integer block size", field="l")
+    l = _scalar(cfg.get("l"), "l", integral=True)
     if l < 1:
         raise ModelFormatError("block size must be >= 1", field="l")
-    try:
-        omega = float(cfg["omega"])
-    except (KeyError, TypeError, ValueError):
-        raise ModelFormatError("missing or non-numeric rotation number", field="omega")
+    omega = _scalar(cfg.get("omega"), "omega")
     dioph_cfg = cfg.get("dioph")
     if not isinstance(dioph_cfg, dict) or "A" not in dioph_cfg or "C0" not in dioph_cfg:
         raise ModelFormatError("expected {A, C0}", field="dioph")
-    dioph = Dioph(A=float(dioph_cfg["A"]), C0=float(dioph_cfg["C0"]))
-    pole_tol = float(cfg.get("pole_tol", 1e-8))
+    dioph = Dioph(A=_scalar(dioph_cfg["A"], "dioph.A"), C0=_scalar(dioph_cfg["C0"], "dioph.C0"))
+    pole_tol = _scalar(cfg.get("pole_tol", 1e-8), "pole_tol")
     if pole_tol <= 0:
         raise ModelFormatError("pole_tol must be positive", field="pole_tol")
-    r_sign = int(cfg.get("r_sign", -1))
+    r_sign = _scalar(cfg.get("r_sign", -1), "r_sign", integral=True)
     if r_sign not in (-1, 1):
         raise ModelFormatError("r_sign must be +1 or -1", field="r_sign")
 

@@ -138,28 +138,3 @@ def assemble_regularized(model, params):
     tab = window_tables(model, params)
     return dense_blocks(*regularized_blocks(tab, params.lam, params.E, model.r_sign))
 
-
-def hopping_sup_bound(model):
-    """Coefficient-sum bound for sup_x of any regularized hopping entry."""
-    best = 0.0
-    for i in range(model.l):
-        for j in range(model.l):
-            prod = model.W[i][j] * model.F[j][j].den * model.R[j][j].den
-            best = max(best, prod.coeff_abs_sum())
-    return best
-
-
-def onsite_sup_bound(model):
-    """S1, S2, S3 with sup |Vt entry| <= lam*S1 + S2 + |E|*S3 at any phase."""
-    s1 = s2 = s3 = 0.0
-    for a in range(model.l):
-        for b in range(model.l):
-            if a == b:
-                s1 = max(s1, (model.F[a][a].num * model.R[a][a].den).coeff_abs_sum())
-                s2 = max(s2, (model.R[a][a].num * model.F[a][a].den).coeff_abs_sum())
-                s3 = max(s3, (model.F[a][a].den * model.R[a][a].den).coeff_abs_sum())
-            else:
-                m_col = model.F[b][b].den * model.R[b][b].den
-                s1 = max(s1, (model.F[a][b] * m_col).coeff_abs_sum())
-                s2 = max(s2, (model.R[a][b] * m_col).coeff_abs_sum())
-    return s1, s2, s3

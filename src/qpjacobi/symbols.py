@@ -284,9 +284,6 @@ class DiophantineCheck:
     worst_k: int
     worst_margin: float  # min_k ||k*omega|| * k^A / C0; the condition holds iff >= 1
 
-    def __bool__(self):
-        return self.ok
-
 
 def is_diophantine(omega, A, C0, Kmax):
     """Check ||k*omega|| >= C0 / |k|^A for 1 <= |k| <= Kmax.

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from qpjacobi.errors import NearSingular, PoleProximity, TooFewPoints
+from qpjacobi.errors import NearSingular, PoleProximity
 from qpjacobi.greens import NEAR_SINGULAR_RESIDUAL, logdet_abs, logdet_grid
 from qpjacobi.localization import (
     DEFAULT_MARGIN,
@@ -141,6 +141,32 @@ def row_prefactors(model, params):
     return np.concatenate(
         [scale * _m(model, model.site_phase(params.x, site)) for site in range(u, v + 1)]
     )
+
+
+def hopping_sup_bound(model):
+    """Coefficient-sum bound for sup_x of any regularized hopping entry."""
+    best = 0.0
+    for i in range(model.l):
+        for j in range(model.l):
+            prod = model.W[i][j] * model.F[j][j].den * model.R[j][j].den
+            best = max(best, prod.coeff_abs_sum())
+    return best
+
+
+def onsite_sup_bound(model):
+    """S1, S2, S3 with sup |Vt entry| <= lam*S1 + S2 + |E|*S3 at any phase."""
+    s1 = s2 = s3 = 0.0
+    for a in range(model.l):
+        for b in range(model.l):
+            if a == b:
+                s1 = max(s1, (model.F[a][a].num * model.R[a][a].den).coeff_abs_sum())
+                s2 = max(s2, (model.R[a][a].num * model.F[a][a].den).coeff_abs_sum())
+                s3 = max(s3, (model.F[a][a].den * model.R[a][a].den).coeff_abs_sum())
+            else:
+                m_col = model.F[b][b].den * model.R[b][b].den
+                s1 = max(s1, (model.F[a][b] * m_col).coeff_abs_sum())
+                s2 = max(s2, (model.R[a][b] * m_col).coeff_abs_sum())
+    return s1, s2, s3
 
 
 def logdet_lu(mat):
@@ -388,14 +414,15 @@ def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
 
 
 def decay_fit(profile):
-    """DecayFit of one profile from its own lstsq call."""
+    """DecayFit of one profile from its own lstsq call, or None when fewer
+    than FIT_MIN_POINTS sites qualify."""
     p = np.asarray(profile, dtype=float)
     center = int(np.argmax(p))
     d = np.abs(np.arange(p.size) - center)
     mask = (p > FIT_FLOOR) & (d >= FIT_EXCLUDE_RADIUS)
     n_pts = int(np.count_nonzero(mask))
     if n_pts < FIT_MIN_POINTS:
-        raise TooFewPoints(f"only {n_pts} profile sites exceed the floor")
+        return None
     x = d[mask].astype(float)
     y = np.log(p[mask])
     design = np.stack([x, np.ones_like(x)], axis=1)
@@ -418,8 +445,8 @@ def localize(model, lam, x0, N, margin=DEFAULT_MARGIN):
     for energy, vector in zip(energies.tolist(), vectors.T):
         profile = block_profile(vector, model.l)
         target = math.log(lam + abs(energy)) if lam + abs(energy) > 0.0 else -math.inf
-        try:
-            fit = decay_fit(profile)
+        fit = decay_fit(profile)
+        if fit is not None:
             center = fit.center
             if fit.residual < FIT_RESIDUAL_MAX:
                 status = "fit"
@@ -431,7 +458,7 @@ def localize(model, lam, x0, N, margin=DEFAULT_MARGIN):
                 rate = float("nan")
                 residual = fit.residual
                 localized = False
-        except TooFewPoints:
+        else:
             center = int(np.argmax(profile))
             if profile[center] ** 2 >= 0.99:
                 status = "delta"

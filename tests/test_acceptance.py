@@ -30,10 +30,9 @@ from qpjacobi.operator import (
     OperatorParams,
     assemble_hamiltonian,
     assemble_regularized,
-    hopping_sup_bound,
-    onsite_sup_bound,
 )
 
+import oracles
 from conftest import band_blocks, pole_free_x, random_model, well_conditioned_params
 
 
@@ -327,8 +326,8 @@ def test_criterion_8_invariant_suite(maryland, mero2):
     checks.append(np.array_equal(a, b))
 
     # pole cancellation: regularized entries bounded near a pole orbit
-    s1, s2, s3 = onsite_sup_bound(mero2)
-    hop = hopping_sup_bound(mero2)
+    s1, s2, s3 = oracles.onsite_sup_bound(mero2)
+    hop = oracles.hopping_sup_bound(mero2)
     lam, E = 5.0, 2.0
     z = mero2.F[0][0].zeros[0]
     x = (z + 1e-6 - 2.0 * mero2.omega) % 1.0

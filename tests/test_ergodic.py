@@ -55,7 +55,7 @@ class TestBirkhoff:
 
     def test_invalid_q(self, maryland):
         with pytest.raises(ValueError, match="Q must be >= 1"):
-            deviation_measure(maryland, 5.0, 1.0, 2, 0, 1.0, 0.3, midpoint_grid(1000), ref=0.0)
+            deviation_measure(maryland, 5.0, 1.0, 2, 0, 1.0, 0.3, midpoint_grid(1000))
 
 
 class TestDeviationMeasure:
@@ -95,7 +95,7 @@ class TestDeviationMeasure:
     )
     def test_bad_threshold_scale_rejected(self, maryland, S, sigma):
         with pytest.raises(ValueError, match="require S >= 0 and sigma > 0"):
-            deviation_measure(maryland, 50.0, 1.0, 4, 10, S, sigma, midpoint_grid(1000), ref=0.0)
+            deviation_measure(maryland, 50.0, 1.0, 4, 10, S, sigma, midpoint_grid(1000))
 
 
 def _report(Q, bad, sigma=0.5, S=1.0):

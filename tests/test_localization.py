@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qpjacobi.errors import TooFewPoints
 from qpjacobi.greens import green_solve, logdet_abs, midpoint_grid, avg_logdet
 from qpjacobi import localization
 from qpjacobi.localization import (
@@ -114,8 +113,9 @@ class TestDecayFit:
     def test_too_few_points(self):
         prof = np.zeros(32)
         prof[7] = 1.0
-        with pytest.raises(TooFewPoints):
-            decay_fit(prof)
+        fit = decay_fit(prof)
+        assert (fit.center, fit.n_points) == (7, 0)
+        assert math.isnan(fit.rate) and math.isnan(fit.residual)
 
     @given(st.integers(0, 20))
     @settings(max_examples=15)
@@ -176,21 +176,19 @@ class TestDecayFitOracle:
         fit = decay_fit(profiles)
         for i, prof in enumerate(profiles):
             row = DecayFit(*(a[i].item() for a in dataclasses.astuple(fit)))
-            try:
-                want = oracles.decay_fit(prof)
-            except TooFewPoints as exc:
+            # one profile is the stack of one: the same numbers, as numpy scalars
+            one = dataclasses.astuple(decay_fit(prof))
+            assert all(isinstance(a, np.generic) for a in one)
+            assert np.array_equal(one, dataclasses.astuple(row), equal_nan=True)
+            want = oracles.decay_fit(prof)
+            if want is None:
                 assert row.n_points < FIT_MIN_POINTS
-                assert str(exc) == f"only {row.n_points} profile sites exceed the floor"
                 assert row.center == int(np.argmax(prof))
                 assert math.isnan(row.rate) and math.isnan(row.residual)
-                with pytest.raises(TooFewPoints, match=f"^{exc}$"):
-                    decay_fit(prof)
                 continue
             assert (row.center, row.n_points) == (want.center, want.n_points)
             assert _close(row.rate, want.rate), (row, want)
             assert _close(row.residual, want.residual), (row, want)
-            # one profile is the stack of one: the same numbers, as ints and floats
-            assert decay_fit(prof) == row
 
     def test_leading_axes_are_kept(self):
         profiles = np.exp(-0.5 * np.abs(np.arange(12) - np.arange(6)[:, None])).reshape(2, 3, 12)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from qpjacobi.models import (
 )
 from qpjacobi.operator import OperatorParams, assemble_hamiltonian, assemble_regularized
 
-from conftest import atomic_maryland, random_model
+from conftest import GOLDEN, atomic_maryland, random_model
 
 
 class TestRoundTrip:
@@ -120,6 +121,37 @@ class TestValidation:
         cfg["entries"][0]["entry"] = "W[0][1]"
         with pytest.raises(ModelFormatError):
             model_from_dict(cfg)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pole_tol", math.nan),
+            ("pole_tol", math.inf),
+            ("pole_tol", "1e-8"),
+            ("omega", math.nan),
+            ("omega", -math.inf),
+            ("dioph.A", math.nan),
+            ("dioph.A", "2"),
+            ("dioph.C0", math.inf),
+            ("l", 1.7),
+            ("l", True),
+            ("r_sign", -1.5),
+            ("r_sign", "-1"),
+            ("entries[1].num[0][0]", True),
+            ("entries[1].num[0][1]", math.nan),
+            ("entries[1].num[0][2]", math.inf),
+        ],
+    )
+    def test_non_finite_or_non_integral_scalar_rejected(self, field, value):
+        cfg = self.base()
+        *path, last = re.findall(r"\w+", field)
+        node = cfg
+        for key in path:
+            node = node[int(key)] if isinstance(node, list) else node[key]
+        node[int(last) if isinstance(node, list) else last] = value
+        with pytest.raises(ModelFormatError) as err:
+            model_from_dict(cfg)
+        assert err.value.field == field
 
 
 class TestCli:
@@ -380,6 +412,20 @@ class TestCli:
         assert rc == 1
         assert "dioph" in capsys.readouterr().err
 
+    def test_nan_pole_tol_exits_one(self, tmp_path, capsys):
+        # a NaN pole_tol would switch the pole guard off: site 0 sits on the pole at 1/4
+        cfg = model_to_dict(bundled("maryland"))
+        cfg["pole_tol"] = math.nan
+        path = tmp_path / "nan_tol.json"
+        path.write_text(json.dumps(cfg))
+        rc = main([
+            "assemble", "--model", str(path), "--lambda", "2", "--x", "0.25", "--E", "0",
+            "--window", "0:1", "--matrix", "h", "--out", "-",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: pole_tol: expected a finite number\n"
+
     def test_invalid_json_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -563,13 +609,16 @@ class TestCli:
         assert rc == 2
 
     def test_diophantine_warning_not_fatal(self, tmp_path, capsys):
-        model = bundled("maryland").with_omega(0.5)
-        path = tmp_path / "rational.json"
-        save_model(model, path)
-        out = tmp_path / "out.csv"
-        rc = main([
-            "assemble", "--model", str(path), "--lambda", "1", "--x", "0.1",
-            "--E", "0", "--window", "1:2", "--out", str(out),
-        ])
-        assert rc == 0
-        assert "Diophantine" in capsys.readouterr().err
+        rational = tmp_path / "rational.json"
+        save_model(bundled("maryland").with_omega(0.5), rational)
+        assemble = ["assemble", "--lambda", "1", "--x", "0.1", "--E", "0", "--window", "1:2"]
+        ldt = ["ldt", "--lambda", "50", "--E", "1", "--N", "2", "--Qs", "10", "--grid", "1000"]
+        # the warning checks the rotation that an --omega override puts in place
+        for model, argv, warns in [
+            (rational, assemble, True),
+            ("maryland", [*ldt, "--omega", "0.5"], True),
+            (rational, [*ldt, "--omega", repr(float(GOLDEN))], False),
+        ]:
+            rc = main([*argv, "--model", str(model), "--out", str(tmp_path / "out.csv")])
+            assert rc == 0
+            assert ("Diophantine" in capsys.readouterr().err) == warns, argv

@@ -17,8 +17,6 @@ from qpjacobi.operator import (
     assemble_regularized,
     dense_blocks,
     hamiltonian_blocks,
-    hopping_sup_bound,
-    onsite_sup_bound,
     regularized_blocks,
     window_tables,
 )
@@ -42,7 +40,7 @@ class TestParams:
     sweeps = pytest.mark.parametrize(
         "call",
         [
-            lambda m, lam: deviation_measure(m, lam, 1.0, 2, 10, 1.0, 0.3, GRID_1000, ref=0.0),
+            lambda m, lam: deviation_measure(m, lam, 1.0, 2, 10, 1.0, 0.3, GRID_1000),
             lambda m, lam: logdet_grid(m, lam, 1.0, (1, 2), midpoint_grid(8)),
             lambda m, lam: green_decay_scan(m, lam, 0.2, 0.1, 2, range(2)),
             lambda m, lam: resolvent_patch_check(m, lam, 0.2, 0.1, 2, 4, 0.3),
@@ -163,9 +161,9 @@ class TestAssembleRegularized:
     @pytest.mark.parametrize("name", ["maryland", "mero2"])
     def test_pole_cancellation(self, name, request):
         model = request.getfixturevalue(name)
-        s1, s2, s3 = onsite_sup_bound(model)
+        s1, s2, s3 = oracles.onsite_sup_bound(model)
         lam, E = 5.0, 2.0
-        hop = hopping_sup_bound(model)
+        hop = oracles.hopping_sup_bound(model)
         zeros = [z for i in range(model.l) for z in model.F[i][i].zeros]
         assert zeros
         for z in zeros:
@@ -182,7 +180,7 @@ class TestAssembleRegularized:
 
     def test_hopping_uniform_bound(self, mero2):
         rng = np.random.default_rng(4)
-        bound = hopping_sup_bound(mero2)
+        bound = oracles.hopping_sup_bound(mero2)
         ys = rng.uniform(size=1000)
         worst = 0.0
         for i in range(mero2.l):

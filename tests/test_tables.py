@@ -12,6 +12,7 @@ from qpjacobi.errors import PoleProximity
 from qpjacobi import greens, localization
 from qpjacobi.greens import (
     _scalar_logdets,
+    avg_logdet,
     check_minor_bound,
     green_solve,
     logdet_grid,
@@ -306,10 +307,13 @@ def test_deviation_measure_matches_per_orbit_point_oracle(name, N, Q, omega, req
     avg, floored = _orbit_average(m, lam, E, N, Q, xs)
     assert np.max(np.abs(avg - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
     assert floored == want_floored
-    ref = float(np.mean(want))
+    # the reference is the torus integral on a grid four times finer than xs
+    ref = avg_logdet(m, lam, E, N, midpoint_grid(4 * xs.size)).value
     for S in (0.05, 0.5, 5.0):
-        rep = deviation_measure(model, lam, E, N, Q, S, 0.3, xs, omega=omega, ref=ref)
-        bad = np.count_nonzero(np.abs(want - ref) >= rep.threshold)
+        rep = deviation_measure(model, lam, E, N, Q, S, 0.3, xs, omega=omega)
+        threshold = S * Q ** -0.3
+        assert (rep.integral, rep.threshold) == (ref, threshold)
+        bad = np.count_nonzero(np.abs(want - rep.integral) >= threshold)
         assert rep.bad_fraction == bad / xs.size
         assert rep.floored == want_floored
 
