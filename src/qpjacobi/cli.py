@@ -11,21 +11,12 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
-from .errors import (
-    AllDegenerate,
-    ModelFormatError,
-    NearSingular,
-    PoleProximity,
-    TooManyExclusions,
-)
+from .errors import AllDegenerate, ModelFormatError, NearSingular, PoleProximity, TooManyExclusions
 from .ergodic import deviation_measure
-from .greens import (
-    check_det_lower_bound,
-    check_minor_bound,
-    green_solve,
-    midpoint_grid,
-)
+from .greens import check_det_lower_bound, check_minor_bound, green_solve, midpoint_grid
 from .localization import green_decay_scan, localize
 from .models import is_number, model_hash, resolve_model
 from .operator import OperatorParams, assemble_hamiltonian, assemble_regularized
@@ -42,38 +33,36 @@ def _fmt(value):
     return str(value)
 
 
-def _meta(args, model):
-    return {
+def _csv_lines(rows):
+    return (",".join(map(_fmt, row)) for row in rows)
+
+
+def _write(args, model, body, extra=()):
+    """Write one output to stdout or to `--out`.
+
+    The header holds the common keys, then the command's own `extra` keys.
+    `body` is a JSON payload dict, written after the header as "meta", or a
+    (columns, ready-made lines) CSV table, written under '# key=value' lines.
+    """
+    meta = {
         "tool": "qpjacobi",
         "version": __version__,
         "command": args.command,
         "model_hash": model_hash(model),
         "seed": args.seed,
+        **dict(extra),
     }
-
-
-def _csv_lines(rows):
-    return (",".join(map(_fmt, row)) for row in rows)
-
-
-def _write_csv(path, meta, columns, lines):
-    """Write the '# key=value' header, the column names and the ready-made table lines."""
-    text = "\n".join([*(f"# {k}={v}" for k, v in meta.items()), ",".join(columns), *lines]) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
+    if isinstance(body, dict):
+        text = json.dumps({"meta": meta, **body}, indent=2)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def _write_json(path, meta, payload):
-    doc = {"meta": meta, **payload}
-    text = json.dumps(doc, indent=2) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
+        columns, lines = body
+        header = [f"# {k}={_fmt(v)}" for k, v in meta.items()]
+        text = "\n".join([*header, ",".join(columns), *lines])
+    if args.out is None or args.out == "-":
+        sys.stdout.write(text + "\n")
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
 
 
 # argparse `type=` parsers: ModelFormatError is not a ValueError, so argparse
@@ -107,12 +96,23 @@ def _number_list(convert, field, kind, name):
         try:
             vals = [convert(s) for s in text.split(",") if s]
         except ValueError:
+            vals = [math.nan]
+        if not all(map(is_number, vals)):
             raise ModelFormatError(f"expected a comma-separated {kind} list", field=field)
         if not vals:
             raise ModelFormatError(f"at least one {name} value required", field=field)
         return vals
 
     return parse
+
+
+#: the required number flags that subcommands share: flag -> (dest, argparse type)
+_NUMBER_FLAGS = {
+    "--lambda": ("lam", float),
+    "--x": ("x", _finite("--x")),
+    "--E": ("E", _finite("--E")),
+    "--x0": ("x0", _finite("--x0")),
+}
 
 
 def _matrix_rows(mat, l):
@@ -138,38 +138,24 @@ def _warn_diophantine(model, kmax=10000):
     return chk
 
 
-def _window_params(args):
-    return OperatorParams(lam=args.lam, x=args.x, E=args.E, window=args.window)
+_BAND_COLUMNS = ("block_row", "block_col", "i", "j", "value")
 
 
 def _run_assemble(args, model):
     assemble = assemble_hamiltonian if args.matrix == "h" else assemble_regularized
-    mat = assemble(model, _window_params(args))
-    _write_csv(
-        args.out,
-        _meta(args, model),
-        ("block_row", "block_col", "i", "j", "value"),
-        _csv_lines(_matrix_rows(mat, model.l)),
-    )
-    return EXIT_OK
+    mat = assemble(model, OperatorParams(args.lam, args.x, args.E, args.window))
+    _write(args, model, (_BAND_COLUMNS, _csv_lines(_matrix_rows(mat, model.l))))
 
 
 def _run_green(args, model):
-    g, residual = green_solve(model, _window_params(args))
+    g, residual = green_solve(model, OperatorParams(args.lam, args.x, args.E, args.window))
     l = model.l
     site = [str(a // l + 1) for a in range(g.shape[0])]
     comp = [str(a % l + 1) for a in range(g.shape[0])]
     # a row is its four index columns, joined once, and the value
     index = [f"{sa},{sb},{ca},{cb}" for sa, ca in zip(site, comp) for sb, cb in zip(site, comp)]
-    meta = _meta(args, model)
-    meta["residual"] = _fmt(residual)
-    _write_csv(
-        args.out,
-        meta,
-        ("block_row", "block_col", "i", "j", "value"),
-        [f"{i},{v:.17g}" for i, v in zip(index, g.ravel().tolist())],
-    )
-    return EXIT_OK
+    lines = [f"{i},{v:.17g}" for i, v in zip(index, g.ravel().tolist())]
+    _write(args, model, (_BAND_COLUMNS, lines), {"residual": residual})
 
 
 def _check_sweep(sweep):
@@ -198,13 +184,8 @@ def _run_bounds(args, model):
     _check_sweep(sweep)
     if args.check == "minor":
         report = check_minor_bound(
-            model,
-            sweep["N"],
-            sweep["lambda"],
-            sweep["E"],
-            x_count=sweep.get("x_count", 16),
-            pairs_per_instance=sweep.get("pairs"),
-            seed=args.seed,
+            model, sweep["N"], sweep["lambda"], sweep["E"], x_count=sweep.get("x_count", 16),
+            pairs_per_instance=sweep.get("pairs"), seed=args.seed,
         )
         columns = ("N", "lambda", "E", "x", "quantity", "slack", "zero_minors")
     else:
@@ -213,10 +194,7 @@ def _run_bounds(args, model):
         )
         columns = ("N", "lambda", "E", "quantity", "slack", "excluded")
     extra = {"fitted_constant": report.fitted_constant, **report.group_constants}
-    meta = _meta(args, model)
-    meta.update({k: _fmt(v) for k, v in extra.items()})
-    _write_csv(args.out, meta, columns, _csv_lines(report.sweep["rows"]))
-    return EXIT_OK
+    _write(args, model, (columns, _csv_lines(report.sweep["rows"])), extra)
 
 
 def _run_ldt(args, model):
@@ -226,33 +204,26 @@ def _run_ldt(args, model):
     for Q in args.Qs:
         rep = deviation_measure(model, args.lam, args.E, args.N, Q, args.S, args.sigma, xs)
         rows.append((rep.Q, rep.threshold, rep.bad_fraction, rep.floored))
-    meta = _meta(args, model)
     # every Q of the ladder shares one reference integral
-    meta["integral"] = _fmt(rep.integral)
     columns = ("Q", "threshold", "bad_fraction", "floored")
-    _write_csv(args.out, meta, columns, _csv_lines(rows))
-    return EXIT_OK
+    _write(args, model, (columns, _csv_lines(rows)), {"integral": rep.integral})
 
 
 def _run_scan(args, model):
     a, b = args.shifts
     report = green_decay_scan(model, args.lam, args.E, args.x0, args.N0, range(a, b + 1))
-    meta = _meta(args, model)
-    meta["c11"] = _fmt(report.c11)
-    meta["good_fraction"] = _fmt(report.good_fraction)
-    meta["pole"] = report.counts["pole"]
-    meta["near_singular"] = report.counts["near_singular"]
+    counts = report.counts
+    extra = {"c11": report.c11, "good_fraction": report.good_fraction}
+    extra.update(pole=counts["pole"], near_singular=counts["near_singular"])
     rows = [(r.shift, r.status, r.slack) for r in report.records]
-    _write_csv(args.out, meta, ("shift", "status", "slack"), _csv_lines(rows))
-    if report.counts["near_singular"] + report.counts["pole"] > len(report.records) / 2:
+    _write(args, model, (("shift", "status", "slack"), _csv_lines(rows)), extra)
+    if counts["near_singular"] + counts["pole"] > len(report.records) / 2:
         raise NearSingular("more than half of the scanned windows failed")
-    return EXIT_OK
 
 
 def _run_localize(args, model):
     report = localize(model, args.lam, args.x0, args.N, margin=args.margin)
-    _write_json(args.out, _meta(args, model), {"report": report.to_dict()})
-    return EXIT_OK
+    _write(args, model, {"report": report.to_dict()})
 
 
 def _run_check_model(args, model):
@@ -262,40 +233,20 @@ def _run_check_model(args, model):
         for i in range(model.l):
             zeros[f"{name}[{i}][{i}]"] = list(grid[i][i].zeros)
     nd = check_nondegeneracy(model, args.t_grid, midpoint_grid(args.x_count))
+    witnesses = [{"t": t, "x": x, "det": d} for t, x, d in nd.witnesses]
     payload = {
-        "diophantine": {
-            "ok": chk.ok,
-            "worst_k": chk.worst_k,
-            "worst_margin": chk.worst_margin,
-        },
+        "diophantine": {"ok": chk.ok, "worst_k": chk.worst_k, "worst_margin": chk.worst_margin},
         "denominator_zeros": zeros,
-        "nondegeneracy": {
-            "ok": nd.ok,
-            "witnesses": [
-                {"t": t, "x": x, "det": d} for t, x, d in nd.witnesses
-            ],
-        },
+        "nondegeneracy": {"ok": nd.ok, "witnesses": witnesses},
     }
-    _write_json(args.out, _meta(args, model), payload)
-    return EXIT_OK
-
-
-_HANDLERS = {
-    "assemble": _run_assemble,
-    "green": _run_green,
-    "bounds": _run_bounds,
-    "ldt": _run_ldt,
-    "scan": _run_scan,
-    "localize": _run_localize,
-    "check-model": _run_check_model,
-}
+    _write(args, model, payload)
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        # main turns the config error into the exit code
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(EXIT_CONFIG)
+        raise ModelFormatError(message)
 
 
 def build_parser():
@@ -303,37 +254,38 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"qpjacobi {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def add_parser(name, handler, help, numbers=()):
+        """Subcommand `name` running `handler`, with the common flags and the
+        shared required number flags `numbers`."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler)
         sp.add_argument("--model", required=True, help="model file or bundled name")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         sp.add_argument("--seed", type=int, default=0)
+        for flag in numbers:
+            dest, kind = _NUMBER_FLAGS[flag]
+            sp.add_argument(flag, dest=dest, type=kind, required=True)
+        return sp
 
     window = _int_pair("--window", "u:v")
-
-    sp = sub.add_parser("assemble", help="emit a finite-volume matrix as CSV")
-    common(sp)
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--x", type=_finite("--x"), required=True)
-    sp.add_argument("--E", type=_finite("--E"), required=True)
+    sp = add_parser(
+        "assemble", _run_assemble, "emit a finite-volume matrix as CSV", ("--lambda", "--x", "--E")
+    )
     sp.add_argument("--window", type=window, required=True, help="u:v site window")
     sp.add_argument("--matrix", choices=("h", "htilde"), default="htilde")
 
-    sp = sub.add_parser("green", help="emit the window Green's function as CSV")
-    common(sp)
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--x", type=_finite("--x"), required=True)
-    sp.add_argument("--E", type=_finite("--E"), required=True)
+    sp = add_parser(
+        "green", _run_green, "emit the window Green's function as CSV", ("--lambda", "--x", "--E")
+    )
     sp.add_argument("--window", type=window, required=True)
 
-    sp = sub.add_parser("bounds", help="minor upper bound / determinant lower bound sweeps")
-    common(sp)
+    sp = add_parser("bounds", _run_bounds, "minor upper bound / determinant lower bound sweeps")
     sp.add_argument("--sweep", required=True, help="JSON sweep file")
     sp.add_argument("--check", choices=("minor", "det"), required=True)
 
-    sp = sub.add_parser("ldt", help="large-deviation measurement over a Q ladder")
-    common(sp)
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--E", type=_finite("--E"), required=True)
+    sp = add_parser(
+        "ldt", _run_ldt, "large-deviation measurement over a Q ladder", ("--lambda", "--E")
+    )
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--sigma", type=_finite("--sigma"), default=0.3)
     sp.add_argument("--S", type=_finite("--S"), default=1.0)
@@ -345,11 +297,9 @@ def build_parser():
         "--omega", type=_finite("--omega"), default=None, help="override the model rotation"
     )
 
-    sp = sub.add_parser("scan", help="Green decay over shifted windows")
-    common(sp)
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--E", type=_finite("--E"), required=True)
-    sp.add_argument("--x0", type=_finite("--x0"), required=True)
+    sp = add_parser(
+        "scan", _run_scan, "Green decay over shifted windows", ("--lambda", "--E", "--x0")
+    )
     sp.add_argument("--N0", type=int, default=16)
     sp.add_argument(
         "--shifts",
@@ -358,15 +308,15 @@ def build_parser():
         help="a:b inclusive shift range (use --shifts=-8:8 for negative starts)",
     )
 
-    sp = sub.add_parser("localize", help="eigenpair decay-rate report as JSON")
-    common(sp)
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--x0", type=_finite("--x0"), required=True)
+    sp = add_parser(
+        "localize", _run_localize, "eigenpair decay-rate report as JSON", ("--lambda", "--x0")
+    )
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--margin", type=int, default=32)
 
-    sp = sub.add_parser("check-model", help="hypothesis checks: rotation, poles, nondegeneracy")
-    common(sp)
+    sp = add_parser(
+        "check-model", _run_check_model, "hypothesis checks: rotation, poles, nondegeneracy"
+    )
     sp.add_argument(
         "--t-grid", type=_number_list(float, "--t-grid", "number", "t"), default="-1,0,1"
     )
@@ -377,23 +327,29 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    """Run one subcommand; the exit code is 0, 1 for a config or file-system
+    error, or 2 for a numerical failure."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         model = resolve_model(args.model)
         if args.command == "ldt" and args.omega is not None:
             model = model.with_omega(args.omega)
         if args.command != "check-model":
             _warn_diophantine(model)
-        return _HANDLERS[args.command](args, model)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_OK
-    except (ModelFormatError, FileNotFoundError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-    except (TooManyExclusions, NearSingular, AllDegenerate, PoleProximity) as exc:
+        args.handler(args, model)
+    except SystemExit:
+        # --help and --version; every parse error is a ModelFormatError
+        return EXIT_OK
+    # LinAlgError subclasses ValueError, so the numerical failures come first
+    except (
+        np.linalg.LinAlgError, TooManyExclusions, NearSingular, AllDegenerate, PoleProximity
+    ) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERIC
+    except (ModelFormatError, OSError, ValueError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

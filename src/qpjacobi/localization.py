@@ -324,6 +324,7 @@ def localize(model, lam, x0, N, margin=DEFAULT_MARGIN):
     report carries the largest eigenpair residual ||H v - E v||, the check
     on the eigensolve.  An energy with lam + |E| == 0 (lam = 0, E = 0) has
     the target -inf and counts as localized only by the delta convention.
+    A non-finite energy (an overflowed H) raises LinAlgError.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -331,6 +332,8 @@ def localize(model, lam, x0, N, margin=DEFAULT_MARGIN):
         raise ValueError("margin must be >= 0")
     params = OperatorParams(lam=lam, x=x0, E=0.0, window=(-N, N))
     energy, vectors, residuals = eigensolve(assemble_hamiltonian(model, params))
+    if not np.isfinite(energy).all():
+        raise np.linalg.LinAlgError("eigensolve returned a non-finite energy")
     profiles = block_profile(vectors.T, model.l)
     fit = decay_fit(profiles)
     target = np.array([math.log(a) if a > 0.0 else -math.inf for a in (lam + abs(energy)).tolist()])

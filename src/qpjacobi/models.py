@@ -105,17 +105,11 @@ def model_from_dict(cfg):
                     field=f"{here}.den",
                 )
             den = _parse_coeffs(ent["den"], f"{here}.den")
-        key = (name, i, j)
-        mirror = (name, j, i)
-        if key in tables:
+        # an off-diagonal entry also fills its mirror, so a second entry for
+        # either slot is a duplicate
+        if (name, i, j) in tables:
             raise ModelFormatError("duplicate entry", field=f"{here}.entry")
-        if mirror in tables and tables[mirror] != (num, den):
-            raise ModelFormatError(
-                "conflicts with its symmetric counterpart", field=f"{here}.entry"
-            )
-        tables[key] = (num, den)
-        if i != j:
-            tables.setdefault(mirror, (num, den))
+        tables[name, i, j] = tables[name, j, i] = (num, den)
 
     def poly(name, i, j):
         num, _ = tables.get((name, i, j), ({}, None))
@@ -132,13 +126,9 @@ def model_from_dict(cfg):
     W = [[poly("W", i, j) for j in range(l)] for i in range(l)]
     R = [[mero("R", i) if i == j else poly("R", i, j) for j in range(l)] for i in range(l)]
     F = [[mero("F", i) if i == j else poly("F", i, j) for j in range(l)] for i in range(l)]
-    try:
-        return BlockModel(
-            l=l, W=W, R=R, F=F, omega=omega, dioph=dioph,
-            pole_tol=pole_tol, r_sign=r_sign,
-        )
-    except ValueError as exc:
-        raise ModelFormatError(str(exc), field="entries")
+    return BlockModel(
+        l=l, W=W, R=R, F=F, omega=omega, dioph=dioph, pole_tol=pole_tol, r_sign=r_sign
+    )
 
 
 def _coeff_rows(poly):

@@ -462,6 +462,17 @@ class TestLocalize:
         monkeypatch.setattr(np.linalg, "eigh", corrupted)
         assert localize(maryland, 20.0, 0.31, 32, margin=4).max_eigen_residual > 1e-4 > 1e6 * clean
 
+    def test_an_overflowed_window_raises_instead_of_reporting_nan_pairs(self, maryland):
+        # at lam = 1e308 the on-site values overflow H and eigh returns NaN energies
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite energy"):
+                localize(maryland, 1e308, 0.1, 8, margin=0)
+            # at lam = 1e200 every energy is finite and every pair a delta, while
+            # the residual norm overflows: only the energies are checked
+            rep = localize(maryland, 1e200, 0.1, 8, margin=0)
+        assert all(math.isfinite(r.energy) for r in rep.records)
+        assert rep.counts["delta"] == 17 and rep.max_eigen_residual == math.inf
+
     def test_atomic_limit_is_fully_localized(self, maryland):
         model = atomic_maryland(maryland)
         rep = localize(model, 5.0, 0.1, 24, margin=4)

@@ -60,6 +60,10 @@ class TestRoundTrip:
         assert len({model_hash(bundled(n)) for n in ("maryland", "analytic2", "mero2")}) == 3
 
 
+#: an off-diagonal hopping entry of a block model
+HOP = {"entry": "W[0][1]", "num": [[0, 0.5, 0.0]]}
+
+
 class TestValidation:
     def base(self):
         return {
@@ -152,6 +156,41 @@ class TestValidation:
         with pytest.raises(ModelFormatError) as err:
             model_from_dict(cfg)
         assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "edit, field, message",
+        [
+            (lambda c: {**c, "entries": [{"entry": "W[0][0]", "num": 5}]}, "entries[0].num",
+             "must be a list"),
+            (lambda c: {**c, "entries": [{"entry": "W[0][0]", "num": [[0, 1.0]]}]},
+             "entries[0].num[0]", "expected [k, re, im]"),
+            (lambda c: [c], "$", "JSON object"),
+            (lambda c: {**c, "l": 0}, "l", ">= 1"),
+            (lambda c: {**c, "pole_tol": 0.0}, "pole_tol", "positive"),
+            (lambda c: {**c, "pole_tol": -1e-8}, "pole_tol", "positive"),
+            (lambda c: {**c, "r_sign": 2}, "r_sign", "+1 or -1"),
+            (lambda c: {**c, "r_sign": 0}, "r_sign", "+1 or -1"),
+            (lambda c: {k: v for k, v in c.items() if k != "entries"}, "entries", "missing"),
+            (lambda c: {**c, "entries": [*c["entries"], "F[0][0]"]}, "entries[3]",
+             "'entry' key"),
+            (lambda c: {**c, "entries": [*c["entries"], {"num": []}]}, "entries[3]",
+             "'entry' key"),
+            (lambda c: {**c, "entries": [*c["entries"], {"entry": "F[0][0]"}]},
+             "entries[3].entry", "duplicate"),
+            # an off-diagonal entry fills its mirror too: a second one is a
+            # duplicate, whether its table agrees or not
+            (lambda c: {**c, "l": 2, "entries": [*c["entries"], HOP, {**HOP, "entry": "W[1][0]"}]},
+             "entries[4].entry", "duplicate"),
+            (lambda c: {**c, "l": 2, "entries": [*c["entries"], HOP, {"entry": "W[1][0]"}]},
+             "entries[4].entry", "duplicate"),
+            (lambda c: "nope", "model", "unknown bundled model"),
+        ],
+    )
+    def test_rejection_names_its_field(self, edit, field, message):
+        cfg = edit(self.base())
+        with pytest.raises(ModelFormatError) as err:
+            bundled(cfg) if isinstance(cfg, str) else model_from_dict(cfg)
+        assert err.value.field == field and message in str(err.value)
 
 
 class TestCli:
@@ -436,6 +475,22 @@ class TestCli:
         assert main(["check-model", "--model", "/nonexistent/x.json", "--out", "-"]) == 1
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-model", "--model", "{dir}", "--out", "-"],
+            ["assemble", "--model", "maryland", "--lambda", "2", "--x", "0.1", "--E", "0",
+             "--window", "1:2", "--out", "{dir}"],
+        ],
+    )
+    def test_directory_as_model_or_out_exits_one(self, tmp_path, capsys, argv):
+        # every file-system error is a config error, reported without a traceback
+        rc = main([a.format(dir=tmp_path) for a in argv])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert str(tmp_path) in captured.err
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["assemble", "--lambda", "2", "--x", "0", "--E", "0", "--window", "1-3"],
@@ -458,6 +513,10 @@ class TestCli:
              "no shifts to scan"),
             (["ldt", "--lambda", "50", "--E", "1", "--N", "0", "--Qs", "10", "--grid", "1000"],
              "N must be >= 1"),
+            # the t grid follows the finite-number rule of the other number flags
+            (["check-model", "--t-grid", "nan,0"],
+             "--t-grid: expected a comma-separated number list"),
+            (["check-model", "--t-grid=-inf"], "--t-grid: expected a comma-separated number list"),
         ],
     )
     def test_malformed_value_exits_one(self, capsys, argv, message):
@@ -607,6 +666,37 @@ class TestCli:
             "--E", repr(e_bad), "--window", "1:4", "--out", "-",
         ])
         assert rc == 2
+
+    def test_scan_with_most_windows_on_the_pole_exits_two(self, tmp_path, capsys, maryland):
+        # 9 of these 12 windows hold the pole at phase 1/4: the table is still written
+        x0 = (0.25 - 5.0 * maryland.omega) % 1.0
+        out = tmp_path / "scan.csv"
+        rc = main([
+            "scan", "--model", "maryland", "--lambda", "20", "--E", "0.5",
+            "--x0", repr(x0), "--N0", "4", "--shifts=1:12", "--out", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "numerical failure: more than half of the scanned windows failed\n"
+        lines = out.read_text().splitlines()
+        assert "# pole=9" in lines
+        assert len([l for l in lines if not l.startswith("#")]) == 1 + 12
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the on-site values overflow H: eigvalsh does not converge
+            ["scan", "--E", "0.5", "--x0", "0.1", "--N0", "2", "--shifts=-2:2"],
+            # eigh returns NaN energies, which localize refuses to fit
+            ["localize", "--x0", "0.1", "--N", "8", "--margin", "0"],
+        ],
+    )
+    def test_overflowed_eigensolve_exits_two(self, capsys, argv):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main([*argv, "--model", "maryland", "--lambda", "1e308", "--out", "-"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("numerical failure: ")
 
     def test_diophantine_warning_not_fatal(self, tmp_path, capsys):
         rational = tmp_path / "rational.json"
