@@ -336,7 +336,10 @@ def main(argv=None):
             model = model.with_omega(args.omega)
         if args.command != "check-model":
             _warn_diophantine(model)
-        args.handler(args, model)
+        # numpy's floating-point warnings stay off stderr: each failure they
+        # would announce is checked where it arises and exits 2
+        with np.errstate(all="ignore"):
+            args.handler(args, model)
     except SystemExit:
         # --help and --version; every parse error is a ModelFormatError
         return EXIT_OK

@@ -39,7 +39,8 @@ def _orbit_average(model, lam, E, N, Q, xs):
     same orbit takes it out of the slot (so no other call sees it
     half-advanced), re-evaluates the N - 1 sites it overlaps and adds terms
     Q..Q'-1 in the order a cold call would; any other call is a cold call.
-    A term does not depend on the slice it is computed in, so the result is
+    A term does not depend on the slice it is computed in, and each slice
+    adds its terms to the sum in order with one reduction, so the result is
     bit-identical to a cold call whatever calls came before.
     """
     global _orbit_sum
@@ -50,10 +51,13 @@ def _orbit_average(model, lam, E, N, Q, xs):
             _orbit_sum = None
         else:
             kept = None
-    start, acc, floored = kept[1:] if kept else (0, np.zeros(xs.shape), 0)
+    # two phases at least: numpy sums a lone column pairwise, not row by
+    # row, so a one-phase grid runs twice
+    grid = np.resize(xs, max(xs.size, 2))
+    start, acc, floored = kept[1:] if kept else (0, np.zeros(grid.shape), 0)
     step, keep = max(1, TABLE_CHUNK // (xs.size * model.l**2)), N - 1
     rows = min(step, Q - start) + keep
-    tab = SymbolTables.empty(model, (rows, xs.size))
+    tab = SymbolTables.empty(model, (rows, grid.size))
     for j0 in range(start, Q, step):
         new = keep if j0 > start else 0  # the first row this slice evaluates
         if new:
@@ -62,17 +66,19 @@ def _orbit_average(model, lam, E, N, Q, xs):
         end = keep + min(step, Q - j0)
         ks = np.arange(j0 + 1 + new, j0 + 1 + end)[:, None]
         # the unreduced phases go into rows of m, which symbol_tables overwrites
-        x = np.add(xs, ks * model.omega, out=tab.m[new:end, :, 0])
+        x = np.add(grid, ks * model.omega, out=tab.m[new:end, :, 0])
         symbol_tables(model, reduce_phase(x, out=tab.phases[new:end]), out=tab[new:end])
         u = window_logdets(model, lam, E, tab[:end], N)
         u /= N * model.l
-        for row in u:
-            floored += int(np.count_nonzero(row < U_FLOOR))
-            acc += np.maximum(row, U_FLOOR, out=row)
+        floored += int(np.count_nonzero(u[:, : xs.size] < U_FLOOR))
+        np.maximum(u, U_FLOOR, out=u)
+        # numpy reduces axis 0 of a C-contiguous array row by row, in order
+        u[0] += acc
+        np.add.reduce(u, axis=0, out=acc)
     with _orbit_lock:
         if _orbit_sum is None or _orbit_sum[0] != key or _orbit_sum[1] < Q:
             _orbit_sum = key, Q, acc, floored
-    return acc / Q, floored
+    return acc[: xs.size] / Q, floored
 
 
 @functools.lru_cache(maxsize=64)

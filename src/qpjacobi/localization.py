@@ -17,7 +17,7 @@ from .operator import (
     dense_blocks,
     hamiltonian_blocks,
 )
-from .symbols import symbol_tables
+from .symbols import TABLE_CHUNK, symbol_tables
 
 FIT_FLOOR = 1e-14
 FIT_EXCLUDE_RADIUS = 2  # near-center profile shape is not exponential
@@ -115,7 +115,14 @@ def lyapunov_rates(model, lam, energies, n_steps, x=0.0):
     T_j = [[(d_j - E) / w_{j+1}, -w_j / w_{j+1}], [1, 0]] with d_j = lam*F +
     r_sign*R.  One symbol table covers the phases x + j*omega, j <= n_steps;
     step j is skipped when its phase is within pole_tol of a pole or
-    w_{j+1} ~ 0.  The product is rescaled by its max-norm at every step.
+    w_{j+1} ~ 0.  The product is rescaled by its max-norm at every step
+    (Benettin et al., Meccanica 15 (1980)).
+
+    The used steps go a chunk of TABLE_CHUNK // len(energies) at a time: one
+    expression forms the chunk's entries of T_j, each step writes into fixed
+    buffers, and the chunk's rescalings are logged at once and added to the
+    running sum in step order.  Every element sees the operations of a
+    step-by-step loop, in its order, so the rates are the same to the bit.
     """
     check_coupling(lam)
     if model.l != 1:
@@ -127,20 +134,36 @@ def lyapunov_rates(model, lam, energies, n_steps, x=0.0):
     used = np.flatnonzero(~(tab.poles()[:-1] | (np.abs(w[1:]) < 1e-12)))
     if used.size == 0:
         raise ValueError("no usable transfer steps (orbit entirely on poles)")
-    onsite, w = onsite.tolist(), w.tolist()
     es = np.asarray(energies, dtype=float)
-    # rows m00 m01 m10 m11 of the rescaled product, and the summed log rescalings
-    mat = np.zeros((4,) + es.shape)
+    # a flat copy, of two energies at least: numpy sums a lone column
+    # pairwise, not row by row, so one energy runs twice
+    flat = np.resize(es, max(es.size, 2))
+    step = max(1, TABLE_CHUNK // flat.size)
+    # rows m00 m01 m10 m11 of the rescaled product; top and bot are its two
+    # halves, and each step writes its new top rows over the old bottom ones
+    mat = np.zeros((4, flat.size))
     mat[0] = mat[3] = 1.0
-    acc = np.zeros_like(es)
-    for j in used.tolist():
-        d = (onsite[j] - es) / w[j + 1]
-        mat = np.concatenate([d * mat[:2] + (-w[j] / w[j + 1]) * mat[2:], mat[:2]])
-        s = np.maximum.reduce(np.abs(mat))
-        acc += np.log(s)
-        mat /= s
-    norm = np.sqrt(mat[0] ** 2 + mat[1] ** 2 + mat[2] ** 2 + mat[3] ** 2)
-    return (acc + np.log(norm)) / used.size
+    top, bot = mat[:2], mat[2:]
+    prod, absmat = np.empty((2, flat.size)), np.empty_like(mat)
+    # row 0 the summed log rescalings, row i + 1 the rescaling of step i
+    logs = np.zeros((step + 1, flat.size))
+    for c0 in range(0, used.size, step):
+        j = used[c0 : c0 + step]
+        d = (onsite[j, None] - flat) / w[j + 1, None]
+        b = -w[j] / w[j + 1]
+        for i in range(j.size):
+            np.multiply(d[i], top, out=prod)
+            bot *= b[i]
+            bot += prod
+            top, bot = bot, top
+            np.abs(mat, out=absmat)
+            mat /= np.maximum.reduce(absmat, out=logs[i + 1])
+        k = j.size + 1
+        np.log(logs[1:k], out=logs[1:k])
+        logs[0] = np.add.reduce(logs[:k])
+    acc = logs[0]
+    norm = np.sqrt(top[0] ** 2 + top[1] ** 2 + bot[0] ** 2 + bot[1] ** 2)
+    return ((acc + np.log(norm)) / used.size)[: es.size].reshape(es.shape)[()]
 
 
 def _slack_matrix(g, l, rate0):

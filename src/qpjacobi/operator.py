@@ -72,14 +72,29 @@ def window_tables(model, params):
     return symbol_tables(model, model.site_phase(params.x, np.arange(u, v + 1)))
 
 
+def _finite(mat, params, what):
+    """`mat`, or LinAlgError naming the first window site whose row of `mat`
+    holds an entry that overflowed (or came from a NaN phase)."""
+    # a row's max and min are finite exactly when its entries are, and they
+    # need no temporary the size of the matrix
+    rows = np.isfinite(mat.max(axis=1)) & np.isfinite(mat.min(axis=1))
+    if not rows.all():
+        l = len(rows) // params.n_sites
+        site = params.window[0] + int(np.argmin(rows)) // l
+        raise np.linalg.LinAlgError(f"non-finite {what} at site {site}")
+    return mat
+
+
 def assemble_hamiltonian(model, params):
     """Dense (N*l, N*l) H over the window: on-site lam*F + r_sign*R, hopping -W / -W^T.
 
     Raises PoleProximity (with the offending site) when the phase orbit
-    comes within pole_tol of a diagonal denominator zero.
+    comes within pole_tol of a diagonal denominator zero, and LinAlgError
+    when an entry is not finite (an overflowing coupling).
     """
     tab = window_tables(model, params).guard(params.window[0])
-    return dense_blocks(*hamiltonian_blocks(tab, params.lam, model.r_sign))
+    mat = dense_blocks(*hamiltonian_blocks(tab, params.lam, model.r_sign))
+    return _finite(mat, params, "energy or hopping of H")
 
 
 def hamiltonian_blocks(tab, lam, r_sign):
@@ -134,7 +149,12 @@ def regularized_diagonal(tab, lam, E, r_sign):
 
 
 def assemble_regularized(model, params):
-    """Dense (N*l, N*l) (H - E) right-multiplied by diag{M_n / sqrt(1+E^2)} over the window."""
+    """Dense (N*l, N*l) (H - E) right-multiplied by diag{M_n / sqrt(1+E^2)} over the window.
+
+    Raises LinAlgError when an entry is not finite (an overflowing coupling
+    or energy).
+    """
     tab = window_tables(model, params)
-    return dense_blocks(*regularized_blocks(tab, params.lam, params.E, model.r_sign))
+    mat = dense_blocks(*regularized_blocks(tab, params.lam, params.E, model.r_sign))
+    return _finite(mat, params, "entry of Ht")
 

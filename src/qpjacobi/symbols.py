@@ -132,35 +132,6 @@ class TrigPoly:
             return float(val)
         return val
 
-    # -- algebra -----------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        acc = dict(self.items())
-        for k, c in other.items():
-            acc[k] = acc.get(k, 0.0) + c
-        return TrigPoly(acc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TrigPoly({k: -c for k, c in self.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, TrigPoly):
-            acc = {}
-            for k1, c1 in self.items():
-                for k2, c2 in other.items():
-                    acc[k1 + k2] = acc.get(k1 + k2, 0.0) + c1 * c2
-            return TrigPoly(acc)
-        if isinstance(other, (int, float)):
-            return TrigPoly({k: other * c for k, c in self.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented

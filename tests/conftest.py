@@ -29,8 +29,8 @@ def mero2():
     return bundled("mero2")
 
 
-def random_trig(rng, max_degree=2, scale=1.0):
-    coeffs = {0: complex(scale * rng.normal(), 0.0)}
+def random_trig(rng, max_degree=2, scale=1.0, const=0.0):
+    coeffs = {0: complex(const + scale * rng.normal(), 0.0)}
     for k in range(1, max_degree + 1):
         coeffs[k] = scale * (rng.normal() + 1j * rng.normal()) / (2.0 * k)
     return TrigPoly(coeffs)
@@ -52,7 +52,7 @@ def random_model(rng, l=None, mero=True, omega=None):
         return grid
 
     def w_diag(_i):
-        return TrigPoly.constant(1.0) + random_trig(rng, max_degree=1, scale=0.2)
+        return random_trig(rng, max_degree=1, scale=0.2, const=1.0)
 
     def fr_diag(scale):
         def build(_i):

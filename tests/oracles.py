@@ -31,6 +31,7 @@ from qpjacobi.localization import (
 from qpjacobi.operator import OperatorParams
 from qpjacobi.operator import assemble_hamiltonian as package_hamiltonian
 from qpjacobi.operator import assemble_regularized as package_regularized
+from qpjacobi.symbols import TrigPoly
 
 #: pivots below this magnitude make logdet_lu the -inf sentinel
 PIVOT_FLOOR = 1e-300
@@ -135,6 +136,27 @@ def assemble_regularized(model, params):
     return _dense(diag, lower, upper)
 
 
+def trig_sum(*polys):
+    """The TrigPoly sum of `polys`, from their added coefficient dicts."""
+    acc = {}
+    for p in polys:
+        for k, c in p.items():
+            acc[k] = acc.get(k, 0.0) + c
+    return TrigPoly(acc)
+
+
+def trig_product(*polys):
+    """The TrigPoly product of `polys`, left to right, from convolved coefficient dicts."""
+    prod = polys[0]
+    for p in polys[1:]:
+        acc = {}
+        for k1, c1 in prod.items():
+            for k2, c2 in p.items():
+                acc[k1 + k2] = acc.get(k1 + k2, 0.0) + c1 * c2
+        prod = TrigPoly(acc)
+    return prod
+
+
 def row_prefactors(model, params):
     u, v = params.window
     scale = 1.0 / math.sqrt(1.0 + params.E * params.E)
@@ -148,7 +170,7 @@ def hopping_sup_bound(model):
     best = 0.0
     for i in range(model.l):
         for j in range(model.l):
-            prod = model.W[i][j] * model.F[j][j].den * model.R[j][j].den
+            prod = trig_product(model.W[i][j], model.F[j][j].den, model.R[j][j].den)
             best = max(best, prod.coeff_abs_sum())
     return best
 
@@ -159,13 +181,13 @@ def onsite_sup_bound(model):
     for a in range(model.l):
         for b in range(model.l):
             if a == b:
-                s1 = max(s1, (model.F[a][a].num * model.R[a][a].den).coeff_abs_sum())
-                s2 = max(s2, (model.R[a][a].num * model.F[a][a].den).coeff_abs_sum())
-                s3 = max(s3, (model.F[a][a].den * model.R[a][a].den).coeff_abs_sum())
+                s1 = max(s1, trig_product(model.F[a][a].num, model.R[a][a].den).coeff_abs_sum())
+                s2 = max(s2, trig_product(model.R[a][a].num, model.F[a][a].den).coeff_abs_sum())
+                s3 = max(s3, trig_product(model.F[a][a].den, model.R[a][a].den).coeff_abs_sum())
             else:
-                m_col = model.F[b][b].den * model.R[b][b].den
-                s1 = max(s1, (model.F[a][b] * m_col).coeff_abs_sum())
-                s2 = max(s2, (model.R[a][b] * m_col).coeff_abs_sum())
+                m_col = trig_product(model.F[b][b].den, model.R[b][b].den)
+                s1 = max(s1, trig_product(model.F[a][b], m_col).coeff_abs_sum())
+                s2 = max(s2, trig_product(model.R[a][b], m_col).coeff_abs_sum())
     return s1, s2, s3
 
 

@@ -332,6 +332,29 @@ class TestBufferSet:
                 assert np.max(np.abs(avg - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
                 assert floored == want_floored
 
+    @pytest.mark.parametrize("order", [1, -1])
+    @pytest.mark.parametrize("width", [GRID.size, 1])
+    def test_a_term_floored_in_a_later_slice(self, order, width, monkeypatch):
+        # slices of 4 steps; the last node reaches phase 0 at site 6, in term
+        # j = 5 of the second slice, where the one-site determinant at E = 0
+        # vanishes.  A one-node grid is the one whose sum numpy could take pairwise
+        model = bundled("maryland").with_omega(2.0**-7)
+        xs = GRID[:width] + 1.0 / 512
+        xs[-1] = 122.0 / 128.0
+        ladder = (1, 3, 4, 5, 6, 8, 12, 48)
+        cold = {}
+        for Q in ladder:
+            ergodic._orbit_sum = None
+            cold[Q] = _orbit_average(model, LAM, 0.0, 1, Q, xs)
+        ergodic._orbit_sum = None
+        monkeypatch.setattr(ergodic, "TABLE_CHUNK", 4 * xs.size)
+        for Q in ladder[::order]:
+            avg, floored = _orbit_average(model, LAM, 0.0, 1, Q, xs)
+            want, want_floored = oracles.orbit_average(model, LAM, 0.0, 1, Q, xs, U_FLOOR)
+            assert np.array_equal(avg, cold[Q][0]) and floored == cold[Q][1]
+            assert np.max(np.abs(avg - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+            assert floored == want_floored == (Q >= 6)
+
     def test_the_floored_orbit_floors_terms(self):
         _, cold, _ = _buffer_truth("maryland", 1, 2.0**-7, 0.0)
         assert cold[12][1] == 6 and np.all(cold[12][0] > U_FLOOR)

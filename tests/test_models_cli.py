@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +31,8 @@ from qpjacobi.models import (
 from qpjacobi.operator import OperatorParams, assemble_hamiltonian, assemble_regularized
 
 from conftest import GOLDEN, atomic_maryland, random_model
+
+SRC = str(pathlib.Path(cli.__file__).resolve().parents[1])
 
 
 class TestRoundTrip:
@@ -697,6 +703,44 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert captured.err.startswith("numerical failure: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--matrix", "h", "--lambda", "1e308", "--E", "0.5"],
+            # 1 / sqrt(1 + E^2) is 0 and meets an overflowed numerator
+            ["--matrix", "htilde", "--lambda", "1.7e308", "--E", "1e308"],
+        ],
+    )
+    def test_an_overflowed_matrix_exits_two(self, capsys, argv):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main([
+                "assemble", "--model", "maryland", "--x", "0.1", "--window", "1:20", *argv,
+                "--out", "-",
+            ])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert re.fullmatch(r"numerical failure: non-finite .* at site \d+\n", captured.err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--E", "0.5", "--x0", "0.1", "--N0", "2", "--shifts=-2:2"],
+            ["assemble", "--matrix", "h", "--x", "0.1", "--E", "0.5", "--window", "1:20"],
+        ],
+    )
+    def test_a_numerical_failure_prints_one_stderr_line(self, tmp_path, argv):
+        # a subprocess: pytest would record numpy's warnings instead of printing them
+        path = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpjacobi.cli", *argv, "--model", "maryland",
+             "--lambda", "1e308", "--out", "-"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("numerical failure: ")
 
     def test_diophantine_warning_not_fatal(self, tmp_path, capsys):
         rational = tmp_path / "rational.json"

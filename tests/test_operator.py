@@ -127,6 +127,30 @@ class TestAssembleHamiltonian:
         assert err.value.site == 2
 
 
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "assemble, lam, E, message",
+        [
+            # lam * tan(2 pi x) overflows where |tan| > 1.8, first at site 1 (x = 0.718)
+            (assemble_hamiltonian, 1e308, 0.5, "non-finite energy or hopping of H at site 1$"),
+            # 1 / sqrt(1 + E^2) is 0 and meets an overflowed numerator, first at site 2
+            (assemble_regularized, 1.7e308, 1e308, "non-finite entry of Ht at site 2$"),
+        ],
+    )
+    def test_an_overflowed_entry_raises_naming_its_site(self, maryland, assemble, lam, E, message):
+        params = OperatorParams(lam=lam, x=0.1, E=E, window=(1, 20))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError, match=message):
+                assemble(maryland, params)
+
+    def test_a_nan_phase_raises(self, mero2):
+        params = OperatorParams(lam=2.0, x=math.nan, E=0.5, window=(-2, 2))
+        with np.errstate(invalid="ignore"):
+            for assemble in (assemble_hamiltonian, assemble_regularized):
+                with pytest.raises(np.linalg.LinAlgError, match="at site -2$"):
+                    assemble(mero2, params)
+
+
 class TestAssembleRegularized:
     def test_single_site_value(self, maryland):
         ht = assemble_regularized(

@@ -336,6 +336,50 @@ def test_lyapunov_matches_seed_loop_with_varying_coupling():
     assert np.array_equal(got, oracles.lyapunov_rates(model, 2.0, energies, 1500, x=0.3))
 
 
+#: with this chunk and four energies the transfer loop takes 16 steps at a time
+SMALL_CHUNK = 64
+FOUR_ENERGIES = np.array([-7.5, -0.25, 1.0, 6.0])
+
+
+def _lyapunov_pair(model, energies, n_steps, x, lam=5.0):
+    got = lyapunov_rates(model, lam, energies, n_steps, x=x)
+    return got, oracles.lyapunov_rates(model, lam, energies, n_steps, x=x)
+
+
+@pytest.mark.parametrize("n_steps", [15, 16, 17, 50])
+def test_lyapunov_chunks_match_the_seed_loop(maryland, monkeypatch, n_steps):
+    # one chunk less a step, one chunk, one chunk and a step, three chunks and a part
+    monkeypatch.setattr(localization, "TABLE_CHUNK", SMALL_CHUNK)
+    got, want = _lyapunov_pair(maryland, FOUR_ENERGIES, n_steps, 0.1)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("pole_step", [15, 16])
+def test_lyapunov_skips_a_pole_step_on_a_chunk_boundary(maryland, monkeypatch, pole_step):
+    # the last step of the first chunk, or the step right after it
+    monkeypatch.setattr(localization, "TABLE_CHUNK", SMALL_CHUNK)
+    x = (0.25 - pole_step * maryland.omega) % 1.0
+    got, want = _lyapunov_pair(maryland, FOUR_ENERGIES, 40, x)
+    assert np.array_equal(got, want)
+    assert oracles.lyapunov_transfer(maryland, 5.0, 0.0, 40, x=x)[1] == 1
+
+
+def test_lyapunov_with_one_used_step(maryland):
+    # at omega = 1/4 steps 0 and 2 sit on the poles 1/4 and 3/4 of tan(2 pi x)
+    quarter = maryland.with_omega(0.25)
+    got, want = _lyapunov_pair(quarter, FOUR_ENERGIES, 3, 0.25)
+    assert np.array_equal(got, want)
+    assert oracles.lyapunov_transfer(quarter, 5.0, 0.0, 3, x=0.25)[1] == 2
+
+
+@pytest.mark.parametrize("energies", [np.float64(0.5), np.linspace(-6.0, 6.0, 12).reshape(3, 4)])
+def test_lyapunov_keeps_the_shape_of_the_energies(maryland, monkeypatch, energies):
+    monkeypatch.setattr(localization, "TABLE_CHUNK", SMALL_CHUNK)
+    got, want = _lyapunov_pair(maryland, energies, 100, 0.1)
+    assert np.shape(got) == np.shape(energies)
+    assert np.array_equal(got, want)
+
+
 # -- minor sweep rows -------------------------------------------------------
 
 
