@@ -16,6 +16,7 @@ from .errors import NearSingular, TooManyExclusions
 from .operator import (
     check_coupling,
     dense_blocks,
+    regularization_scale,
     regularized_blocks,
     regularized_diagonal,
     window_tables,
@@ -110,7 +111,7 @@ def green_windows(tab, lam, E, r_sign):
     defect = ht @ inv
     defect -= eye
     residual = np.max(np.abs(defect), axis=(-2, -1))
-    pref = np.moveaxis(1.0 / math.sqrt(1.0 + E * E) * tab.m, 0, -2)
+    pref = np.moveaxis(regularization_scale(E) * tab.m, 0, -2)
     return pref.reshape(pref.shape[:-2] + (-1, 1)) * inv, residual
 
 
@@ -135,7 +136,8 @@ class BoundFitReport:
     """Empirical constant for an inequality, fit with the max-slack convention.
 
     fitted_constant is the smallest constant making the inequality hold over
-    every sample.
+    every sample.  sweep["rows"] holds the per-instance rows; the minor sweep
+    adds its "zero_minors" and "skipped_small_E" counts.
     """
 
     fitted_constant: float
@@ -160,7 +162,9 @@ def check_minor_bound(
     A zero minor has slack -inf, which satisfies any bound; it is counted.
     The fitted constant is the max over samples; per-N maxima are kept so the
     caller can judge stability in N.  Samples with |E| < E_MIN are skipped,
-    and a sweep left with no (N, lam, E, x) instance raises ValueError.
+    and a sweep left with no (N, lam, E, x) instance raises ValueError.  A
+    (lam, E) whose log(lam + |E|) or log(1 + lam/|E|) is not finite (it
+    overflowed) raises LinAlgError before any minor is factored.
     sweep["rows"] holds one (N, lam, E, x, quantity, worst slack, zero
     minors) row per instance, where quantity is the (1/Nl) log|minor| of the
     first sampled pair reaching the worst slack and zero minors counts the
@@ -174,6 +178,16 @@ def check_minor_bound(
             raise ValueError("minor sweep needs N >= 1")
         if n * l > 48:
             raise ValueError("minor sweep limited to N*l <= 48")
+    # the two log terms of the slack, per (lam, E) that is not skipped
+    terms = {}
+    for lam in lambda_list:
+        for E in E_list:
+            if not abs(E) < E_MIN:
+                terms[lam, E] = math.log(lam + abs(E)), math.log1p(lam / abs(E))
+                if not all(map(math.isfinite, terms[lam, E])):
+                    raise np.linalg.LinAlgError(
+                        f"log(lam + |E|) or log(1 + lam/|E|) is not finite at lam={lam:g}, E={E:g}"
+                    )
     rng = np.random.default_rng(seed)
     xs = (np.arange(x_count) + 0.5) / x_count
     # one table for sites 1..max(N) (axis 0) at every x (axis 1); N takes its first rows
@@ -197,7 +211,7 @@ def check_minor_bound(
                 if abs(E) < E_MIN:
                     skipped_e += 1
                     continue
-                growth, shift = math.log(lam + abs(E)), math.log1p(lam / abs(E))
+                growth, shift = terms[lam, E]
                 for s in range(0, xs.size, step):
                     cut = slice(s, s + step)
                     blocks = regularized_blocks(table[:n, cut], lam, float(E), model.r_sign)
@@ -214,7 +228,7 @@ def check_minor_bound(
                     slack = mlog / nl + (p_dist / nl) * growth - shift
                     k = np.argmax(slack, axis=1)
                     at = np.arange(k.size)
-                    zeros = np.count_nonzero(slack == float("-inf"), axis=1)
+                    zeros = np.count_nonzero(mlog == float("-inf"), axis=1)
                     for x, quantity, worst, z in zip(
                         xs[cut].tolist(),
                         (mlog[at, k] / nl).tolist(),
@@ -235,16 +249,7 @@ def check_minor_bound(
         fitted_constant=best,
         samples=samples,
         group_constants=per_n,
-        sweep={
-            "N": list(N_list),
-            "lambda": list(lambda_list),
-            "E": list(E_list),
-            "x_count": x_count,
-            "skipped_small_E": skipped_e,
-            "zero_minors": zero_minors,
-            "seed": seed,
-            "rows": rows,
-        },
+        sweep={"rows": rows, "zero_minors": zero_minors, "skipped_small_E": skipped_e},
     )
 
 
@@ -279,9 +284,8 @@ def window_logdets(model, lam, E, tab, n):
     logdet_abs.
     """
     if model.l == 1:
-        scale = 1.0 / math.sqrt(1.0 + E * E)
         a = regularized_diagonal(tab, lam, E, model.r_sign)[..., 0]
-        return _scalar_logdets(a, tab.w[..., 0, 0], tab.m[..., 0], scale, n)
+        return _scalar_logdets(a, tab.w[..., 0, 0], tab.m[..., 0], regularization_scale(E), n)
     diag, lower, upper = regularized_blocks(tab, lam, E, model.r_sign)
     return np.array([
         logdet_abs(dense_blocks(diag[s : s + n], lower[s : s + n - 1], upper[s : s + n - 1]))
@@ -399,11 +403,5 @@ def check_det_lower_bound(model, lambda_list, E_list, N_list, x_grid):
         fitted_constant=best,
         samples=samples,
         group_constants=per_lambda,
-        sweep={
-            "N": list(N_list),
-            "lambda": list(lambda_list),
-            "E": list(E_list),
-            "nodes": int(xs.size),
-            "rows": rows,
-        },
+        sweep={"rows": rows},
     )

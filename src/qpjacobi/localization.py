@@ -36,10 +36,17 @@ def eigensolve(h):
 
     Returns the energies in ascending order, the unit eigenvectors as the
     columns of one (n, n) array, and each pair's two-norm residual
-    ||H v - E v||, all straight from one np.linalg.eigh call.
+    ||H v - E v||, all straight from one np.linalg.eigh call.  A residual
+    whose squared entries overflow is taken again as s * ||r / s||, with s
+    the largest |entry| of its column r.
     """
     energies, vectors = np.linalg.eigh(h)
-    residuals = np.linalg.norm(h @ vectors - vectors * energies, axis=0)
+    r = h @ vectors - vectors * energies
+    residuals = np.linalg.norm(r, axis=0)
+    for k in np.flatnonzero(np.isinf(residuals)):
+        s = np.max(np.abs(r[:, k]))
+        if s < np.inf:
+            residuals[k] = s * np.linalg.norm(r[:, k] / s)
     return energies, vectors, residuals
 
 

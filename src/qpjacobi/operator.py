@@ -48,6 +48,14 @@ class OperatorParams:
         return v - u + 1
 
 
+def regularization_scale(E):
+    """The scale 1/sqrt(1 + E^2) of the regularized matrix, and 1/|E| where E*E
+    overflows.  The two agree bit for bit wherever both are finite and
+    |E| >= 2**27, since 1 + E*E then rounds to E*E."""
+    e2 = E * E
+    return 1.0 / (math.sqrt(1.0 + e2) if e2 < math.inf else abs(E))
+
+
 def dense_blocks(diag, lower, upper):
     """Dense (..., N*l, N*l) matrices from blocks stacked along axis 0.
 
@@ -117,7 +125,7 @@ def regularized_blocks(tab, lam, E, r_sign):
     upper blocks between consecutive sites, shape (K-1, ..., l, l).  The
     diagonal entries are those of regularized_diagonal.
     """
-    scale = 1.0 / math.sqrt(1.0 + E * E)
+    scale = regularization_scale(E)
     m = tab.m[..., None, :]
     blk = scale * ((lam * tab.f_off + r_sign * tab.r_off) * m)
     idx = np.arange(tab.m.shape[-1])
@@ -132,10 +140,10 @@ def regularized_diagonal(tab, lam, E, r_sign):
     """Diagonal entries of the regularized on-site blocks, shape (..., l).
 
     Each is built as
-        (lam*numF*denR + r_sign*numR*denF - E*denF*denR) * (1/sqrt(1+E^2))
+        (lam*numF*denR + r_sign*numR*denF - E*denF*denR) * regularization_scale(E)
     (never as a quotient times M), so it is finite even at pole phases.
     """
-    scale = 1.0 / math.sqrt(1.0 + E * E)
+    scale = regularization_scale(E)
     out = np.multiply(lam, tab.fnum)
     out *= tab.rden
     term = np.multiply(r_sign, tab.rnum)

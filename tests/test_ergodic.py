@@ -150,9 +150,11 @@ class TestUnderflowFloor:
 LAM, E = 50.0, 1.0
 GRID = midpoint_grid(64)
 #: with this chunk an orbit slice holds 16 steps on maryland and 4 on mero2,
-#: so short ladders cross several slice boundaries
+#: so short ladders cross several slice boundaries; at N = 20 (maryland) and
+#: N = 6 (mero2) the N - 1 rows a slice keeps overlap their target
 SMALL_CHUNK = 1 << 10
 ORBITS = [("maryland", 3, None), ("maryland", 3, 0.5), ("mero2", 2, None), ("mero2", 2, 0.5)]
+ORBITS += [("maryland", 20, None), ("mero2", 6, None)]
 
 
 def _cold(model, N, Q, xs=GRID, lam=LAM):

@@ -310,6 +310,21 @@ class TestMinorBound:
         assert rep.sweep["zero_minors"] > 0
         assert np.isfinite(rep.fitted_constant)
 
+    def test_an_overflowed_log_term_is_not_a_zero_minor(self, maryland, monkeypatch):
+        # at lam = 1e308 and E = 0.5, log1p(lam / |E|) overflows while every minor
+        # is finite: the sweep raises before it factors any, even those of lam = 10
+        def no_factorization(*args):
+            raise AssertionError("a minor was factored")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "slogdet", no_factorization)
+            with pytest.raises(np.linalg.LinAlgError, match=r"not finite at lam=1e\+308, E=0.5"):
+                check_minor_bound(maryland, [2], [10.0, 1e308], [0.5], x_count=2)
+        rep = check_minor_bound(maryland, [2], [1e300], [0.5], x_count=2)
+        want = oracles.minor_sweep(maryland, [2], [1e300], [0.5], x_count=2, e_min=1e-6)
+        assert rep.sweep["rows"] == want["rows"] and rep.sweep["zero_minors"] == 0
+        assert np.isfinite(rep.fitted_constant)
+
     def test_small_energy_excluded(self, maryland):
         rep = check_minor_bound(maryland, [4], [10.0], [1e-9, 1.0], x_count=4)
         assert rep.sweep["skipped_small_E"] == 1

@@ -468,10 +468,13 @@ class TestLocalize:
             with pytest.raises(np.linalg.LinAlgError, match="non-finite energy"):
                 localize(maryland, 1e308, 0.1, 8, margin=0)
             # at lam = 1e200 every energy is finite and every pair a delta, while
-            # the residual norm overflows: only the energies are checked
+            # the squares of one residual column overflow: it is taken again scaled
             rep = localize(maryland, 1e200, 0.1, 8, margin=0)
+        h = assemble_hamiltonian(maryland, OperatorParams(lam=1e200, x=0.1, E=0.0, window=(-8, 8)))
         assert all(math.isfinite(r.energy) for r in rep.records)
-        assert rep.counts["delta"] == 17 and rep.max_eigen_residual == math.inf
+        assert rep.counts["delta"] == 17
+        assert math.isfinite(rep.max_eigen_residual)
+        assert rep.max_eigen_residual <= 1e-12 * np.max(np.abs(h))
 
     def test_atomic_limit_is_fully_localized(self, maryland):
         model = atomic_maryland(maryland)

@@ -213,16 +213,25 @@ class TestCli:
         assert len(doc["report"]["records"]) >= 1
 
     def test_determinism(self, tmp_path):
-        outs = []
-        for i in range(2):
-            out = tmp_path / f"run{i}.csv"
-            rc = main([
-                "ldt", "--model", "maryland", "--lambda", "50", "--E", "1",
-                "--N", "2", "--Qs", "10,32", "--grid", "1000", "--out", str(out),
-            ])
-            assert rc == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        # a ladder, a scan through a pole, a block det sweep and a localize report
+        det = tmp_path / "det.json"
+        det.write_text(json.dumps({"N": [4, 8], "lambda": [10, 100], "E": [0.5, 3], "nodes": 512}))
+        x0 = repr((0.25 - 5 * bundled("maryland").omega) % 1.0)
+        for argv in [
+            ["ldt", "--model", "maryland", "--lambda", "50", "--E", "1", "--N", "2",
+             "--Qs", "10,32", "--grid", "1000"],
+            ["scan", "--model", "maryland", "--lambda", "20", "--E", "0.5", "--x0", x0,
+             "--N0", "4", "--shifts=-8:11"],
+            ["bounds", "--model", "mero2", "--sweep", str(det), "--check", "det"],
+            ["localize", "--model", "mero2", "--lambda", "20", "--x0", "0.41", "--N", "64",
+             "--margin", "16"],
+        ]:
+            outs = []
+            for i in range(2):
+                out = tmp_path / f"run{i}.out"
+                assert main([*argv, "--out", str(out)]) == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1], argv[0]
 
     def test_assemble_matches_library(self, tmp_path):
         out = tmp_path / "h.csv"
@@ -449,6 +458,9 @@ class TestCli:
             assert rc == 0
             doc = json.loads(out.read_text())
             assert doc["nondegeneracy"]["ok"]
+        # the poles of tan(2 pi x) are companion-matrix roots, exactly 1/4 and 3/4
+        maryland = json.loads((tmp_path / "maryland.json").read_text())
+        assert maryland["denominator_zeros"]["F[0][0]"] == [0.25, 0.75]
 
     def test_malformed_model_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -708,7 +720,7 @@ class TestCli:
         "argv",
         [
             ["--matrix", "h", "--lambda", "1e308", "--E", "0.5"],
-            # 1 / sqrt(1 + E^2) is 0 and meets an overflowed numerator
+            # E * E overflows, so the scale is 1 / |E|; the numerator overflows
             ["--matrix", "htilde", "--lambda", "1.7e308", "--E", "1e308"],
         ],
     )
@@ -741,6 +753,13 @@ class TestCli:
         assert proc.returncode == 2 and proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("numerical failure: ")
+
+    def test_an_overflowed_minor_sweep_exits_two(self, tmp_path, capsys):
+        # log1p(lam / |E|) overflows; the minors do not vanish
+        rc, out = self._bounds(tmp_path, {"N": [2], "lambda": [1e308], "E": [0.5], "x_count": 2})
+        captured = capsys.readouterr()
+        assert rc == 2 and not out.exists()
+        assert re.fullmatch(r"numerical failure: [^\n]*not finite[^\n]*\n", captured.err)
 
     def test_diophantine_warning_not_fatal(self, tmp_path, capsys):
         rational = tmp_path / "rational.json"

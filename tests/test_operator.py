@@ -17,6 +17,7 @@ from qpjacobi.operator import (
     assemble_regularized,
     dense_blocks,
     hamiltonian_blocks,
+    regularization_scale,
     regularized_blocks,
     window_tables,
 )
@@ -133,7 +134,7 @@ class TestOverflow:
         [
             # lam * tan(2 pi x) overflows where |tan| > 1.8, first at site 1 (x = 0.718)
             (assemble_hamiltonian, 1e308, 0.5, "non-finite energy or hopping of H at site 1$"),
-            # 1 / sqrt(1 + E^2) is 0 and meets an overflowed numerator, first at site 2
+            # E * E overflows, so the scale is 1 / |E|; the numerator overflows, first at site 2
             (assemble_regularized, 1.7e308, 1e308, "non-finite entry of Ht at site 2$"),
         ],
     )
@@ -142,6 +143,27 @@ class TestOverflow:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(np.linalg.LinAlgError, match=message):
                 assemble(maryland, params)
+
+    @pytest.mark.parametrize("E", [1e300, -1e300])
+    def test_a_huge_energy_keeps_the_diagonal_of_order_one(self, maryland, E):
+        # E * E overflows: the scale is 1 / |E|, so the diagonal is about -E * M / |E|
+        params = OperatorParams(lam=1.0, x=0.1, E=E, window=(1, 3))
+        ht = assemble_regularized(maryland, params)
+        m = window_tables(maryland, params).m[:, 0]
+        assert np.allclose(np.diag(ht), -math.copysign(1.0, E) * m, rtol=1e-15, atol=0.0)
+        assert np.all(np.abs(m) > 0.1)
+        # the hopping entries -W * M / |E| (W = 1) are tiny but not zero
+        assert np.allclose(np.diag(ht, 1), -m[1:] / abs(E), rtol=1e-15, atol=0.0)
+        assert np.allclose(np.diag(ht, -1), -m[:-1] / abs(E), rtol=1e-15, atol=0.0)
+
+    def test_the_scale_is_the_old_expression_wherever_that_is_finite(self):
+        E = np.geomspace(1e-3, 1e154, 4001)
+        E = np.concatenate([E, -E, [0.0]]).tolist()
+        assert [regularization_scale(e) for e in E] == [1.0 / math.sqrt(1.0 + e * e) for e in E]
+        # beyond 2**27, 1 + E*E rounds to E*E, and sqrt(E*E) is |E|: the two branches meet
+        big = [e for e in E if abs(e) >= 2.0**27]
+        assert [1.0 / abs(e) for e in big] == [1.0 / math.sqrt(1.0 + e * e) for e in big]
+        assert regularization_scale(-1e300) == 1e-300 and regularization_scale(1.7e308) > 0.0
 
     def test_a_nan_phase_raises(self, mero2):
         params = OperatorParams(lam=2.0, x=math.nan, E=0.5, window=(-2, 2))

@@ -30,9 +30,15 @@ def test_import_loads_no_scipy(tmp_path):
 
 
 def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
-    minor = {"N": [2, 3], "lambda": [10], "E": [1.0], "x_count": 2}
-    (tmp_path / "minor.json").write_text(json.dumps(minor))
-    (tmp_path / "det.json").write_text(json.dumps({"N": [2], "lambda": [10], "E": [0.5], "nodes": 512}))
+    sweeps = {
+        "minor": {"N": [2, 3], "lambda": [10], "E": [1.0], "x_count": 2},
+        "det": {"N": [2], "lambda": [10], "E": [0.5], "nodes": 512},
+        # 48 instances each, none with a vanishing minor
+        "minor_maryland": {"N": [4, 8, 16], "lambda": [10, 100], "E": [1, -3], "x_count": 4},
+        "minor_mero2": {"N": [2, 4, 8], "lambda": [10, 100], "E": [1, -3], "x_count": 4},
+    }
+    for name, sweep in sweeps.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(sweep))
     maryland = ["--model", "maryland", "--lambda", "20"]
     argvs = {
         "assemble": ["assemble", *maryland, "--x", "0.1", "--E", "0.5", "--window", "1:3"],
@@ -44,6 +50,10 @@ def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
                       "--shifts=-8:11"],
         "minor": ["bounds", "--model", "maryland", "--sweep", "minor.json", "--check", "minor"],
         "det": ["bounds", "--model", "mero2", "--sweep", "det.json", "--check", "det"],
+        "minor_maryland": ["bounds", "--model", "maryland", "--sweep", "minor_maryland.json",
+                           "--check", "minor"],
+        "minor_mero2": ["bounds", "--model", "mero2", "--sweep", "minor_mero2.json",
+                        "--check", "minor"],
         "ldt": ["ldt", "--model", "maryland", "--lambda", "50", "--E", "1", "--N", "2",
                 "--Qs", "10,32", "--grid", "1000"],
         "localize": ["localize", *maryland, "--x0", "0.41", "--N", "32", "--margin", "8"],
@@ -51,7 +61,7 @@ def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
     }
     code = f"""
 import json, sys
-sys.modules["scipy"] = None
+BLOCK
 from qpjacobi import bundled, cli
 argvs = {argvs!r}
 pole_x0 = repr((0.25 - 5 * bundled("maryland").omega) % 1.0)
@@ -61,7 +71,17 @@ for name, argv in argvs.items():
     rcs[name] = cli.main([*argv, "--out", name + ".out"])
 print(json.dumps(rcs))
 """
-    proc = _python(code, tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == dict.fromkeys(argvs, 0)
-    assert "# pole=9" in (tmp_path / "pole_scan.out").read_text().splitlines()
+    # the same commands with scipy importable write the same bytes
+    outs = {}
+    for block in ('sys.modules["scipy"] = None', ""):
+        proc = _python(code.replace("BLOCK", block), tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == dict.fromkeys(argvs, 0)
+        outs[block] = {name: (tmp_path / f"{name}.out").read_bytes() for name in argvs}
+    blocked, importable = outs.values()
+    assert blocked == importable
+    assert b"# pole=9" in blocked["pole_scan"].splitlines()
+    for name in ("minor_maryland", "minor_mero2"):
+        table = [l for l in blocked[name].decode().splitlines() if not l.startswith("#")]
+        assert table[0] == "N,lambda,E,x,quantity,slack,zero_minors"
+        assert len(table) == 1 + 48 and {row.split(",")[6] for row in table[1:]} == {"0"}
