@@ -1,7 +1,7 @@
 """Command-line orchestration: argument parsing, sweeps, and report emission.
 
-Every output file embeds a header with the model hash, the seed, and the
-tool version; given the same config and seed, outputs are byte-identical.
+Every output file embeds a header with the model hash and the tool version,
+and `bounds` adds its seed; given the same config, outputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ def _write(args, model, body, extra=()):
         "version": __version__,
         "command": args.command,
         "model_hash": model_hash(model),
-        "seed": args.seed,
         **dict(extra),
     }
     if isinstance(body, dict):
@@ -193,7 +192,8 @@ def _run_bounds(args, model):
             model, sweep["lambda"], sweep["E"], sweep["N"], midpoint_grid(sweep.get("nodes", 1024))
         )
         columns = ("N", "lambda", "E", "quantity", "slack", "excluded")
-    extra = {"fitted_constant": report.fitted_constant, **report.group_constants}
+    extra = {"seed": args.seed, "fitted_constant": report.fitted_constant}
+    extra.update(report.group_constants)
     _write(args, model, (columns, _csv_lines(report.sweep["rows"])), extra)
 
 
@@ -261,7 +261,6 @@ def build_parser():
         sp.set_defaults(handler=handler)
         sp.add_argument("--model", required=True, help="model file or bundled name")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
-        sp.add_argument("--seed", type=int, default=0)
         for flag in numbers:
             dest, kind = _NUMBER_FLAGS[flag]
             sp.add_argument(flag, dest=dest, type=kind, required=True)
@@ -282,6 +281,7 @@ def build_parser():
     sp = add_parser("bounds", _run_bounds, "minor upper bound / determinant lower bound sweeps")
     sp.add_argument("--sweep", required=True, help="JSON sweep file")
     sp.add_argument("--check", choices=("minor", "det"), required=True)
+    sp.add_argument("--seed", type=int, default=0, help="pair sampling seed (minor, with pairs)")
 
     sp = add_parser(
         "ldt", _run_ldt, "large-deviation measurement over a Q ladder", ("--lambda", "--E")

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllZero
-from .greens import avg_logdet, midpoint_grid, window_logdets
+from .greens import _orbit_windows, avg_logdet, midpoint_grid
 from .operator import check_coupling
-from .symbols import TABLE_CHUNK, SymbolTables, reduce_phase, symbol_tables
 
 #: underflowed nodes contribute this floor (roughly log of the smallest
 #: normal double) so averages stay finite; occurrences are counted
@@ -29,19 +28,12 @@ _orbit_lock = threading.Lock()
 def _orbit_average(model, lam, E, N, Q, xs):
     """(1/Q) sum_{j<Q} u(xs + j*omega) on a flat grid, and the floored count.
 
-    Term j reads orbit sites k = j+1..j+N, so consecutive terms share N - 1
-    of them: each slice of steps evaluates only its new orbit indices (about
-    TABLE_CHUNK phases) and keeps the last N - 1 rows of the slice before.
-    The call holds one buffer set, a symbol table of step + N - 1 rows in
-    one allocation, and every slice writes it in place: the kept rows move
-    to the top and the new rows follow.  One running sum is kept, for
-    the largest Q summed on the last orbit.  A call for Q' >= that Q on the
-    same orbit takes it out of the slot (so no other call sees it
-    half-advanced), re-evaluates the N - 1 sites it overlaps and adds terms
-    Q..Q'-1 in the order a cold call would; any other call is a cold call.
-    A term does not depend on the slice it is computed in, and each slice
-    adds its terms to the sum in order with one reduction, so the result is
-    bit-identical to a cold call whatever calls came before.
+    Term j reads orbit sites j+1..j+N (see greens._orbit_windows).  The
+    running sum of the largest Q summed on the last orbit is kept; a call for
+    Q' >= that Q on the same orbit (any other is a cold call) takes it out of
+    the slot, so no other call sees it half-advanced, re-evaluates the N - 1
+    sites it overlaps and adds terms Q..Q'-1 in a cold call's order, one
+    reduction per run: the result is bit-identical to a cold call's.
     """
     global _orbit_sum
     key = (model, float(lam), float(E), int(N), hashlib.sha256(xs).digest())
@@ -51,30 +43,16 @@ def _orbit_average(model, lam, E, N, Q, xs):
             _orbit_sum = None
         else:
             kept = None
-    # two phases at least: numpy sums a lone column pairwise, not row by
-    # row, so a one-phase grid runs twice
+    # numpy sums a lone column pairwise, not row by row: a one-phase grid runs twice
     grid = np.resize(xs, max(xs.size, 2))
     start, acc, floored = kept[1:] if kept else (0, np.zeros(grid.shape), 0)
-    step, keep = max(1, TABLE_CHUNK // (xs.size * model.l**2)), N - 1
-    rows = min(step, Q - start) + keep
-    tab = SymbolTables.empty(model, (rows, grid.size))
-    for j0 in range(start, Q, step):
-        new = keep if j0 > start else 0  # the first row this slice evaluates
-        if new:
-            for a in tab.arrays():
-                a[:keep] = a[step : step + keep]  # numpy copies overlapping rows correctly
-        end = keep + min(step, Q - j0)
-        ks = np.arange(j0 + 1 + new, j0 + 1 + end)[:, None]
-        # the unreduced phases go into rows of m, which symbol_tables overwrites
-        x = np.add(grid, ks * model.omega, out=tab.m[new:end, :, 0])
-        symbol_tables(model, reduce_phase(x, out=tab.phases[new:end]), out=tab[new:end])
-        u = window_logdets(model, lam, E, tab[:end], N)
+    for cols, u in _orbit_windows(model, lam, E, grid, 1, N, start, Q):
         u /= N * model.l
-        floored += int(np.count_nonzero(u[:, : xs.size] < U_FLOOR))
+        floored += int(np.count_nonzero(u[:, : xs.size - cols.start] < U_FLOOR))
         np.maximum(u, U_FLOOR, out=u)
         # numpy reduces axis 0 of a C-contiguous array row by row, in order
-        u[0] += acc
-        np.add.reduce(u, axis=0, out=acc)
+        u[0] += acc[cols]
+        np.add.reduce(u, axis=0, out=acc[cols])
     with _orbit_lock:
         if _orbit_sum is None or _orbit_sum[0] != key or _orbit_sum[1] < Q:
             _orbit_sum = key, Q, acc, floored

@@ -21,7 +21,7 @@ from .operator import (
     regularized_diagonal,
     window_tables,
 )
-from .symbols import TABLE_CHUNK, symbol_tables
+from .symbols import TABLE_CHUNK, SymbolTables, reduce_phase, symbol_tables
 
 #: solve residual beyond which an energy counts as numerically singular
 NEAR_SINGULAR_RESIDUAL = 1e-6
@@ -188,7 +188,7 @@ def check_minor_bound(
                     raise np.linalg.LinAlgError(
                         f"log(lam + |E|) or log(1 + lam/|E|) is not finite at lam={lam:g}, E={E:g}"
                     )
-    rng = np.random.default_rng(seed)
+    rng = None  # made at the first sampled instance: numpy.random is a slow import
     xs = (np.arange(x_count) + 0.5) / x_count
     # one table for sites 1..max(N) (axis 0) at every x (axis 1); N takes its first rows
     sites = np.arange(1, max(N_list, default=0) + 1)[:, None]
@@ -203,6 +203,7 @@ def check_minor_bound(
         nl = n * l
         group = float("-inf")
         sampled = pairs_per_instance is not None and pairs_per_instance < nl * nl
+        rng = np.random.default_rng(seed) if sampled and rng is None else rng
         a, b = np.indices((nl, nl)).reshape(2, -1) + 1
         corners = ((1, nl, 1), (nl, 1, 1))  # the pairs (1, nl), (nl, 1), (1, 1)
         step = max(1, MINOR_CHUNK // (nl * nl))  # instances assembled at once
@@ -263,14 +264,38 @@ def logdet_grid(model, lam, E, window, xs):
     if window[1] < window[0]:
         raise ValueError("window must hold at least one site")
     xs = np.asarray(xs, dtype=float)
-    sites = np.arange(int(window[0]), int(window[1]) + 1)[:, None]
-    flat = xs.reshape(-1)
-    out = np.empty(flat.shape)
-    step = max(1, TABLE_CHUNK // (sites.size * model.l**2))
-    for s in range(0, flat.size, step):
-        tab = symbol_tables(model, model.site_phase(flat[None, s : s + step], sites))
-        out[s : s + step] = window_logdets(model, lam, E, tab, sites.size)[0]
+    out, n = np.empty(xs.size), int(window[1]) - int(window[0]) + 1
+    for cols, u in _orbit_windows(model, lam, E, xs.reshape(-1), int(window[0]), n, 0, 1):
+        out[cols] = u[0]
     return out.reshape(xs.shape)
+
+
+def _orbit_windows(model, lam, E, xs, first, n, start, stop):
+    """Yield (column slice, log|det|) of the n-site windows along x + k*omega.
+
+    Term j is the window of sites first+j..first+j+n-1 at each phase of the
+    flat grid xs.  Terms start..stop-1 come in order, per block of 2 to
+    TABLE_CHUNK // (n*l^2) columns (a lone last column joins the block before:
+    numpy sums one column pairwise) in runs of max(1, TABLE_CHUNK // (width *
+    l^2)) terms, each a new (terms, width) array, so TABLE_CHUNK bounds a table
+    along both axes.  A block writes one table of run + n - 1 rows in place:
+    the n - 1 sites a run shares with the one before move to the top.
+    """
+    width, keep = max(2, TABLE_CHUNK // (n * model.l**2)), n - 1
+    edges = [*range(0, xs.size - 1 or 1, width), xs.size]
+    for c0, c1 in zip(edges, edges[1:]):
+        step = max(1, TABLE_CHUNK // ((c1 - c0) * model.l**2))
+        tab = SymbolTables.empty(model, (min(step, stop - start) + keep, c1 - c0))
+        for j0 in range(start, stop, step):
+            new = keep if j0 > start else 0  # the first row this run evaluates
+            for a in tab.arrays() if new else ():
+                a[:keep] = a[step : step + keep]  # numpy copies overlapping rows correctly
+            end = keep + min(step, stop - j0)
+            ks = np.arange(first + j0 + new, first + j0 + end)[:, None]
+            # the unreduced phases go into rows of m, which symbol_tables overwrites
+            x = np.add(xs[c0:c1], ks * model.omega, out=tab.m[new:end, :, 0])
+            symbol_tables(model, reduce_phase(x, out=tab.phases[new:end]), out=tab[new:end])
+            yield slice(c0, c1), window_logdets(model, lam, E, tab[:end], n)
 
 
 def window_logdets(model, lam, E, tab, n):
@@ -301,6 +326,8 @@ def _scalar_logdets(a, w, m, scale, n):
     |D_{i-1}|) leaves [1e-100, 1e100] (zero aside) are divided by it and
     its log is carried; a step where no row does skips the rescale, which
     would divide by 1.0 and add log(1.0) = +0.0 to a sum that is never -0.0.
+    A row whose first product a_2 D_1 overflows (a coupling above about
+    1e154) starts instead from D_1 / |D_1| and carries log |D_1|.
     The products, the three D rows and the two |D| rows live in one work
     block for the whole call, and each step writes into the rows the step
     before has freed; only a rescale step allocates its rows anew.
@@ -328,6 +355,13 @@ def _scalar_logdets(a, w, m, scale, n):
             # NaN-blind extremes; a zero s only sends the step down the rescale path
             hi, lo = np.fmax.reduce(s, None, initial=0.0), np.fmin.reduce(s, None, initial=1.0)
             if hi > 1e100 or lo < 1e-100:
+                if i == 1 and hi == math.inf:
+                    # a_2 D_1 overflowed: those rows start over from D_1 / |D_1|
+                    r = np.isinf(d_new) & np.isfinite(d_cur)
+                    logs[r] = np.log(abs_cur[r])
+                    d_cur[r] /= abs_cur[r]
+                    d_new[r] = a[1 : 1 + starts][r] * d_cur[r] - offprod[:starts][r] / abs_cur[r]
+                    s[r] = np.maximum(np.abs(d_new[r]), 1.0)
                 f = np.where((s > 1e100) | ((s < 1e-100) & (s > 0.0)), s, 1.0)
                 d_prev = d_cur / f
                 d_cur = d_new / f

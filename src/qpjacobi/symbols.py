@@ -26,9 +26,7 @@ ZERO_REFINE_TOL = 1e-10
 WITNESS_TOL = 1e-10
 #: default guard distance from denominator zeros
 DEFAULT_POLE_TOL = 1e-8
-#: phases per symbol_tables call in the sliced sweeps; bounds their memory.
-#: It also sizes the buffer set of a Birkhoff sum: a table of
-#: TABLE_CHUNK // (grid size * l^2) + N - 1 orbit rows, reused by every slice
+#: phases per symbol_tables call in the sliced sweeps; bounds their memory
 TABLE_CHUNK = 1 << 14
 
 

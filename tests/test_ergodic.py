@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from qpjacobi import bundled, ergodic
+from qpjacobi import bundled, ergodic, greens
 from qpjacobi.ergodic import (
     DeviationReport,
     U_FLOOR,
@@ -151,7 +152,7 @@ LAM, E = 50.0, 1.0
 GRID = midpoint_grid(64)
 #: with this chunk an orbit slice holds 16 steps on maryland and 4 on mero2,
 #: so short ladders cross several slice boundaries; at N = 20 (maryland) and
-#: N = 6 (mero2) the N - 1 rows a slice keeps overlap their target
+#: N = 6 (mero2) the grid splits into two blocks of columns
 SMALL_CHUNK = 1 << 10
 ORBITS = [("maryland", 3, None), ("maryland", 3, 0.5), ("mero2", 2, None), ("mero2", 2, 0.5)]
 ORBITS += [("maryland", 20, None), ("mero2", 6, None)]
@@ -186,7 +187,7 @@ class TestResumedSums:
         model, ladder, cold, oracle = _ladder_truth(name, N, omega)
         ergodic._orbit_sum = None
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ergodic, "TABLE_CHUNK", SMALL_CHUNK)
+            mp.setattr(greens, "TABLE_CHUNK", SMALL_CHUNK)
             for i in picks:
                 Q = ladder[i]
                 avg, floored = _orbit_average(model, LAM, E, N, Q, GRID)
@@ -225,12 +226,12 @@ class TestResumedSums:
                 raise RuntimeError("interrupted")
             return window_logdets(*args)
 
-        window_logdets = ergodic.window_logdets
-        monkeypatch.setattr(ergodic, "TABLE_CHUNK", SMALL_CHUNK)
-        monkeypatch.setattr(ergodic, "window_logdets", failing)
+        window_logdets = greens.window_logdets
+        monkeypatch.setattr(greens, "TABLE_CHUNK", SMALL_CHUNK)
+        monkeypatch.setattr(greens, "window_logdets", failing)
         with pytest.raises(RuntimeError, match="interrupted"):
             _orbit_average(maryland, LAM, E, 3, 40, GRID)
-        monkeypatch.setattr(ergodic, "window_logdets", window_logdets)
+        monkeypatch.setattr(greens, "window_logdets", window_logdets)
         avg, floored = _orbit_average(maryland, LAM, E, 3, 40, GRID)
         assert np.array_equal(avg, want[0]) and floored == want[1]
 
@@ -242,8 +243,8 @@ class TestResumedSums:
             rows.append(len(out))
             return out
 
-        window_logdets = ergodic.window_logdets
-        monkeypatch.setattr(ergodic, "window_logdets", counted)
+        window_logdets = greens.window_logdets
+        monkeypatch.setattr(greens, "window_logdets", counted)
         ergodic._orbit_sum = None
         for Q in (10, 32, 100, 316, 1000):
             deviation_measure(maryland, LAM, E, 4, Q, 1.0, 0.3, midpoint_grid(1000))
@@ -286,12 +287,11 @@ class TestResumedSums:
 
 # -- one buffer set per call -----------------------------------------------
 
-#: (model, N, omega, E, chunk): with GRID an orbit slice holds one step
-#: (N = 2: the kept row sits right below its target) or two steps, fewer
-#: than the N - 1 = 5 rows a slice keeps, so the rows that move to the top
-#: overlap their target.  The last orbit puts one grid node on phase 0 at
-#: every other step, where the one-site determinant at E = 0 vanishes, so
-#: a term is floored
+#: (model, N, omega, E, chunk): with GRID the columns split into blocks of
+#: 32 (N = 2, two steps a slice) or of 21, 21 and 22 (N = 6, a lone last
+#: column joined to the block before; five or six steps a slice).  The last
+#: orbit puts one grid node on phase 0 at every other step, where the
+#: one-site determinant at E = 0 vanishes, so a term is floored
 BUFFER_ORBITS = [
     (name, N, omega, E, chunk * GRID.size * l2)
     for name, l2 in (("maryland", 1), ("mero2", 4))
@@ -325,7 +325,7 @@ class TestBufferSet:
         assert max(1, chunk // (GRID.size * model.l**2)) in (1, 2)
         ergodic._orbit_sum = None
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ergodic, "TABLE_CHUNK", chunk)
+            mp.setattr(greens, "TABLE_CHUNK", chunk)
             for i in picks:
                 Q = BUFFER_LADDER[i]
                 avg, floored = _orbit_average(model, LAM, E, N, Q, GRID)
@@ -349,7 +349,7 @@ class TestBufferSet:
             ergodic._orbit_sum = None
             cold[Q] = _orbit_average(model, LAM, 0.0, 1, Q, xs)
         ergodic._orbit_sum = None
-        monkeypatch.setattr(ergodic, "TABLE_CHUNK", 4 * xs.size)
+        monkeypatch.setattr(greens, "TABLE_CHUNK", 4 * xs.size)
         for Q in ladder[::order]:
             avg, floored = _orbit_average(model, LAM, 0.0, 1, Q, xs)
             want, want_floored = oracles.orbit_average(model, LAM, 0.0, 1, Q, xs, U_FLOOR)
@@ -370,9 +370,9 @@ class TestBufferSet:
             seen.append((tab, out))
             return out
 
-        window_logdets = ergodic.window_logdets
-        monkeypatch.setattr(ergodic, "window_logdets", spy)
-        monkeypatch.setattr(ergodic, "TABLE_CHUNK", 2 * GRID.size)
+        window_logdets = greens.window_logdets
+        monkeypatch.setattr(greens, "window_logdets", spy)
+        monkeypatch.setattr(greens, "TABLE_CHUNK", 2 * GRID.size)
         ergodic._orbit_sum = None
         for Q in (5, 9, 14):
             avg, floored = _orbit_average(maryland, LAM, E, 6, Q, GRID)
@@ -384,3 +384,54 @@ class TestBufferSet:
                 for a in tab.arrays():
                     a[...] = np.nan
         assert ergodic._orbit_sum[1] == 14 and np.all(np.isfinite(ergodic._orbit_sum[2]))
+
+
+# -- one slicer for the orbit and the grid ----------------------------------
+
+#: (model, N, grid, chunk): blocks of columns with a run of terms each.  At
+#: N = 3 the 64 columns split into 21, 21 and 22 (a lone last column joins
+#: the block before); at chunk 4, 8 or 16 the blocks are two columns wide and a
+#: run holds fewer terms than the N - 1 rows it keeps, so the kept rows
+#: overlap their target; one and three phases give one block of 2 and 3
+SLICER_CASES = [
+    ("maryland", 3, 64, 63),
+    ("maryland", 6, 64, 4),
+    ("maryland", 4, 1, 4),
+    ("maryland", 2, 3, 4),
+    ("mero2", 2, 64, 128),
+    ("mero2", 6, 64, 16),
+    ("mero2", 3, 1, 8),
+]
+#: at Q = 40 a lone column, which numpy would sum pairwise, changes the bits
+SLICER_LADDER = (1, 2, 3, 5, 9, 14, 40)
+
+
+class TestOrbitWindows:
+    @pytest.mark.parametrize("name,N,size,chunk", SLICER_CASES)
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_split_columns_equal_cold_calls(self, name, N, size, chunk, order, monkeypatch):
+        # ascending, each call resumes the sum before it; descending, each is cold
+        model = bundled(name)
+        xs = GRID if size == GRID.size else (np.arange(size) + 0.3) / size
+        cold = {Q: _cold(model, N, Q, xs) for Q in SLICER_LADDER}
+        ergodic._orbit_sum = None
+        monkeypatch.setattr(greens, "TABLE_CHUNK", chunk)
+        for Q in SLICER_LADDER[::order]:
+            avg, floored = _orbit_average(model, LAM, E, N, Q, xs)
+            assert np.array_equal(avg, cold[Q][0]) and floored == cold[Q][1]
+
+    @pytest.mark.parametrize("name,N", [("maryland", 8), ("mero2", 4)])
+    def test_a_large_grid_holds_a_bounded_table(self, name, N):
+        # one table across the whole grid would peak at 63 MiB (maryland) and
+        # 101 MiB (mero2); the column blocks keep it near TABLE_CHUNK phases
+        model = bundled(name)
+        ergodic._orbit_sum = None
+        xs = midpoint_grid(65536)
+        tracemalloc.start()
+        try:
+            _orbit_average(model, LAM, E, N, 4, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            ergodic._orbit_sum = None
+        assert peak < 8 * 2**20

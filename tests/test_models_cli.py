@@ -209,7 +209,7 @@ class TestCli:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["meta"]["model_hash"] == model_hash(bundled("maryland"))
-        assert doc["meta"]["seed"] == 0
+        assert "seed" not in doc["meta"]
         assert len(doc["report"]["records"]) >= 1
 
     def test_determinism(self, tmp_path):
@@ -451,6 +451,40 @@ class TestCli:
         assert rc == 1 and not out.exists()
         assert "no instance" in capsys.readouterr().err
 
+    def test_seed_is_a_bounds_flag(self, tmp_path, capsys):
+        localize = ["localize", "--model", "maryland", "--lambda", "20", "--x0", "0.1", "--N", "8"]
+        assert main([*localize, "--seed", "1"]) == 1
+        assert "--seed" in capsys.readouterr().err
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"N": [2, 3], "lambda": [5.0], "E": [1.0], "pairs": 3}))
+        for check, seed in (("minor", ["--seed", "3"]), ("det", [])):
+            out = tmp_path / f"{check}.csv"
+            argv = ["bounds", "--model", "maryland", "--sweep", str(sweep), "--check", check]
+            assert main([*argv, *seed, "--out", str(out)]) == 0
+            header = [l[2:].split("=") for l in out.read_text().splitlines() if l.startswith("# ")]
+            keys = [key for key, *_ in header[:5]]
+            assert keys == ["tool", "version", "command", "model_hash", "seed"]
+            assert header[4][1] == ("3" if seed else "0")
+
+    def test_a_full_minor_sweep_leaves_numpy_random_unimported(self):
+        # a subprocess: the test session has imported numpy.random already
+        path = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+        code = (
+            "import sys\n"
+            "from qpjacobi import bundled\n"
+            "from qpjacobi.greens import check_minor_bound\n"
+            "model = bundled('maryland')\n"
+            "check_minor_bound(model, [2, 3], [5.0], [1.0], x_count=2, pairs_per_instance={})\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": path}
+        for pairs, imported in (("None", "False"), ("3", "True")):
+            proc = subprocess.run(
+                [sys.executable, "-c", code.format(pairs)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0 and proc.stdout.strip() == imported, proc.stderr
+
     def test_check_model_smoke(self, tmp_path):
         for name in ("maryland", "analytic2", "mero2"):
             out = tmp_path / f"{name}.json"
@@ -671,6 +705,26 @@ class TestCli:
         model, grid = bundled("maryland"), midpoint_grid(1000)
         rep = deviation_measure(model, 50.0, 1.0, 2, 10, 1.0, 0.3, grid)
         assert header == [f"# integral={rep.integral:.17g}"]
+
+    def test_a_first_product_overflow_exits_zero(self, tmp_path):
+        # the l = 1 recurrence overflowed its first step from a coupling of
+        # about 1e155 on, and every quadrature node was excluded
+        ldt, det = tmp_path / "ldt.csv", tmp_path / "det.csv"
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"N": [2, 4], "lambda": [1e308], "E": [0.5], "nodes": 512}))
+        with np.errstate(over="ignore"):
+            assert main([
+                "ldt", "--model", "maryland", "--lambda", "1e200", "--E", "1", "--N", "4",
+                "--Qs", "10", "--grid", "1000", "--out", str(ldt),
+            ]) == 0
+            assert main([
+                "bounds", "--model", "maryland", "--sweep", str(sweep), "--check", "det",
+                "--out", str(det),
+            ]) == 0
+        (integral,) = [l for l in ldt.read_text().splitlines() if l.startswith("# integral=")]
+        assert math.isfinite(float(integral.split("=")[1]))
+        rows = [l.split(",") for l in det.read_text().splitlines() if not l.startswith("#")]
+        assert [r[-1] for r in rows[1:]] == ["0", "0"]
 
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["localize", "--bogus"]) == 1

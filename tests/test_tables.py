@@ -15,6 +15,7 @@ from qpjacobi.greens import (
     avg_logdet,
     check_minor_bound,
     green_solve,
+    logdet_abs,
     logdet_grid,
     midpoint_grid,
     minor_logabs,
@@ -25,6 +26,7 @@ from qpjacobi.operator import (
     OperatorParams,
     assemble_hamiltonian,
     assemble_regularized,
+    regularization_scale,
     regularized_blocks,
 )
 from qpjacobi.symbols import BlockModel, Dioph, MeroScalar, TrigPoly, symbol_tables
@@ -244,6 +246,37 @@ def test_logdet_grid_matches_per_node_factorization(name, request):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("name", MODELS)
+@pytest.mark.parametrize("window", [(1, 4), (-3, 5)])
+@pytest.mark.parametrize("size", [1, 3, 40])
+def test_logdet_grid_in_column_blocks_matches_the_oracles(
+    name, window, size, request, monkeypatch
+):
+    # blocks of 13 columns: 40 phases split into 13, 13 and 14, the lone last
+    # column joining the block before; 1 and 3 phases make one block
+    model = request.getfixturevalue(name)
+    n, lam, E = window[1] - window[0] + 1, 7.0, 0.5
+    xs = (np.arange(size) + 0.3) / size
+    monkeypatch.setattr(greens, "TABLE_CHUNK", 13 * n * model.l**2)
+    got = logdet_grid(model, lam, E, window, xs)
+    if model.l == 1:
+        sites = np.arange(window[0], window[1] + 1)[:, None]
+        tab = symbol_tables(model, model.site_phase(xs[None, :], sites))
+        a = regularized_blocks(tab, lam, E, model.r_sign)[0][..., 0, 0]
+        scale = regularization_scale(E)
+        want = oracles.scalar_logdets(a, tab.w[..., 0, 0], tab.m[..., 0], scale, n)[0]
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.array_equal(got, oracles.logdet_per_node(model, lam, E, window, xs))
+
+
+@pytest.mark.parametrize("name", MODELS)
+@pytest.mark.parametrize("shape", [(0,), (2, 0)])
+def test_logdet_grid_of_no_phase_is_empty(name, shape, request):
+    model = request.getfixturevalue(name)
+    assert logdet_grid(model, 7.0, 0.5, (1, 4), np.empty(shape)).shape == shape
+
+
 # -- the l = 1 recurrence --------------------------------------------------
 
 
@@ -289,6 +322,35 @@ def test_diagonal_only_logdets_equal_the_block_diagonal(maryland, lam, E):
     for n in (1, 4, 8):
         want = oracles.scalar_logdets(diag, tab.w[..., 0, 0], tab.m[..., 0], scale, n)
         assert window_logdets(maryland, lam, E, tab, n).tobytes() == want.tobytes()
+
+
+def test_a_first_product_overflow_starts_only_its_rows_over():
+    # columns 0-3: |a| near 1e160, so a_2 D_1 is inf; columns 4-7 as in "up"
+    n = 6
+    a, w, m = _recurrence_inputs("up", n, np.random.default_rng(7))
+    a[:, :4] *= 1e40
+    with np.errstate(over="ignore"):
+        got = _scalar_logdets(a, w, m, 0.7, n)
+    want = oracles.scalar_logdets(a[:, 4:], w[:, 4:], m[:, 4:], 0.7, n)
+    assert got[:, 4:].tobytes() == want.tobytes()
+    # the tridiagonal matrices whose determinants the recurrence expands
+    up, low = 0.7 * w[1:] * m[1:], 0.7 * w[1:] * m[:-1]
+    for s in range(4):
+        for c in range(4):
+            t = np.diag(a[s : s + n, c])
+            t += np.diag(up[s : s + n - 1, c], 1) + np.diag(low[s : s + n - 1, c], -1)
+            assert got[s, c] == pytest.approx(logdet_abs(t), rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [1e160, 1e200])
+def test_logdet_grid_past_a_first_product_overflow(maryland, lam):
+    # from a coupling of about 1e155 on, a_2 D_1 overflows
+    xs = np.r_[0.1, 0.3, midpoint_grid(40)]
+    with np.errstate(over="ignore"):
+        got = logdet_grid(maryland, lam, 1.0, (1, 4), xs)
+    want = oracles.logdet_per_node(maryland, lam, 1.0, (1, 4), xs)
+    assert np.all(np.isfinite(want))
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
 
 # -- Birkhoff sums along the orbit -----------------------------------------
