@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -243,6 +244,12 @@ def _run_check_model(args, model):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value that starts like a negative number (-1e-3, -8:8) is not a
+        # flag; Python 3.11's argparse pattern matches only the -1 and -.5 forms
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         # main turns the config error into the exit code
         self.print_usage(sys.stderr)
@@ -305,7 +312,7 @@ def build_parser():
         "--shifts",
         type=_int_pair("--shifts", "a:b"),
         default="-256:255",
-        help="a:b inclusive shift range (use --shifts=-8:8 for negative starts)",
+        help="a:b inclusive shift range",
     )
 
     sp = add_parser(

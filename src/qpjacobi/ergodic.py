@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ def _torus_integral(model, lam, E, N, nodes):
     return avg_logdet(model, lam, E, N, midpoint_grid(nodes)).value
 
 
-@dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(NamedTuple):
     Q: int
     threshold: float
     bad_fraction: float

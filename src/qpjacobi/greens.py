@@ -8,7 +8,7 @@ well-behaved sum of pivot logs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,8 +131,7 @@ def green_solve(model, params):
     return g, residual
 
 
-@dataclass(frozen=True)
-class BoundFitReport:
+class BoundFitReport(NamedTuple):
     """Empirical constant for an inequality, fit with the max-slack convention.
 
     fitted_constant is the smallest constant making the inequality hold over
@@ -142,8 +141,8 @@ class BoundFitReport:
 
     fitted_constant: float
     samples: int
-    group_constants: dict = field(default_factory=dict)
-    sweep: dict = field(default_factory=dict)
+    group_constants: dict
+    sweep: dict
 
 
 def check_minor_bound(
@@ -375,8 +374,7 @@ def _scalar_logdets(a, w, m, scale, n):
         return logs
 
 
-@dataclass(frozen=True)
-class AvgLogdet:
+class AvgLogdet(NamedTuple):
     value: float
     excluded: int
     nodes: int

@@ -5,7 +5,7 @@ resolvent patching check on a union of good windows."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,7 @@ def block_profile(vectors, l):
     return np.sqrt(np.square(v).reshape(v.shape[:-1] + (-1, l)).sum(axis=-1))
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     center: int
     rate: float
     residual: float
@@ -182,16 +181,14 @@ def _slack_matrix(g, l, rate0):
         return np.log(np.abs(g)) + dist * rate0, dist
 
 
-@dataclass(frozen=True)
-class ShiftRecord:
+class ShiftRecord(NamedTuple):
     shift: int
     status: str  # good | bad | near_singular | pole
     slack: float
     spectral_dist: float
 
 
-@dataclass(frozen=True)
-class DecayScanReport:
+class DecayScanReport(NamedTuple):
     records: tuple
     c11: float
     rate0: float
@@ -265,8 +262,7 @@ def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
     )
 
 
-@dataclass(frozen=True)
-class PatchReport:
+class PatchReport(NamedTuple):
     passed: bool
     worst_slack: float
     threshold: float
@@ -306,8 +302,7 @@ def resolvent_patch_check(model, lam, E, x0, N0, N2, c11, shifts=None):
     )
 
 
-@dataclass(frozen=True)
-class PairRecord:
+class PairRecord(NamedTuple):
     energy: float
     center_site: int
     rate: float
@@ -318,8 +313,7 @@ class PairRecord:
     status: str  # fit | delta | no_fit | unreliable
 
 
-@dataclass(frozen=True)
-class LocalizationReport:
+class LocalizationReport(NamedTuple):
     records: tuple
     aggregate_fraction: float
     counts: dict
@@ -338,7 +332,7 @@ class LocalizationReport:
             "half_width": self.n_half,
             "margin": self.margin,
             "rate_fraction": self.rate_fraction,
-            "records": [dict(vars(r)) for r in self.records],
+            "records": [r._asdict() for r in self.records],
         }
 
 

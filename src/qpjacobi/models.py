@@ -4,9 +4,9 @@ and the bundled example models."""
 from __future__ import annotations
 
 import hashlib
-import importlib.resources
 import json
 import math
+import os
 import re
 
 from .errors import DegenerateSymbol, ModelFormatError
@@ -188,8 +188,7 @@ def bundled(name):
             f"unknown bundled model {name!r}; choose from {', '.join(BUNDLED)}",
             field="model",
         )
-    ref = importlib.resources.files("qpjacobi").joinpath("data", f"{name}.json")
-    return model_from_dict(json.loads(ref.read_text()))
+    return load_model(os.path.join(os.path.dirname(__file__), "data", f"{name}.json"))
 
 
 def resolve_model(spec):

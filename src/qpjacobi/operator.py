@@ -12,7 +12,7 @@ finite at any phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,19 +28,28 @@ def check_coupling(lam):
         raise ValueError("coupling lam must be finite")
 
 
-@dataclass(frozen=True)
-class OperatorParams:
+class _ParamFields(NamedTuple):
     lam: float
     x: float
     E: float
     window: tuple
 
-    def __post_init__(self):
-        u, v = self.window
+
+class OperatorParams(_ParamFields):
+    """Coupling, phase, energy and site window (u, v), validated; _replace too."""
+
+    __slots__ = ()
+
+    def __new__(cls, lam, x, E, window):
+        u, v = window
         if v < u:
             raise ValueError("window must satisfy v >= u")
-        check_coupling(self.lam)
-        object.__setattr__(self, "window", (int(u), int(v)))
+        check_coupling(lam)
+        return super().__new__(cls, lam, x, E, (int(u), int(v)))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     @property
     def n_sites(self):

@@ -9,9 +9,8 @@ safe to run concurrently.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,18 +143,18 @@ class TrigPoly:
 
 
 def _modes(polys, y):
-    """The parts of e^{2 pi i k y} for every frequency k > 0 of the polys, by k.
-
-    One exponential per frequency, formed in one complex array: the product
-    with 2 pi i k and the exponential are written in place.
-    """
+    """The parts cos, sin of e^{2 pi i k y} for every frequency k > 0 of the
+    polys, by k, as rows of one real array: the angle y * 2 pi k goes into the
+    cos row, its sine into the sin row, its cosine over the angle.  With numpy
+    2.4 on x86-64 glibc these are the bits of np.exp(2j * pi * k * y)."""
     ks = sorted({abs(k) for poly in polys for k, _ in poly.items() if k})
-    waves = np.empty((len(ks),) + np.shape(y), dtype=np.complex128)
+    waves = np.empty((len(ks), 2) + np.shape(y))
     modes = {}
     for i, k in enumerate(ks):
-        wave = waves[i, ...]  # a view, also for 0-d phases
-        np.exp(np.multiply(y, 2j * np.pi * k, out=wave), out=wave)
-        modes[k] = wave.real, wave.imag
+        re, im = waves[i, 0, ...], waves[i, 1, ...]  # views, also for 0-d phases
+        np.multiply(y, TWO_PI * k, out=re)
+        np.sin(re, out=im)
+        modes[k] = np.cos(re, out=re), im
     return modes
 
 
@@ -166,8 +165,8 @@ def _real_values(poly, modes, out, term):
     `poly` (see _modes) and `term` is a pair of scratch arrays shaped as out.
     Each term c.real*cos - c.imag*sin has its products rounded separately
     (numpy's vectorized complex product may fuse them), so a value does not
-    depend on the shape of y.  One exponential serves the modes +-k: the
-    exponent of -k is the exact negation and sine is odd, so mode -k reads
+    depend on the shape of y.  One sin/cos pair serves the modes +-k: the
+    angle of -k is the exact negation and sine is odd, so mode -k reads
     the parts of mode k with the sign folded into c.imag.  A zero
     coefficient part adds no product; that keeps every bit, because the
     accumulator starts at +0.0 and never becomes -0.0, so adding a zero of
@@ -213,8 +212,7 @@ def locate_zeros(den):
     return tuple(float(x) for x in phases if abs(den(x)) <= tol)
 
 
-@dataclass(frozen=True)
-class MeroScalar:
+class MeroScalar(NamedTuple):
     """Ratio num/den of trig polynomials; poles located at construction."""
 
     num: TrigPoly
@@ -247,8 +245,7 @@ class MeroScalar:
         return self.num(x) / d
 
 
-@dataclass(frozen=True)
-class DiophantineCheck:
+class DiophantineCheck(NamedTuple):
     ok: bool
     worst_k: int
     worst_margin: float  # min_k ||k*omega|| * k^A / C0; the condition holds iff >= 1
@@ -272,8 +269,7 @@ def is_diophantine(omega, A, C0, Kmax):
     return DiophantineCheck(bool(margin[i] >= 1.0), int(ks[i]), float(margin[i]))
 
 
-@dataclass(frozen=True)
-class Dioph:
+class Dioph(NamedTuple):
     A: float
     C0: float
 
@@ -285,49 +281,56 @@ def _as_grid(entries, l, kind):
     return rows
 
 
-@dataclass(frozen=True)
-class BlockModel:
-    """The (W, R, F) triple of l x l symmetric matrix symbols plus rotation
-    number and Diophantine metadata.
-
-    W entries and the off-diagonals of R and F are TrigPoly; the diagonals
-    of R and F are MeroScalar (analytic entries use a constant denominator).
-    """
-
+class _BlockFields(NamedTuple):
     l: int
     W: tuple
     R: tuple
     F: tuple
     omega: float
     dioph: Dioph
-    pole_tol: float = DEFAULT_POLE_TOL
-    r_sign: int = -1
+    pole_tol: float
+    r_sign: int
 
-    def __post_init__(self):
-        if self.l < 1:
+
+class BlockModel(_BlockFields):
+    """The (W, R, F) triple of l x l symmetric matrix symbols plus rotation
+    number and Diophantine metadata.
+
+    W entries and the off-diagonals of R and F are TrigPoly; the diagonals
+    of R and F are MeroScalar (analytic entries use a constant denominator).
+    Every construction validates and normalizes the fields, _replace too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, l, W, R, F, omega, dioph, pole_tol=DEFAULT_POLE_TOL, r_sign=-1):
+        if l < 1:
             raise ValueError("block size l must be >= 1")
-        if self.r_sign not in (-1, 1):
+        if r_sign not in (-1, 1):
             raise ValueError("r_sign must be +1 or -1")
-        object.__setattr__(self, "omega", reduce_phase(float(self.omega)))
-        object.__setattr__(self, "W", _as_grid(self.W, self.l, "W"))
-        object.__setattr__(self, "R", _as_grid(self.R, self.l, "R"))
-        object.__setattr__(self, "F", _as_grid(self.F, self.l, "F"))
-        for name, grid in (("W", self.W), ("R", self.R), ("F", self.F)):
-            for i in range(self.l):
-                for j in range(self.l):
+        omega = reduce_phase(float(omega))
+        W, R, F = _as_grid(W, l, "W"), _as_grid(R, l, "R"), _as_grid(F, l, "F")
+        for name, grid in (("W", W), ("R", R), ("F", F)):
+            for i in range(l):
+                for j in range(l):
                     entry = grid[i][j]
                     diag_slot = name in ("R", "F") and i == j
                     if diag_slot and not isinstance(entry, MeroScalar):
                         raise ValueError(f"{name}[{i}][{i}] must be a MeroScalar")
                     if not diag_slot and not isinstance(entry, TrigPoly):
                         raise ValueError(f"{name}[{i}][{j}] must be a TrigPoly")
-            for i in range(self.l):
-                for j in range(i + 1, self.l):
+            for i in range(l):
+                for j in range(i + 1, l):
                     if grid[i][j] != grid[j][i]:
                         raise ValueError(f"{name} is not symmetric at ({i},{j})")
+        return super().__new__(cls, l, W, R, F, omega, dioph, pole_tol, r_sign)
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def with_omega(self, omega):
-        return dataclasses.replace(self, omega=omega)
+        return self._replace(omega=omega)
 
     # -- evaluation views over symbol_tables ---------------------------------
 
@@ -355,25 +358,24 @@ class BlockModel:
         symbol_tables(self, y).guard(site)
 
 
-@dataclass(frozen=True, eq=False)
 class SymbolTables:
     """Every symbol of a BlockModel at an array of phases; see symbol_tables.
 
     Diagonal F/R entries are split into numerator and denominator tables of
     shape (..., l); the off-diagonal F/R entries (zero diagonal) and all of
-    W have shape (..., l, l); m = denF * denR has shape (..., l).
+    W have shape (..., l, l); m = denF * denR has shape (..., l).  The
+    fields are read-only; equality is identity.
     """
 
-    phases: np.ndarray
-    pole_tol: float
-    fnum: np.ndarray
-    fden: np.ndarray
-    rnum: np.ndarray
-    rden: np.ndarray
-    f_off: np.ndarray
-    r_off: np.ndarray
-    w: np.ndarray
-    m: np.ndarray
+    __slots__ = ("phases", "pole_tol", "fnum", "fden", "rnum", "rden", "f_off", "r_off", "w", "m")
+
+    def __init__(self, phases, pole_tol, fnum, fden, rnum, rden, f_off, r_off, w, m):
+        fields = phases, pole_tol, fnum, fden, rnum, rden, f_off, r_off, w, m
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
     def empty(cls, model, shape):
@@ -431,7 +433,7 @@ def symbol_tables(model, phases, out=None):
     field of it is written in place, the phases included, and it is
     returned; without it a new table is.  Each mode e^{2 pi i k y} is
     computed once and shared by all the symbols with frequency k, the modes
-    +-k share one exponential, constant terms need no exponential, and the
+    +-k share one sin/cos pair, constant terms need none, and the
     symmetric (j, i) entry is copied from (i, j).  The per-term formula and
     order are those of TrigPoly.__call__, so every value is bit-identical to
     calling that symbol at the same phase.
@@ -468,8 +470,7 @@ def symbol_tables(model, phases, out=None):
     return tab
 
 
-@dataclass(frozen=True)
-class NondegeneracyReport:
+class NondegeneracyReport(NamedTuple):
     ok: bool
     witnesses: tuple  # (t, witness phase, |det| at the witness) per t
 

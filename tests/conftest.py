@@ -118,6 +118,4 @@ def well_conditioned_params(model, rng, window, lam_range=(0.5, 3.0), cond_max=1
 
 def atomic_maryland(maryland_model):
     """Maryland with the hopping switched off (decoupled sites)."""
-    import dataclasses
-
-    return dataclasses.replace(maryland_model, W=((TrigPoly.zero(),),))
+    return maryland_model._replace(W=((TrigPoly.zero(),),))

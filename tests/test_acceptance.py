@@ -250,6 +250,57 @@ def test_criterion_5_bad_set_decay_fit_mero2(mero2):
     )
 
 
+def _window_size_ladder(model, grid, Ns):
+    """Bad fractions of `ldt --Qs 1 --S 0.5*N^-0.3` at lambda 20, E 0.5 over
+    the window sizes Ns, for the model's rotation and for omega = 1/2."""
+    xs = midpoint_grid(grid)
+
+    def fractions(omega):
+        return [
+            deviation_measure(model, 20.0, 0.5, N, 1, 0.5 * N**-0.3, 0.3, xs, omega=omega)
+            .bad_fraction
+            for N in Ns
+        ]
+
+    return fractions(None), fractions(0.5)
+
+
+def test_criterion_5_window_size(maryland):
+    # the theorem the proof uses, in N: at Q = 1 the set where u_N deviates
+    # from its torus integral by N^-0.3 / 2 shrinks to nothing
+    started = time.perf_counter()
+    golden, rational = _window_size_ladder(maryland, 16384, (4, 16, 64, 128))
+    _verdict(
+        5,
+        f"bad set in the window size N 4..128: golden {golden} vs rational {rational}",
+        [
+            all(b2 < b1 for b1, b2 in zip(golden, golden[1:])),
+            golden[-1] == 0.0,
+            min(rational) > 0.5,
+            all(b2 >= b1 for b1, b2 in zip(rational, rational[1:])),
+        ],
+        started,
+        60.0,
+    )
+
+
+def test_criterion_5_window_size_mero2(mero2):
+    # the block model on a coarser grid: its N = 32 torus integral alone takes seconds
+    started = time.perf_counter()
+    golden, rational = _window_size_ladder(mero2, 4096, (4, 8, 16))
+    _verdict(
+        5,
+        f"mero2 bad set in the window size N 4..16: golden {golden} vs rational {rational}",
+        [
+            all(b2 < b1 for b1, b2 in zip(golden, golden[1:])),
+            min(rational) > 0.5,
+            all(b2 >= b1 for b1, b2 in zip(rational, rational[1:])),
+        ],
+        started,
+        60.0,
+    )
+
+
 def test_criterion_6_localization(maryland):
     started = time.perf_counter()
     rep = localize(maryland, 20.0, 0.1, 256, margin=32)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -175,11 +174,11 @@ class TestDecayFitOracle:
     def test_stack_matches_the_per_profile_oracle(self, profiles):
         fit = decay_fit(profiles)
         for i, prof in enumerate(profiles):
-            row = DecayFit(*(a[i].item() for a in dataclasses.astuple(fit)))
+            row = DecayFit(*(a[i].item() for a in fit))
             # one profile is the stack of one: the same numbers, as numpy scalars
-            one = dataclasses.astuple(decay_fit(prof))
+            one = tuple(decay_fit(prof))
             assert all(isinstance(a, np.generic) for a in one)
-            assert np.array_equal(one, dataclasses.astuple(row), equal_nan=True)
+            assert np.array_equal(one, tuple(row), equal_nan=True)
             want = oracles.decay_fit(prof)
             if want is None:
                 assert row.n_points < FIT_MIN_POINTS
@@ -210,9 +209,7 @@ def assert_same_report(got, want):
     assert got.max_eigen_residual == want.max_eigen_residual
     assert len(got.records) == len(want.records)
     for g, w in zip(got.records, want.records):
-        assert dataclasses.replace(g, rate=0.0, fit_residual=0.0) == dataclasses.replace(
-            w, rate=0.0, fit_residual=0.0
-        )
+        assert g._replace(rate=0.0, fit_residual=0.0) == w._replace(rate=0.0, fit_residual=0.0)
         assert _close(g.rate, w.rate) and _close(g.fit_residual, w.fit_residual), (g, w)
 
 
@@ -367,7 +364,7 @@ class TestResolventPatch:
             h = assemble_hamiltonian(model, params)
             evals = np.linalg.eigvalsh(h)
             e_far = float(evals.max()) + 1.5
-            g = green_solve(model, dataclasses.replace(params, E=e_far))[0]
+            g = green_solve(model, params._replace(E=e_far))[0]
             d = float(np.min(np.abs(evals - e_far)))
             assert d >= 1.0
             assert np.linalg.norm(g, 2) <= 1.0 / d + 1e-9

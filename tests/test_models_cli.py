@@ -569,6 +569,11 @@ class TestCli:
             (["check-model", "--t-grid", "nan,0"],
              "--t-grid: expected a comma-separated number list"),
             (["check-model", "--t-grid=-inf"], "--t-grid: expected a comma-separated number list"),
+            # a negative number in exponent form is a value, not a flag
+            (["ldt", "--lambda", "50", "--E", "1", "--N", "2", "--Qs", "10", "--S", "-1e-2"],
+             "require S >= 0 and sigma > 0"),
+            (["ldt", "--lambda", "50", "--E", "1", "--N", "2", "--Qs", "10", "--sigma", "-3E-1"],
+             "require S >= 0 and sigma > 0"),
         ],
     )
     def test_malformed_value_exits_one(self, capsys, argv, message):
@@ -612,6 +617,7 @@ class TestCli:
             ["assemble", "--lambda", "-1", "--x", "0.1", "--E", "0", "--window", "1:2"],
             ["ldt", "--lambda", "nan", "--E", "1", "--N", "2", "--Qs", "10", "--grid", "1000"],
             ["scan", "--lambda", "nan", "--E", "0.2", "--x0", "0.1", "--N0", "2", "--shifts=0:1"],
+            ["assemble", "--lambda", "-1e-3", "--x", "0.1", "--E", "0", "--window", "1:2"],
         ],
     )
     def test_negative_or_nan_coupling_exits_one(self, capsys, argv):
@@ -725,6 +731,26 @@ class TestCli:
         assert math.isfinite(float(integral.split("=")[1]))
         rows = [l.split(",") for l in det.read_text().splitlines() if not l.startswith("#")]
         assert [r[-1] for r in rows[1:]] == ["0", "0"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["assemble", "--lambda=1", "--x=-1e-3", "--E=0.5", "--window=1:2"],
+            ["assemble", "--lambda=1", "--x=0.1", "--E=-1e-8", "--window=-2:1"],
+            ["green", "--lambda=2", "--x=-2.5E-1", "--E=-1e-1", "--window=1:3"],
+            ["ldt", "--lambda=50", "--E=-1e0", "--N=2", "--Qs=10", "--grid=1000",
+             "--omega=-3.8e-1"],
+            ["scan", "--lambda=20", "--E=0.5", "--x0=-1e-1", "--N0=2", "--shifts=-3:3"],
+            ["localize", "--lambda=20", "--x0=-1e-1", "--N=8"],
+        ],
+    )
+    def test_a_negative_value_may_follow_its_flag(self, capsys, argv):
+        """`--flag -1e-3` writes what `--flag=-1e-3` writes."""
+        split = [token for arg in argv for token in arg.split("=", 1)]
+        assert main([*argv, "--model", "maryland", "--out", "-"]) == 0
+        joined = capsys.readouterr()
+        assert main([*split, "--model", "maryland", "--out", "-"]) == 0
+        assert capsys.readouterr() == joined
 
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["localize", "--bogus"]) == 1

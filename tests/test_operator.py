@@ -72,6 +72,15 @@ class TestParams:
         with pytest.raises(ValueError):
             OperatorParams(lam=1.0, x=0.0, E=0.0, window=(3, 1))
 
+    def test_replace_validates_and_normalizes(self):
+        params = OperatorParams(lam=1.0, x=0.0, E=0.0, window=(1.0, 4.0))
+        moved = params._replace(window=(2.0, 3.0))
+        assert params.window == (1, 4) and moved.window == (2, 3)
+        assert all(type(s) is int for s in (*params.window, *moved.window))
+        for bad in ({"window": (3, 1)}, {"lam": -1.0}, {"lam": math.inf}):
+            with pytest.raises(ValueError):
+                params._replace(**bad)
+
 
 class TestAssembleHamiltonian:
     def test_maryland_window(self, maryland):

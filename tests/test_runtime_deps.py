@@ -6,16 +6,19 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
+
 import qpjacobi
 
 SRC = pathlib.Path(qpjacobi.__file__).resolve().parents[1]
 
 
-def _python(code, cwd):
-    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+def _python(code, cwd, flags=(), paths=()):
+    path = os.pathsep.join([str(SRC), *map(str, paths), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *flags, "-c", code],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
 
 
@@ -24,6 +27,20 @@ def test_import_loads_no_scipy(tmp_path):
         "import sys, qpjacobi, qpjacobi.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_import_and_model_load_generate_no_code(tmp_path):
+    # -S: no site hook imports either module first; numpy comes from its own directory
+    proc = _python(
+        "import sys, qpjacobi, qpjacobi.cli\n"
+        "assert qpjacobi.resolve_model('mero2').l == 2\n"
+        "print(sorted(m for m in ('dataclasses', 'importlib.resources') if m in sys.modules))",
+        tmp_path,
+        flags=["-S"],
+        paths=[pathlib.Path(np.__file__).resolve().parents[1]],
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -16,6 +16,7 @@ from qpjacobi.symbols import (
     is_diophantine,
     locate_zeros,
     reduce_phase,
+    symbol_tables,
 )
 
 from conftest import GOLDEN, random_trig
@@ -273,6 +274,37 @@ def _denominator_model():
         omega=GOLDEN,
         dioph=Dioph(2.0, 0.1),
     )
+
+
+class TestValueTypes:
+    """BlockModel validates on every construction and compares by value;
+    SymbolTables is an object with identity equality."""
+
+    def test_every_construction_path_validates_and_normalizes(self, maryland):
+        assert maryland.with_omega(1.25).omega == 0.25
+        assert maryland._replace(omega=-0.75).omega == 0.25
+        assert maryland._replace(W=[[TrigPoly.zero()]]).W == ((TrigPoly.zero(),),)
+        for bad in ({"l": 0}, {"r_sign": 0}, {"F": [[TrigPoly.zero()]]}):
+            with pytest.raises(ValueError):
+                maryland._replace(**bad)
+        with pytest.raises(ValueError):
+            BlockModel._make((0, *maryland[1:]))
+
+    def test_equal_fields_compare_and_hash_equal(self, mero2):
+        again = BlockModel(*mero2)
+        assert again is not mero2 and again == mero2 and hash(again) == hash(mero2)
+        f = mero2.F[0][0]
+        assert MeroScalar(*f) == f and hash(MeroScalar(*f)) == hash(f)
+        assert hash(Dioph(2.0, 0.1)) == hash(Dioph(2.0, 0.1))
+        assert mero2.with_omega(0.5) != mero2
+
+    def test_symbol_tables_slice_phases_and_compare_by_identity(self, mero2):
+        tab = symbol_tables(mero2, np.array([0.1, 0.2]))
+        assert not isinstance(tab, tuple)
+        assert tab == tab and tab[:] != tab
+        assert tab[1:].phases.tolist() == [0.2] and tab[1:].w.shape == (1, 2, 2)
+        with pytest.raises(AttributeError):
+            tab.w = None
 
 
 class TestRegularizerDiag:
