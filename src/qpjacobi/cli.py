@@ -18,7 +18,7 @@ from . import __version__
 from .errors import AllDegenerate, ModelFormatError, NearSingular, PoleProximity, TooManyExclusions
 from .ergodic import deviation_measure
 from .greens import check_det_lower_bound, check_minor_bound, green_solve, midpoint_grid
-from .localization import green_decay_scan, localize
+from .localization import _transfer_product, green_decay_scan, localize
 from .models import is_number, model_hash, resolve_model
 from .operator import OperatorParams, assemble_hamiltonian, assemble_regularized
 from .symbols import check_nondegeneracy, is_diophantine
@@ -227,6 +227,12 @@ def _run_localize(args, model):
     _write(args, model, {"report": report.to_dict()})
 
 
+def _run_lyapunov(args, model):
+    rates, used = _transfer_product(model, args.lam, args.E, args.steps, args.x)
+    extra = {"used": used, "skipped": args.steps - used}
+    _write(args, model, (("E", "gamma"), _csv_lines(zip(args.E, rates.tolist()))), extra)
+
+
 def _run_check_model(args, model):
     chk = _warn_diophantine(model, args.Kmax)
     zeros = {}
@@ -246,9 +252,10 @@ def _run_check_model(args, model):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a value that starts like a negative number (-1e-3, -8:8) is not a
-        # flag; Python 3.11's argparse pattern matches only the -1 and -.5 forms
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # a value that starts like a negative number (-1e-3, -8:8, -inf, -NaN)
+        # is not a flag; Python 3.11's argparse pattern matches only the -1
+        # and -.5 forms
+        self._negative_number_matcher = re.compile(r"-(\.?\d|(inf|infinity|nan)\b)", re.I)
 
     def error(self, message):
         # main turns the config error into the exit code
@@ -320,6 +327,12 @@ def build_parser():
     )
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--margin", type=int, default=32)
+
+    sp = add_parser(
+        "lyapunov", _run_lyapunov, "transfer-matrix growth rates per energy", ("--lambda", "--x")
+    )
+    sp.add_argument("--E", type=_number_list(float, "--E", "number", "E"), required=True)
+    sp.add_argument("--steps", type=int, required=True, help="transfer steps along the orbit")
 
     sp = add_parser(
         "check-model", _run_check_model, "hypothesis checks: rotation, poles, nondegeneracy"

@@ -17,7 +17,7 @@ from .operator import (
     dense_blocks,
     hamiltonian_blocks,
 )
-from .symbols import TABLE_CHUNK, symbol_tables
+from .symbols import TABLE_CHUNK, SymbolTables, symbol_tables
 
 FIT_FLOOR = 1e-14
 FIT_EXCLUDE_RADIUS = 2  # near-center profile shape is not exponential
@@ -119,27 +119,32 @@ def lyapunov_rates(model, lam, energies, n_steps, x=0.0):
     for many energies at once, ||.|| the Frobenius norm and n the steps used.
 
     T_j = [[(d_j - E) / w_{j+1}, -w_j / w_{j+1}], [1, 0]] with d_j = lam*F +
-    r_sign*R.  One symbol table covers the phases x + j*omega, j <= n_steps;
-    step j is skipped when its phase is within pole_tol of a pole or
-    w_{j+1} ~ 0.  The product is rescaled by its max-norm at every step
-    (Benettin et al., Meccanica 15 (1980)).
+    r_sign*R, at the phases x + j*omega, j < n_steps; step j is skipped when
+    its phase is within pole_tol of a pole or w_{j+1} ~ 0.  The product is
+    rescaled by its max-norm at every step (Benettin et al., Meccanica 15
+    (1980)).
+    """
+    return _transfer_product(model, lam, energies, n_steps, x)[0]
 
-    The used steps go a chunk of TABLE_CHUNK // len(energies) at a time: one
+
+def _transfer_product(model, lam, energies, n_steps, x):
+    """lyapunov_rates, and the number of steps it used.
+
+    The orbit is evaluated TABLE_CHUNK steps at a time, into one symbol
+    table of TABLE_CHUNK + 1 phases (step j reads w at phase j + 1), so
+    memory does not grow with n_steps.  The used steps of an orbit chunk go
+    a product chunk of TABLE_CHUNK // len(energies) at a time: one
     expression forms the chunk's entries of T_j, each step writes into fixed
     buffers, and the chunk's rescalings are logged at once and added to the
     running sum in step order.  Every element sees the operations of a
-    step-by-step loop, in its order, so the rates are the same to the bit.
+    step-by-step loop, in its order, so the rates are the same to the bit
+    whatever the chunk sizes.
     """
     check_coupling(lam)
     if model.l != 1:
         raise ValueError("transfer-matrix oracle requires block size 1")
-    tab = symbol_tables(model, model.site_phase(x, np.arange(n_steps + 1)))
-    w = tab.w[:, 0, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        onsite = hamiltonian_blocks(tab, lam, model.r_sign)[0][:-1, 0, 0]
-    used = np.flatnonzero(~(tab.poles()[:-1] | (np.abs(w[1:]) < 1e-12)))
-    if used.size == 0:
-        raise ValueError("no usable transfer steps (orbit entirely on poles)")
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
     es = np.asarray(energies, dtype=float)
     # a flat copy, of two energies at least: numpy sums a lone column
     # pairwise, not row by row, so one energy runs twice
@@ -153,23 +158,35 @@ def lyapunov_rates(model, lam, energies, n_steps, x=0.0):
     prod, absmat = np.empty((2, flat.size)), np.empty_like(mat)
     # row 0 the summed log rescalings, row i + 1 the rescaling of step i
     logs = np.zeros((step + 1, flat.size))
-    for c0 in range(0, used.size, step):
-        j = used[c0 : c0 + step]
-        d = (onsite[j, None] - flat) / w[j + 1, None]
-        b = -w[j] / w[j + 1]
-        for i in range(j.size):
-            np.multiply(d[i], top, out=prod)
-            bot *= b[i]
-            bot += prod
-            top, bot = bot, top
-            np.abs(mat, out=absmat)
-            mat /= np.maximum.reduce(absmat, out=logs[i + 1])
-        k = j.size + 1
-        np.log(logs[1:k], out=logs[1:k])
-        logs[0] = np.add.reduce(logs[:k])
-    acc = logs[0]
+    table = SymbolTables.empty(model, (min(TABLE_CHUNK, n_steps) + 1,))
+    used = 0
+    for s0 in range(0, n_steps, TABLE_CHUNK):
+        sites = np.arange(s0, min(s0 + TABLE_CHUNK, n_steps) + 1)
+        tab = symbol_tables(model, model.site_phase(x, sites), out=table[: sites.size])
+        w = tab.w[:, 0, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            onsite = hamiltonian_blocks(tab, lam, model.r_sign)[0][:-1, 0, 0]
+        usable = np.flatnonzero(~(tab.poles()[:-1] | (np.abs(w[1:]) < 1e-12)))
+        used += usable.size
+        for c0 in range(0, usable.size, step):
+            j = usable[c0 : c0 + step]
+            d = (onsite[j, None] - flat) / w[j + 1, None]
+            b = -w[j] / w[j + 1]
+            for i in range(j.size):
+                np.multiply(d[i], top, out=prod)
+                bot *= b[i]
+                bot += prod
+                top, bot = bot, top
+                np.abs(mat, out=absmat)
+                mat /= np.maximum.reduce(absmat, out=logs[i + 1])
+            k = j.size + 1
+            np.log(logs[1:k], out=logs[1:k])
+            logs[0] = np.add.reduce(logs[:k])
+    if used == 0:
+        raise ValueError("no usable transfer steps (orbit entirely on poles)")
     norm = np.sqrt(top[0] ** 2 + top[1] ** 2 + bot[0] ** 2 + bot[1] ** 2)
-    return ((acc + np.log(norm)) / used.size)[: es.size].reshape(es.shape)[()]
+    rates = (logs[0] + np.log(norm)) / used
+    return rates[: es.size].reshape(es.shape)[()], used
 
 
 def _slack_matrix(g, l, rate0):

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 from qpjacobi import cli
 from qpjacobi.cli import main
 from qpjacobi.ergodic import deviation_measure
@@ -18,7 +19,7 @@ from qpjacobi.greens import (
     green_solve,
     midpoint_grid,
 )
-from qpjacobi.localization import green_decay_scan
+from qpjacobi.localization import green_decay_scan, lyapunov_rates
 from qpjacobi.errors import ModelFormatError
 from qpjacobi.models import (
     bundled,
@@ -29,6 +30,7 @@ from qpjacobi.models import (
     save_model,
 )
 from qpjacobi.operator import OperatorParams, assemble_hamiltonian, assemble_regularized
+from qpjacobi.symbols import TrigPoly
 
 from conftest import GOLDEN, atomic_maryland, random_model
 
@@ -213,7 +215,8 @@ class TestCli:
         assert len(doc["report"]["records"]) >= 1
 
     def test_determinism(self, tmp_path):
-        # a ladder, a scan through a pole, a block det sweep and a localize report
+        # a ladder, a scan through a pole, a block det sweep, a localize report
+        # and transfer rates
         det = tmp_path / "det.json"
         det.write_text(json.dumps({"N": [4, 8], "lambda": [10, 100], "E": [0.5, 3], "nodes": 512}))
         x0 = repr((0.25 - 5 * bundled("maryland").omega) % 1.0)
@@ -225,6 +228,8 @@ class TestCli:
             ["bounds", "--model", "mero2", "--sweep", str(det), "--check", "det"],
             ["localize", "--model", "mero2", "--lambda", "20", "--x0", "0.41", "--N", "64",
              "--margin", "16"],
+            ["lyapunov", "--model", "maryland", "--lambda", "20", "--x", "0.1",
+             "--E", "0.5,-3,1e-3", "--steps", "500"],
         ]:
             outs = []
             for i in range(2):
@@ -405,6 +410,51 @@ class TestCli:
         assert zeros == [row[6] for row in reports[0].sweep["rows"]]
         assert sum(zeros) == reports[0].sweep["zero_minors"] > 0
 
+    def _lyapunov(self, tmp_path, model, x, energies, steps):
+        """Run `lyapunov`; return its header keys and its rows, each split in two."""
+        out = tmp_path / "lyapunov.csv"
+        rc = main([
+            "lyapunov", "--model", model, "--lambda", "5", f"--x={x!r}",
+            "--E=" + ",".join(map(repr, energies)), "--steps", str(steps), "--out", str(out),
+        ])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        meta = dict(l[2:].split("=", 1) for l in lines if l.startswith("# "))
+        table = [l for l in lines if not l.startswith("#")]
+        assert table[0] == "E,gamma"
+        return meta, [l.split(",") for l in table[1:]]
+
+    @pytest.mark.parametrize("energies", [[-7.5, -0.25, 1.0, 6.0], [6.0, -0.25, 1e-3, -7.5, 1.0]])
+    def test_lyapunov_rows_are_the_library_rates(self, tmp_path, maryland, energies):
+        meta, rows = self._lyapunov(tmp_path, "maryland", 0.1, energies, 300)
+        want = lyapunov_rates(maryland, 5.0, energies, 300, x=0.1)
+        assert rows == [[f"{e:.17g}", f"{r:.17g}"] for e, r in zip(energies, want)]
+        assert int(meta["used"]) + int(meta["skipped"]) == 300
+
+    @pytest.mark.parametrize("hopping", [None, TrigPoly.cosine()])
+    def test_lyapunov_skips_the_steps_of_the_seed_loop(self, tmp_path, maryland, hopping):
+        # site 3 of this orbit sits on the pole of tan(2 pi x) at phase 1/4,
+        # where a cosine hopping vanishes too: step 2, with w_3 ~ 0, goes as well
+        model = maryland if hopping is None else maryland._replace(W=((hopping,),))
+        save_model(model, tmp_path / "model.json")
+        x = float(0.25 - 3 * GOLDEN)
+        energies = [-7.5, -0.25, 1.0, 6.0]
+        meta, rows = self._lyapunov(tmp_path, str(tmp_path / "model.json"), x, energies, 200)
+        skipped = oracles.lyapunov_transfer(model, 5.0, 0.0, 200, x=x)[1]
+        assert int(meta["skipped"]) == skipped == (1 if hopping is None else 2)
+        assert int(meta["used"]) == 200 - skipped
+        want = oracles.lyapunov_rates(model, 5.0, energies, 200, x=x)
+        assert [g for _, g in rows] == [f"{r:.17g}" for r in want]
+
+    def test_lyapunov_of_a_block_model_exits_one(self, capsys):
+        rc = main([
+            "lyapunov", "--model", "mero2", "--lambda", "5", "--x", "0.1", "--E", "1",
+            "--steps", "100", "--out", "-",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: transfer-matrix oracle requires block size 1\n"
+
     def _bounds(self, tmp_path, sweep, check="minor"):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(sweep))
@@ -574,6 +624,12 @@ class TestCli:
              "require S >= 0 and sigma > 0"),
             (["ldt", "--lambda", "50", "--E", "1", "--N", "2", "--Qs", "10", "--sigma", "-3E-1"],
              "require S >= 0 and sigma > 0"),
+            (["lyapunov", "--lambda", "5", "--x", "0.1", "--E", "-nan,1", "--steps", "10"],
+             "--E: expected a comma-separated number list"),
+            (["lyapunov", "--lambda", "5", "--x", "0.1", "--E", ",", "--steps", "10"],
+             "--E: at least one E value required"),
+            (["lyapunov", "--lambda", "5", "--x", "0.1", "--E", "1", "--steps", "0"],
+             "n_steps must be >= 1"),
         ],
     )
     def test_malformed_value_exits_one(self, capsys, argv, message):
@@ -600,6 +656,13 @@ class TestCli:
             (["scan", "--lambda", "20", "--E", "nan", "--x0", "0.1", "--N0", "2"], "--E"),
             (["scan", "--lambda", "20", "--E", "0.5", "--x0", "nan", "--N0", "2"], "--x0"),
             (["localize", "--lambda", "20", "--x0", "nan", "--N", "8"], "--x0"),
+            (["lyapunov", "--lambda", "5", "--x", "inf", "--E", "1", "--steps", "10"], "--x"),
+            # a negative non-finite value is a value, not a flag
+            (["assemble", "--lambda", "1", "--x", "-inf", "--E", "0.5", "--window", "1:2"], "--x"),
+            (["assemble", "--lambda", "1", "--x", "-Infinity", "--E", "0.5", "--window", "1:2"],
+             "--x"),
+            (["green", "--lambda", "2", "--x", "0.1", "--E", "-nan", "--window", "1:3"], "--E"),
+            (["scan", "--lambda", "20", "--E", "0.5", "--x0", "-INF", "--N0", "2"], "--x0"),
         ],
     )
     def test_non_finite_number_exits_one(self, capsys, argv, field):
@@ -742,6 +805,7 @@ class TestCli:
              "--omega=-3.8e-1"],
             ["scan", "--lambda=20", "--E=0.5", "--x0=-1e-1", "--N0=2", "--shifts=-3:3"],
             ["localize", "--lambda=20", "--x0=-1e-1", "--N=8"],
+            ["lyapunov", "--lambda=5", "--x=-1e-1", "--E=-5e-1,1", "--steps=100"],
         ],
     )
     def test_a_negative_value_may_follow_its_flag(self, capsys, argv):

@@ -74,6 +74,7 @@ def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
         "ldt": ["ldt", "--model", "maryland", "--lambda", "50", "--E", "1", "--N", "2",
                 "--Qs", "10,32", "--grid", "1000"],
         "localize": ["localize", *maryland, "--x0", "0.41", "--N", "32", "--margin", "8"],
+        "lyapunov": ["lyapunov", *maryland, "--x", "0.1", "--E", "0.5,-3", "--steps", "200"],
         "check-model": ["check-model", "--model", "mero2", "--x-count", "64", "--Kmax", "100"],
     }
     code = f"""

@@ -1,6 +1,8 @@
 """symbol_tables and every consumer built on it, checked against the
 one-site-at-a-time reference paths in oracles.py."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -440,6 +442,42 @@ def test_lyapunov_keeps_the_shape_of_the_energies(maryland, monkeypatch, energie
     got, want = _lyapunov_pair(maryland, energies, 100, 0.1)
     assert np.shape(got) == np.shape(energies)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("energies", [FOUR_ENERGIES, np.linspace(-7.0, 7.0, 5)])
+@pytest.mark.parametrize("n_steps", [63, 64, 65, 200])
+def test_lyapunov_orbit_chunks_match_the_seed_loop(maryland, monkeypatch, energies, n_steps):
+    # the orbit goes SMALL_CHUNK steps at a time: a chunk less a step, one
+    # chunk, one and a step, three and a part; five energies take product
+    # chunks of 12 steps, which end inside an orbit chunk
+    monkeypatch.setattr(localization, "TABLE_CHUNK", SMALL_CHUNK)
+    got, want = _lyapunov_pair(maryland, energies, n_steps, 0.1)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("zero_site", [63, 64, 65])
+def test_lyapunov_counts_the_skipped_steps_across_orbit_chunks(maryland, monkeypatch, zero_site):
+    # site zero_site sits on the pole at phase 1/4, where a cosine hopping
+    # vanishes too: step zero_site - 1 (w_{j+1} ~ 0) and step zero_site go;
+    # w_64 is the last phase of the first orbit chunk and the first of the next
+    monkeypatch.setattr(localization, "TABLE_CHUNK", SMALL_CHUNK)
+    model = maryland._replace(W=((TrigPoly.cosine(),),))
+    x = (0.25 - zero_site * model.omega) % 1.0
+    got, used = localization._transfer_product(model, 5.0, FOUR_ENERGIES, 150, x)
+    assert np.array_equal(got, oracles.lyapunov_rates(model, 5.0, FOUR_ENERGIES, 150, x=x))
+    assert used == 150 - oracles.lyapunov_transfer(model, 5.0, 0.0, 150, x=x)[1] == 148
+
+
+def test_lyapunov_holds_one_orbit_chunk_at_a_time(maryland, monkeypatch):
+    # one table over this orbit peaks at 1.2 MiB; 1024 phases at a time, at 0.17 MiB
+    monkeypatch.setattr(localization, "TABLE_CHUNK", 1024)
+    tracemalloc.start()
+    try:
+        lyapunov_rates(maryland, 5.0, FOUR_ENERGIES, 10_000, x=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
 
 
 # -- minor sweep rows -------------------------------------------------------
