@@ -276,15 +276,20 @@ def _orbit_windows(model, lam, E, xs, first, n, start, stop):
     flat grid xs.  Terms start..stop-1 come in order, per block of 2 to
     TABLE_CHUNK // (n*l^2) columns (a lone last column joins the block before:
     numpy sums one column pairwise) in runs of max(1, TABLE_CHUNK // (width *
-    l^2)) terms, each a new (terms, width) array, so TABLE_CHUNK bounds a table
-    along both axes.  A block writes one table of run + n - 1 rows in place:
-    the n - 1 sites a run shares with the one before move to the top.
+    l^2)) terms, each a (terms, width) array the caller may write into, so
+    TABLE_CHUNK bounds a table along both axes.  A block writes one table of
+    run + n - 1 rows in place: the n - 1 sites a run shares with the one
+    before move to the top.  A run whose phase rows all equal those of the
+    run before (a rational rotation repeats its rows exactly) evaluates
+    nothing and yields a copy of that run's log-determinants; a run keeps
+    that copy only when its shared rows equal its first n - 1 rows.
     """
     width, keep = max(2, TABLE_CHUNK // (n * model.l**2)), n - 1
     edges = [*range(0, xs.size - 1 or 1, width), xs.size]
     for c0, c1 in zip(edges, edges[1:]):
         step = max(1, TABLE_CHUNK // ((c1 - c0) * model.l**2))
         tab = SymbolTables.empty(model, (min(step, stop - start) + keep, c1 - c0))
+        last = None  # the run before's log-dets, while this run may repeat it
         for j0 in range(start, stop, step):
             new = keep if j0 > start else 0  # the first row this run evaluates
             for a in tab.arrays() if new else ():
@@ -293,8 +298,19 @@ def _orbit_windows(model, lam, E, xs, first, n, start, stop):
             ks = np.arange(first + j0 + new, first + j0 + end)[:, None]
             # the unreduced phases go into rows of m, which symbol_tables overwrites
             x = np.add(xs[c0:c1], ks * model.omega, out=tab.m[new:end, :, 0])
+            if last is not None:  # rows new..end still hold the run before
+                if np.array_equal(reduce_phase(x), tab.phases[new:end]):
+                    # m held the unreduced phases: put back the product symbol_tables writes
+                    np.multiply(tab.fden[new:end], tab.rden[new:end], out=tab.m[new:end])
+                    yield slice(c0, c1), last[: end - keep].copy()
+                    continue
+                last = None
             symbol_tables(model, reduce_phase(x, out=tab.phases[new:end]), out=tab[new:end])
-            yield slice(c0, c1), window_logdets(model, lam, E, tab[:end], n)
+            u = window_logdets(model, lam, E, tab[:end], n)
+            if j0 + step < stop and np.array_equal(tab.phases[step:end], tab.phases[:keep]):
+                last = u.copy()  # the caller writes into u
+            yield slice(c0, c1), u
+            del u  # the caller's now; held here it would outlive the next evaluated run
 
 
 def window_logdets(model, lam, E, tab, n):

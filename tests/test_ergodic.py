@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from conftest import GOLDEN
 from qpjacobi import bundled, ergodic, greens
 from qpjacobi.ergodic import (
     DeviationReport,
@@ -21,6 +22,7 @@ from qpjacobi.ergodic import (
 )
 from qpjacobi.errors import AllZero
 from qpjacobi.greens import avg_logdet, logdet_grid, midpoint_grid
+from qpjacobi.symbols import reduce_phase
 
 
 def u_at(model, lam, E, N, x):
@@ -235,7 +237,48 @@ class TestResumedSums:
         avg, floored = _orbit_average(maryland, LAM, E, 3, 40, GRID)
         assert np.array_equal(avg, want[0]) and floored == want[1]
 
-    def test_a_ladder_computes_each_orbit_row_once(self, maryland, monkeypatch):
+    def test_a_ladder_computes_each_orbit_row_once(self, maryland):
+        # the benchmark's ldt ladder at grid 1000: a run is 16 terms.  Under
+        # omega = 1/2 the phase of site k depends only on the parity of k and
+        # on the binade of x + k/2, so a run repeats the run before bit for
+        # bit except near a power of two; under omega = 0 each call evaluates
+        # its first run only
+        xs, ladder = midpoint_grid(1000), (10, 32, 100, 316, 1000)
+        rows = []
+
+        def counted(model, lam, E, tab, n):
+            out = window_logdets(model, lam, E, tab, n)
+            rows.append(len(out))
+            return out
+
+        window_logdets = greens.window_logdets
+        for omega, evaluated in ((None, 1000), (0.5, 224), (0.0, 74)):
+            model = maryland if omega is None else maryland.with_omega(omega)
+            cold = {Q: _cold(model, 4, Q, xs) for Q in ladder}
+            rows.clear()
+            ergodic._orbit_sum = None
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(greens, "window_logdets", counted)
+                for Q in ladder:
+                    avg, floored = _orbit_average(model, LAM, E, 4, Q, xs)
+                    assert np.array_equal(avg, cold[Q][0]) and floored == cold[Q][1]
+            assert sum(rows) == evaluated, omega
+            # one running sum is kept: the largest Q of the last orbit
+            assert ergodic._orbit_sum[1] == 1000
+
+    def test_new_rows_that_repeat_after_changed_kept_rows_are_evaluated(self, monkeypatch):
+        # omega = 1/2, N = 3 and runs of 4 terms: run j0 holds sites j0+1..j0+6
+        # and keeps two.  For x in (1/2, 1), x + k/2 reaches 4, 8 and 16 at
+        # sites 7, 15 and 31, where the rounding of x changes.  The run at 12
+        # keeps sites 13 and 14 below 8 and adds sites 15..18 above it; the
+        # run at 16 adds sites 19..22, the same phases as 15..18, but its kept
+        # sites 17 and 18 are not 13 and 14.  So the run at 16 is evaluated,
+        # the runs at 20 and 24 repeat it, and the run at 28 adds sites above 16
+        model, N, Q = bundled("maryland").with_omega(0.5), 3, 40
+        xs = 0.5 + (np.arange(8) + GOLDEN) / 16
+        assert np.any(reduce_phase(xs + 6.5) != reduce_phase(xs + 8.5))
+        cold = _cold(model, N, Q, xs)
+        want, want_floored = oracles.orbit_average(model, LAM, E, N, Q, xs, U_FLOOR)
         rows = []
 
         def counted(model, lam, E, tab, n):
@@ -245,12 +288,13 @@ class TestResumedSums:
 
         window_logdets = greens.window_logdets
         monkeypatch.setattr(greens, "window_logdets", counted)
-        ergodic._orbit_sum = None
-        for Q in (10, 32, 100, 316, 1000):
-            deviation_measure(maryland, LAM, E, 4, Q, 1.0, 0.3, midpoint_grid(1000))
-        assert sum(rows) == 1000
-        # one running sum is kept: the largest Q of the last orbit
-        assert ergodic._orbit_sum[1] == 1000
+        monkeypatch.setattr(greens, "TABLE_CHUNK", 4 * xs.size)
+        avg, floored = _cold(model, N, Q, xs)
+        assert np.array_equal(avg, cold[0]) and floored == cold[1]
+        assert np.max(np.abs(avg - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert floored == want_floored
+        # the runs at 0, 4, 8, 12, 16, 28 and 32 are evaluated
+        assert rows == [4] * 7
 
     def test_threads_sharing_an_orbit_get_cold_results(self, maryland):
         Qs = list(range(1, 21))
@@ -423,15 +467,37 @@ class TestOrbitWindows:
     @pytest.mark.parametrize("name,N", [("maryland", 8), ("mero2", 4)])
     def test_a_large_grid_holds_a_bounded_table(self, name, N):
         # one table across the whole grid would peak at 63 MiB (maryland) and
-        # 101 MiB (mero2); the column blocks keep it near TABLE_CHUNK phases
-        model = bundled(name)
-        ergodic._orbit_sum = None
+        # 101 MiB (mero2); the column blocks keep it near TABLE_CHUNK phases.
+        # At omega = 1/2 and Q = 24 a block makes 3 (maryland) or 6 (mero2)
+        # runs, and each run after the first repeats the one before: it keeps
+        # a copy of its log-determinants and yields another
         xs = midpoint_grid(65536)
-        tracemalloc.start()
-        try:
-            _orbit_average(model, LAM, E, N, 4, xs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        for omega, Q in ((None, 4), (0.5, 24)):
+            model = bundled(name) if omega is None else bundled(name).with_omega(omega)
             ergodic._orbit_sum = None
-        assert peak < 8 * 2**20
+            tracemalloc.start()
+            try:
+                _orbit_average(model, LAM, E, N, Q, xs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                ergodic._orbit_sum = None
+            assert peak < 8 * 2**20, omega
+
+    def test_a_repeating_ladder_peaks_no_higher_than_one_that_evaluates_every_run(self, maryland):
+        # the benchmark's ldt pair: grid 2000, N = 4, runs of 8 terms in a
+        # table of 11 rows.  The golden ladder evaluates every run, and the
+        # kept copy of the omega = 1/2 ladder must not lift its peak above that
+        xs, peaks = midpoint_grid(2000), []
+        for model in (maryland, maryland.with_omega(0.5)):
+            ergodic._orbit_sum = None
+            tracemalloc.start()
+            try:
+                for Q in (10, 32, 100, 316, 1000):
+                    _orbit_average(model, LAM, E, 4, Q, xs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+                ergodic._orbit_sum = None
+        table = (8 + 3) * xs.size * 9 * 8  # bytes of the nine table arrays
+        assert peaks[1] <= peaks[0] < 2 * table
