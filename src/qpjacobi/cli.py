@@ -7,6 +7,7 @@ and `bounds` adds its seed; given the same config, outputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -263,6 +264,9 @@ class _Parser(argparse.ArgumentParser):
         raise ModelFormatError(message)
 
 
+# built at the first `main` call, not at import, and kept for the process:
+# each `parse_args` call makes a fresh namespace
+@functools.cache
 def build_parser():
     parser = _Parser(prog="qpjacobi", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qpjacobi {__version__}")

@@ -3,6 +3,7 @@ and the bundled example models."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -188,6 +189,14 @@ def bundled(name):
             f"unknown bundled model {name!r}; choose from {', '.join(BUNDLED)}",
             field="model",
         )
+    return _load_bundled(name)
+
+
+# the shipped files do not change while the process runs, and a BlockModel is
+# immutable, so every caller may share one load; model files given by path
+# are read on every call
+@functools.cache
+def _load_bundled(name):
     return load_model(os.path.join(os.path.dirname(__file__), "data", f"{name}.json"))
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qpjacobi import cli
+from qpjacobi import cli, models
 from qpjacobi.cli import main
 from qpjacobi.ergodic import deviation_measure
 from qpjacobi.greens import (
@@ -919,3 +919,95 @@ class TestCli:
             rc = main([*argv, "--model", str(model), "--out", str(tmp_path / "out.csv")])
             assert rc == 0
             assert ("Diophantine" in capsys.readouterr().err) == warns, argv
+
+
+class TestOneProcess:
+    """One interpreter keeps the parser and the bundled models between `main`
+    calls; nothing a call does may reach a later one."""
+
+    def _argvs(self, tmp_path):
+        minor = tmp_path / "minor.json"
+        minor.write_text(json.dumps({"N": [2, 3], "lambda": [10], "E": [1.0], "x_count": 2}))
+        det = tmp_path / "det.json"
+        det.write_text(json.dumps({"N": [2], "lambda": [10], "E": [0.5], "nodes": 512}))
+        maryland = ["--model", "maryland", "--lambda", "20"]
+        return {
+            "assemble": ["assemble", *maryland, "--x", "0.1", "--E", "0.5", "--window", "1:3"],
+            "green": ["green", "--model", "mero2", "--lambda", "20", "--x", "0.1", "--E", "0.5",
+                      "--window", "1:3"],
+            "minor": ["bounds", "--model", "maryland", "--sweep", str(minor), "--check", "minor"],
+            "det": ["bounds", "--model", "mero2", "--sweep", str(det), "--check", "det"],
+            "ldt": ["ldt", "--model", "maryland", "--lambda", "50", "--E", "1", "--N", "2",
+                    "--Qs", "10,32", "--grid", "1000"],
+            "scan": ["scan", "--model", "mero2", "--lambda", "20", "--E", "0.5", "--x0", "0.1",
+                     "--N0", "2", "--shifts=-3:3"],
+            "localize": ["localize", *maryland, "--x0", "0.41", "--N", "32", "--margin", "8"],
+            "lyapunov": ["lyapunov", *maryland, "--x", "0.1", "--E", "0.5,-3", "--steps", "200"],
+            "check-model": ["check-model", "--model", "mero2", "--x-count", "64",
+                            "--Kmax", "100"],
+        }
+
+    def _run(self, argv, out):
+        assert main([*argv, "--out", str(out)]) == 0, argv
+        return out.read_bytes()
+
+    def test_repeated_calls_write_the_same_bytes(self, tmp_path):
+        argvs = self._argvs(tmp_path)
+        first = {name: self._run(argv, tmp_path / f"{name}.1") for name, argv in argvs.items()}
+        # a usage error, a numerical failure, --version and a rotation override
+        assert main(["localize", "--bogus"]) == 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([
+                "assemble", "--model", "maryland", "--matrix", "h", "--lambda", "1e308",
+                "--x", "0.1", "--E", "0.5", "--window", "1:20", "--out", "-",
+            ]) == 2
+        assert main(["--version"]) == 0
+        control = self._run([*argvs["ldt"], "--omega", "0.5"], tmp_path / "control.csv")
+        after = self._run(argvs["ldt"], tmp_path / "ldt.after")
+        second = {name: self._run(argv, tmp_path / f"{name}.2") for name, argv in argvs.items()}
+        assert second == first
+        assert control != first["ldt"]
+        # the ldt after the override equals one from a fresh interpreter
+        path = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+        fresh = tmp_path / "ldt.fresh"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpjacobi.cli", *argvs["ldt"], "--out", str(fresh)],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert after == fresh.read_bytes() == first["ldt"]
+
+    def test_one_parser_and_one_bundled_load_serve_every_call(self, tmp_path, monkeypatch):
+        loads = []
+        load = models.load_model
+        monkeypatch.setattr(models, "load_model", lambda path: loads.append(path) or load(path))
+        cli.build_parser.cache_clear()
+        models._load_bundled.cache_clear()
+        argv = ["assemble", "--model", "mero2", "--lambda", "3", "--x", "0.05", "--E", "0.4",
+                "--window=-1:2"]
+        outs = {self._run(argv, tmp_path / f"run{i}.csv") for i in range(3)}
+        assert len(outs) == 1
+        assert cli.build_parser.cache_info().misses == 1
+        assert [pathlib.Path(p).name for p in loads] == ["mero2.json"]
+
+    def test_a_model_file_is_read_on_every_call(self, tmp_path, maryland, monkeypatch):
+        loads = []
+        load = models.load_model
+        monkeypatch.setattr(models, "load_model", lambda path: loads.append(path) or load(path))
+        path = tmp_path / "model.json"
+        argv = ["assemble", "--model", str(path), "--lambda", "1", "--x", "0.1", "--E", "0",
+                "--window", "1:2"]
+        hashes = []
+        for model in (maryland, maryland.with_omega(GOLDEN / 2)):
+            save_model(model, path)
+            text = self._run(argv, tmp_path / "out.csv").decode()
+            hashes.append(re.search(r"^# model_hash=(\w+)$", text, re.M).group(1))
+            assert hashes[-1] == model_hash(model)
+        assert hashes[0] != hashes[1]
+        assert loads == [str(path)] * 2
+
+    def test_an_unhashable_bundled_name_is_a_format_error(self):
+        # an unknown name is a case of test_rejection_names_its_field
+        with pytest.raises(ModelFormatError, match="unknown bundled model"):
+            bundled(["x"])

@@ -103,3 +103,15 @@ print(json.dumps(rcs))
         table = [l for l in blocked[name].decode().splitlines() if not l.startswith("#")]
         assert table[0] == "N,lambda,E,x,quantity,slack,zero_minors"
         assert len(table) == 1 + 48 and {row.split(",")[6] for row in table[1:]} == {"0"}
+
+
+def test_import_builds_no_parser_and_loads_no_model(tmp_path):
+    # the parser and the bundled models are built at their first use
+    proc = _python(
+        "import qpjacobi, qpjacobi.cli\n"
+        "print(qpjacobi.cli.build_parser.cache_info().currsize,"
+        " qpjacobi.models._load_bundled.cache_info().currsize)",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
