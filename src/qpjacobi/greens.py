@@ -32,8 +32,11 @@ E_MIN = 1e-6
 EXCLUSION_LIMIT = 0.01
 #: matrix elements gathered per stacked slogdet in minor_logabs, and per
 #: stack of instance matrices in check_minor_bound; bounds their memory
-#: (every pair of an N*l <= 23 window still fits in one call)
-MINOR_CHUNK = 1 << 18
+#: (every pair of an N*l <= 16 window still fits in one call).  A smaller
+#: stack takes fewer fresh pages: in a new process the window-scalar
+#: benchmark's minor sweep takes about 3 100 minor page faults at this size
+#: and 9 900 at 1 << 18, and no more time
+MINOR_CHUNK = 1 << 16
 
 
 def logdet_abs(mat):

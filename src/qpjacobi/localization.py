@@ -122,7 +122,7 @@ def lyapunov_rates(model, lam, energies, n_steps, x=0.0):
     r_sign*R, at the phases x + j*omega, j < n_steps; step j is skipped when
     its phase is within pole_tol of a pole or w_{j+1} ~ 0.  The product is
     rescaled by its max-norm at every step (Benettin et al., Meccanica 15
-    (1980)).
+    (1980)).  A rate that is not finite raises LinAlgError.
     """
     return _transfer_product(model, lam, energies, n_steps, x)[0]
 
@@ -136,9 +136,15 @@ def _transfer_product(model, lam, energies, n_steps, x):
     a product chunk of TABLE_CHUNK // len(energies) at a time: one
     expression forms the chunk's entries of T_j, each step writes into fixed
     buffers, and the chunk's rescalings are logged at once and added to the
-    running sum in step order.  Every element sees the operations of a
-    step-by-step loop, in its order, so the rates are the same to the bit
-    whatever the chunk sizes.
+    running sum in step order.  The chunk's first-column entries are formed
+    twice over, as a (steps, 2, len(energies)) array of 2 * TABLE_CHUNK
+    elements, so that each step multiplies rows of one shape; the loop walks
+    that array, a list of the chunk's Python-float ratios and the rows of the
+    log buffer together, and makes no index object per step.  Every element
+    sees the operations of a step-by-step loop, in its order, so the rates
+    are the same to the bit whatever the chunk sizes.  A rate that is not
+    finite (an entry of T_j overflowed, and the product turned to NaN)
+    raises LinAlgError.
     """
     check_coupling(lam)
     if model.l != 1:
@@ -158,6 +164,9 @@ def _transfer_product(model, lam, energies, n_steps, x):
     prod, absmat = np.empty((2, flat.size)), np.empty_like(mat)
     # row 0 the summed log rescalings, row i + 1 the rescaling of step i
     logs = np.zeros((step + 1, flat.size))
+    rows = list(logs[1:])
+    # bound once, so that the step loop looks up no attribute
+    multiply, absolute, maximum_reduce = np.multiply, np.abs, np.maximum.reduce
     table = SymbolTables.empty(model, (min(TABLE_CHUNK, n_steps) + 1,))
     used = 0
     for s0 in range(0, n_steps, TABLE_CHUNK):
@@ -170,23 +179,28 @@ def _transfer_product(model, lam, energies, n_steps, x):
         used += usable.size
         for c0 in range(0, usable.size, step):
             j = usable[c0 : c0 + step]
-            d = (onsite[j, None] - flat) / w[j + 1, None]
-            b = -w[j] / w[j + 1]
-            for i in range(j.size):
-                np.multiply(d[i], top, out=prod)
-                bot *= b[i]
+            d = ((onsite[j, None] - flat) / w[j + 1, None])[:, None].repeat(2, axis=1)
+            b = (-w[j] / w[j + 1]).tolist()
+            for d_j, b_j, log_j in zip(d, b, rows):
+                multiply(d_j, top, out=prod)
+                bot *= b_j
                 bot += prod
                 top, bot = bot, top
-                np.abs(mat, out=absmat)
-                mat /= np.maximum.reduce(absmat, out=logs[i + 1])
+                absolute(mat, out=absmat)
+                mat /= maximum_reduce(absmat, out=log_j)
             k = j.size + 1
             np.log(logs[1:k], out=logs[1:k])
             logs[0] = np.add.reduce(logs[:k])
     if used == 0:
         raise ValueError("no usable transfer steps (orbit entirely on poles)")
     norm = np.sqrt(top[0] ** 2 + top[1] ** 2 + bot[0] ** 2 + bot[1] ** 2)
-    rates = (logs[0] + np.log(norm)) / used
-    return rates[: es.size].reshape(es.shape)[()], used
+    rates = ((logs[0] + np.log(norm)) / used)[: es.size]
+    bad = np.flatnonzero(~np.isfinite(rates))
+    if bad.size:
+        raise np.linalg.LinAlgError(
+            f"transfer product overflowed: the rate at E = {float(flat[bad[0]])!r} is not finite"
+        )
+    return rates.reshape(es.shape)[()], used
 
 
 def _slack_matrix(g, l, rate0):

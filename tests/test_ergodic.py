@@ -132,6 +132,11 @@ class TestDecayFit:
         with pytest.raises(ValueError):
             ldt_decay_fit(reports)
 
+    def test_one_nonzero_fraction_cannot_be_fitted(self):
+        reports = [_report(q, b) for q, b in ((10, 0.5), (20, 0.0), (40, 0.0), (80, 0.0))]
+        with pytest.raises(ValueError, match="^need at least 2 nonzero bad fractions to fit$"):
+            ldt_decay_fit(reports)
+
     def test_mixed_sigma_rejected(self):
         reports = [_report(10, 0.5), _report(20, 0.4, sigma=0.3),
                    _report(40, 0.3), _report(80, 0.2)]

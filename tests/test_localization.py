@@ -281,6 +281,30 @@ class TestLyapunov:
         with pytest.raises(ValueError, match="requires block size 1"):
             lyapunov_rates(mero2, 1.0, [0.0], 100)
 
+    def test_an_orbit_with_no_usable_step_is_rejected(self, maryland):
+        # the one step sits on the pole of tan(2 pi x) at phase 1/4
+        with pytest.raises(ValueError, match=r"^no usable transfer steps"):
+            lyapunov_rates(maryland, 5.0, [0.5, 1.0], 1, x=0.25)
+
+    @pytest.mark.parametrize(
+        "lam, energies, n_steps", [(1e307, [0.5], 64), (1e306, [0.5, -3.0], 10_000)]
+    )
+    def test_an_overflowed_product_raises_instead_of_returning_nan(
+        self, maryland, lam, energies, n_steps
+    ):
+        # lam * tan overflows at an orbit site near a pole, and inf / inf then
+        # turns the whole product into NaN, which the step-by-step loop returns
+        with np.errstate(over="ignore", invalid="ignore"):
+            seed = oracles.lyapunov_rates(maryland, lam, energies, min(n_steps, 200), x=0.1)
+            assert np.isnan(seed).all()
+            with pytest.raises(
+                np.linalg.LinAlgError,
+                match=r"^transfer product overflowed: the rate at E = 0\.5 is not finite$",
+            ):
+                lyapunov_rates(maryland, lam, energies, n_steps, x=0.1)
+            # a coupling a decade lower keeps every entry finite
+            assert np.isfinite(lyapunov_rates(maryland, lam / 10, energies, 64, x=0.1)).all()
+
     def test_pole_steps_skipped(self, maryland):
         # site 3 of this orbit sits exactly on the tangent pole
         x = (0.25 - 3.0 * maryland.omega) % 1.0
@@ -342,6 +366,21 @@ class TestGreenDecayScan:
         with pytest.raises(ValueError, match=match):
             green_decay_scan(maryland, 20.0, 0.5, 0.1, N0, shifts)
 
+    @pytest.mark.parametrize("E", [0.0, -5e-7])
+    def test_energy_below_e_min_rejected(self, maryland, E):
+        with pytest.raises(ValueError, match=r"^\|E\| must be >= 1e-06$"):
+            green_decay_scan(maryland, 20.0, E, 0.1, 2, range(-3, 4))
+
+    def test_every_window_resonant_cannot_fit_c11(self, maryland):
+        # at lam = 0 the windows are the free Laplacian on 5 sites, whose
+        # spectrum holds E = 2 * cos(pi / 6) ~ 1.73; E = 2 lies within
+        # exp(-N0 / 2) ~ 0.37 of it in every window
+        with pytest.raises(ValueError, match=r"^every scanned window is resonant; cannot fit c11$"):
+            green_decay_scan(maryland, 0.0, 2.0, 0.1, 2, range(0, 4))
+        # a given c11 needs no fit
+        rep = green_decay_scan(maryland, 0.0, 2.0, 0.1, 2, range(0, 4), c11=1.0)
+        assert rep.counts["good"] + rep.counts["bad"] == 4
+
 
 class TestResolventPatch:
     def test_single_window_reduces_to_direct_check(self, maryland):
@@ -373,6 +412,21 @@ class TestResolventPatch:
     def test_disconnected_union_rejected(self, maryland):
         with pytest.raises(ValueError):
             resolvent_patch_check(maryland, 20.0, 0.5, 0.1, 2, 16, c11=0.3, shifts=[0, 40])
+
+    def test_default_shifts_cover_sqrt_n2_to_2_n2(self, maryland):
+        # N2 = 10: shifts 4..19, so the union runs from 4 - N0 to 19 + N0
+        default = resolvent_patch_check(maryland, 20.0, 0.5, 0.1, 3, 10, c11=0.3)
+        given = resolvent_patch_check(maryland, 20.0, 0.5, 0.1, 3, 10, c11=0.3, shifts=range(4, 20))
+        assert default.window == given.window == (1, 22)
+        assert default == given
+
+    @pytest.mark.parametrize("shifts", [[], range(5, 5)])
+    def test_empty_shift_list_rejected(self, maryland, shifts):
+        with pytest.raises(ValueError, match=r"^need at least one shift$"):
+            resolvent_patch_check(maryland, 20.0, 0.5, 0.1, 2, 16, c11=0.3, shifts=shifts)
+        # N2 = 1 leaves the default range 2..1 empty as well
+        with pytest.raises(ValueError, match=r"^need at least one shift$"):
+            resolvent_patch_check(maryland, 20.0, 0.5, 0.1, 2, 1, c11=0.3)
 
 
 class TestSpectralConsistency:
@@ -472,6 +526,16 @@ class TestLocalize:
         assert rep.counts["delta"] == 17
         assert math.isfinite(rep.max_eigen_residual)
         assert rep.max_eigen_residual <= 1e-12 * np.max(np.abs(h))
+
+    def test_a_finite_window_with_an_overflowed_energy_raises(self):
+        # every entry of H is finite, but the top energy a + sqrt(2) w of this
+        # constant 3-site window (a = w = 8e307) lies beyond the largest float
+        model = constant_diag_model(8e307)._replace(W=[[TrigPoly.constant(8e307)]])
+        h = assemble_hamiltonian(model, OperatorParams(lam=1.0, x=0.1, E=0.0, window=(-1, 1)))
+        assert np.isfinite(h).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError, match="^eigensolve returned a non-finite"):
+                localize(model, 1.0, 0.1, 1, margin=0)
 
     def test_atomic_limit_is_fully_localized(self, maryland):
         model = atomic_maryland(maryland)

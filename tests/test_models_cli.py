@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qpjacobi import cli, models
+from qpjacobi import cli, ergodic, models
 from qpjacobi.cli import main
 from qpjacobi.ergodic import deviation_measure
 from qpjacobi.greens import (
@@ -491,6 +491,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: --sweep: ") and key in err
 
+    @pytest.mark.parametrize("content", [None, "{not json", ""])
+    @pytest.mark.parametrize("check", ["minor", "det"])
+    def test_bounds_unreadable_sweep_file_exits_one(self, tmp_path, capsys, content, check):
+        path = tmp_path / "sweep.json"
+        if content is not None:
+            path.write_text(content)
+        out = tmp_path / "bounds.csv"
+        rc = main([
+            "bounds", "--model", "maryland", "--sweep", str(path), "--check", check,
+            "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1 and not out.exists() and captured.out == ""
+        assert re.fullmatch(r"error: --sweep: cannot read sweep file: [^\n]+\n", captured.err)
+        assert (str(path) in captured.err) == (content is None)
+
     def test_bounds_sweep_must_be_an_object(self, tmp_path, capsys):
         rc, out = self._bounds(tmp_path, [2, 5.0, 1.0])
         assert rc == 1 and "JSON object" in capsys.readouterr().err
@@ -630,6 +646,13 @@ class TestCli:
              "--E: at least one E value required"),
             (["lyapunov", "--lambda", "5", "--x", "0.1", "--E", "1", "--steps", "0"],
              "n_steps must be >= 1"),
+            # no window to fit c11 on: at lam = 0 each 5-site window has an
+            # energy within exp(-N0 / 2) of E = 2
+            (["scan", "--lambda", "0", "--E", "2", "--x0", "0.1", "--N0", "2", "--shifts=0:3"],
+             "every scanned window is resonant; cannot fit c11"),
+            # the one step sits on the pole of tan(2 pi x) at phase 1/4
+            (["lyapunov", "--lambda", "5", "--x", "0.25", "--E", "0.5", "--steps", "1"],
+             "no usable transfer steps (orbit entirely on poles)"),
         ],
     )
     def test_malformed_value_exits_one(self, capsys, argv, message):
@@ -796,6 +819,31 @@ class TestCli:
         assert [r[-1] for r in rows[1:]] == ["0", "0"]
 
     @pytest.mark.parametrize(
+        "flags",
+        [
+            # every step of the l = 1 recurrence leaves 1e100 and is rescaled
+            ["--lambda", "1e120", "--S", "0.05"],
+            # the first product overflows and the rows start over
+            ["--lambda", "1e200", "--S", "0.05"],
+            # a run holds 16 terms and most runs repeat the run before, so a
+            # resumed sum starts where the reuse is under way
+            ["--lambda", "50", "--omega", "0.5"],
+        ],
+    )
+    def test_ldt_rows_do_not_depend_on_the_q_order(self, tmp_path, flags):
+        argv = ["ldt", "--model", "maryland", "--E", "1", "--N", "4", "--grid", "1000", *flags]
+        out = tmp_path / "ldt.csv"
+        tables = []
+        # a cold ladder, the shuffled ladder resuming its sums, the shuffled ladder cold
+        for qs, cold in (("10,32,100", True), ("100,10,32", False), ("100,10,32", True)):
+            if cold:
+                ergodic._orbit_sum = None
+            assert main([*argv, "--Qs", qs, "--out", str(out)]) == 0
+            tables.append(sorted(l for l in out.read_text().splitlines() if not l.startswith("#")))
+        assert len(tables[0]) == 4
+        assert tables[1] == tables[0] and tables[2] == tables[0]
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["assemble", "--lambda=1", "--x=-1e-3", "--E=0.5", "--window=1:2"],
@@ -897,6 +945,29 @@ class TestCli:
         assert proc.returncode == 2 and proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("numerical failure: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--lambda", "1e307", "--x", "0.1", "--E", "0.5", "--steps", "64"],
+            ["--lambda", "1e306", "--x", "0.1", "--E=0.5,-3", "--steps", "10000"],
+        ],
+    )
+    def test_an_overflowed_transfer_product_exits_two(self, tmp_path, argv):
+        # lam * tan overflows near a pole and turns the product into NaN rows;
+        # a subprocess, so that numpy's warnings would reach stderr
+        path = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpjacobi.cli", "lyapunov", "--model", "maryland", *argv,
+             "--out", "rates.csv"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            "numerical failure: transfer product overflowed: the rate at E = 0.5 is not finite\n"
+        )
+        assert not (tmp_path / "rates.csv").exists()
 
     def test_an_overflowed_minor_sweep_exits_two(self, tmp_path, capsys):
         # log1p(lam / |E|) overflows; the minors do not vanish

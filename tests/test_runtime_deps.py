@@ -115,3 +115,18 @@ def test_import_builds_no_parser_and_loads_no_model(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0"]
+
+
+def test_deleted_names_stay_deleted():
+    import qpjacobi.operator
+
+    gone = {
+        qpjacobi: (
+            "birkhoff_avg", "lyapunov_transfer", "green_entry_cramer", "GreenEntryQuery",
+            "minor_oracle", "index_split", "BlockTridiagonal", "EigenPair", "green_full",
+            "TooFewPoints",
+        ),
+        qpjacobi.operator: ("hopping_sup_bound", "onsite_sup_bound"),
+    }
+    back = {m.__name__: [n for n in names if hasattr(m, n)] for m, names in gone.items()}
+    assert back == {"qpjacobi": [], "qpjacobi.operator": []}

@@ -244,6 +244,20 @@ class TestDiophantine:
         assert not chk.ok
         assert chk.worst_k == 1
 
+    @pytest.mark.parametrize(
+        "A, C0, Kmax, message",
+        [
+            (2.0, 0.1, 0, "^Kmax must be >= 1$"),
+            (2.0, 0.1, 0.5, "^Kmax must be >= 1$"),
+            (1.0, 0.1, 100, r"^require A > 1 and C0 > 0$"),
+            (0.5, 0.1, 100, r"^require A > 1 and C0 > 0$"),
+            (2.0, 0.0, 100, r"^require A > 1 and C0 > 0$"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, A, C0, Kmax, message):
+        with pytest.raises(ValueError, match=message):
+            is_diophantine(GOLDEN, A, C0, Kmax)
+
     @given(
         st.floats(0.01, 0.99),
         st.floats(1.5, 3.0),
@@ -289,6 +303,21 @@ class TestValueTypes:
                 maryland._replace(**bad)
         with pytest.raises(ValueError):
             BlockModel._make((0, *maryland[1:]))
+
+    @pytest.mark.parametrize(
+        "field, grid, message",
+        [
+            ("W", lambda m: [[m.W[0][0]]], r"^W must be an 2x2 grid of symbols$"),
+            ("R", lambda m: [m.R[0], m.R[1][:1]], r"^R must be an 2x2 grid of symbols$"),
+            ("F", lambda m: [[m.F[0][0], m.F[1][1]], list(m.F[1])],
+             r"^F\[0\]\[1\] must be a TrigPoly$"),
+            ("W", lambda m: [[m.W[0][0], TrigPoly.constant(0.25)], list(m.W[1])],
+             r"^W is not symmetric at \(0,1\)$"),
+        ],
+    )
+    def test_malformed_grid_rejected(self, mero2, field, grid, message):
+        with pytest.raises(ValueError, match=message):
+            mero2._replace(**{field: grid(mero2)})
 
     def test_equal_fields_compare_and_hash_equal(self, mero2):
         again = BlockModel(*mero2)
@@ -349,6 +378,11 @@ class TestNondegeneracy:
         assert err.value.failed == (t0,)
         # other t values pass
         assert check_nondegeneracy(model, [t0 + 0.5], xs).ok
+
+    @pytest.mark.parametrize("ts, xs", [([], [0.1, 0.2]), ([0.0], []), ([], [])])
+    def test_empty_grid_rejected(self, maryland, ts, xs):
+        with pytest.raises(ValueError, match="^t_grid and x_grid must be nonempty$"):
+            check_nondegeneracy(maryland, ts, xs)
 
     def test_agrees_with_dense_scan(self):
         rng = np.random.default_rng(17)

@@ -536,7 +536,9 @@ def test_sliced_minors_equal_one_stacked_call(mero2, monkeypatch):
         assert check_minor_bound(mero2, *args, x_count=3, pairs_per_instance=5, seed=2) == sampled
 
 
-@pytest.mark.parametrize("budget", [greens.MINOR_CHUNK, 3 * 64 * 49, 64 * 49 - 1, 5 * 49, 1])
+@pytest.mark.parametrize(
+    "budget", [1 << 18, greens.MINOR_CHUNK, 3 * 64 * 49, 64 * 49 - 1, 5 * 49, 1]
+)
 def test_stacked_minors_equal_per_matrix_calls(mero2, monkeypatch, budget):
     stack = np.array([
         [
@@ -605,8 +607,21 @@ def test_benchmark_sized_minor_instance_is_one_slogdet_call(maryland, monkeypatc
 
     monkeypatch.setattr(np.linalg, "slogdet", counted)
     check_minor_bound(maryland, [16], [10.0], [1.0], x_count=2)
-    # both x share one call: 2 * 256 * 15**2 elements fit in MINOR_CHUNK
-    assert shapes == [(512, 15, 15)]
+    # each x is one call: its 256 * 15**2 elements fit in MINOR_CHUNK, two do not
+    assert shapes == [(256, 15, 15)] * 2
+
+
+def test_a_full_minor_sweep_holds_under_2_mib(maryland, mero2):
+    # the benchmark sweeps: a few slogdet stacks of MINOR_CHUNK doubles
+    # (512 KiB each) and the rows of the sweep
+    for model, N, x_count in ((maryland, [4, 8, 16], 16), (mero2, [4, 8], 8)):
+        tracemalloc.start()
+        try:
+            check_minor_bound(model, N, [10.0, 100.0, 1000.0], [1.0, 10.0, 100.0], x_count=x_count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**21, model.l
 
 
 @pytest.mark.parametrize(
