@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import AllZero
 from .greens import _orbit_windows, avg_logdet, midpoint_grid
-from .operator import check_coupling
+from .operator import check_coupling, check_finite
 
 #: underflowed nodes contribute this floor (roughly log of the smallest
 #: normal double) so averages stay finite; occurrences are counted
@@ -87,6 +87,7 @@ def deviation_measure(model, lam, E, N, Q, S, sigma, x_grid, omega=None):
     _orbit_average), so a Q ladder costs one orbit pass to max(Q).
     """
     check_coupling(lam)
+    check_finite("E", E)
     if Q < 1:
         raise ValueError("Q must be >= 1")
     if not (S >= 0 and sigma > 0):
@@ -97,6 +98,7 @@ def deviation_measure(model, lam, E, N, Q, S, sigma, x_grid, omega=None):
     xs = np.asarray(x_grid, dtype=float)
     if xs.size < 1000:
         raise ValueError("x_grid must have at least 1000 nodes")
+    check_finite("x_grid", xs)
     ref = _torus_integral(m, float(lam), float(E), int(N), 4 * int(xs.size))
     avg, floored = _orbit_average(m, lam, E, N, Q, xs.ravel())
     threshold = S * Q ** (-sigma)

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import NearSingular, TooManyExclusions
 from .operator import (
     check_coupling,
+    check_finite,
     dense_blocks,
     regularization_scale,
     regularized_blocks,
@@ -30,13 +31,14 @@ NEAR_SINGULAR_RESIDUAL = 1e-6
 E_MIN = 1e-6
 #: fraction of underflowed quadrature nodes tolerated by avg_logdet
 EXCLUSION_LIMIT = 0.01
-#: matrix elements gathered per stacked slogdet in minor_logabs, and per
-#: stack of instance matrices in check_minor_bound; bounds their memory
-#: (every pair of an N*l <= 16 window still fits in one call).  A smaller
+#: matrix elements per stacked LAPACK operand: per slogdet stack in
+#: minor_logabs, per stack of instance matrices in check_minor_bound and per
+#: array of a window chunk in localization.green_decay_scan; bounds their
+#: memory (every pair of an N*l <= 16 window still fits in one call).  A smaller
 #: stack takes fewer fresh pages: in a new process the window-scalar
 #: benchmark's minor sweep takes about 3 100 minor page faults at this size
 #: and 9 900 at 1 << 18, and no more time
-MINOR_CHUNK = 1 << 16
+STACK_CHUNK = 1 << 16
 
 
 def logdet_abs(mat):
@@ -58,7 +60,7 @@ def minor_logabs(mat, alpha, alpha_prime):
     1-based scalars or broadcastable arrays; the result has the stack axes
     first, then the pair shape, and is a float for one matrix and one pair.
     The flat index of every requested submatrix is built once per call and
-    gathered from each matrix.  Stacked slogdet calls of at most MINOR_CHUNK
+    gathered from each matrix.  Stacked slogdet calls of at most STACK_CHUNK
     matrix elements factor the submatrices of whole matrices; a matrix whose
     submatrices alone exceed that budget is split by pairs.
     """
@@ -75,8 +77,8 @@ def minor_logabs(mat, alpha, alpha_prime):
     flat = rows[:, :, None] * n + cols[:, None, :]  # (pairs, n - 1, n - 1)
     mats = a.reshape(math.prod(a.shape[:-2]), n * n)
     out = np.empty((mats.shape[0], flat.shape[0]))
-    whole = MINOR_CHUNK // max(1, flat.size)  # matrices per slogdet stack
-    inst, pairs = (whole, flat.shape[0]) if whole else (1, max(1, MINOR_CHUNK // (n - 1) ** 2))
+    whole = STACK_CHUNK // max(1, flat.size)  # matrices per slogdet stack
+    inst, pairs = (whole, flat.shape[0]) if whole else (1, max(1, STACK_CHUNK // (n - 1) ** 2))
     for s in range(0, mats.shape[0], inst):
         for t in range(0, flat.shape[0], pairs):
             sub = np.take(mats[s : s + inst], flat[t : t + pairs], axis=1)
@@ -174,6 +176,7 @@ def check_minor_bound(
     """
     for lam in lambda_list:
         check_coupling(lam)
+    check_finite("E_list", E_list)
     l = model.l
     for n in N_list:
         if n < 1:
@@ -208,7 +211,7 @@ def check_minor_bound(
         rng = np.random.default_rng(seed) if sampled and rng is None else rng
         a, b = np.indices((nl, nl)).reshape(2, -1) + 1
         corners = ((1, nl, 1), (nl, 1, 1))  # the pairs (1, nl), (nl, 1), (1, 1)
-        step = max(1, MINOR_CHUNK // (nl * nl))  # instances assembled at once
+        step = max(1, STACK_CHUNK // (nl * nl))  # instances assembled at once
         for lam in lambda_list:
             for E in E_list:
                 if abs(E) < E_MIN:
@@ -263,9 +266,11 @@ def midpoint_grid(n):
 def logdet_grid(model, lam, E, window, xs):
     """log |det| of the regularized matrix at each phase in xs (see window_logdets)."""
     check_coupling(lam)
+    check_finite("E", E)
     if window[1] < window[0]:
         raise ValueError("window must hold at least one site")
     xs = np.asarray(xs, dtype=float)
+    check_finite("xs", xs)
     out, n = np.empty(xs.size), int(window[1]) - int(window[0]) + 1
     for cols, u in _orbit_windows(model, lam, E, xs.reshape(-1), int(window[0]), n, 0, 1):
         out[cols] = u[0]
@@ -409,6 +414,7 @@ def avg_logdet(model, lam, E, N, x_grid):
     xs = np.asarray(x_grid, dtype=float)
     if xs.size < 512:
         raise ValueError("x_grid must have at least 512 nodes")
+    check_finite("x_grid", xs)
     nl = N * model.l
     u = logdet_grid(model, lam, E, (1, N), xs) / nl
     finite = np.isfinite(u)
@@ -434,7 +440,9 @@ def check_det_lower_bound(model, lambda_list, E_list, N_list, x_grid):
         check_coupling(lam)
         if lam == 0:
             raise ValueError("the determinant lower bound needs lambda > 0: it fits log(lambda)")
+    check_finite("E_list", E_list)
     xs = np.asarray(x_grid, dtype=float)
+    check_finite("x_grid", xs)
     samples = 0
     per_lambda = {}
     rows = []

@@ -9,11 +9,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .greens import E_MIN, NEAR_SINGULAR_RESIDUAL, green_solve, green_windows
+from .greens import E_MIN, NEAR_SINGULAR_RESIDUAL, STACK_CHUNK, green_solve, green_windows
 from .operator import (
     OperatorParams,
     assemble_hamiltonian,
     check_coupling,
+    check_finite,
     dense_blocks,
     hamiltonian_blocks,
 )
@@ -25,10 +26,6 @@ FIT_MIN_POINTS = 4
 FIT_RESIDUAL_MAX = 0.5
 DEFAULT_MARGIN = 32
 RATE_FRACTION = 0.5
-#: matrix elements per window stack of the Green-decay scan: every array of a
-#: chunk (H, Ht, their inverses and products) holds at most this many, or
-#: one window when a window is larger
-SCAN_CHUNK = 1 << 16
 
 
 def eigensolve(h):
@@ -122,7 +119,8 @@ def lyapunov_rates(model, lam, energies, n_steps, x=0.0):
     r_sign*R, at the phases x + j*omega, j < n_steps; step j is skipped when
     its phase is within pole_tol of a pole or w_{j+1} ~ 0.  The product is
     rescaled by its max-norm at every step (Benettin et al., Meccanica 15
-    (1980)).  A rate that is not finite raises LinAlgError.
+    (1980)).  A non-finite energy or x raises ValueError, and a rate that
+    is not finite LinAlgError.
     """
     return _transfer_product(model, lam, energies, n_steps, x)[0]
 
@@ -152,6 +150,8 @@ def _transfer_product(model, lam, energies, n_steps, x):
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     es = np.asarray(energies, dtype=float)
+    check_finite("energies", es)
+    check_finite("x", x)
     # a flat copy, of two energies at least: numpy sums a lone column
     # pairwise, not row by row, so one energy runs twice
     flat = np.resize(es, max(es.size, 2))
@@ -238,6 +238,8 @@ def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
     succeeded.  Windows whose orbit hits a pole are skipped and counted.
     """
     check_coupling(lam)
+    check_finite("E", E)
+    check_finite("x0", x0)
     if abs(E) < E_MIN:
         raise ValueError(f"|E| must be >= {E_MIN}")
     if N0 < 1:
@@ -257,7 +259,9 @@ def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
     t = np.full(len(shifts), np.nan)
     singular = np.zeros(len(shifts), dtype=bool)
     live = np.flatnonzero(~pole)
-    step = max(1, SCAN_CHUNK // ((2 * N0 + 1) * l) ** 2)
+    # every array of a chunk (H, Ht, their inverses and products) holds at most
+    # STACK_CHUNK elements, or one window when a window is larger
+    step = max(1, STACK_CHUNK // ((2 * N0 + 1) * l) ** 2)
     for s in range(0, live.size, step):
         k = live[s : s + step]
         win = tab[cols[:, k]]
@@ -310,6 +314,8 @@ def resolvent_patch_check(model, lam, E, x0, N0, N2, c11, shifts=None):
     fitted-prefactor bar 2 * c11 * N0 * l.
     """
     check_coupling(lam)
+    check_finite("E", E)
+    check_finite("x0", x0)
     if shifts is None:
         shifts = range(int(math.isqrt(int(N2))) + 1, 2 * int(N2))
     shifts = sorted(int(s) for s in shifts)
@@ -385,6 +391,7 @@ def localize(model, lam, x0, N, margin=DEFAULT_MARGIN):
         raise ValueError("N must be >= 0")
     if margin < 0:
         raise ValueError("margin must be >= 0")
+    check_finite("x0", x0)
     params = OperatorParams(lam=lam, x=x0, E=0.0, window=(-N, N))
     energy, vectors, residuals = eigensolve(assemble_hamiltonian(model, params))
     if not np.isfinite(energy).all():

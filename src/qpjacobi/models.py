@@ -7,15 +7,12 @@ import functools
 import hashlib
 import json
 import math
-import os
 import re
 
 from .errors import DegenerateSymbol, ModelFormatError
 from .symbols import BlockModel, Dioph, MeroScalar, TrigPoly
 
 _ENTRY_RE = re.compile(r"^([WRF])\[(\d+)\]\[(\d+)\]$")
-
-BUNDLED = ("maryland", "analytic2", "mero2")
 
 
 def is_number(v):
@@ -182,8 +179,61 @@ def load_model(path):
     return model_from_dict(cfg)
 
 
+# the rotation and Diophantine constants of every bundled model
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_DIOPH = Dioph(A=2.0, C0=0.1)
+
+
+def _maryland():
+    tan = MeroScalar.from_ratio(TrigPoly.sine(), TrigPoly.cosine())
+    zero = MeroScalar.analytic(TrigPoly.zero())
+    return BlockModel(
+        l=1, W=[[TrigPoly.constant(1.0)]], R=[[zero]], F=[[tan]], omega=_GOLDEN, dioph=_DIOPH
+    )
+
+
+def _analytic2():
+    one, zero = TrigPoly.constant(1.0), TrigPoly.zero()
+    v1 = MeroScalar.analytic(TrigPoly.cosine())
+    v2 = MeroScalar.analytic(TrigPoly.cosine(amp=1.5, shift=0.31))
+    rz = MeroScalar.analytic(zero)
+    return BlockModel(
+        l=2,
+        W=[[one, zero], [zero, one]],
+        R=[[rz, one], [one, rz]],
+        F=[[v1, zero], [zero, v2]],
+        omega=_GOLDEN,
+        dioph=_DIOPH,
+    )
+
+
+def _mero2():
+    one = TrigPoly.constant(1.0)
+    f00 = MeroScalar.from_ratio(TrigPoly.sine(), TrigPoly.cosine())
+    f11 = MeroScalar.from_ratio(TrigPoly.sine(shift=0.29), TrigPoly.cosine(shift=0.29))
+    f01 = TrigPoly.cosine(amp=0.2)
+    r00 = MeroScalar.from_ratio(TrigPoly.sine(amp=0.5, shift=0.13), TrigPoly.cosine(shift=0.13))
+    r11 = MeroScalar.analytic(TrigPoly.cosine(amp=0.3, shift=0.41))
+    r01 = TrigPoly.sine(amp=0.1)
+    w01 = TrigPoly.cosine(amp=0.25)
+    return BlockModel(
+        l=2,
+        W=[[one, w01], [w01, one]],
+        R=[[r00, r01], [r01, r11]],
+        F=[[f00, f01], [f01, f11]],
+        omega=_GOLDEN,
+        dioph=_DIOPH,
+    )
+
+
+#: the shipped example models: the scalar tangent model, a 2x2 band model with
+#: analytic diagonals, and a 2x2 model with poles on both the F and R diagonals
+_BUILDERS = {"maryland": _maryland, "analytic2": _analytic2, "mero2": _mero2}
+BUNDLED = tuple(_BUILDERS)
+
+
 def bundled(name):
-    """Load one of the shipped example models by name."""
+    """One of the shipped example models, by name."""
     if name not in BUNDLED:
         raise ModelFormatError(
             f"unknown bundled model {name!r}; choose from {', '.join(BUNDLED)}",
@@ -192,12 +242,11 @@ def bundled(name):
     return _load_bundled(name)
 
 
-# the shipped files do not change while the process runs, and a BlockModel is
-# immutable, so every caller may share one load; model files given by path
-# are read on every call
+# a BlockModel is immutable, so every caller may share one build; model files
+# given by path are read on every call, because a file may change
 @functools.cache
 def _load_bundled(name):
-    return load_model(os.path.join(os.path.dirname(__file__), "data", f"{name}.json"))
+    return _BUILDERS[name]()
 
 
 def resolve_model(spec):

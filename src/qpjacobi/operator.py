@@ -28,6 +28,13 @@ def check_coupling(lam):
         raise ValueError("coupling lam must be finite")
 
 
+def check_finite(name, value):
+    """Raise ValueError naming the argument `name` unless every entry of
+    `value` (an energy or phase, or an array of them) is finite."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite")
+
+
 class _ParamFields(NamedTuple):
     lam: float
     x: float

@@ -54,6 +54,18 @@ class TestRoundTrip:
                     else:
                         assert np.max(np.abs(a(xs) - b(xs))) <= 1e-15
 
+    @pytest.mark.parametrize("name, digest", [
+        ("maryland", "690950e3c9c5a010"),
+        ("analytic2", "92d1df6f4d39de29"),
+        ("mero2", "344b5c897b2f8456"),
+    ])
+    def test_bundled_model_identity(self, name, digest):
+        # every output header carries model_hash, so these pins keep the bundled
+        # models, and with them every output of theirs, as they were shipped
+        model = bundled(name)
+        assert model == model_from_dict(model_to_dict(model))
+        assert model_hash(model) == digest
+
     def test_random_model_round_trip(self):
         rng = np.random.default_rng(9)
         model = random_model(rng, l=2)
@@ -1050,7 +1062,9 @@ class TestOneProcess:
         assert after == fresh.read_bytes() == first["ldt"]
 
     def test_one_parser_and_one_bundled_load_serve_every_call(self, tmp_path, monkeypatch):
-        loads = []
+        builds, loads = [], []
+        build = models._BUILDERS["mero2"]
+        monkeypatch.setitem(models._BUILDERS, "mero2", lambda: builds.append(1) or build())
         load = models.load_model
         monkeypatch.setattr(models, "load_model", lambda path: loads.append(path) or load(path))
         cli.build_parser.cache_clear()
@@ -1060,7 +1074,8 @@ class TestOneProcess:
         outs = {self._run(argv, tmp_path / f"run{i}.csv") for i in range(3)}
         assert len(outs) == 1
         assert cli.build_parser.cache_info().misses == 1
-        assert [pathlib.Path(p).name for p in loads] == ["mero2.json"]
+        # one build, and no file read: a bundled model is defined in code
+        assert builds == [1] and loads == []
 
     def test_a_model_file_is_read_on_every_call(self, tmp_path, maryland, monkeypatch):
         loads = []

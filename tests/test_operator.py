@@ -5,9 +5,16 @@ import pytest
 
 from qpjacobi.ergodic import deviation_measure
 from qpjacobi.errors import PoleProximity
-from qpjacobi.greens import check_det_lower_bound, check_minor_bound, logdet_grid, midpoint_grid
+from qpjacobi.greens import (
+    avg_logdet,
+    check_det_lower_bound,
+    check_minor_bound,
+    logdet_grid,
+    midpoint_grid,
+)
 from qpjacobi.localization import (
     green_decay_scan,
+    localize,
     lyapunov_rates,
     resolvent_patch_check,
 )
@@ -63,6 +70,44 @@ class TestParams:
     def test_sweeps_reject_an_infinite_coupling(self, maryland, call):
         with pytest.raises(ValueError, match="^coupling lam must be finite$"):
             call(maryland, math.inf)
+
+    # each entry point names the energy or phase argument that is not finite;
+    # a NaN phase among many would otherwise drop out of a fraction unseen
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda m, v: lyapunov_rates(m, 5.0, [0.5, v], 10), "energies"),
+            (lambda m, v: lyapunov_rates(m, 5.0, [0.5], 10, x=v), "x"),
+            (lambda m, v: deviation_measure(m, 1.0, v, 2, 10, 1.0, 0.3, GRID_1000), "E"),
+            (lambda m, v: deviation_measure(
+                m, 1.0, 1.0, 2, 10, 1.0, 0.3, np.where(GRID_1000 < 0.5, v, GRID_1000)),
+             "x_grid"),
+            (lambda m, v: logdet_grid(m, 1.0, v, (1, 2), midpoint_grid(8)), "E"),
+            (lambda m, v: logdet_grid(m, 1.0, 1.0, (1, 2), [0.1, v]), "xs"),
+            (lambda m, v: avg_logdet(m, 1.0, v, 2, midpoint_grid(512)), "E"),
+            (lambda m, v: avg_logdet(m, 1.0, 1.0, 2, np.r_[midpoint_grid(511), v]), "x_grid"),
+            (lambda m, v: check_det_lower_bound(m, [1.0], [1.0, v], [2], midpoint_grid(512)),
+             "E_list"),
+            (lambda m, v: check_det_lower_bound(
+                m, [1.0], [1.0], [2], np.r_[midpoint_grid(511), v]), "x_grid"),
+            (lambda m, v: check_minor_bound(m, [2], [1.0], [1.0, v], x_count=1), "E_list"),
+            (lambda m, v: green_decay_scan(m, 1.0, v, 0.1, 2, range(2)), "E"),
+            (lambda m, v: green_decay_scan(m, 1.0, 0.2, v, 2, range(2)), "x0"),
+            (lambda m, v: resolvent_patch_check(m, 1.0, v, 0.1, 2, 4, 0.3), "E"),
+            (lambda m, v: resolvent_patch_check(m, 1.0, 0.2, v, 2, 4, 0.3), "x0"),
+            (lambda m, v: localize(m, 1.0, v, 4), "x0"),
+        ],
+        ids=["lyapunov_rates-E", "lyapunov_rates-x", "deviation_measure-E",
+             "deviation_measure-x", "logdet_grid-E", "logdet_grid-x", "avg_logdet-E",
+             "avg_logdet-x", "check_det_lower_bound-E", "check_det_lower_bound-x",
+             "check_minor_bound-E", "green_decay_scan-E",
+             "green_decay_scan-x", "resolvent_patch_check-E", "resolvent_patch_check-x",
+             "localize-x"],
+    )
+    def test_entry_points_reject_a_non_finite_energy_or_phase(self, maryland, call, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            call(maryland, bad)
 
     def test_det_lower_bound_needs_positive_coupling(self, maryland):
         with pytest.raises(ValueError, match="needs lambda > 0"):

@@ -5,10 +5,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import zipfile
 
 import numpy as np
 
-import qpjacobi
+import qpjacobi.cli
 
 SRC = pathlib.Path(qpjacobi.__file__).resolve().parents[1]
 
@@ -44,6 +45,33 @@ def test_import_and_model_load_generate_no_code(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_the_package_runs_from_a_zip(tmp_path):
+    # a zip has no directory to read package files from; the bundled models
+    # are built in code, so every one resolves, and check-model writes the
+    # bytes it writes from the source tree
+    archive = tmp_path / "qp.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted((SRC / "qpjacobi").rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, path.relative_to(SRC))
+    argv = ["check-model", "--model", "mero2", "--x-count", "64", "--Kmax", "100", "--out"]
+    code = (
+        "import sys, qpjacobi, qpjacobi.cli\n"
+        "assert qpjacobi.__file__.startswith(sys.argv[1]), qpjacobi.__file__\n"
+        "print([qpjacobi.resolve_model(name).l for name in qpjacobi.models.BUNDLED])\n"
+        f"sys.exit(qpjacobi.cli.main({argv!r} + ['zipped.json']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(archive)],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(archive)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[1,", "2,", "2]"]
+    assert qpjacobi.cli.main([*argv, str(tmp_path / "tree.json")]) == 0
+    assert (tmp_path / "zipped.json").read_bytes() == (tmp_path / "tree.json").read_bytes()
 
 
 def test_every_subcommand_runs_with_scipy_blocked(tmp_path):

@@ -525,7 +525,7 @@ def test_sliced_minors_equal_one_stacked_call(mero2, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "slogdet", sized)
     for budget in (1, 49, 50, 7 * 49 + 3):
-        monkeypatch.setattr("qpjacobi.greens.MINOR_CHUNK", budget)
+        monkeypatch.setattr("qpjacobi.greens.STACK_CHUNK", budget)
         sizes.clear()
         assert minor_logabs(ht, a, b).tolist() == whole
         # each call stays within the budget, or holds one matrix if that exceeds it
@@ -537,7 +537,7 @@ def test_sliced_minors_equal_one_stacked_call(mero2, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "budget", [1 << 18, greens.MINOR_CHUNK, 3 * 64 * 49, 64 * 49 - 1, 5 * 49, 1]
+    "budget", [1 << 18, greens.STACK_CHUNK, 3 * 64 * 49, 64 * 49 - 1, 5 * 49, 1]
 )
 def test_stacked_minors_equal_per_matrix_calls(mero2, monkeypatch, budget):
     stack = np.array([
@@ -562,7 +562,7 @@ def test_stacked_minors_equal_per_matrix_calls(mero2, monkeypatch, budget):
         return slogdet(mats)
 
     monkeypatch.setattr(np.linalg, "slogdet", sized)
-    monkeypatch.setattr("qpjacobi.greens.MINOR_CHUNK", budget)
+    monkeypatch.setattr("qpjacobi.greens.STACK_CHUNK", budget)
     for pair, rows in zip(pairs, want):
         shape = np.broadcast(*pair).shape
         one = [minor_logabs(m, *pair) for m in stack.reshape(6, 8, 8)]
@@ -607,12 +607,12 @@ def test_benchmark_sized_minor_instance_is_one_slogdet_call(maryland, monkeypatc
 
     monkeypatch.setattr(np.linalg, "slogdet", counted)
     check_minor_bound(maryland, [16], [10.0], [1.0], x_count=2)
-    # each x is one call: its 256 * 15**2 elements fit in MINOR_CHUNK, two do not
+    # each x is one call: its 256 * 15**2 elements fit in STACK_CHUNK, two do not
     assert shapes == [(256, 15, 15)] * 2
 
 
 def test_a_full_minor_sweep_holds_under_2_mib(maryland, mero2):
-    # the benchmark sweeps: a few slogdet stacks of MINOR_CHUNK doubles
+    # the benchmark sweeps: a few slogdet stacks of STACK_CHUNK doubles
     # (512 KiB each) and the rows of the sweep
     for model, N, x_count in ((maryland, [4, 8, 16], 16), (mero2, [4, 8], 8)):
         tracemalloc.start()
@@ -732,8 +732,8 @@ def test_scan_equals_the_per_window_oracle(request, monkeypatch, case):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     size = ((2 * N0 + 1) * model.l) ** 2
     live = len(shifts) - counts["pole"]
-    for per_chunk in (1, 3, localization.SCAN_CHUNK // size):
-        monkeypatch.setattr("qpjacobi.localization.SCAN_CHUNK", per_chunk * size + size - 1)
+    for per_chunk in (1, 3, localization.STACK_CHUNK // size):
+        monkeypatch.setattr("qpjacobi.localization.STACK_CHUNK", per_chunk * size + size - 1)
         chunks.clear()
         rep = green_decay_scan(model, lam, E, x0, N0, shifts)
         assert _bits(rep.records) == _bits(records)
