@@ -19,7 +19,7 @@ from . import __version__
 from .errors import AllDegenerate, ModelFormatError, NearSingular, PoleProximity, TooManyExclusions
 from .ergodic import deviation_measure
 from .greens import check_det_lower_bound, check_minor_bound, green_solve, midpoint_grid
-from .localization import _transfer_product, green_decay_scan, localize
+from .localization import DEFAULT_MARGIN, _transfer_product, green_decay_scan, localize
 from .models import is_number, model_hash, resolve_model
 from .operator import OperatorParams, assemble_hamiltonian, assemble_regularized
 from .symbols import check_nondegeneracy, is_diophantine
@@ -330,7 +330,7 @@ def build_parser():
         "localize", _run_localize, "eigenpair decay-rate report as JSON", ("--lambda", "--x0")
     )
     sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--margin", type=int, default=32)
+    sp.add_argument("--margin", type=int, default=DEFAULT_MARGIN)
 
     sp = add_parser(
         "lyapunov", _run_lyapunov, "transfer-matrix growth rates per energy", ("--lambda", "--x")

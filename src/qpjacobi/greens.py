@@ -89,7 +89,7 @@ def minor_logabs(mat, alpha, alpha_prime):
     return float(out) if out.ndim == 0 else out
 
 
-def green_windows(tab, lam, E, r_sign):
+def green_windows(tab, lam, E):
     """Green's functions of (H - E) on windows of consecutive sites, and their residuals.
 
     Axis 0 of the symbol table `tab` runs over the sites of every window;
@@ -102,7 +102,7 @@ def green_windows(tab, lam, E, r_sign):
     inverse, hence a NaN residual.  numpy inverts a stack one matrix at a
     time, so a stacked inverse equals the one-matrix inverse bit for bit.
     """
-    ht = dense_blocks(*regularized_blocks(tab, lam, E, r_sign))
+    ht = dense_blocks(*regularized_blocks(tab, lam, E))
     try:
         inv = np.linalg.inv(ht)
     except np.linalg.LinAlgError:
@@ -126,7 +126,7 @@ def green_solve(model, params):
     green_windows on one window.  Above a residual of NEAR_SINGULAR_RESIDUAL,
     or at a non-finite one, the energy is flagged NearSingular.
     """
-    g, residual = green_windows(window_tables(model, params), params.lam, params.E, model.r_sign)
+    g, residual = green_windows(window_tables(model, params), params.lam, params.E)
     residual = float(residual)
     if not residual <= NEAR_SINGULAR_RESIDUAL:
         raise NearSingular(
@@ -220,8 +220,7 @@ def check_minor_bound(
                 growth, shift = terms[lam, E]
                 for s in range(0, xs.size, step):
                     cut = slice(s, s + step)
-                    blocks = regularized_blocks(table[:n, cut], lam, float(E), model.r_sign)
-                    hts = dense_blocks(*blocks)
+                    hts = dense_blocks(*regularized_blocks(table[:n, cut], lam, float(E)))
                     if sampled:  # each instance draws its alphas, then its alpha primes
                         a, b = np.array([
                             [np.r_[rng.integers(1, nl + 1, pairs_per_instance), c] for c in corners]
@@ -314,27 +313,27 @@ def _orbit_windows(model, lam, E, xs, first, n, start, stop):
                     continue
                 last = None
             symbol_tables(model, reduce_phase(x, out=tab.phases[new:end]), out=tab[new:end])
-            u = window_logdets(model, lam, E, tab[:end], n)
+            u = window_logdets(tab[:end], lam, E, n)
             if j0 + step < stop and np.array_equal(tab.phases[step:end], tab.phases[:keep]):
                 last = u.copy()  # the caller writes into u
             yield slice(c0, c1), u
             del u  # the caller's now; held here it would outlive the next evaluated run
 
 
-def window_logdets(model, lam, E, tab, n):
+def window_logdets(tab, lam, E, n):
     """log |det| of the regularized matrices of n consecutive sites.
 
     Axis 0 of the symbol table `tab` runs over K >= n consecutive sites;
     the result holds one value per window start, shape (K - n + 1, ...).
-    Scalar models use a rescaled three-term recurrence vectorized over the
-    table, which reads only the diagonal; block models assemble the dense
-    matrices of all nodes of a start at once and pass the stack to
-    logdet_abs.
+    Scalar tables (l = 1, the last axis of tab.m) use a rescaled three-term
+    recurrence vectorized over the table, which reads only the diagonal;
+    block tables assemble the dense matrices of all nodes of a start at
+    once and pass the stack to logdet_abs.
     """
-    if model.l == 1:
-        a = regularized_diagonal(tab, lam, E, model.r_sign)[..., 0]
+    if tab.m.shape[-1] == 1:
+        a = regularized_diagonal(tab, lam, E)[..., 0]
         return _scalar_logdets(a, tab.w[..., 0, 0], tab.m[..., 0], regularization_scale(E), n)
-    diag, lower, upper = regularized_blocks(tab, lam, E, model.r_sign)
+    diag, lower, upper = regularized_blocks(tab, lam, E)
     return np.array([
         logdet_abs(dense_blocks(diag[s : s + n], lower[s : s + n - 1], upper[s : s + n - 1]))
         for s in range(diag.shape[0] - n + 1)

@@ -115,8 +115,8 @@ def lyapunov_rates(model, lam, energies, n_steps, x=0.0):
     """Transfer-matrix growth rates (1/n) log ||prod T_j|| of a scalar model
     for many energies at once, ||.|| the Frobenius norm and n the steps used.
 
-    T_j = [[(d_j - E) / w_{j+1}, -w_j / w_{j+1}], [1, 0]] with d_j = lam*F +
-    r_sign*R, at the phases x + j*omega, j < n_steps; step j is skipped when
+    T_j = [[(d_j - E) / w_{j+1}, -w_j / w_{j+1}], [1, 0]] with d_j = lam*F -
+    R, at the phases x + j*omega, j < n_steps; step j is skipped when
     its phase is within pole_tol of a pole or w_{j+1} ~ 0.  The product is
     rescaled by its max-norm at every step (Benettin et al., Meccanica 15
     (1980)).  A non-finite energy or x raises ValueError, and a rate that
@@ -174,7 +174,7 @@ def _transfer_product(model, lam, energies, n_steps, x):
         tab = symbol_tables(model, model.site_phase(x, sites), out=table[: sites.size])
         w = tab.w[:, 0, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            onsite = hamiltonian_blocks(tab, lam, model.r_sign)[0][:-1, 0, 0]
+            onsite = hamiltonian_blocks(tab, lam)[0][:-1, 0, 0]
         usable = np.flatnonzero(~(tab.poles()[:-1] | (np.abs(w[1:]) < 1e-12)))
         used += usable.size
         for c0 in range(0, usable.size, step):
@@ -265,9 +265,9 @@ def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
     for s in range(0, live.size, step):
         k = live[s : s + step]
         win = tab[cols[:, k]]
-        h = dense_blocks(*hamiltonian_blocks(win, lam, model.r_sign))
+        h = dense_blocks(*hamiltonian_blocks(win, lam))
         dist[k] = np.min(np.abs(np.linalg.eigvalsh(h) - E), axis=-1)
-        g, residual = green_windows(win, lam, E, model.r_sign)
+        g, residual = green_windows(win, lam, E)
         singular[k] = ~(residual <= NEAR_SINGULAR_RESIDUAL)
         t[k] = np.max(_slack_matrix(g, l, rate0)[0], axis=(-2, -1)) / nl
     if c11 is None:
@@ -314,7 +314,6 @@ def resolvent_patch_check(model, lam, E, x0, N0, N2, c11, shifts=None):
     fitted-prefactor bar 2 * c11 * N0 * l.
     """
     check_coupling(lam)
-    check_finite("E", E)
     check_finite("x0", x0)
     if shifts is None:
         shifts = range(int(math.isqrt(int(N2))) + 1, 2 * int(N2))

@@ -95,6 +95,9 @@ def model_from_dict(cfg):
         if not (0 <= i < l and 0 <= j < l):
             raise ModelFormatError("entry index out of range", field=f"{here}.entry")
         num = _parse_coeffs(ent.get("num", []), f"{here}.num")
+        if name == "R" and r_sign == 1:  # the file adds R; the library subtracts it
+            # 0.0 - v, not -v: a zero part stays +0.0, as in a twin written with -R
+            num = {k: complex(0.0 - c.real, 0.0 - c.imag) for k, c in num.items()}
         den = None
         if "den" in ent:
             if name == "W" or i != j:
@@ -124,9 +127,7 @@ def model_from_dict(cfg):
     W = [[poly("W", i, j) for j in range(l)] for i in range(l)]
     R = [[mero("R", i) if i == j else poly("R", i, j) for j in range(l)] for i in range(l)]
     F = [[mero("F", i) if i == j else poly("F", i, j) for j in range(l)] for i in range(l)]
-    return BlockModel(
-        l=l, W=W, R=R, F=F, omega=omega, dioph=dioph, pole_tol=pole_tol, r_sign=r_sign
-    )
+    return BlockModel(l=l, W=W, R=R, F=F, omega=omega, dioph=dioph, pole_tol=pole_tol)
 
 
 def _coeff_rows(poly):
@@ -153,7 +154,7 @@ def model_to_dict(model):
         "omega": model.omega,
         "dioph": {"A": model.dioph.A, "C0": model.dioph.C0},
         "pole_tol": model.pole_tol,
-        "r_sign": model.r_sign,
+        "r_sign": -1,  # the sign model_from_dict folds into R, so every file says it
         "entries": entries,
     }
 

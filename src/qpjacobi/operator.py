@@ -1,7 +1,7 @@
 """Finite-volume assembly of the block Jacobi operator and its regularized form.
 
 A window [u, v] of sites carries phases x + n*omega for n in [u, v].  The
-plain operator H has on-site blocks lam*F_n + r_sign*R_n and hopping blocks
+plain operator H has on-site blocks lam*F_n - R_n and hopping blocks
 -W_{n+1} / -W_{n+1}^T between sites n and n+1; it is undefined on pole
 orbits.  The regularized matrix right-multiplies (H - E) by the diagonal of
 denominator products over sqrt(1 + E^2), which cancels every diagonal pole,
@@ -52,6 +52,8 @@ class OperatorParams(_ParamFields):
         if v < u:
             raise ValueError("window must satisfy v >= u")
         check_coupling(lam)
+        check_finite("x", x)
+        check_finite("E", E)
         return super().__new__(cls, lam, x, E, (int(u), int(v)))
 
     @classmethod
@@ -98,7 +100,7 @@ def window_tables(model, params):
 
 def _finite(mat, params, what):
     """`mat`, or LinAlgError naming the first window site whose row of `mat`
-    holds an entry that overflowed (or came from a NaN phase)."""
+    holds an entry that overflowed."""
     # a row's max and min are finite exactly when its entries are, and they
     # need no temporary the size of the matrix
     rows = np.isfinite(mat.max(axis=1)) & np.isfinite(mat.min(axis=1))
@@ -110,31 +112,31 @@ def _finite(mat, params, what):
 
 
 def assemble_hamiltonian(model, params):
-    """Dense (N*l, N*l) H over the window: on-site lam*F + r_sign*R, hopping -W / -W^T.
+    """Dense (N*l, N*l) H over the window: on-site lam*F - R, hopping -W / -W^T.
 
     Raises PoleProximity (with the offending site) when the phase orbit
     comes within pole_tol of a diagonal denominator zero, and LinAlgError
     when an entry is not finite (an overflowing coupling).
     """
     tab = window_tables(model, params).guard(params.window[0])
-    mat = dense_blocks(*hamiltonian_blocks(tab, params.lam, model.r_sign))
+    mat = dense_blocks(*hamiltonian_blocks(tab, params.lam))
     return _finite(mat, params, "energy or hopping of H")
 
 
-def hamiltonian_blocks(tab, lam, r_sign):
+def hamiltonian_blocks(tab, lam):
     """Blocks of H for the sites on axis 0 of `tab`, shaped as in regularized_blocks.
 
     The on-site quotients are taken as they stand, so a pole phase gives
     non-finite entries: guard the table first.
     """
-    diag = lam * tab.f_off + r_sign * tab.r_off
+    diag = lam * tab.f_off - tab.r_off
     idx = np.arange(tab.m.shape[-1])
-    diag[..., idx, idx] = lam * (tab.fnum / tab.fden) + r_sign * (tab.rnum / tab.rden)
+    diag[..., idx, idx] = lam * (tab.fnum / tab.fden) - tab.rnum / tab.rden
     upper = -tab.w[1:]
     return diag, np.swapaxes(upper, -1, -2), upper
 
 
-def regularized_blocks(tab, lam, E, r_sign):
+def regularized_blocks(tab, lam, E):
     """Blocks of (H - E) diag{M_n / sqrt(1+E^2)} for the sites on axis 0 of `tab`.
 
     Returns the diagonal blocks, shape (K, ..., l, l), and the lower and
@@ -143,28 +145,27 @@ def regularized_blocks(tab, lam, E, r_sign):
     """
     scale = regularization_scale(E)
     m = tab.m[..., None, :]
-    blk = scale * ((lam * tab.f_off + r_sign * tab.r_off) * m)
+    blk = scale * ((lam * tab.f_off - tab.r_off) * m)
     idx = np.arange(tab.m.shape[-1])
-    blk[..., idx, idx] = regularized_diagonal(tab, lam, E, r_sign)
+    blk[..., idx, idx] = regularized_diagonal(tab, lam, E)
     w = tab.w[1:]
     upper = -scale * w * m[1:]
     lower = -scale * np.swapaxes(w, -1, -2) * m[:-1]
     return blk, lower, upper
 
 
-def regularized_diagonal(tab, lam, E, r_sign):
+def regularized_diagonal(tab, lam, E):
     """Diagonal entries of the regularized on-site blocks, shape (..., l).
 
     Each is built as
-        (lam*numF*denR + r_sign*numR*denF - E*denF*denR) * regularization_scale(E)
+        (lam*numF*denR - numR*denF - E*denF*denR) * regularization_scale(E)
     (never as a quotient times M), so it is finite even at pole phases.
     """
     scale = regularization_scale(E)
     out = np.multiply(lam, tab.fnum)
     out *= tab.rden
-    term = np.multiply(r_sign, tab.rnum)
-    term *= tab.fden
-    out += term
+    term = np.multiply(tab.rnum, tab.fden)
+    out -= term
     np.multiply(E, tab.fden, out=term)
     term *= tab.rden
     out -= term
@@ -178,7 +179,6 @@ def assemble_regularized(model, params):
     Raises LinAlgError when an entry is not finite (an overflowing coupling
     or energy).
     """
-    tab = window_tables(model, params)
-    mat = dense_blocks(*regularized_blocks(tab, params.lam, params.E, model.r_sign))
+    mat = dense_blocks(*regularized_blocks(window_tables(model, params), params.lam, params.E))
     return _finite(mat, params, "entry of Ht")
 

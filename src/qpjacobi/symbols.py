@@ -289,7 +289,6 @@ class _BlockFields(NamedTuple):
     omega: float
     dioph: Dioph
     pole_tol: float
-    r_sign: int
 
 
 class BlockModel(_BlockFields):
@@ -303,11 +302,13 @@ class BlockModel(_BlockFields):
 
     __slots__ = ()
 
-    def __new__(cls, l, W, R, F, omega, dioph, pole_tol=DEFAULT_POLE_TOL, r_sign=-1):
+    def __new__(cls, l, W, R, F, omega, dioph, pole_tol=DEFAULT_POLE_TOL):
         if l < 1:
             raise ValueError("block size l must be >= 1")
-        if r_sign not in (-1, 1):
-            raise ValueError("r_sign must be +1 or -1")
+        if not math.isfinite(omega):
+            raise ValueError("omega must be finite")
+        if not (math.isfinite(pole_tol) and pole_tol > 0):
+            raise ValueError("pole_tol must be finite and > 0")
         omega = reduce_phase(float(omega))
         W, R, F = _as_grid(W, l, "W"), _as_grid(R, l, "R"), _as_grid(F, l, "F")
         for name, grid in (("W", W), ("R", R), ("F", F)):
@@ -323,7 +324,7 @@ class BlockModel(_BlockFields):
                 for j in range(i + 1, l):
                     if grid[i][j] != grid[j][i]:
                         raise ValueError(f"{name} is not symmetric at ({i},{j})")
-        return super().__new__(cls, l, W, R, F, omega, dioph, pole_tol, r_sign)
+        return super().__new__(cls, l, W, R, F, omega, dioph, pole_tol)
 
     @classmethod
     def _make(cls, fields):

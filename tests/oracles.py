@@ -85,14 +85,16 @@ def _dense(diag, lower, upper):
     return out
 
 
-def assemble_hamiltonian(model, params):
+def assemble_hamiltonian(model, params, r_sign=-1):
+    """Dense H with on-site blocks lam*F + r_sign*R: the library's lam*F - R by
+    default, and with r_sign=+1 the block a model file of that sign describes."""
     u, v = params.window
     n, l = params.n_sites, model.l
     diag = np.empty((n, l, l))
     for idx, site in enumerate(range(u, v + 1)):
         y = model.site_phase(params.x, site)
         check_poles(model, y, site=site)
-        diag[idx] = params.lam * _matrix(model.F, y, l) + model.r_sign * _matrix(model.R, y, l)
+        diag[idx] = params.lam * _matrix(model.F, y, l) + r_sign * _matrix(model.R, y, l)
     upper = np.empty((max(n - 1, 0), l, l))
     lower = np.empty_like(upper)
     for idx in range(n - 1):
@@ -105,7 +107,7 @@ def assemble_hamiltonian(model, params):
 def assemble_regularized(model, params):
     u, v = params.window
     n, l = params.n_sites, model.l
-    lam, E, sign = params.lam, params.E, model.r_sign
+    lam, E = params.lam, params.E
     scale = 1.0 / math.sqrt(1.0 + E * E)
     phases = [model.site_phase(params.x, site) for site in range(u, v + 1)]
     mvals = [_m(model, y) for y in phases]
@@ -121,11 +123,11 @@ def assemble_regularized(model, params):
                 if a == b:
                     blk[a, a] = (
                         lam * fnum[a] * rden[a]
-                        + sign * rnum[a] * fden[a]
+                        - rnum[a] * fden[a]
                         - E * fden[a] * rden[a]
                     )
                 else:
-                    blk[a, b] = (lam * model.F[a][b](y) + sign * model.R[a][b](y)) * mvals[idx][b]
+                    blk[a, b] = (lam * model.F[a][b](y) - model.R[a][b](y)) * mvals[idx][b]
         diag[idx] = scale * blk
     upper = np.empty((max(n - 1, 0), l, l))
     lower = np.empty_like(upper)
@@ -262,7 +264,7 @@ def _transfer_terms(m, lam, x, j):
     fsym, rsym = m.F[0][0], m.R[0][0]
     if abs(fsym.den(y)) < m.pole_tol or abs(rsym.den(y)) < m.pole_tol or abs(wn) < 1e-12:
         return None
-    return lam * fsym(y) + m.r_sign * rsym(y), float(m.W[0][0](y)), wn
+    return lam * fsym(y) - rsym(y), float(m.W[0][0](y)), wn
 
 
 def lyapunov_transfer(m, lam, E, n_steps, x=0.0):

@@ -100,6 +100,13 @@ class TestDeviationMeasure:
         with pytest.raises(ValueError, match="require S >= 0 and sigma > 0"):
             deviation_measure(maryland, 50.0, 1.0, 4, 10, S, sigma, midpoint_grid(1000))
 
+    def test_a_nan_rotation_override_is_rejected_by_name(self, maryland):
+        # not a TooManyExclusions from an orbit of NaN phases
+        with pytest.raises(ValueError, match="^omega must be finite$"):
+            deviation_measure(
+                maryland, 50.0, 1.0, 4, 10, 1.0, 0.3, midpoint_grid(1000), omega=math.nan
+            )
+
 
 def _report(Q, bad, sigma=0.5, S=1.0):
     return DeviationReport(
@@ -251,8 +258,8 @@ class TestResumedSums:
         xs, ladder = midpoint_grid(1000), (10, 32, 100, 316, 1000)
         rows = []
 
-        def counted(model, lam, E, tab, n):
-            out = window_logdets(model, lam, E, tab, n)
+        def counted(tab, lam, E, n):
+            out = window_logdets(tab, lam, E, n)
             rows.append(len(out))
             return out
 
@@ -286,8 +293,8 @@ class TestResumedSums:
         want, want_floored = oracles.orbit_average(model, LAM, E, N, Q, xs, U_FLOOR)
         rows = []
 
-        def counted(model, lam, E, tab, n):
-            out = window_logdets(model, lam, E, tab, n)
+        def counted(tab, lam, E, n):
+            out = window_logdets(tab, lam, E, n)
             rows.append(len(out))
             return out
 
@@ -414,8 +421,8 @@ class TestBufferSet:
         want = {Q: _cold(maryland, 6, Q) for Q in (5, 9, 14)}
         seen = []
 
-        def spy(model, lam, E, tab, n):
-            out = window_logdets(model, lam, E, tab, n)
+        def spy(tab, lam, E, n):
+            out = window_logdets(tab, lam, E, n)
             seen.append((tab, out))
             return out
 

@@ -30,7 +30,7 @@ from qpjacobi.models import (
     save_model,
 )
 from qpjacobi.operator import OperatorParams, assemble_hamiltonian, assemble_regularized
-from qpjacobi.symbols import TrigPoly
+from qpjacobi.symbols import MeroScalar, TrigPoly
 
 from conftest import GOLDEN, atomic_maryland, random_model
 
@@ -211,6 +211,81 @@ class TestValidation:
         with pytest.raises(ModelFormatError) as err:
             bundled(cfg) if isinstance(cfg, str) else model_from_dict(cfg)
         assert err.value.field == field and message in str(err.value)
+
+
+def _plus_twin(cfg, neg=lambda v: 0.0 - v):
+    """The config of the same operator written with r_sign +1: every R numerator
+    negated by `neg`, which by default writes a zero as 0.0, as a person would."""
+    entries = [
+        {**ent, "num": [[k, neg(re), neg(im)] for k, re, im in ent["num"]]}
+        if ent["entry"].startswith("R") else ent
+        for ent in cfg["entries"]
+    ]
+    return {**cfg, "r_sign": 1, "entries": entries}
+
+
+class TestPositiveRSign:
+    """A file with r_sign +1 describes the on-site block lam*F + R; it loads as
+    the model of its twin, the same file with -R and r_sign -1."""
+
+    @pytest.fixture(params=["scalar", "analytic2", "mero2"])
+    def model(self, request, maryland):
+        # maryland's R is zero, so its scalar stand-in gets a nonzero one
+        if request.param == "scalar":
+            return maryland._replace(R=[[MeroScalar.analytic(TrigPoly.cosine(amp=0.7, shift=0.2))]])
+        return bundled(request.param)
+
+    def test_a_plus_file_loads_as_its_twin(self, model):
+        # zeros written as 0.0 or as -0.0 (mero2's R[0][1] has zero real parts)
+        for neg in (lambda v: 0.0 - v, lambda v: -v):
+            plus = model_from_dict(_plus_twin(model_to_dict(model), neg))
+            assert plus == model and model_hash(plus) == model_hash(model)
+
+    def test_a_plus_file_writes_the_bytes_of_its_twin(self, tmp_path, model):
+        paths = {}
+        for tag, cfg in (("twin", model_to_dict(model)), ("plus", _plus_twin(model_to_dict(model)))):
+            paths[tag] = tmp_path / f"{tag}.json"
+            paths[tag].write_text(json.dumps(cfg))
+        det, minor = tmp_path / "det.json", tmp_path / "minor.json"
+        det.write_text(json.dumps({"N": [2, 3], "lambda": [10], "E": [0.5], "nodes": 512}))
+        minor.write_text(json.dumps({"N": [2], "lambda": [10], "E": [1], "x_count": 2}))
+        window = ["--lambda", "3", "--x", "0.1", "--E", "0.7", "--window=-3:4"]
+        argvs = [
+            ["assemble", *window, "--matrix", "h"],
+            ["assemble", *window, "--matrix", "htilde"],
+            ["green", *window],
+            ["scan", "--lambda", "20", "--E", "0.5", "--x0", "0.1", "--N0", "3", "--shifts=-8:8"],
+            ["localize", "--lambda", "20", "--x0", "0.41", "--N", "24", "--margin", "4"],
+            ["bounds", "--sweep", str(det), "--check", "det"],
+            ["bounds", "--sweep", str(minor), "--check", "minor"],
+        ]
+        if model.l == 1:
+            argvs.append(["lyapunov", "--lambda", "20", "--x", "0.1", "--E=0.5,3", "--steps", "300"])
+        for argv in argvs:
+            outs = []
+            for tag, path in paths.items():
+                out = tmp_path / f"{tag}.out"
+                assert main([*argv, "--model", str(path), "--out", str(out)]) == 0, argv
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1], argv
+
+    def test_a_plus_file_assembles_lam_f_plus_r(self, tmp_path, model):
+        cfg = _plus_twin(model_to_dict(model))
+        path = tmp_path / "plus.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "h.csv"
+        argv = ["--lambda", "3", "--x", "0.1", "--E", "0", "--window=-1:2", "--matrix", "h"]
+        assert main(["assemble", "--model", str(path), *argv, "--out", str(out)]) == 0
+        # the file's own R, read without the fold, added by the oracle
+        as_written = model_from_dict({**cfg, "r_sign": -1})
+        params = OperatorParams(lam=3.0, x=0.1, E=0.0, window=(-1, 2))
+        want = oracles.assemble_hamiltonian(as_written, params, r_sign=1)
+        l = model.l
+        rows = [r.split(",") for r in out.read_text().splitlines() if not r.startswith("#")][1:]
+        assert len(rows) == (3 * 4 - 2) * l * l
+        for br, bc, i, j, val in rows:
+            a, b = (int(br) - 1) * l + int(i) - 1, (int(bc) - 1) * l + int(j) - 1
+            assert float(val) == pytest.approx(want[a, b], rel=1e-14, abs=1e-14)
 
 
 class TestCli:

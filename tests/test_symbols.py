@@ -298,7 +298,7 @@ class TestValueTypes:
         assert maryland.with_omega(1.25).omega == 0.25
         assert maryland._replace(omega=-0.75).omega == 0.25
         assert maryland._replace(W=[[TrigPoly.zero()]]).W == ((TrigPoly.zero(),),)
-        for bad in ({"l": 0}, {"r_sign": 0}, {"F": [[TrigPoly.zero()]]}):
+        for bad in ({"l": 0}, {"F": [[TrigPoly.zero()]]}):
             with pytest.raises(ValueError):
                 maryland._replace(**bad)
         with pytest.raises(ValueError):
@@ -318,6 +318,18 @@ class TestValueTypes:
     def test_malformed_grid_rejected(self, mero2, field, grid, message):
         with pytest.raises(ValueError, match=message):
             mero2._replace(**{field: grid(mero2)})
+
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_rotation_is_rejected(self, maryland, omega):
+        with pytest.raises(ValueError, match="^omega must be finite$"):
+            maryland.with_omega(omega)
+
+    @pytest.mark.parametrize("pole_tol", [np.nan, np.inf, 0.0, -1e-8])
+    def test_pole_tol_must_be_finite_and_positive(self, maryland, pole_tol):
+        # a NaN pole_tol would compare false with every denominator and so
+        # turn the pole guard off
+        with pytest.raises(ValueError, match="^pole_tol must be finite and > 0$"):
+            maryland._replace(pole_tol=pole_tol)
 
     def test_equal_fields_compare_and_hash_equal(self, mero2):
         again = BlockModel(*mero2)

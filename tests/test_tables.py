@@ -264,7 +264,7 @@ def test_logdet_grid_in_column_blocks_matches_the_oracles(
     if model.l == 1:
         sites = np.arange(window[0], window[1] + 1)[:, None]
         tab = symbol_tables(model, model.site_phase(xs[None, :], sites))
-        a = regularized_blocks(tab, lam, E, model.r_sign)[0][..., 0, 0]
+        a = regularized_blocks(tab, lam, E)[0][..., 0, 0]
         scale = regularization_scale(E)
         want = oracles.scalar_logdets(a, tab.w[..., 0, 0], tab.m[..., 0], scale, n)[0]
         assert got.tobytes() == want.tobytes()
@@ -319,11 +319,11 @@ def test_recurrence_bytes_equal_the_rescale_every_step_loop(kind, n):
 def test_diagonal_only_logdets_equal_the_block_diagonal(maryland, lam, E):
     xs = midpoint_grid(500)
     tab = symbol_tables(maryland, maryland.site_phase(xs[None, :], np.arange(1, 9)[:, None]))
-    diag = regularized_blocks(tab, lam, E, maryland.r_sign)[0][..., 0, 0]
+    diag = regularized_blocks(tab, lam, E)[0][..., 0, 0]
     scale = 1.0 / np.sqrt(1.0 + E * E)
     for n in (1, 4, 8):
         want = oracles.scalar_logdets(diag, tab.w[..., 0, 0], tab.m[..., 0], scale, n)
-        assert window_logdets(maryland, lam, E, tab, n).tobytes() == want.tobytes()
+        assert window_logdets(tab, lam, E, n).tobytes() == want.tobytes()
 
 
 def test_a_first_product_overflow_starts_only_its_rows_over():
@@ -777,8 +777,8 @@ def test_an_exactly_singular_window_fails_alone(maryland, monkeypatch):
     ref = green_decay_scan(*args)
     blocks, inv, solves = greens.regularized_blocks, np.linalg.inv, []
 
-    def singular_second_window(tab, lam, E, r_sign):
-        diag, lower, upper = blocks(tab, lam, E, r_sign)
+    def singular_second_window(tab, lam, E):
+        diag, lower, upper = blocks(tab, lam, E)
         for b in (diag, lower, upper):
             b[:, 1] = 0.0
         return diag, lower, upper
