@@ -16,6 +16,7 @@ from .errors import NearSingular, TooManyExclusions
 from .operator import (
     check_coupling,
     check_finite,
+    comparison_rate,
     dense_blocks,
     regularization_scale,
     regularized_blocks,
@@ -188,13 +189,13 @@ def check_minor_bound(
     for lam in lambda_list:
         for E in E_list:
             if not abs(E) < E_MIN:
-                terms[lam, E] = math.log(lam + abs(E)), math.log1p(lam / abs(E))
+                terms[lam, E] = comparison_rate(lam, E), math.log1p(lam / abs(E))
                 if not all(map(math.isfinite, terms[lam, E])):
                     raise np.linalg.LinAlgError(
                         f"log(lam + |E|) or log(1 + lam/|E|) is not finite at lam={lam:g}, E={E:g}"
                     )
     rng = None  # made at the first sampled instance: numpy.random is a slow import
-    xs = (np.arange(x_count) + 0.5) / x_count
+    xs = midpoint_grid(x_count)
     # one table for sites 1..max(N) (axis 0) at every x (axis 1); N takes its first rows
     sites = np.arange(1, max(N_list, default=0) + 1)[:, None]
     table = symbol_tables(model, model.site_phase(xs[None, :], sites))

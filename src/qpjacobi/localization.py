@@ -15,6 +15,7 @@ from .operator import (
     assemble_hamiltonian,
     check_coupling,
     check_finite,
+    comparison_rate,
     dense_blocks,
     hamiltonian_blocks,
 )
@@ -247,7 +248,7 @@ def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
     shifts = [int(j) for j in shifts]
     if not shifts:
         raise ValueError("no shifts to scan")
-    rate0 = math.log(lam + abs(E))
+    rate0 = comparison_rate(lam, E)
     l, nl = model.l, N0 * model.l
     # one table over the union of the windows; column k of `cols` lists the
     # table rows of the window of shifts[k]
@@ -315,6 +316,8 @@ def resolvent_patch_check(model, lam, E, x0, N0, N2, c11, shifts=None):
     """
     check_coupling(lam)
     check_finite("x0", x0)
+    if abs(E) < E_MIN:
+        raise ValueError(f"|E| must be >= {E_MIN}")
     if shifts is None:
         shifts = range(int(math.isqrt(int(N2))) + 1, 2 * int(N2))
     shifts = sorted(int(s) for s in shifts)
@@ -325,7 +328,7 @@ def resolvent_patch_check(model, lam, E, x0, N0, N2, c11, shifts=None):
         raise ValueError("shift gaps exceed 2*N0; the window union disconnects")
     window = (-N0 + shifts[0], N0 + shifts[-1])
     params = OperatorParams(lam=lam, x=x0, E=E, window=window)
-    slack, dist = _slack_matrix(green_solve(model, params)[0], model.l, math.log(lam + abs(E)))
+    slack, dist = _slack_matrix(green_solve(model, params)[0], model.l, comparison_rate(lam, E))
     far = dist > N2 / 10.0
     worst = float(np.max(slack[far])) if np.any(far) else float("-inf")
     threshold = 2.0 * c11 * N0 * model.l
@@ -397,7 +400,7 @@ def localize(model, lam, x0, N, margin=DEFAULT_MARGIN):
         raise np.linalg.LinAlgError("eigensolve returned a non-finite energy")
     profiles = block_profile(vectors.T, model.l)
     fit = decay_fit(profiles)
-    target = np.array([math.log(a) if a > 0.0 else -math.inf for a in (lam + abs(energy)).tolist()])
+    target = np.array([comparison_rate(lam, e) for e in energy.tolist()])
     few = fit.n_points < FIT_MIN_POINTS
     reliable = fit.residual < FIT_RESIDUAL_MAX  # False where few: the residual is NaN
     delta = few & (profiles.max(axis=-1) ** 2 >= 0.99)

@@ -10,7 +10,7 @@ import math
 import re
 
 from .errors import DegenerateSymbol, ModelFormatError
-from .symbols import BlockModel, Dioph, MeroScalar, TrigPoly
+from .symbols import DEFAULT_POLE_TOL, BlockModel, Dioph, MeroScalar, TrigPoly
 
 _ENTRY_RE = re.compile(r"^([WRF])\[(\d+)\]\[(\d+)\]$")
 
@@ -71,7 +71,7 @@ def model_from_dict(cfg):
     if not isinstance(dioph_cfg, dict) or "A" not in dioph_cfg or "C0" not in dioph_cfg:
         raise ModelFormatError("expected {A, C0}", field="dioph")
     dioph = Dioph(A=_scalar(dioph_cfg["A"], "dioph.A"), C0=_scalar(dioph_cfg["C0"], "dioph.C0"))
-    pole_tol = _scalar(cfg.get("pole_tol", 1e-8), "pole_tol")
+    pole_tol = _scalar(cfg.get("pole_tol", DEFAULT_POLE_TOL), "pole_tol")
     if pole_tol <= 0:
         raise ModelFormatError("pole_tol must be positive", field="pole_tol")
     r_sign = _scalar(cfg.get("r_sign", -1), "r_sign", integral=True)
@@ -96,8 +96,7 @@ def model_from_dict(cfg):
             raise ModelFormatError("entry index out of range", field=f"{here}.entry")
         num = _parse_coeffs(ent.get("num", []), f"{here}.num")
         if name == "R" and r_sign == 1:  # the file adds R; the library subtracts it
-            # 0.0 - v, not -v: a zero part stays +0.0, as in a twin written with -R
-            num = {k: complex(0.0 - c.real, 0.0 - c.imag) for k, c in num.items()}
+            num = {k: -c for k, c in num.items()}
         den = None
         if "den" in ent:
             if name == "W" or i != j:
@@ -118,20 +117,20 @@ def model_from_dict(cfg):
 
     def mero(name, i):
         num, den = tables.get((name, i, i), ({}, None))
-        den_poly = TrigPoly(den) if den is not None else None
         try:
-            return MeroScalar.from_ratio(TrigPoly(num), den_poly, pole_tol=pole_tol)
+            return MeroScalar.from_ratio(TrigPoly(num), None if den is None else TrigPoly(den))
         except DegenerateSymbol as exc:
             raise ModelFormatError(str(exc), field=f"{name}[{i}][{i}].den")
 
     W = [[poly("W", i, j) for j in range(l)] for i in range(l)]
     R = [[mero("R", i) if i == j else poly("R", i, j) for j in range(l)] for i in range(l)]
     F = [[mero("F", i) if i == j else poly("F", i, j) for j in range(l)] for i in range(l)]
-    return BlockModel(l=l, W=W, R=R, F=F, omega=omega, dioph=dioph, pole_tol=pole_tol)
+    return BlockModel(W=W, R=R, F=F, omega=omega, dioph=dioph, pole_tol=pole_tol)
 
 
 def _coeff_rows(poly):
-    return [[int(k), float(c.real), float(c.imag)] for k, c in poly.items()]
+    # + 0.0 writes a -0.0 part as 0.0, so equal symbols write equal rows
+    return [[int(k), float(c.real) + 0.0, float(c.imag) + 0.0] for k, c in poly.items()]
 
 
 def model_to_dict(model):
@@ -140,15 +139,13 @@ def model_to_dict(model):
         for i in range(model.l):
             for j in range(i, model.l):
                 sym = grid[i][j]
-                if name in ("R", "F") and i == j:
-                    ent = {"entry": f"{name}[{i}][{j}]", "num": _coeff_rows(sym.num)}
-                    if not sym.is_analytic or sym.den.coeff(0) != 1.0:
-                        ent["den"] = _coeff_rows(sym.den)
-                    entries.append(ent)
-                else:
-                    if sym.is_zero:
-                        continue
-                    entries.append({"entry": f"{name}[{i}][{j}]", "num": _coeff_rows(sym)})
+                if isinstance(sym, TrigPoly) and sym.is_zero:
+                    continue  # a zero W or off-diagonal entry is left out; diagonals are not
+                num, den = sym if isinstance(sym, MeroScalar) else (sym, None)
+                ent = {"entry": f"{name}[{i}][{j}]", "num": _coeff_rows(num)}
+                if den is not None and den != TrigPoly.constant(1.0):
+                    ent["den"] = _coeff_rows(den)
+                entries.append(ent)
     return {
         "l": model.l,
         "omega": model.omega,
@@ -187,19 +184,18 @@ _DIOPH = Dioph(A=2.0, C0=0.1)
 
 def _maryland():
     tan = MeroScalar.from_ratio(TrigPoly.sine(), TrigPoly.cosine())
-    zero = MeroScalar.analytic(TrigPoly.zero())
+    zero = MeroScalar.from_ratio(TrigPoly.zero())
     return BlockModel(
-        l=1, W=[[TrigPoly.constant(1.0)]], R=[[zero]], F=[[tan]], omega=_GOLDEN, dioph=_DIOPH
+        W=[[TrigPoly.constant(1.0)]], R=[[zero]], F=[[tan]], omega=_GOLDEN, dioph=_DIOPH
     )
 
 
 def _analytic2():
     one, zero = TrigPoly.constant(1.0), TrigPoly.zero()
-    v1 = MeroScalar.analytic(TrigPoly.cosine())
-    v2 = MeroScalar.analytic(TrigPoly.cosine(amp=1.5, shift=0.31))
-    rz = MeroScalar.analytic(zero)
+    v1 = MeroScalar.from_ratio(TrigPoly.cosine())
+    v2 = MeroScalar.from_ratio(TrigPoly.cosine(amp=1.5, shift=0.31))
+    rz = MeroScalar.from_ratio(zero)
     return BlockModel(
-        l=2,
         W=[[one, zero], [zero, one]],
         R=[[rz, one], [one, rz]],
         F=[[v1, zero], [zero, v2]],
@@ -214,11 +210,10 @@ def _mero2():
     f11 = MeroScalar.from_ratio(TrigPoly.sine(shift=0.29), TrigPoly.cosine(shift=0.29))
     f01 = TrigPoly.cosine(amp=0.2)
     r00 = MeroScalar.from_ratio(TrigPoly.sine(amp=0.5, shift=0.13), TrigPoly.cosine(shift=0.13))
-    r11 = MeroScalar.analytic(TrigPoly.cosine(amp=0.3, shift=0.41))
+    r11 = MeroScalar.from_ratio(TrigPoly.cosine(amp=0.3, shift=0.41))
     r01 = TrigPoly.sine(amp=0.1)
     w01 = TrigPoly.cosine(amp=0.25)
     return BlockModel(
-        l=2,
         W=[[one, w01], [w01, one]],
         R=[[r00, r01], [r01, r11]],
         F=[[f00, f01], [f01, f11]],

@@ -74,6 +74,12 @@ def regularization_scale(E):
     return 1.0 / (math.sqrt(1.0 + e2) if e2 < math.inf else abs(E))
 
 
+def comparison_rate(lam, E):
+    """The rate log(lam + |E|) decay is compared with; -inf where lam + |E| == 0."""
+    a = lam + abs(E)
+    return math.log(a) if a > 0.0 else -math.inf
+
+
 def dense_blocks(diag, lower, upper):
     """Dense (..., N*l, N*l) matrices from blocks stacked along axis 0.
 

@@ -213,32 +213,28 @@ def locate_zeros(den):
 
 
 class MeroScalar(NamedTuple):
-    """Ratio num/den of trig polynomials; poles located at construction."""
+    """Ratio num/den of trig polynomials; its poles are the zeros of den."""
 
     num: TrigPoly
     den: TrigPoly
-    zeros: tuple
-    pole_tol: float = DEFAULT_POLE_TOL
 
     @classmethod
-    def from_ratio(cls, num, den=None, pole_tol=DEFAULT_POLE_TOL):
+    def from_ratio(cls, num, den=None):
         if den is None:
             den = TrigPoly.constant(1.0)
         if den.is_zero:
             raise DegenerateSymbol("denominator is identically zero")
-        return cls(num, den, locate_zeros(den), float(pole_tol))
-
-    @classmethod
-    def analytic(cls, poly, pole_tol=DEFAULT_POLE_TOL):
-        return cls(poly, TrigPoly.constant(1.0), (), float(pole_tol))
+        return cls(num, den)
 
     @property
-    def is_analytic(self):
-        return self.den.degree == 0
+    def zeros(self):
+        """The pole phases, located on every read (see locate_zeros)."""
+        return locate_zeros(self.den)
 
     def __call__(self, x):
+        """num/den at x, guarded at DEFAULT_POLE_TOL (a model guards at its pole_tol)."""
         d = self.den(x)
-        bad = np.flatnonzero(np.abs(d) < self.pole_tol)
+        bad = np.flatnonzero(np.abs(d) < DEFAULT_POLE_TOL)
         if bad.size:
             x0 = float(np.ravel(x)[bad[0]])
             raise PoleProximity(f"denominator below pole_tol at phase {x0}", phase=x0)
@@ -274,15 +270,7 @@ class Dioph(NamedTuple):
     C0: float
 
 
-def _as_grid(entries, l, kind):
-    rows = tuple(tuple(row) for row in entries)
-    if len(rows) != l or any(len(r) != l for r in rows):
-        raise ValueError(f"{kind} must be an {l}x{l} grid of symbols")
-    return rows
-
-
 class _BlockFields(NamedTuple):
-    l: int
     W: tuple
     R: tuple
     F: tuple
@@ -297,34 +285,41 @@ class BlockModel(_BlockFields):
 
     W entries and the off-diagonals of R and F are TrigPoly; the diagonals
     of R and F are MeroScalar (analytic entries use a constant denominator).
-    Every construction validates and normalizes the fields, _replace too.
+    The block size l is the size of the F grid.  Every construction
+    validates and normalizes the fields, _replace too, so equal models
+    write equal files (see models.model_to_dict).
     """
 
     __slots__ = ()
 
-    def __new__(cls, l, W, R, F, omega, dioph, pole_tol=DEFAULT_POLE_TOL):
-        if l < 1:
-            raise ValueError("block size l must be >= 1")
+    def __new__(cls, W, R, F, omega, dioph, pole_tol=DEFAULT_POLE_TOL):
         if not math.isfinite(omega):
             raise ValueError("omega must be finite")
         if not (math.isfinite(pole_tol) and pole_tol > 0):
             raise ValueError("pole_tol must be finite and > 0")
         omega = reduce_phase(float(omega))
-        W, R, F = _as_grid(W, l, "W"), _as_grid(R, l, "R"), _as_grid(F, l, "F")
+        # + 0.0 turns -0.0 into 0.0: == does not tell them apart, so neither may a file
+        dioph = Dioph(*(float(v) + 0.0 for v in dioph))
+        W, R, F = (tuple(tuple(row) for row in grid) for grid in (W, R, F))
+        l = len(F)
+        if l < 1:
+            raise ValueError("block size l must be >= 1")
         for name, grid in (("W", W), ("R", R), ("F", F)):
+            if len(grid) != l or any(len(row) != l for row in grid):
+                raise ValueError(f"{name} must be an {l}x{l} grid of symbols")
             for i in range(l):
                 for j in range(l):
-                    entry = grid[i][j]
-                    diag_slot = name in ("R", "F") and i == j
-                    if diag_slot and not isinstance(entry, MeroScalar):
-                        raise ValueError(f"{name}[{i}][{i}] must be a MeroScalar")
-                    if not diag_slot and not isinstance(entry, TrigPoly):
-                        raise ValueError(f"{name}[{i}][{j}] must be a TrigPoly")
-            for i in range(l):
-                for j in range(i + 1, l):
-                    if grid[i][j] != grid[j][i]:
-                        raise ValueError(f"{name} is not symmetric at ({i},{j})")
-        return super().__new__(cls, l, W, R, F, omega, dioph, pole_tol)
+                    kind = MeroScalar if name != "W" and i == j else TrigPoly
+                    if not isinstance(grid[i][j], kind):
+                        raise ValueError(f"{name}[{i}][{j}] must be a {kind.__name__}")
+                    if j < i and grid[i][j] != grid[j][i]:
+                        raise ValueError(f"{name} is not symmetric at ({j},{i})")
+        return super().__new__(cls, W, R, F, omega, dioph, float(pole_tol))
+
+    @property
+    def l(self):
+        """The block size: every grid is l x l."""
+        return len(self.F)
 
     @classmethod
     def _make(cls, fields):

@@ -60,12 +60,11 @@ def random_model(rng, l=None, mero=True, omega=None):
             if mero and rng.random() < 0.7:
                 den = TrigPoly.cosine(shift=rng.uniform())
                 return MeroScalar.from_ratio(num, den)
-            return MeroScalar.analytic(num)
+            return MeroScalar.from_ratio(num)
 
         return build
 
     return BlockModel(
-        l=l,
         W=sym_grid(w_diag, 0.3),
         R=sym_grid(fr_diag(0.5), 0.2),
         F=sym_grid(fr_diag(1.0), 0.3),

@@ -31,7 +31,7 @@ from qpjacobi.localization import (
 from qpjacobi.operator import OperatorParams
 from qpjacobi.operator import assemble_hamiltonian as package_hamiltonian
 from qpjacobi.operator import assemble_regularized as package_regularized
-from qpjacobi.symbols import TrigPoly
+from qpjacobi.symbols import BlockModel, Dioph, MeroScalar, TrigPoly
 
 #: pivots below this magnitude make logdet_lu the -inf sentinel
 PIVOT_FLOOR = 1e-300
@@ -256,6 +256,24 @@ def maryland_lyapunov(lam, E):
     cosh L = (sqrt((2 - E)^2 + lam^2) + sqrt((2 + E)^2 + lam^2)) / 4."""
     E = np.asarray(E, dtype=float)
     return np.arccosh((np.sqrt((2.0 - E) ** 2 + lam**2) + np.sqrt((2.0 + E) ** 2 + lam**2)) / 4.0)
+
+
+def almost_mathieu():
+    """The almost-Mathieu operator u(n+1) + u(n-1) + lam cos(2 pi (x + n omega)) u(n)
+    at the golden rotation: W = 1, F = cos(2 pi x), R = 0."""
+    return BlockModel(
+        W=[[TrigPoly.constant(1.0)]],
+        R=[[MeroScalar.from_ratio(TrigPoly.zero())]],
+        F=[[MeroScalar.from_ratio(TrigPoly.cosine())]],
+        omega=(math.sqrt(5.0) - 1.0) / 2.0,
+        dioph=Dioph(2.0, 0.1),
+    )
+
+
+def almost_mathieu_lyapunov(lam):
+    """The almost-Mathieu Lyapunov exponent on the spectrum, log(lam / 2) for
+    lam > 2 (Bourgain & Jitomirskaya, J. Stat. Phys. 108, 1203 (2002))."""
+    return math.log(lam / 2.0)
 
 
 def _transfer_terms(m, lam, x, j):

@@ -340,6 +340,13 @@ class TestAvgLogdet:
         assert res.excluded == 0
         assert res.value == pytest.approx(math.log(10.0) - math.log(2.0), abs=1e-3)
 
+    def test_almost_mathieu_average_is_log_half_lam(self):
+        # no poles, so M = 1 and only the scale 1/sqrt(1 + E^2) is taken off;
+        # measured -3.8e-5 from log 2
+        res = avg_logdet(oracles.almost_mathieu(), 4.0, 0.3, 64, midpoint_grid(2048))
+        got = res.value + 0.5 * math.log1p(0.3**2)
+        assert abs(got - oracles.almost_mathieu_lyapunov(4.0)) < 1e-3
+
     @pytest.mark.parametrize(
         "lam, E, n_gap", [(0.5, 1.0, -0.333), (2.0, 0.3, -0.155), (20.0, 0.5, -0.003)]
     )
@@ -382,9 +389,9 @@ class TestAvgLogdet:
             logdet_grid(maryland, 10.0, 1.0, window, midpoint_grid(8))
 
     def test_degenerate_model_excluded_nodes(self, maryland):
-        zero = MeroScalar.analytic(TrigPoly.zero())
+        zero = MeroScalar.from_ratio(TrigPoly.zero())
         model = BlockModel(
-            l=1, W=[[TrigPoly.zero()]], R=[[zero]], F=[[zero]],
+            W=[[TrigPoly.zero()]], R=[[zero]], F=[[zero]],
             omega=GOLDEN, dioph=Dioph(2.0, 0.1),
         )
         with pytest.raises(TooManyExclusions):

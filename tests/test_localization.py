@@ -28,10 +28,10 @@ from conftest import atomic_maryland, pole_free_x, random_model, well_conditione
 
 
 def constant_diag_model(a, omega=0.0):
-    f = MeroScalar.analytic(TrigPoly.constant(a))
-    r = MeroScalar.analytic(TrigPoly.zero())
+    f = MeroScalar.from_ratio(TrigPoly.constant(a))
+    r = MeroScalar.from_ratio(TrigPoly.zero())
     return BlockModel(
-        l=1, W=[[TrigPoly.constant(1.0)]], R=[[r]], F=[[f]],
+        W=[[TrigPoly.constant(1.0)]], R=[[r]], F=[[f]],
         omega=omega, dioph=Dioph(2.0, 0.1),
     )
 
@@ -277,6 +277,16 @@ class TestLyapunov:
         got = lyapunov_rates(maryland, lam, energies, 20_000, x=0.31)
         assert np.max(np.abs(got - oracles.maryland_lyapunov(lam, energies))) < 2e-3
 
+    @pytest.mark.parametrize("lam", [2.5, 4.0, 20.0])
+    def test_almost_mathieu_rates_on_the_spectrum_are_log_half_lam(self, lam):
+        # every 4th eigenvalue of a 129-site window, away from its edges;
+        # measured deviations 2.4e-4, 2.0e-4 and 1.1e-4
+        amo = oracles.almost_mathieu()
+        h = assemble_hamiltonian(amo, OperatorParams(lam=lam, x=0.1, E=0.0, window=(-64, 64)))
+        energies = np.linalg.eigvalsh(h)[20:-20:4]
+        got = lyapunov_rates(amo, lam, energies, 20_000, x=0.3)
+        assert np.max(np.abs(got - oracles.almost_mathieu_lyapunov(lam))) < 1e-3
+
     def test_requires_scalar_blocks(self, mero2):
         with pytest.raises(ValueError, match="requires block size 1"):
             lyapunov_rates(mero2, 1.0, [0.0], 100)
@@ -419,6 +429,12 @@ class TestResolventPatch:
         given = resolvent_patch_check(maryland, 20.0, 0.5, 0.1, 3, 10, c11=0.3, shifts=range(4, 20))
         assert default.window == given.window == (1, 22)
         assert default == given
+
+    @pytest.mark.parametrize("E", [0.0, -5e-7])
+    def test_energy_below_e_min_rejected(self, maryland, E):
+        # as in the scan whose c11 the check takes; lam + |E| = 0 at lam = E = 0
+        with pytest.raises(ValueError, match=r"^\|E\| must be >= 1e-06$"):
+            resolvent_patch_check(maryland, 0.0, E, 0.1, 2, 4, c11=0.3, shifts=[5, 6])
 
     @pytest.mark.parametrize("shifts", [[], range(5, 5)])
     def test_empty_shift_list_rejected(self, maryland, shifts):

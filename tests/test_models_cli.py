@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from qpjacobi import cli, ergodic, models
@@ -30,9 +32,17 @@ from qpjacobi.models import (
     save_model,
 )
 from qpjacobi.operator import OperatorParams, assemble_hamiltonian, assemble_regularized
-from qpjacobi.symbols import MeroScalar, TrigPoly
+from qpjacobi.symbols import (
+    DEFAULT_POLE_TOL,
+    BlockModel,
+    Dioph,
+    MeroScalar,
+    TrigPoly,
+    symbol_tables,
+)
 
 from conftest import GOLDEN, atomic_maryland, random_model
+from test_tables import models as random_models
 
 SRC = str(pathlib.Path(cli.__file__).resolve().parents[1])
 
@@ -78,6 +88,93 @@ class TestRoundTrip:
 
     def test_hashes_distinguish_models(self):
         assert len({model_hash(bundled(n)) for n in ("maryland", "analytic2", "mero2")}) == 3
+
+
+def _flip_zero_parts(poly):
+    """`poly` with the sign of every zero coefficient part flipped, an == poly.
+
+    The parts are set directly: TrigPoly's symmetrization may round a zero
+    part to either sign."""
+    flip = lambda v: -v if v == 0.0 else v
+    out = TrigPoly()
+    out._ks, out._cs = poly._ks, tuple(complex(flip(c.real), flip(c.imag)) for c in poly._cs)
+    return out
+
+
+def _respelled(model):
+    """`model` with its zero coefficient parts flipped and its integral dioph
+    and pole_tol values given as ints."""
+    def sym(s):
+        if isinstance(s, MeroScalar):
+            return MeroScalar(*map(_flip_zero_parts, s))
+        return _flip_zero_parts(s)
+
+    def spell(v):
+        return int(v) if float(v).is_integer() else v
+
+    W, R, F = ([[sym(s) for s in row] for row in grid] for grid in (model.W, model.R, model.F))
+    return BlockModel(W, R, F, model.omega, Dioph(*map(spell, model.dioph)), spell(model.pole_tol))
+
+
+class TestModelIdentity:
+    """A model stores each parameter once, so == and model_hash agree and a
+    model survives its written form."""
+
+    def test_an_int_dioph_or_pole_tol_writes_its_float(self, maryland):
+        assert model_hash(maryland._replace(dioph=Dioph(2, 0.1))) == "690950e3c9c5a010"
+        assert model_hash(maryland._replace(pole_tol=1)) == model_hash(
+            maryland._replace(pole_tol=1.0)
+        )
+
+    def test_a_zero_part_written_negative_loads_the_same_hash(self, mero2):
+        cfg = model_to_dict(mero2)
+        ent = next(e for e in cfg["entries"] if e["entry"] == "R[0][1]")
+        assert all(re == 0.0 for _, re, _ in ent["num"])  # a sine: zero real parts
+        ent["num"] = [[k, -0.0, im] for k, _, im in ent["num"]]
+        model = model_from_dict(cfg)
+        assert model == mero2 and model_hash(model) == "344b5c897b2f8456"
+
+    def test_the_model_holds_the_only_pole_tolerance(self, maryland):
+        assert MeroScalar._fields == ("num", "den")
+        with pytest.raises(ValueError):
+            maryland.F[0][0]._replace(pole_tol=1e-3)
+        # a lone symbol and the tables of a model at the default agree
+        y = 0.2500001
+        assert maryland.pole_tol == DEFAULT_POLE_TOL
+        assert symbol_tables(maryland, [y]).poles().tolist() == [False]
+        assert math.isfinite(maryland.F[0][0](y))
+        assert symbol_tables(maryland._replace(pole_tol=1e-3), [y]).poles().tolist() == [True]
+
+    def test_a_symbol_is_its_num_and_den(self, maryland):
+        f = maryland.F[0][0]
+        rebuilt = maryland._replace(F=[[MeroScalar(f.num, f.den)]])
+        assert rebuilt == maryland and rebuilt.F[0][0].zeros == (0.25, 0.75)
+        assert model_from_dict(model_to_dict(rebuilt)) == rebuilt
+
+    @pytest.mark.parametrize("name, l, poles", [
+        ("maryland", 1, {"F[0][0]": (0.25, 0.75), "R[0][0]": ()}),
+        ("analytic2", 2, {}),
+        ("mero2", 2, {"F[0][0]": (0.25, 0.75), "R[0][0]": (0.38, 0.88),
+                      "F[1][1]": (0.04, 0.54), "R[1][1]": ()}),
+    ])
+    def test_derived_size_and_poles(self, name, l, poles):
+        model = bundled(name)
+        assert BlockModel._fields == ("W", "R", "F", "omega", "dioph", "pole_tol")
+        assert model.l == l
+        for entry, want in poles.items():
+            grid, i = getattr(model, entry[0]), int(entry[2])
+            assert grid[i][i].zeros == pytest.approx(want, abs=1e-15)
+
+    @given(random_models(), random_models(), st.sampled_from([1e-8, 1e-3, 1.0, 2.0]))
+    def test_equal_models_hash_equal(self, a, b, pole_tol):
+        a = a._replace(pole_tol=pole_tol)
+        again = _respelled(a)
+        assert again == a and model_hash(again) == model_hash(a)
+        for m in (a, again, b):
+            back = model_from_dict(model_to_dict(m))
+            assert back == m and model_hash(back) == model_hash(m)
+        for x, y in ((a, again), (a, b), (again, b)):
+            assert (x == y) == (model_hash(x) == model_hash(y))
 
 
 #: an off-diagonal hopping entry of a block model
@@ -232,7 +329,7 @@ class TestPositiveRSign:
     def model(self, request, maryland):
         # maryland's R is zero, so its scalar stand-in gets a nonzero one
         if request.param == "scalar":
-            return maryland._replace(R=[[MeroScalar.analytic(TrigPoly.cosine(amp=0.7, shift=0.2))]])
+            return maryland._replace(R=[[MeroScalar.from_ratio(TrigPoly.cosine(amp=0.7, shift=0.2))]])
         return bundled(request.param)
 
     def test_a_plus_file_loads_as_its_twin(self, model):

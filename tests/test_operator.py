@@ -22,6 +22,7 @@ from qpjacobi.operator import (
     OperatorParams,
     assemble_hamiltonian,
     assemble_regularized,
+    comparison_rate,
     dense_blocks,
     hamiltonian_blocks,
     regularization_scale,
@@ -223,6 +224,16 @@ class TestOverflow:
         for x, E, name in ((math.nan, 0.5, "x"), (0.1, math.nan, "E"), (0.1, -math.inf, "E")):
             with pytest.raises(ValueError, match=f"^{name} must be finite$"):
                 OperatorParams(lam=2.0, x=x, E=E, window=(-2, 2))
+
+
+class TestComparisonRate:
+    def test_the_rate_is_log_lam_plus_abs_e_bit_for_bit(self):
+        for lam, E in ((20.0, 0.5), (3, -2.5), (0.0, 1e-300), (1e-300, 0.0), (1e308, -1e308)):
+            assert comparison_rate(lam, E) == math.log(lam + abs(E))
+
+    def test_zero_coupling_at_zero_energy_gives_minus_inf(self):
+        # the localize convention: such a pair is localized only as a delta
+        assert comparison_rate(0.0, 0.0) == comparison_rate(0, -0.0) == -math.inf
 
 
 class TestAssembleRegularized:

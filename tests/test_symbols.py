@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qpjacobi.errors import AllDegenerate, DegenerateSymbol, PoleProximity
 from qpjacobi.symbols import (
+    DEFAULT_POLE_TOL,
     BlockModel,
     Dioph,
     MeroScalar,
@@ -65,7 +66,7 @@ class TestReducePhase:
         assert type(reduce_phase(2.75)) is float and reduce_phase(2.75) == 0.75
         assert type(reduce_phase(np.float64(-0.25))) is float
         assert reduce_phase(-1e-20) == 1.0
-        model = BlockModel(1, [[TrigPoly.constant(1.0)]], [[tan_symbol()]], [[tan_symbol()]],
+        model = BlockModel([[TrigPoly.constant(1.0)]], [[tan_symbol()]], [[tan_symbol()]],
                            GOLDEN, Dioph(2.0, 0.1))
         assert type(model.site_phase(0.1, 3)) is float
 
@@ -118,7 +119,7 @@ class TestMeroScalar:
         t = tan_symbol()
         for x in np.linspace(0.2, 0.3, 41):
             d = abs(t.den(x))
-            if d < t.pole_tol:
+            if d < DEFAULT_POLE_TOL:
                 with pytest.raises(PoleProximity):
                     t(float(x))
             else:
@@ -277,11 +278,10 @@ def _denominator_model():
     one = TrigPoly.constant(1.0)
     zero = TrigPoly.zero()
     f0 = MeroScalar.from_ratio(TrigPoly.sine(), TrigPoly.cosine())
-    f1 = MeroScalar.analytic(TrigPoly.sine())
-    r0 = MeroScalar.analytic(TrigPoly.zero())
+    f1 = MeroScalar.from_ratio(TrigPoly.sine())
+    r0 = MeroScalar.from_ratio(TrigPoly.zero())
     r1 = MeroScalar.from_ratio(TrigPoly.zero(), TrigPoly.cosine())
     return BlockModel(
-        l=2,
         W=[[one, zero], [zero, one]],
         R=[[r0, zero], [zero, r1]],
         F=[[f0, zero], [zero, f1]],
@@ -298,11 +298,10 @@ class TestValueTypes:
         assert maryland.with_omega(1.25).omega == 0.25
         assert maryland._replace(omega=-0.75).omega == 0.25
         assert maryland._replace(W=[[TrigPoly.zero()]]).W == ((TrigPoly.zero(),),)
-        for bad in ({"l": 0}, {"F": [[TrigPoly.zero()]]}):
-            with pytest.raises(ValueError):
-                maryland._replace(**bad)
         with pytest.raises(ValueError):
-            BlockModel._make((0, *maryland[1:]))
+            maryland._replace(F=[[TrigPoly.zero()]])
+        with pytest.raises(ValueError, match="^block size l must be >= 1$"):
+            BlockModel._make(((), (), (), *maryland[3:]))
 
     @pytest.mark.parametrize(
         "field, grid, message",
@@ -378,10 +377,10 @@ class TestNondegeneracy:
 
     def test_constant_multiple_of_identity_degenerates(self):
         t0 = 0.8
-        f = MeroScalar.analytic(TrigPoly.constant(t0))
-        r = MeroScalar.analytic(TrigPoly.zero())
+        f = MeroScalar.from_ratio(TrigPoly.constant(t0))
+        r = MeroScalar.from_ratio(TrigPoly.zero())
         model = BlockModel(
-            l=1, W=[[TrigPoly.constant(1.0)]], R=[[r]], F=[[f]],
+            W=[[TrigPoly.constant(1.0)]], R=[[r]], F=[[f]],
             omega=GOLDEN, dioph=Dioph(2.0, 0.1),
         )
         xs = np.arange(512) / 512

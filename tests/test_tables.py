@@ -79,10 +79,9 @@ def models(draw):
         return g
 
     def mero():
-        return MeroScalar(TrigPoly(draw(table)), _den(draw(table)), ())
+        return MeroScalar(TrigPoly(draw(table)), _den(draw(table)))
 
     return BlockModel(
-        l=l,
         W=grid(lambda: TrigPoly(draw(table))),
         R=grid(mero),
         F=grid(mero),
@@ -162,8 +161,8 @@ class TestSymbolTables:
     @given(st.dictionaries(st.integers(-5, 5), coeff, min_size=1, max_size=6), phase_arrays)
     def test_random_table_equals_one_exponential_per_mode(self, raw, y):
         p = TrigPoly(raw)
-        sym = MeroScalar.analytic(p)
-        model = BlockModel(1, [[p]], [[sym]], [[sym]], GOLDEN, Dioph(2.0, 0.1))
+        sym = MeroScalar.from_ratio(p)
+        model = BlockModel([[p]], [[sym]], [[sym]], GOLDEN, Dioph(2.0, 0.1))
         self._equals_one_exponential_per_mode(model, y)
         assert np.array_equal(p(y), oracles.real_values(p, np.mod(y, 1.0)))
 
@@ -189,8 +188,8 @@ class TestSymbolTables:
         c = {"real": part.map(complex), "imaginary": part.map(lambda t: complex(0.0, t))}
         polys = st.dictionaries(st.integers(-4, 4), c.get(kind, coeff), min_size=1, max_size=5)
         num, den, w = TrigPoly(data.draw(polys)), _den(data.draw(polys)), TrigPoly(data.draw(polys))
-        f = MeroScalar(num, den, ())
-        model = BlockModel(1, [[w]], [[MeroScalar.analytic(w)]], [[f]], GOLDEN, Dioph(2.0, 0.1))
+        f = MeroScalar(num, den)
+        model = BlockModel([[w]], [[MeroScalar.from_ratio(w)]], [[f]], GOLDEN, Dioph(2.0, 0.1))
         tab = symbol_tables(model, y)
         ry = np.mod(y, 1.0)
         for got, sym in ((tab.fnum, num), (tab.fden, den), (tab.rnum, w), (tab.w[..., 0], w)):
