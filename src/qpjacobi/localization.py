@@ -176,7 +176,7 @@ def _transfer_product(model, lam, energies, n_steps, x):
         w = tab.w[:, 0, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             onsite = hamiltonian_blocks(tab, lam)[0][:-1, 0, 0]
-        usable = np.flatnonzero(~(tab.poles()[:-1] | (np.abs(w[1:]) < 1e-12)))
+        usable = np.flatnonzero(~(tab.poles(model.pole_tol)[:-1] | (np.abs(w[1:]) < 1e-12)))
         used += usable.size
         for c0 in range(0, usable.size, step):
             j = usable[c0 : c0 + step]
@@ -255,7 +255,7 @@ def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
     sites = np.array(sorted({j + d for j in shifts for d in range(-N0, N0 + 1)}))
     cols = np.searchsorted(sites, np.arange(-N0, N0 + 1)[:, None] + np.array(shifts))
     tab = symbol_tables(model, model.site_phase(x0, sites))
-    pole = tab.poles()[cols].any(axis=0)
+    pole = tab.poles(model.pole_tol)[cols].any(axis=0)
     dist = np.full(len(shifts), np.nan)
     t = np.full(len(shifts), np.nan)
     singular = np.zeros(len(shifts), dtype=bool)

@@ -71,6 +71,10 @@ def model_from_dict(cfg):
     if not isinstance(dioph_cfg, dict) or "A" not in dioph_cfg or "C0" not in dioph_cfg:
         raise ModelFormatError("expected {A, C0}", field="dioph")
     dioph = Dioph(A=_scalar(dioph_cfg["A"], "dioph.A"), C0=_scalar(dioph_cfg["C0"], "dioph.C0"))
+    if dioph.A <= 1:
+        raise ModelFormatError("A must be > 1", field="dioph.A")
+    if dioph.C0 <= 0:
+        raise ModelFormatError("C0 must be > 0", field="dioph.C0")
     pole_tol = _scalar(cfg.get("pole_tol", DEFAULT_POLE_TOL), "pole_tol")
     if pole_tol <= 0:
         raise ModelFormatError("pole_tol must be positive", field="pole_tol")

@@ -124,7 +124,7 @@ def assemble_hamiltonian(model, params):
     comes within pole_tol of a diagonal denominator zero, and LinAlgError
     when an entry is not finite (an overflowing coupling).
     """
-    tab = window_tables(model, params).guard(params.window[0])
+    tab = window_tables(model, params).guard(model.pole_tol, params.window[0])
     mat = dense_blocks(*hamiltonian_blocks(tab, params.lam))
     return _finite(mat, params, "energy or hopping of H")
 

@@ -300,6 +300,8 @@ class BlockModel(_BlockFields):
         omega = reduce_phase(float(omega))
         # + 0.0 turns -0.0 into 0.0: == does not tell them apart, so neither may a file
         dioph = Dioph(*(float(v) + 0.0 for v in dioph))
+        if not (1.0 < dioph.A < math.inf and 0.0 < dioph.C0 < math.inf):
+            raise ValueError("dioph must have a finite A > 1 and a finite C0 > 0")
         W, R, F = (tuple(tuple(row) for row in grid) for grid in (W, R, F))
         l = len(F)
         if l < 1:
@@ -337,13 +339,17 @@ class BlockModel(_BlockFields):
         return symbol_tables(self, y).w
 
     def f_values(self, y):
-        """F(y) as a dense matrix; raises PoleProximity near diagonal poles."""
-        tab = symbol_tables(self, y).guard()
-        return tab.f_off + np.diag(tab.fnum / tab.fden)
+        """F(y) as dense matrices, shape (..., l, l); raises PoleProximity near diagonal poles."""
+        tab = symbol_tables(self, y).guard(self.pole_tol)
+        idx = np.arange(self.l)
+        tab.f_off[..., idx, idx] = tab.fnum / tab.fden
+        return tab.f_off
 
     def r_values(self, y):
-        tab = symbol_tables(self, y).guard()
-        return tab.r_off + np.diag(tab.rnum / tab.rden)
+        tab = symbol_tables(self, y).guard(self.pole_tol)
+        idx = np.arange(self.l)
+        tab.r_off[..., idx, idx] = tab.rnum / tab.rden
+        return tab.r_off
 
     def m_values(self, y):
         """Denominator products denF_ii(y) * denR_ii(y), shape (..., l)."""
@@ -351,7 +357,7 @@ class BlockModel(_BlockFields):
 
     def check_poles(self, y, site=None):
         """Raise PoleProximity if any diagonal denominator is below pole_tol at y."""
-        symbol_tables(self, y).guard(site)
+        symbol_tables(self, y).guard(self.pole_tol, site)
 
 
 class SymbolTables:
@@ -360,13 +366,14 @@ class SymbolTables:
     Diagonal F/R entries are split into numerator and denominator tables of
     shape (..., l); the off-diagonal F/R entries (zero diagonal) and all of
     W have shape (..., l, l); m = denF * denR has shape (..., l).  The
-    fields are read-only; equality is identity.
+    fields are read-only; equality is identity.  A table holds values only:
+    poles and guard take the pole_tol of the model that built it.
     """
 
-    __slots__ = ("phases", "pole_tol", "fnum", "fden", "rnum", "rden", "f_off", "r_off", "w", "m")
+    __slots__ = ("phases", "fnum", "fden", "rnum", "rden", "f_off", "r_off", "w", "m")
 
-    def __init__(self, phases, pole_tol, fnum, fden, rnum, rden, f_off, r_off, w, m):
-        fields = phases, pole_tol, fnum, fden, rnum, rden, f_off, r_off, w, m
+    def __init__(self, phases, fnum, fden, rnum, rden, f_off, r_off, w, m):
+        fields = phases, fnum, fden, rnum, rden, f_off, r_off, w, m
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
 
@@ -385,7 +392,7 @@ class SymbolTables:
         for s, n in zip(shapes, sizes):
             arrays.append(block[end : end + n].reshape(s))
             end += n
-        return cls(arrays[0], model.pole_tol, *arrays[1:])
+        return cls(*arrays)
 
     def arrays(self):
         """The phases and the eight symbol arrays, in field order."""
@@ -396,20 +403,19 @@ class SymbolTables:
 
     def __getitem__(self, index):
         """The table at phases[index]; `index` may address the phase axes only."""
-        phases, *arrays = (a[index] for a in self.arrays())
-        return SymbolTables(phases, self.pole_tol, *arrays)
+        return SymbolTables(*(a[index] for a in self.arrays()))
 
-    def poles(self):
+    def poles(self, pole_tol):
         """Mask of the phases where a diagonal denominator is below pole_tol."""
-        near = (np.abs(self.fden) < self.pole_tol) | (np.abs(self.rden) < self.pole_tol)
+        near = (np.abs(self.fden) < pole_tol) | (np.abs(self.rden) < pole_tol)
         return near.any(axis=-1)
 
-    def guard(self, first_site=None):
-        """Raise PoleProximity at the first pole phase, else return self.
+    def guard(self, pole_tol, first_site=None):
+        """Raise PoleProximity at the first pole phase (see poles), else return self.
 
         The error names site first_site + i for the i-th phase in C order.
         """
-        hit = np.flatnonzero(self.poles())
+        hit = np.flatnonzero(self.poles(pole_tol))
         if hit.size:
             y = float(self.phases.ravel()[hit[0]])
             site = None if first_site is None else first_site + int(hit[0])

@@ -258,16 +258,46 @@ def maryland_lyapunov(lam, E):
     return np.arccosh((np.sqrt((2.0 - E) ** 2 + lam**2) + np.sqrt((2.0 + E) ** 2 + lam**2)) / 4.0)
 
 
-def almost_mathieu():
-    """The almost-Mathieu operator u(n+1) + u(n-1) + lam cos(2 pi (x + n omega)) u(n)
-    at the golden rotation: W = 1, F = cos(2 pi x), R = 0."""
+def _unit_hopping(f):
+    """The scalar model W = 1, F = f, R = 0 at the golden rotation."""
     return BlockModel(
         W=[[TrigPoly.constant(1.0)]],
         R=[[MeroScalar.from_ratio(TrigPoly.zero())]],
-        F=[[MeroScalar.from_ratio(TrigPoly.cosine())]],
+        F=[[MeroScalar.from_ratio(f)]],
         omega=(math.sqrt(5.0) - 1.0) / 2.0,
         dioph=Dioph(2.0, 0.1),
     )
+
+
+def almost_mathieu():
+    """The almost-Mathieu operator u(n+1) + u(n-1) + lam cos(2 pi (x + n omega)) u(n)
+    at the golden rotation: W = 1, F = cos(2 pi x), R = 0."""
+    return _unit_hopping(TrigPoly.cosine())
+
+
+def rotated_pair():
+    """A 2x2 model and the two scalar models it is made of.
+
+    The pair has W = I, R = 0 and F = U diag(cos, 0.6 sin) U^T, with U the
+    rotation by the angle 0.7, at the golden rotation.  Conjugation by I (x) U maps
+    its H onto the direct sum of the scalar models' H, which are W = 1, R = 0
+    and F = cos (almost_mathieu) or F = 0.6 sin.  Their M is 1, so the
+    pair's regularized determinant is the product of theirs too.
+    """
+    c, s = math.cos(0.7), math.sin(0.7)
+    cos, sin = TrigPoly.cosine, TrigPoly.sine
+    f00 = trig_sum(cos(amp=c * c), sin(amp=0.6 * s * s))
+    f11 = trig_sum(cos(amp=s * s), sin(amp=0.6 * c * c))
+    f01 = trig_sum(cos(amp=c * s), sin(amp=-0.6 * c * s))
+    one, zero, rz = TrigPoly.constant(1.0), TrigPoly.zero(), MeroScalar.from_ratio(TrigPoly.zero())
+    pair = BlockModel(
+        W=[[one, zero], [zero, one]],
+        R=[[rz, zero], [zero, rz]],
+        F=[[MeroScalar.from_ratio(f00), f01], [f01, MeroScalar.from_ratio(f11)]],
+        omega=(math.sqrt(5.0) - 1.0) / 2.0,
+        dioph=Dioph(2.0, 0.1),
+    )
+    return pair, (almost_mathieu(), _unit_hopping(sin(amp=0.6)))
 
 
 def almost_mathieu_lyapunov(lam):

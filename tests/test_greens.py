@@ -159,6 +159,29 @@ class TestStackedLogdet:
         assert counts() == got == ([1, 0], [1, 0])
 
 
+class TestRotatedPair:
+    """The l >= 2 paths checked against two l = 1 ones, with no oracle from
+    the code under test: conjugation by I (x) U splits the rotated pair into
+    two scalar operators (see oracles.rotated_pair).  W = I is its own
+    transpose, so these tests cannot show a swap of W and W^T."""
+
+    @pytest.mark.parametrize("lam, E, N", [(4.0, 0.3, 8), (20.0, 0.5, 16), (2.5, 1.1, 32)])
+    def test_dense_logdet_is_the_sum_of_the_scalar_recurrences(self, lam, E, N):
+        pair, scalars = oracles.rotated_pair()
+        xs = midpoint_grid(512)
+        got = logdet_grid(pair, lam, E, (0, N - 1), xs)
+        want = sum(logdet_grid(m, lam, E, (0, N - 1), xs) for m in scalars)
+        assert np.max(np.abs(got - want)) < 1e-9
+
+    @pytest.mark.parametrize("lam", [0.5, 4.0])
+    def test_window_spectrum_is_the_union_of_the_scalar_spectra(self, lam):
+        pair, scalars = oracles.rotated_pair()
+        params = OperatorParams(lam, 0.1, 0.0, (-32, 32))
+        got = np.linalg.eigvalsh(assemble_hamiltonian(pair, params))
+        want = np.concatenate([np.linalg.eigvalsh(assemble_hamiltonian(m, params)) for m in scalars])
+        assert np.max(np.abs(got - np.sort(want))) < 1e-9
+
+
 class TestMinorOracle:
     """minor_logabs against closed forms and numpy's inverse."""
 

@@ -141,9 +141,10 @@ class TestModelIdentity:
         # a lone symbol and the tables of a model at the default agree
         y = 0.2500001
         assert maryland.pole_tol == DEFAULT_POLE_TOL
-        assert symbol_tables(maryland, [y]).poles().tolist() == [False]
+        assert symbol_tables(maryland, [y]).poles(maryland.pole_tol).tolist() == [False]
         assert math.isfinite(maryland.F[0][0](y))
-        assert symbol_tables(maryland._replace(pole_tol=1e-3), [y]).poles().tolist() == [True]
+        coarse = maryland._replace(pole_tol=1e-3)
+        assert symbol_tables(coarse, [y]).poles(coarse.pole_tol).tolist() == [True]
 
     def test_a_symbol_is_its_num_and_den(self, maryland):
         f = maryland.F[0][0]
@@ -285,6 +286,10 @@ class TestValidation:
             (lambda c: {**c, "l": 0}, "l", ">= 1"),
             (lambda c: {**c, "pole_tol": 0.0}, "pole_tol", "positive"),
             (lambda c: {**c, "pole_tol": -1e-8}, "pole_tol", "positive"),
+            (lambda c: {**c, "dioph": {"A": 1.0, "C0": 0.1}}, "dioph.A", "A must be > 1"),
+            (lambda c: {**c, "dioph": {"A": 0.5, "C0": 0.1}}, "dioph.A", "A must be > 1"),
+            (lambda c: {**c, "dioph": {"A": 2.0, "C0": 0.0}}, "dioph.C0", "C0 must be > 0"),
+            (lambda c: {**c, "dioph": {"A": 2.0, "C0": -0.1}}, "dioph.C0", "C0 must be > 0"),
             (lambda c: {**c, "r_sign": 2}, "r_sign", "+1 or -1"),
             (lambda c: {**c, "r_sign": 0}, "r_sign", "+1 or -1"),
             (lambda c: {k: v for k, v in c.items() if k != "entries"}, "entries", "missing"),
@@ -766,6 +771,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == ""
         assert captured.err == "error: pole_tol: expected a finite number\n"
+
+    @pytest.mark.parametrize("command", [
+        ["assemble", "--lambda", "2", "--x", "0.1", "--E", "0", "--window", "0:1", "--matrix", "h"],
+        ["check-model"],
+    ])
+    def test_a_dioph_out_of_range_exits_one_naming_its_field(self, tmp_path, capsys, command):
+        # the range is_diophantine takes, checked at load rather than by its
+        # own unnamed error once a command has started
+        cfg = {**model_to_dict(bundled("maryland")), "dioph": {"A": 1.0, "C0": 0.1}}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(cfg))
+        rc = main([command[0], "--model", str(path), *command[1:], "--out", "-"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "error: dioph.A: A must be > 1\n"
 
     def test_invalid_json_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

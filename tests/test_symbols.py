@@ -330,6 +330,15 @@ class TestValueTypes:
         with pytest.raises(ValueError, match="^pole_tol must be finite and > 0$"):
             maryland._replace(pole_tol=pole_tol)
 
+    @pytest.mark.parametrize("A, C0", [
+        (np.nan, 0.1), (np.inf, 0.1), (1.0, 0.1), (2.0, np.nan), (2.0, np.inf), (2.0, 0.0), (2.0, -0.1),
+    ])
+    def test_dioph_must_be_finite_with_A_above_1_and_C0_positive(self, maryland, A, C0):
+        # a NaN would be written to a file that does not load, and would make
+        # two builds of one model compare unequal
+        with pytest.raises(ValueError, match="^dioph must have a finite A > 1 and a finite C0 > 0$"):
+            maryland._replace(dioph=Dioph(A, C0))
+
     def test_equal_fields_compare_and_hash_equal(self, mero2):
         again = BlockModel(*mero2)
         assert again is not mero2 and again == mero2 and hash(again) == hash(mero2)

@@ -203,6 +203,19 @@ class TestSymbolTables:
         assert np.array_equal(mero2.f_values(y), oracles._matrix(mero2.F, y, 2))
         assert np.array_equal(mero2.r_values(y), oracles._matrix(mero2.R, y, 2))
 
+    @pytest.mark.parametrize("name", ["mero2", "analytic2"])
+    def test_views_of_a_phase_array_hold_the_scalar_views(self, name, request):
+        # the quotients go onto the diagonal of each matrix, not the diagonal
+        # of the (..., l) quotient array
+        model = request.getfixturevalue(name)
+        ys = np.array([[0.1, 0.2, 0.3], [0.45, 0.6, 0.95]])
+        for view, grid in ((model.f_values, model.F), (model.r_values, model.R)):
+            got = view(ys)
+            assert got.shape == ys.shape + (2, 2)
+            for y, mat in zip(ys.ravel(), got.reshape(-1, 2, 2)):
+                assert np.array_equal(mat, view(y))
+                assert np.array_equal(mat, oracles._matrix(grid, y, 2))
+
 
 # -- window assembly --------------------------------------------------------
 
