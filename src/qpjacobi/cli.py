@@ -189,13 +189,16 @@ def _run_bounds(args, model):
             pairs_per_instance=sweep.get("pairs"), seed=args.seed,
         )
         columns = ("N", "lambda", "E", "x", "quantity", "slack", "zero_minors")
+        group = "N"
     else:
         report = check_det_lower_bound(
             model, sweep["lambda"], sweep["E"], sweep["N"], midpoint_grid(sweep.get("nodes", 1024))
         )
         columns = ("N", "lambda", "E", "quantity", "slack", "excluded")
+        group = "lambda"
     extra = {"seed": args.seed, "fitted_constant": report.fitted_constant}
-    extra.update(report.group_constants)
+    # a group key spells its value as the rows' own column does
+    extra.update((f"{group}={_fmt(k)}", v) for k, v in report.group_constants.items())
     _write(args, model, (columns, _csv_lines(report.sweep["rows"])), extra)
 
 

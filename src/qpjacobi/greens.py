@@ -140,15 +140,26 @@ def green_solve(model, params):
 class BoundFitReport(NamedTuple):
     """Empirical constant for an inequality, fit with the max-slack convention.
 
-    fitted_constant is the smallest constant making the inequality hold over
-    every sample.  sweep["rows"] holds the per-instance rows; the minor sweep
-    adds its "zero_minors" and "skipped_small_E" counts.
+    sweep["rows"] holds the per-instance rows, worst slack second to last;
+    the minor sweep adds its "zero_minors" and "skipped_small_E" counts.
+    group_constants maps each group value (N or lam) to the largest slack
+    among its rows; fitted_constant, the largest of those, is the smallest
+    constant making the inequality hold over every sample.
     """
 
     fitted_constant: float
     samples: int
     group_constants: dict
     sweep: dict
+
+
+def _fit_report(rows, group, samples, **counts):
+    """The BoundFitReport of a sweep's rows, grouped by their column `group`."""
+    groups = {}
+    for row in rows:
+        groups[row[group]] = max(groups.get(row[group], float("-inf")), row[-2])
+    best = max(groups.values(), default=float("-inf"))
+    return BoundFitReport(best, samples, groups, {"rows": rows, **counts})
 
 
 def check_minor_bound(
@@ -165,11 +176,12 @@ def check_minor_bound(
     For every sampled (N, lam, E, x, alpha, alpha') the slack is
         (1/Nl) log|minor| + (|p - p'|/Nl) log(lam + |E|) - log(1 + lam/|E|).
     A zero minor has slack -inf, which satisfies any bound; it is counted.
-    The fitted constant is the max over samples; per-N maxima are kept so the
-    caller can judge stability in N.  Samples with |E| < E_MIN are skipped,
-    and a sweep left with no (N, lam, E, x) instance raises ValueError.  A
-    (lam, E) whose log(lam + |E|) or log(1 + lam/|E|) is not finite (it
-    overflowed) raises LinAlgError before any minor is factored.
+    The fitted constant is the max over samples; group_constants holds the
+    max per N so the caller can judge stability in N.  Samples with
+    |E| < E_MIN are skipped, and a sweep left with no (N, lam, E, x)
+    instance raises ValueError.  A (lam, E) whose log(lam + |E|) or
+    log(1 + lam/|E|) is not finite (it overflowed) raises LinAlgError before
+    any minor is factored.
     sweep["rows"] holds one (N, lam, E, x, quantity, worst slack, zero
     minors) row per instance, where quantity is the (1/Nl) log|minor| of the
     first sampled pair reaching the worst slack and zero minors counts the
@@ -200,14 +212,9 @@ def check_minor_bound(
     sites = np.arange(1, max(N_list, default=0) + 1)[:, None]
     table = symbol_tables(model, model.site_phase(xs[None, :], sites))
     samples = 0
-    skipped_e = 0
-    zero_minors = 0
-    per_n = {}
     rows = []
-    best = float("-inf")
     for n in N_list:
         nl = n * l
-        group = float("-inf")
         sampled = pairs_per_instance is not None and pairs_per_instance < nl * nl
         rng = np.random.default_rng(seed) if sampled and rng is None else rng
         a, b = np.indices((nl, nl)).reshape(2, -1) + 1
@@ -216,7 +223,6 @@ def check_minor_bound(
         for lam in lambda_list:
             for E in E_list:
                 if abs(E) < E_MIN:
-                    skipped_e += 1
                     continue
                 growth, shift = terms[lam, E]
                 for s in range(0, xs.size, step):
@@ -242,20 +248,16 @@ def check_minor_bound(
                         zeros.tolist(),
                     ):
                         rows.append((n, lam, E, x, quantity, worst, z))
-                        group = max(group, worst)
                     samples += slack.size
-                    zero_minors += int(zeros.sum())
-        per_n[f"N={n}"] = group
-        best = max(best, group)
     if not rows:
         raise ValueError(
             f"minor sweep sampled no instance (x_count is 0 or every |E| < {E_MIN:g})"
         )
-    return BoundFitReport(
-        fitted_constant=best,
-        samples=samples,
-        group_constants=per_n,
-        sweep={"rows": rows, "zero_minors": zero_minors, "skipped_small_E": skipped_e},
+    small_e = sum(abs(E) < E_MIN for E in E_list)
+    return _fit_report(
+        rows, 0, samples,
+        zero_minors=sum(row[-1] for row in rows),
+        skipped_small_E=len(N_list) * len(lambda_list) * small_e,
     )
 
 
@@ -433,34 +435,23 @@ def check_det_lower_bound(model, lambda_list, E_list, N_list, x_grid):
     """Fit the additive constant in the determinant lower bound.
 
     Per (lam, E, N) the sample constant is log(lam) - avg_logdet, so every
-    lam must be > 0; the report carries per-lambda maxima so stability under
-    coupling growth can be checked.
+    lam must be > 0 and every N >= 1.  sweep["rows"] holds one (N, lam, E,
+    avg_logdet, constant, excluded nodes) row per sample; group_constants
+    holds the max per lam, so stability under coupling growth can be checked.
     """
     for lam in lambda_list:
         check_coupling(lam)
         if lam == 0:
             raise ValueError("the determinant lower bound needs lambda > 0: it fits log(lambda)")
+    if any(n < 1 for n in N_list):
+        raise ValueError("det sweep needs N >= 1")
     check_finite("E_list", E_list)
     xs = np.asarray(x_grid, dtype=float)
     check_finite("x_grid", xs)
-    samples = 0
-    per_lambda = {}
     rows = []
-    best = float("-inf")
     for lam in lambda_list:
-        group = float("-inf")
         for E in E_list:
             for n in N_list:
                 res = avg_logdet(model, lam, E, n, xs)
-                c1 = math.log(lam) - res.value
-                rows.append((n, lam, E, res.value, c1, res.excluded))
-                group = max(group, c1)
-                samples += 1
-        per_lambda[f"lambda={lam:g}"] = group
-        best = max(best, group)
-    return BoundFitReport(
-        fitted_constant=best,
-        samples=samples,
-        group_constants=per_lambda,
-        sweep={"rows": rows},
-    )
+                rows.append((n, lam, E, res.value, math.log(lam) - res.value, res.excluded))
+    return _fit_report(rows, 1, len(rows))

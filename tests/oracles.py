@@ -258,12 +258,12 @@ def maryland_lyapunov(lam, E):
     return np.arccosh((np.sqrt((2.0 - E) ** 2 + lam**2) + np.sqrt((2.0 + E) ** 2 + lam**2)) / 4.0)
 
 
-def _unit_hopping(f):
-    """The scalar model W = 1, F = f, R = 0 at the golden rotation."""
+def _unit_hopping(f, den=None):
+    """The scalar model W = 1, F = f / den, R = 0 at the golden rotation."""
     return BlockModel(
         W=[[TrigPoly.constant(1.0)]],
         R=[[MeroScalar.from_ratio(TrigPoly.zero())]],
-        F=[[MeroScalar.from_ratio(f)]],
+        F=[[MeroScalar.from_ratio(f, den)]],
         omega=(math.sqrt(5.0) - 1.0) / 2.0,
         dioph=Dioph(2.0, 0.1),
     )
@@ -298,6 +298,29 @@ def rotated_pair():
         dioph=Dioph(2.0, 0.1),
     )
     return pair, (almost_mathieu(), _unit_hopping(sin(amp=0.6)))
+
+
+def meromorphic_pair():
+    """A 2x2 model with poles on both diagonals and the two scalar models it is made of.
+
+    The pair has W = I, R = 0 and F = diag(tan, 0.5 tan(. - 0.3)), with
+    tan = sin / cos, at the golden rotation: the Maryland model (W = 1,
+    R = 0, F = tan) and its shifted half-coupling twin.  Each component keeps
+    its own pole factor M, cos or cos(. - 0.3), so the pair's regularized
+    determinant is the product of the scalar ones only if the block path
+    scales each component by its own M.
+    """
+    sin, cos = TrigPoly.sine, TrigPoly.cosine
+    f0, f1 = (sin(), cos()), (sin(amp=0.5, shift=0.3), cos(shift=0.3))
+    one, zero, rz = TrigPoly.constant(1.0), TrigPoly.zero(), MeroScalar.from_ratio(TrigPoly.zero())
+    pair = BlockModel(
+        W=[[one, zero], [zero, one]],
+        R=[[rz, zero], [zero, rz]],
+        F=[[MeroScalar.from_ratio(*f0), zero], [zero, MeroScalar.from_ratio(*f1)]],
+        omega=(math.sqrt(5.0) - 1.0) / 2.0,
+        dioph=Dioph(2.0, 0.1),
+    )
+    return pair, (_unit_hopping(*f0), _unit_hopping(*f1))
 
 
 def almost_mathieu_lyapunov(lam):
@@ -412,7 +435,7 @@ def minor_sweep(model, N_list, lambda_list, E_list, x_count, e_min, pairs_per_in
                             group = max(group, slack)
                     rows.append((n, lam, E, float(x), quantity, worst, zeros))
                     zero_minors += zeros
-        groups[f"N={n}"] = group
+        groups[n] = group
     return {"rows": rows, "samples": samples, "zero_minors": zero_minors, "groups": groups}
 
 

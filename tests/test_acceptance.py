@@ -129,11 +129,11 @@ def test_criterion_4_determinant_lower_bound(maryland):
         maryland, [100.0, 200.0, 1000.0, 2000.0], [0.5], [4, 16], midpoint_grid(1024)
     )
     drift_100 = abs(
-        rep.group_constants["lambda=200"] - rep.group_constants["lambda=100"]
-    ) / abs(rep.group_constants["lambda=100"])
+        rep.group_constants[200.0] - rep.group_constants[100.0]
+    ) / abs(rep.group_constants[100.0])
     drift_1000 = abs(
-        rep.group_constants["lambda=2000"] - rep.group_constants["lambda=1000"]
-    ) / abs(rep.group_constants["lambda=1000"])
+        rep.group_constants[2000.0] - rep.group_constants[1000.0]
+    ) / abs(rep.group_constants[1000.0])
     _verdict(
         4,
         f"determinant lower bound (C1 {rep.fitted_constant:.3f}, doubling drift "
@@ -154,16 +154,42 @@ def test_criterion_4_determinant_lower_bound_mero2(mero2):
         mero2, [100.0, 200.0, 1000.0, 2000.0], [0.5], [4, 16], midpoint_grid(1024)
     )
     drift_100 = abs(
-        rep.group_constants["lambda=200"] - rep.group_constants["lambda=100"]
-    ) / abs(rep.group_constants["lambda=100"])
+        rep.group_constants[200.0] - rep.group_constants[100.0]
+    ) / abs(rep.group_constants[100.0])
     drift_1000 = abs(
-        rep.group_constants["lambda=2000"] - rep.group_constants["lambda=1000"]
-    ) / abs(rep.group_constants["lambda=1000"])
+        rep.group_constants[2000.0] - rep.group_constants[1000.0]
+    ) / abs(rep.group_constants[1000.0])
     excluded = sum(row[5] for row in rep.sweep["rows"])
     _verdict(
         4,
         f"mero2 determinant lower bound (C1 {rep.fitted_constant:.3f}, doubling drift "
         f"{drift_100:.4f} / {drift_1000:.4f}, {excluded} excluded nodes)",
+        [rep.fitted_constant < 2.0, drift_100 < 0.005, drift_1000 < 0.005],
+        started,
+        120.0,
+    )
+
+
+def test_criterion_4_determinant_lower_bound_analytic2(analytic2):
+    # the band model with analytic diagonals, checked with mero2's bars.  It
+    # measures C1 0.602 and drift 6.33e-5 / 7.81e-5 with no excluded node; an
+    # operator that drops lam from its diagonal numerators or swaps F and R on
+    # the diagonal reads C1 7.503 and drift 0.154 / 0.102 and must fail.
+    started = time.perf_counter()
+    rep = check_det_lower_bound(
+        analytic2, [100.0, 200.0, 1000.0, 2000.0], [0.5], [4, 16], midpoint_grid(1024)
+    )
+    drift_100 = abs(
+        rep.group_constants[200.0] - rep.group_constants[100.0]
+    ) / abs(rep.group_constants[100.0])
+    drift_1000 = abs(
+        rep.group_constants[2000.0] - rep.group_constants[1000.0]
+    ) / abs(rep.group_constants[1000.0])
+    excluded = sum(row[5] for row in rep.sweep["rows"])
+    _verdict(
+        4,
+        f"analytic2 determinant lower bound (C1 {rep.fitted_constant:.3f}, doubling drift "
+        f"{drift_100:.2e} / {drift_1000:.2e}, {excluded} excluded nodes)",
         [rep.fitted_constant < 2.0, drift_100 < 0.005, drift_1000 < 0.005],
         started,
         120.0,

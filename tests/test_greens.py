@@ -182,6 +182,49 @@ class TestRotatedPair:
         assert np.max(np.abs(got - np.sort(want))) < 1e-9
 
 
+class TestMeromorphicPair:
+    """The l >= 2 paths checked against two l = 1 ones on a pair with poles
+    on both diagonals and a different M per component (see
+    oracles.meromorphic_pair).  A hopping that takes the other component's M
+    moves the log-determinants below by 10.5, 4.83 and 19.7, one that drops M
+    by 7.21, 6.5 and 13.3.  W = I, so these tests cannot show row scaling in
+    place of column scaling."""
+
+    @pytest.mark.parametrize("lam, E, N", [(4.0, 0.3, 8), (20.0, 0.5, 16), (2.5, 1.1, 32)])
+    def test_dense_logdet_is_the_sum_of_the_scalar_recurrences(self, lam, E, N):
+        # measured 5.8e-14, 9.9e-14 and 1.9e-13
+        pair, scalars = oracles.meromorphic_pair()
+        xs = midpoint_grid(512)
+        got = logdet_grid(pair, lam, E, (0, N - 1), xs)
+        want = sum(logdet_grid(m, lam, E, (0, N - 1), xs) for m in scalars)
+        assert np.max(np.abs(got - want)) < 1e-9
+
+    @pytest.mark.parametrize("lam", [0.5, 4.0])
+    def test_window_spectrum_is_the_union_of_the_scalar_spectra(self, lam):
+        # measured 8.5e-14 and 2.8e-13
+        pair, scalars = oracles.meromorphic_pair()
+        params = OperatorParams(lam, 0.1, 0.0, (-32, 32))
+        got = np.linalg.eigvalsh(assemble_hamiltonian(pair, params))
+        want = np.concatenate([np.linalg.eigvalsh(assemble_hamiltonian(m, params)) for m in scalars])
+        assert np.max(np.abs(got - np.sort(want))) < 1e-9
+
+    @pytest.mark.parametrize("lam, E, n_gap", [(2.0, 0.3, -0.235), (20.0, 0.5, -0.006)])
+    def test_thouless_gap_shrinks_like_one_over_n(self, lam, E, n_gap):
+        # the components are Maryland models of coupling lam and lam / 2, and
+        # each M, a shifted cosine, has <log|M|> = -log 2, so gap(N) =
+        # (1/2N)<log|det Ht|> + log 2 + log(1 + E^2)/2 - (L(lam, E) + L(lam/2, E))/2.
+        # N*gap at N = 8, 32, 128: -0.235/-0.234/-0.236 and -0.0061/-0.0055/-0.0057
+        pair, _ = oracles.meromorphic_pair()
+        L = 0.5 * float(oracles.maryland_lyapunov(lam, E) + oracles.maryland_lyapunov(0.5 * lam, E))
+        gaps = []
+        for n in (8, 32, 128):
+            u = logdet_grid(pair, lam, E, (1, n), midpoint_grid(8192))
+            assert np.all(np.isfinite(u))
+            gaps.append(np.mean(u) / (2 * n) + math.log(2.0) + 0.5 * math.log1p(E * E) - L)
+            assert abs(n * gaps[-1] - n_gap) <= 0.015
+        assert abs(gaps[0]) > abs(gaps[1]) > abs(gaps[2])
+
+
 class TestMinorOracle:
     """minor_logabs against closed forms and numpy's inverse."""
 
@@ -430,9 +473,18 @@ class TestDetLowerBound:
         rep = check_det_lower_bound(
             maryland, [100.0, 200.0], [0.5], [4], midpoint_grid(1024)
         )
-        c1 = rep.group_constants["lambda=100"]
-        c2 = rep.group_constants["lambda=200"]
+        c1 = rep.group_constants[100.0]
+        c2 = rep.group_constants[200.0]
         assert abs(c2 - c1) <= 0.1 * abs(c1)
+
+    @pytest.mark.parametrize("N_list", [[4, 0], [0], [-1, 2]])
+    def test_window_below_one_site_raises_before_any_work(self, maryland, monkeypatch, N_list):
+        def no_work(*args):
+            raise AssertionError("a log-determinant average was computed")
+
+        monkeypatch.setattr(greens, "avg_logdet", no_work)
+        with pytest.raises(ValueError, match=r"det sweep needs N >= 1"):
+            check_det_lower_bound(maryland, [10.0], [0.5], N_list, midpoint_grid(512))
 
     def test_rational_rotation_also_reported(self, maryland):
         # the torus-average inequality is checked for rational rotations too;

@@ -573,6 +573,22 @@ class TestCli:
         assert [l.split(",") for l in table[1:]] == [[cli._fmt(v) for v in r] for r in rows]
         assert [int(l.split(",")[-1]) for l in table[1:]] == [r[5] for r in rows]
 
+    def test_bounds_det_writes_one_key_per_lambda(self, tmp_path):
+        # both couplings read 1e+06 in the `g` format: each still gets its own
+        # key, spelled as its rows spell it, holding the largest slack of its rows
+        rc, out = self._bounds(
+            tmp_path, {"N": [1, 2], "lambda": [1000000, 1000001], "E": [0.5], "nodes": 512}, "det"
+        )
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        keys = dict(l[2:].rpartition("=")[::2] for l in lines if l.startswith("# lambda="))
+        rows = [l.split(",") for l in lines if not l.startswith("#")][1:]
+        want = {
+            f"lambda={lam}": max(float(r[4]) for r in rows if r[1] == lam)
+            for lam in ("1000000", "1000001")
+        }
+        assert {k: float(v) for k, v in keys.items()} == want
+
     def test_bounds_minor_zero_minors_column_sums_to_the_report(self, tmp_path, monkeypatch):
         # the hopping is off, so every off-diagonal block minor vanishes
         model = tmp_path / "atomic.json"
