@@ -243,12 +243,11 @@ def _run_check_model(args, model):
     for name, grid in (("F", model.F), ("R", model.R)):
         for i in range(model.l):
             zeros[f"{name}[{i}][{i}]"] = list(grid[i][i].zeros)
-    nd = check_nondegeneracy(model, args.t_grid, midpoint_grid(args.x_count))
-    witnesses = [{"t": t, "x": x, "det": d} for t, x, d in nd.witnesses]
+    nd = check_nondegeneracy(model, args.t_grid)
     payload = {
         "diophantine": {"ok": chk.ok, "worst_k": chk.worst_k, "worst_margin": chk.worst_margin},
         "denominator_zeros": zeros,
-        "nondegeneracy": {"ok": nd.ok, "witnesses": witnesses},
+        "nondegeneracy": {"ok": nd.ok, "mahler": [{"t": t, "m": m} for t, m in nd.mahler]},
     }
     _write(args, model, payload)
 
@@ -347,7 +346,6 @@ def build_parser():
     sp.add_argument(
         "--t-grid", type=_number_list(float, "--t-grid", "number", "t"), default="-1,0,1"
     )
-    sp.add_argument("--x-count", type=int, default=4096)
     sp.add_argument("--Kmax", type=int, default=10000)
 
     return parser

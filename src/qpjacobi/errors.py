@@ -15,7 +15,7 @@ class DegenerateSymbol(Exception):
 
 
 class AllDegenerate(Exception):
-    """No nondegeneracy witness found for at least one spectral parameter t."""
+    """det[(F - t)M] vanishes identically in the phase for at least one spectral parameter t."""
 
     def __init__(self, message, failed=()):
         super().__init__(message)

@@ -158,7 +158,7 @@ def _fit_report(rows, group, samples, **counts):
     groups = {}
     for row in rows:
         groups[row[group]] = max(groups.get(row[group], float("-inf")), row[-2])
-    best = max(groups.values(), default=float("-inf"))
+    best = max(groups.values())
     return BoundFitReport(best, samples, groups, {"rows": rows, **counts})
 
 
@@ -435,10 +435,13 @@ def check_det_lower_bound(model, lambda_list, E_list, N_list, x_grid):
     """Fit the additive constant in the determinant lower bound.
 
     Per (lam, E, N) the sample constant is log(lam) - avg_logdet, so every
-    lam must be > 0 and every N >= 1.  sweep["rows"] holds one (N, lam, E,
+    lam must be > 0 and every N >= 1, and no list may be empty.  sweep["rows"] holds one (N, lam, E,
     avg_logdet, constant, excluded nodes) row per sample; group_constants
     holds the max per lam, so stability under coupling growth can be checked.
     """
+    for name, values in (("lambda_list", lambda_list), ("E_list", E_list), ("N_list", N_list)):
+        if len(values) == 0:
+            raise ValueError(f"det sweep needs a nonempty {name}")
     for lam in lambda_list:
         check_coupling(lam)
         if lam == 0:

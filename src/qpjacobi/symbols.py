@@ -21,8 +21,8 @@ TWO_PI = 2.0 * math.pi
 #: a companion-matrix root is a zero when the symbol magnitude at its phase
 #: is at most this value times the symbol's coefficient sum (its sup bound)
 ZERO_REFINE_TOL = 1e-10
-#: a nondegeneracy witness must exceed this determinant magnitude
-WITNESS_TOL = 1e-10
+#: the relative zero test of det[(F - t)M]'s coefficients (see check_nondegeneracy)
+DET_COEFF_TOL = 1e-10
 #: default guard distance from denominator zeros
 DEFAULT_POLE_TOL = 1e-8
 #: phases per symbol_tables call in the sliced sweeps; bounds their memory
@@ -474,38 +474,44 @@ def symbol_tables(model, phases, out=None):
 
 class NondegeneracyReport(NamedTuple):
     ok: bool
-    witnesses: tuple  # (t, witness phase, |det| at the witness) per t
+    mahler: tuple  # (t, m(t)) per t, m(t) the integral of log|det[(F - t)M]| over [0, 1)
 
 
-def check_nondegeneracy(model, t_grid, x_grid):
-    """For each t, find a phase where |det[(F(x) - t I) M(x)]| > WITNESS_TOL.
+def check_nondegeneracy(model, t_grid):
+    """Decide for each t whether p_t(x) = det[(F(x) - t I) M(x)] vanishes identically in x.
 
-    The determinant is assembled from numerator/denominator polynomials, so
-    pole phases need no special handling.  Raises AllDegenerate listing the
-    t values with no witness on the grid.
+    p_t has degree at most 3ld, d the largest F or R symbol degree, so one FFT of its values at
+    K = 6ld + 2 phases gives its coefficients c_k.  It vanishes when no |c_k| exceeds DET_COEFF_TOL
+    times the samples' largest product of column 1-norms, which a column scaling of M rescales as
+    it rescales p_t; else m(t) = log|c_n| + the sum of log|z| over the roots |z| > 1 of
+    sum_k c_k z^(k+n), n the top k above that tolerance (Jensen).  Raises AllDegenerate naming
+    each t whose p_t vanishes.
     """
     ts = [float(t) for t in t_grid]
-    xs = np.asarray(x_grid, dtype=float)
-    if not ts or xs.size == 0:
-        raise ValueError("t_grid and x_grid must be nonempty")
-    tab = symbol_tables(model, xs)
+    if not ts:
+        raise ValueError("t_grid must be nonempty")
+    syms = [s for grid in (model.F, model.R) for row in grid for s in row]
+    d = max(p.degree for s in syms for p in (s if isinstance(s, MeroScalar) else (s,)))
+    K = 6 * model.l * d + 2
+    tab = symbol_tables(model, np.arange(K) / K)
     base = tab.f_off * tab.m[:, None, :]
     diag = np.arange(model.l)
-    witnesses = []
-    failed = []
+    mahler, failed = [], []
     for t in ts:
         mat = base.copy()
         mat[:, diag, diag] = (tab.fnum - t * tab.fden) * tab.rden
-        dets = np.abs(np.linalg.det(mat))
-        idx = np.flatnonzero(dets > WITNESS_TOL)
-        if idx.size == 0:
+        cols = np.abs(mat).sum(axis=1)
+        # each column over its largest 1-norm: p_t over a constant, in floating-point range
+        top = np.where(cols.max(axis=0) > 0.0, cols.max(axis=0), 1.0)
+        coeffs = np.fft.fft(np.linalg.det(mat / top)) / K
+        scale = (cols / top).prod(axis=-1).max()
+        above = np.flatnonzero(np.abs(coeffs[: K // 2]) > DET_COEFF_TOL * scale)
+        if above.size == 0:
             failed.append(t)
-            witnesses.append((t, None, float(dets.max(initial=0.0))))
-        else:
-            k = int(idx[0])
-            witnesses.append((t, float(xs[k]), float(dets[k])))
+            continue
+        n = int(above[-1])
+        roots = np.abs(np.roots(coeffs[np.arange(n, -n - 1, -1) % K]))  # c_n first
+        mahler.append((t, float(np.log([abs(coeffs[n]), *top, *roots[roots > 1.0]]).sum())))
     if failed:
-        raise AllDegenerate(
-            f"no nondegeneracy witness for t in {failed}", failed=failed
-        )
-    return NondegeneracyReport(True, tuple(witnesses))
+        raise AllDegenerate(f"det[(F - t)M] vanishes identically for t in {failed}", failed=failed)
+    return NondegeneracyReport(True, tuple(mahler))

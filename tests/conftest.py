@@ -118,3 +118,12 @@ def well_conditioned_params(model, rng, window, lam_range=(0.5, 3.0), cond_max=1
 def atomic_maryland(maryland_model):
     """Maryland with the hopping switched off (decoupled sites)."""
     return maryland_model._replace(W=((TrigPoly.zero(),),))
+
+
+def scaled_f_diagonals(model, s):
+    """`model` with the numerator and denominator of every F diagonal times s:
+    the same F and H, with M and so det[(F - t)M] scaled by s per component."""
+    F = [list(row) for row in model.F]
+    for i in range(model.l):
+        F[i][i] = MeroScalar(*(TrigPoly({k: s * c for k, c in p.items()}) for p in F[i][i]))
+    return model._replace(F=F)

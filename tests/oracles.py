@@ -73,6 +73,39 @@ def _m(model, y):
     return np.array([model.F[i][i].den(y) * model.R[i][i].den(y) for i in range(model.l)])
 
 
+def det_ft_m(model, ts, xs):
+    """det[(F(x) - t) M(x)] for each t of ts (axis 0) at each phase of the flat
+    array xs (axis 1), every symbol called on its own."""
+    l = model.l
+    mat = np.empty((len(ts), len(xs), l, l))
+    for j in range(l):
+        f, r = model.F[j][j], model.R[j][j]
+        fden, rden = f.den(xs), r.den(xs)
+        for i in range(l):
+            if i == j:
+                mat[:, :, j, j] = (f.num(xs) - np.multiply.outer(ts, fden)) * rden
+            else:
+                mat[:, :, i, j] = model.F[i][j](xs) * fden * rden
+    return np.linalg.det(mat)
+
+
+def degenerate_on_grid(model, ts, xs, tol=1e-10):
+    """The t values of ts with no phase of xs where |det[(F - t)M]| > tol: a
+    grid search for a witness, the sampled stand-in for the exact check."""
+    dets = np.abs(det_ft_m(model, ts, np.asarray(xs, dtype=float)))
+    return [t for t, row in zip(ts, dets) if not (row > tol).any()]
+
+
+def mahler_quadrature(model, ts, n, chunk=1 << 16):
+    """The n-node midpoint rule for the integral over [0, 1) of
+    log|det[(F - t)M]|, one value per t of ts."""
+    total = np.zeros(len(ts))
+    for start in range(0, n, chunk):
+        xs = (np.arange(start, min(start + chunk, n)) + 0.5) / n
+        total += np.log(np.abs(det_ft_m(model, ts, xs))).sum(axis=1)
+    return total / n
+
+
 def _dense(diag, lower, upper):
     """Dense (n*l, n*l) matrix of n diagonal and n-1 lower/upper l x l blocks, block by block."""
     n, l = diag.shape[0], diag.shape[-1]

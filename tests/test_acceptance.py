@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from qpjacobi.ergodic import deviation_measure, ldt_decay_fit
 from qpjacobi.greens import (
@@ -31,6 +32,7 @@ from qpjacobi.operator import (
     assemble_hamiltonian,
     assemble_regularized,
 )
+from qpjacobi.symbols import check_nondegeneracy
 
 import oracles
 from conftest import band_blocks, pole_free_x, random_model, well_conditioned_params
@@ -145,10 +147,11 @@ def test_criterion_4_determinant_lower_bound(maryland):
 
 
 def test_criterion_4_determinant_lower_bound_mero2(mero2):
-    # the block model has no closed form; the bound and its stability are checked.
-    # The model measures C1 1.143 and drift 0.0014 / 0.0003; an operator that
-    # drops lam from its diagonal numerators (C1 3.44, drift 0.0120) or swaps
-    # F and R on the diagonal (C1 2.30, drift 0.0131) must fail.
+    # the bound and its stability; test_criterion_4_large_coupling_limit checks
+    # C1 against its closed form.  The model measures C1 1.143 and drift
+    # 0.0014 / 0.0003; an operator that drops lam from its diagonal numerators
+    # (C1 3.44, drift 0.0120) or swaps F and R on the diagonal (C1 2.30, drift
+    # 0.0131) must fail.
     started = time.perf_counter()
     rep = check_det_lower_bound(
         mero2, [100.0, 200.0, 1000.0, 2000.0], [0.5], [4, 16], midpoint_grid(1024)
@@ -196,6 +199,42 @@ def test_criterion_4_determinant_lower_bound_analytic2(analytic2):
     )
 
 
+@pytest.mark.parametrize("name", ["maryland", "analytic2", "mero2"])
+def test_criterion_4_large_coupling_limit(request, name):
+    """avg_logdet - log lam meets its large-coupling limit from both sides.
+
+    At fixed E and N the leading term of det Ht is lam^(N l) prod_n
+    det[F M](x_n) times the regularization scale, so avg_logdet - log lam
+    tends to m(0)/l - log(1 + E^2)/2, where m(0) is the Mahler measure of
+    det[F M] that check_nondegeneracy gives (Jensen's formula, the argument
+    of Herman's bound for the almost-Mathieu operator).  C1 tends to minus
+    that limit: 0.80472 (maryland), 0.60199 (analytic2), 1.14021 (mero2).
+    At lam 1000 and 2000, N 4 and 16 on 2^14 phases the gaps are at most
+    7.1e-5, 3.3e-5 and 2.2e-4 against the bar 1e-3.  An operator that drops
+    lam from its diagonal numerators or swaps F and R on the diagonal moves
+    them by more than 1.  The hopping enters at O(1/lam), so this test
+    cannot see it: a hopping without M leaves the gaps as they are.
+    """
+    started = time.perf_counter()
+    model = request.getfixturevalue(name)
+    E = 0.5
+    limit = dict(check_nondegeneracy(model, [0.0]).mahler)[0.0] / model.l - 0.5 * math.log1p(E * E)
+    xs = midpoint_grid(1 << 14)
+    gaps = [
+        avg_logdet(model, lam, E, N, xs).value - math.log(lam) - limit
+        for lam in (1000.0, 2000.0)
+        for N in (4, 16)
+    ]
+    worst = max(map(abs, gaps))
+    _verdict(
+        4,
+        f"{name} C1 limit {-limit:.5f}, largest gap {worst:.2e} at lambda 1000-2000",
+        [worst <= 1e-3],
+        started,
+        60.0,
+    )
+
+
 def test_criterion_5_large_deviations(maryland):
     started = time.perf_counter()
     grid = midpoint_grid(2000)
@@ -222,21 +261,22 @@ def test_criterion_5_large_deviations(maryland):
     )
 
 
-def test_criterion_5_bad_set_decay_fit(maryland):
-    # at S = 0.1 the golden bad fractions stay off zero, so the fit can fail
+def _bad_set_decay_verdict(model, label):
+    """The S = 0.1 ladder at lambda 50, E 1, N 4: the golden bad fractions
+    fall strictly and fit a positive c10, the rational ones are not monotone."""
     started = time.perf_counter()
     grid = midpoint_grid(1000)
     ladder = (10, 32, 100, 316)
-    golden = [deviation_measure(maryland, 50.0, 1.0, 4, Q, 0.1, 0.3, grid) for Q in ladder]
+    golden = [deviation_measure(model, 50.0, 1.0, 4, Q, 0.1, 0.3, grid) for Q in ladder]
     rational = [
-        deviation_measure(maryland, 50.0, 1.0, 4, Q, 0.1, 0.3, grid, omega=0.5) for Q in ladder
+        deviation_measure(model, 50.0, 1.0, 4, Q, 0.1, 0.3, grid, omega=0.5) for Q in ladder
     ]
     fractions = [r.bad_fraction for r in golden]
     c10, golden_monotone = ldt_decay_fit(golden)
     _, rational_monotone = ldt_decay_fit(rational)
     _verdict(
         5,
-        f"bad-set decay at S=0.1: golden {fractions} (c10 {c10:.2f}) vs rational "
+        f"{label}bad-set decay at S=0.1: golden {fractions} (c10 {c10:.2f}) vs rational "
         f"{[r.bad_fraction for r in rational]}",
         [
             all(b2 < b1 for b1, b2 in zip(fractions, fractions[1:])),
@@ -247,33 +287,21 @@ def test_criterion_5_bad_set_decay_fit(maryland):
         started,
         60.0,
     )
+
+
+def test_criterion_5_bad_set_decay_fit(maryland):
+    # at S = 0.1 the golden bad fractions stay off zero, so the fit can fail
+    _bad_set_decay_verdict(maryland, "")
 
 
 def test_criterion_5_bad_set_decay_fit_mero2(mero2):
     # the block model through the same S = 0.1 ladder as maryland
-    started = time.perf_counter()
-    grid = midpoint_grid(1000)
-    ladder = (10, 32, 100, 316)
-    golden = [deviation_measure(mero2, 50.0, 1.0, 4, Q, 0.1, 0.3, grid) for Q in ladder]
-    rational = [
-        deviation_measure(mero2, 50.0, 1.0, 4, Q, 0.1, 0.3, grid, omega=0.5) for Q in ladder
-    ]
-    fractions = [r.bad_fraction for r in golden]
-    c10, golden_monotone = ldt_decay_fit(golden)
-    _, rational_monotone = ldt_decay_fit(rational)
-    _verdict(
-        5,
-        f"mero2 bad-set decay at S=0.1: golden {fractions} (c10 {c10:.2f}) vs rational "
-        f"{[r.bad_fraction for r in rational]}",
-        [
-            all(b2 < b1 for b1, b2 in zip(fractions, fractions[1:])),
-            golden_monotone,
-            c10 > 0.0,
-            not rational_monotone,
-        ],
-        started,
-        60.0,
-    )
+    _bad_set_decay_verdict(mero2, "mero2 ")
+
+
+def test_criterion_5_bad_set_decay_fit_analytic2(analytic2):
+    # the band model with analytic diagonals through the same ladder
+    _bad_set_decay_verdict(analytic2, "analytic2 ")
 
 
 def _window_size_ladder(model, grid, Ns):

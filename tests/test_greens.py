@@ -486,6 +486,21 @@ class TestDetLowerBound:
         with pytest.raises(ValueError, match=r"det sweep needs N >= 1"):
             check_det_lower_bound(maryland, [10.0], [0.5], N_list, midpoint_grid(512))
 
+    @pytest.mark.parametrize(
+        "lists, name",
+        [
+            (([], [0.5], [4]), "lambda_list"),
+            (([10.0], [], [4]), "E_list"),
+            (([10.0], [0.5], []), "N_list"),
+        ],
+    )
+    def test_an_empty_list_raises_before_any_work(self, maryland, monkeypatch, lists, name):
+        calls = []
+        monkeypatch.setattr(greens, "avg_logdet", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"^det sweep needs a nonempty {name}$"):
+            check_det_lower_bound(maryland, *lists, midpoint_grid(512))
+        assert calls == []
+
     def test_rational_rotation_also_reported(self, maryland):
         # the torus-average inequality is checked for rational rotations too;
         # only finiteness is asserted, no sharper claim

@@ -38,10 +38,11 @@ from qpjacobi.symbols import (
     Dioph,
     MeroScalar,
     TrigPoly,
+    check_nondegeneracy,
     symbol_tables,
 )
 
-from conftest import GOLDEN, atomic_maryland, random_model
+from conftest import GOLDEN, atomic_maryland, random_model, scaled_f_diagonals
 from test_tables import models as random_models
 
 SRC = str(pathlib.Path(cli.__file__).resolve().parents[1])
@@ -759,13 +760,35 @@ class TestCli:
     def test_check_model_smoke(self, tmp_path):
         for name in ("maryland", "analytic2", "mero2"):
             out = tmp_path / f"{name}.json"
-            rc = main(["check-model", "--model", name, "--x-count", "1024", "--out", str(out)])
+            rc = main(["check-model", "--model", name, "--out", str(out)])
             assert rc == 0
             doc = json.loads(out.read_text())
             assert doc["nondegeneracy"]["ok"]
+            mahler = doc["nondegeneracy"]["mahler"]
+            want = check_nondegeneracy(bundled(name), [-1.0, 0.0, 1.0]).mahler
+            assert [(e["t"], e["m"]) for e in mahler] == list(want)
         # the poles of tan(2 pi x) are companion-matrix roots, exactly 1/4 and 3/4
         maryland = json.loads((tmp_path / "maryland.json").read_text())
         assert maryland["denominator_zeros"]["F[0][0]"] == [0.25, 0.75]
+        assert maryland["nondegeneracy"]["mahler"][1] == {"t": 0.0, "m": -math.log(2.0)}
+
+    def test_check_model_takes_no_phase_grid(self, capsys):
+        assert main(["check-model", "--model", "mero2", "--x-count", "64", "--out", "-"]) == 1
+        assert "--x-count" in capsys.readouterr().err
+
+    def test_check_model_verdict_ignores_a_symbol_rescaling(self, tmp_path, mero2):
+        # F's diagonal numerators and denominators times 1e-6 leave H as it is;
+        # det[(F - t)M] falls below 1e-10 everywhere, but not identically
+        path = tmp_path / "scaled.json"
+        save_model(scaled_f_diagonals(mero2, 1e-6), path)
+        docs = []
+        for model in ("mero2", str(path)):
+            assert main(["check-model", "--model", model, "--out", str(tmp_path / "out.json")]) == 0
+            docs.append(json.loads((tmp_path / "out.json").read_text())["nondegeneracy"])
+        assert docs[1]["ok"]
+        for base, scaled in zip(docs[0]["mahler"], docs[1]["mahler"]):
+            assert scaled["t"] == base["t"]
+            assert abs(scaled["m"] - base["m"] - 2.0 * math.log(1e-6)) <= 1e-9
 
     def test_malformed_model_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -1234,8 +1257,7 @@ class TestOneProcess:
                      "--N0", "2", "--shifts=-3:3"],
             "localize": ["localize", *maryland, "--x0", "0.41", "--N", "32", "--margin", "8"],
             "lyapunov": ["lyapunov", *maryland, "--x", "0.1", "--E", "0.5,-3", "--steps", "200"],
-            "check-model": ["check-model", "--model", "mero2", "--x-count", "64",
-                            "--Kmax", "100"],
+            "check-model": ["check-model", "--model", "mero2", "--Kmax", "100"],
         }
 
     def _run(self, argv, out):

@@ -56,7 +56,7 @@ def test_the_package_runs_from_a_zip(tmp_path):
         for path in sorted((SRC / "qpjacobi").rglob("*")):
             if path.is_file() and "__pycache__" not in path.parts:
                 zf.write(path, path.relative_to(SRC))
-    argv = ["check-model", "--model", "mero2", "--x-count", "64", "--Kmax", "100", "--out"]
+    argv = ["check-model", "--model", "mero2", "--Kmax", "100", "--out"]
     code = (
         "import sys, qpjacobi, qpjacobi.cli\n"
         "assert qpjacobi.__file__.startswith(sys.argv[1]), qpjacobi.__file__\n"
@@ -103,7 +103,7 @@ def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
                 "--Qs", "10,32", "--grid", "1000"],
         "localize": ["localize", *maryland, "--x0", "0.41", "--N", "32", "--margin", "8"],
         "lyapunov": ["lyapunov", *maryland, "--x", "0.1", "--E", "0.5,-3", "--steps", "200"],
-        "check-model": ["check-model", "--model", "mero2", "--x-count", "64", "--Kmax", "100"],
+        "check-model": ["check-model", "--model", "mero2", "--Kmax", "100"],
     }
     code = f"""
 import json, sys

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import mpmath
 import numpy as np
@@ -20,7 +21,8 @@ from qpjacobi.symbols import (
     symbol_tables,
 )
 
-from conftest import GOLDEN, random_trig
+import oracles
+from conftest import GOLDEN, random_model, random_trig, scaled_f_diagonals
 from oracles import trig_product, trig_sum
 
 
@@ -378,11 +380,35 @@ class TestRegularizerDiag:
 
 
 class TestNondegeneracy:
-    def test_maryland_witnesses(self, maryland):
-        xs = np.arange(4096) / 4096
-        rep = check_nondegeneracy(maryland, [-1.0, 0.0, 1.0], xs)
+    def test_maryland_closed_form(self, maryland):
+        # det[F M] = sin(2 pi x), whose Mahler measure is -log 2
+        rep = check_nondegeneracy(maryland, [-1.0, 0.0, 1.0])
         assert rep.ok
-        assert all(x is not None for _, x, _ in rep.witnesses)
+        assert [t for t, _ in rep.mahler] == [-1.0, 0.0, 1.0]
+        assert abs(dict(rep.mahler)[0.0] + math.log(2.0)) <= 1e-12
+
+    @pytest.mark.parametrize("name, m0", [("analytic2", -0.4904146), ("mero2", -1.0286387)])
+    def test_block_models_match_quadrature(self, request, name, m0):
+        model = request.getfixturevalue(name)
+        got = dict(check_nondegeneracy(model, [0.0]).mahler)[0.0] / model.l
+        want = oracles.mahler_quadrature(model, [0.0], 1 << 20)[0] / model.l
+        assert abs(got - want) <= 1e-5
+        assert abs(got - m0) <= 5e-8
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-200, 1e200])
+    def test_rescaled_symbols_keep_the_verdict(self, mero2, s):
+        # the numerator and denominator of both F diagonals times s: H is
+        # unchanged, det[(F - t)M] is s^2 times as large, and its Mahler
+        # measure moves by 2 log s.  At s < 1 no phase of a fine grid has
+        # |det| above 1e-10; at 1e200 the unscaled determinant overflows
+        scaled = scaled_f_diagonals(mero2, s)
+        ts = [-1.0, 0.0, 1.0]
+        if s < 1.0:
+            assert oracles.degenerate_on_grid(scaled, ts, np.arange(4096) / 4096) == ts
+        rep = check_nondegeneracy(scaled, ts)
+        assert rep.ok
+        for (t, got), (_, m) in zip(rep.mahler, check_nondegeneracy(mero2, ts).mahler):
+            assert abs(got - (m + 2.0 * math.log(s))) <= 1e-9, t
 
     def test_constant_multiple_of_identity_degenerates(self):
         t0 = 0.8
@@ -392,24 +418,42 @@ class TestNondegeneracy:
             W=[[TrigPoly.constant(1.0)]], R=[[r]], F=[[f]],
             omega=GOLDEN, dioph=Dioph(2.0, 0.1),
         )
-        xs = np.arange(512) / 512
         with pytest.raises(AllDegenerate) as err:
-            check_nondegeneracy(model, [t0], xs)
+            check_nondegeneracy(model, [t0])
         assert err.value.failed == (t0,)
-        # other t values pass
-        assert check_nondegeneracy(model, [t0 + 0.5], xs).ok
+        # other t values pass, with det = t0 - t a constant
+        assert check_nondegeneracy(model, [t0 + 0.5]).mahler == ((t0 + 0.5, math.log(0.5)),)
 
-    @pytest.mark.parametrize("ts, xs", [([], [0.1, 0.2]), ([0.0], []), ([], [])])
-    def test_empty_grid_rejected(self, maryland, ts, xs):
-        with pytest.raises(ValueError, match="^t_grid and x_grid must be nonempty$"):
-            check_nondegeneracy(maryland, ts, xs)
+    def test_rank_one_cosine_block_degenerates_at_zero_only(self):
+        # F = cos(2 pi x) [[1, 1], [1, 1]] has det(F - t) = t^2 - 2 t cos(2 pi x)
+        cos = TrigPoly.cosine()
+        one, zero = TrigPoly.constant(1.0), TrigPoly.zero()
+        fc, rz = MeroScalar.from_ratio(cos), MeroScalar.from_ratio(zero)
+        model = BlockModel(
+            W=[[one, zero], [zero, one]], R=[[rz, zero], [zero, rz]], F=[[fc, cos], [cos, fc]],
+            omega=GOLDEN, dioph=Dioph(2.0, 0.1),
+        )
+        ts = [-1.0, 0.0, 0.5, 1.0]
+        with pytest.raises(AllDegenerate) as err:
+            check_nondegeneracy(model, ts)
+        assert err.value.failed == (0.0,)
+        assert oracles.degenerate_on_grid(model, ts, np.arange(4096) / 4096) == [0.0]
+        # 1 + 2 cos and 1/4 - cos: their roots in z lie on the unit circle
+        mahler = dict(check_nondegeneracy(model, [-1.0, 0.5]).mahler)
+        assert abs(mahler[-1.0]) <= 1e-12
+        assert abs(mahler[0.5] + math.log(2.0)) <= 1e-12
 
-    def test_agrees_with_dense_scan(self):
-        rng = np.random.default_rng(17)
-        from conftest import random_model
+    def test_empty_t_grid_rejected(self, maryland):
+        with pytest.raises(ValueError, match="^t_grid must be nonempty$"):
+            check_nondegeneracy(maryland, [])
 
-        model = random_model(rng, l=2, mero=True)
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_random_models_match_grid_search_and_quadrature(self, l):
+        rng = np.random.default_rng(31 + l)
         ts = [-1.0, 0.0, 1.0]
-        coarse = check_nondegeneracy(model, ts, np.arange(1024) / 1024)
-        dense = check_nondegeneracy(model, ts, np.arange(100_000) / 100_000)
-        assert coarse.ok == dense.ok
+        for _ in range(2):
+            model = random_model(rng, l=l)
+            got = check_nondegeneracy(model, ts)
+            assert oracles.degenerate_on_grid(model, ts, np.arange(100_000) / 100_000) == []
+            want = oracles.mahler_quadrature(model, ts, 1 << 18)
+            assert np.max(np.abs([m for _, m in got.mahler] - want)) <= 1e-4
