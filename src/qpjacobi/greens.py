@@ -196,16 +196,16 @@ def check_minor_bound(
             raise ValueError("minor sweep needs N >= 1")
         if n * l > 48:
             raise ValueError("minor sweep limited to N*l <= 48")
-    # the two log terms of the slack, per (lam, E) that is not skipped
-    terms = {}
-    for lam in lambda_list:
-        for E in E_list:
-            if not abs(E) < E_MIN:
-                terms[lam, E] = comparison_rate(lam, E), math.log1p(lam / abs(E))
-                if not all(map(math.isfinite, terms[lam, E])):
-                    raise np.linalg.LinAlgError(
-                        f"log(lam + |E|) or log(1 + lam/|E|) is not finite at lam={lam:g}, E={E:g}"
-                    )
+    # every (lam, E) that is not skipped, with the two log terms of its slack
+    live = [
+        (lam, E, comparison_rate(lam, E), math.log1p(lam / abs(E)))
+        for lam in lambda_list for E in E_list if not abs(E) < E_MIN
+    ]
+    for lam, E, *logs in live:
+        if not all(map(math.isfinite, logs)):
+            raise np.linalg.LinAlgError(
+                f"log(lam + |E|) or log(1 + lam/|E|) is not finite at lam={lam:g}, E={E:g}"
+            )
     rng = None  # made at the first sampled instance: numpy.random is a slow import
     xs = midpoint_grid(x_count)
     # one table for sites 1..max(N) (axis 0) at every x (axis 1); N takes its first rows
@@ -220,44 +220,34 @@ def check_minor_bound(
         a, b = np.indices((nl, nl)).reshape(2, -1) + 1
         corners = ((1, nl, 1), (nl, 1, 1))  # the pairs (1, nl), (nl, 1), (1, 1)
         step = max(1, STACK_CHUNK // (nl * nl))  # instances assembled at once
-        for lam in lambda_list:
-            for E in E_list:
-                if abs(E) < E_MIN:
-                    continue
-                growth, shift = terms[lam, E]
-                for s in range(0, xs.size, step):
-                    cut = slice(s, s + step)
-                    hts = dense_blocks(*regularized_blocks(table[:n, cut], lam, float(E)))
-                    if sampled:  # each instance draws its alphas, then its alpha primes
-                        a, b = np.array([
-                            [np.r_[rng.integers(1, nl + 1, pairs_per_instance), c] for c in corners]
-                            for _ in hts
-                        ]).transpose(1, 0, 2)
-                        mlog = np.array([minor_logabs(*args) for args in zip(hts, a, b)])
-                    else:
-                        mlog = minor_logabs(hts, a, b)
-                    p_dist = np.abs((a - 1) // l - (b - 1) // l)
-                    slack = mlog / nl + (p_dist / nl) * growth - shift
-                    k = np.argmax(slack, axis=1)
-                    at = np.arange(k.size)
-                    zeros = np.count_nonzero(mlog == float("-inf"), axis=1)
-                    for x, quantity, worst, z in zip(
-                        xs[cut].tolist(),
-                        (mlog[at, k] / nl).tolist(),
-                        slack[at, k].tolist(),
-                        zeros.tolist(),
-                    ):
-                        rows.append((n, lam, E, x, quantity, worst, z))
-                    samples += slack.size
+        for lam, E, growth, shift in live:
+            for s in range(0, xs.size, step):
+                cut = slice(s, s + step)
+                hts = dense_blocks(*regularized_blocks(table[:n, cut], lam, float(E)))
+                if sampled:  # each instance draws its alphas, then its alpha primes
+                    a, b = np.array([
+                        [np.r_[rng.integers(1, nl + 1, pairs_per_instance), c] for c in corners]
+                        for _ in hts
+                    ]).transpose(1, 0, 2)
+                    mlog = np.array([minor_logabs(*args) for args in zip(hts, a, b)])
+                else:
+                    mlog = minor_logabs(hts, a, b)
+                p_dist = np.abs((a - 1) // l - (b - 1) // l)
+                slack = mlog / nl + (p_dist / nl) * growth - shift
+                k = np.argmax(slack, axis=1)
+                at = np.arange(k.size)
+                zeros = np.count_nonzero(mlog == float("-inf"), axis=1)
+                columns = (xs[cut], mlog[at, k] / nl, slack[at, k], zeros)
+                rows += [(n, lam, E, *r) for r in zip(*(c.tolist() for c in columns))]
+                samples += slack.size
     if not rows:
         raise ValueError(
             f"minor sweep sampled no instance (x_count is 0 or every |E| < {E_MIN:g})"
         )
-    small_e = sum(abs(E) < E_MIN for E in E_list)
     return _fit_report(
         rows, 0, samples,
         zero_minors=sum(row[-1] for row in rows),
-        skipped_small_E=len(N_list) * len(lambda_list) * small_e,
+        skipped_small_E=len(N_list) * (len(lambda_list) * len(E_list) - len(live)),
     )
 
 

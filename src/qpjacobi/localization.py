@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .greens import E_MIN, NEAR_SINGULAR_RESIDUAL, STACK_CHUNK, green_solve, green_windows
+from .greens import NEAR_SINGULAR_RESIDUAL, STACK_CHUNK, green_solve, green_windows
 from .operator import (
     OperatorParams,
     assemble_hamiltonian,
@@ -237,18 +237,20 @@ def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
     to E is at least exp(-N0/2), i.e. over the non-resonant windows; a shift
     is good when its slack (t_j - c11) * N0 * l is <= 0 and its solve
     succeeded.  Windows whose orbit hits a pole are skipped and counted.
+    Any finite E with lam + |E| > 0 is scanned; at lam = E = 0 the rate is
+    -inf and the scan raises ValueError.
     """
     check_coupling(lam)
     check_finite("E", E)
     check_finite("x0", x0)
-    if abs(E) < E_MIN:
-        raise ValueError(f"|E| must be >= {E_MIN}")
+    rate0 = comparison_rate(lam, E)
+    if rate0 == -math.inf:  # lam = E = 0: the slack would hold 0 * -inf
+        raise ValueError("lam + |E| must be > 0")
     if N0 < 1:
         raise ValueError("N0 must be >= 1")
     shifts = [int(j) for j in shifts]
     if not shifts:
         raise ValueError("no shifts to scan")
-    rate0 = comparison_rate(lam, E)
     l, nl = model.l, N0 * model.l
     # one table over the union of the windows; column k of `cols` lists the
     # table rows of the window of shifts[k]
@@ -276,21 +278,14 @@ def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
         if not pool.size:
             raise ValueError("every scanned window is resonant; cannot fit c11")
         c11 = float(pool.max())
-    records = []
-    counts = dict.fromkeys(("good", "bad", "near_singular", "pole"), 0)
-    for j, p, sg, tj, dj in zip(shifts, *(a.tolist() for a in (pole, singular, t, dist))):
-        if p:
-            status, slack = "pole", float("nan")
-        elif sg:
-            status, slack = "near_singular", float("inf")
-        else:
-            slack = (tj - c11) * nl
-            status = "good" if slack <= 0.0 else "bad"
-        counts[status] += 1
-        records.append(ShiftRecord(j, status, slack, dj))
-    scanned = len(records) - counts["pole"]
+    slack = np.select([pole, singular], [np.nan, np.inf], (t - c11) * nl)
+    status = np.select([pole, singular, slack <= 0.0], ["pole", "near_singular", "good"], "bad")
+    counts = {
+        s: int(np.count_nonzero(status == s)) for s in ("good", "bad", "near_singular", "pole")
+    }
+    scanned = len(shifts) - counts["pole"]
     return DecayScanReport(
-        records=tuple(records),
+        records=tuple(map(ShiftRecord, shifts, status.tolist(), slack.tolist(), dist.tolist())),
         c11=float(c11),
         rate0=rate0,
         good_fraction=counts["good"] / scanned if scanned else 0.0,
@@ -312,12 +307,15 @@ def resolvent_patch_check(model, lam, E, x0, N0, N2, c11, shifts=None):
     The union of [-N0+n, N0+n] over consecutive shifts is a single interval;
     the check computes G there directly and verifies, for every pair with
     |p - p'| > N2/10, that log|G| + |p - p'| log(lam + |E|) stays below the
-    fitted-prefactor bar 2 * c11 * N0 * l.
+    fitted-prefactor bar 2 * c11 * N0 * l.  The energy rule is the scan's;
+    a window with no pair that far apart checks nothing and raises ValueError.
     """
     check_coupling(lam)
+    check_finite("E", E)
     check_finite("x0", x0)
-    if abs(E) < E_MIN:
-        raise ValueError(f"|E| must be >= {E_MIN}")
+    rate0 = comparison_rate(lam, E)
+    if rate0 == -math.inf:  # lam = E = 0, as in the scan
+        raise ValueError("lam + |E| must be > 0")
     if shifts is None:
         shifts = range(int(math.isqrt(int(N2))) + 1, 2 * int(N2))
     shifts = sorted(int(s) for s in shifts)
@@ -328,9 +326,11 @@ def resolvent_patch_check(model, lam, E, x0, N0, N2, c11, shifts=None):
         raise ValueError("shift gaps exceed 2*N0; the window union disconnects")
     window = (-N0 + shifts[0], N0 + shifts[-1])
     params = OperatorParams(lam=lam, x=x0, E=E, window=window)
-    slack, dist = _slack_matrix(green_solve(model, params)[0], model.l, comparison_rate(lam, E))
+    slack, dist = _slack_matrix(green_solve(model, params)[0], model.l, rate0)
     far = dist > N2 / 10.0
-    worst = float(np.max(slack[far])) if np.any(far) else float("-inf")
+    if not far.any():
+        raise ValueError(f"no pair of the window {window} is more than N2/10 = {N2 / 10.0:g} apart")
+    worst = float(np.max(slack[far]))
     threshold = 2.0 * c11 * N0 * model.l
     return PatchReport(
         passed=worst <= threshold,

@@ -20,6 +20,7 @@ from qpjacobi.greens import (
     minor_logabs,
 )
 from qpjacobi.localization import (
+    RATE_FRACTION,
     decay_fit,
     eigensolve,
     green_decay_scan,
@@ -114,6 +115,38 @@ def test_criterion_3_minor_upper_bound(maryland):
         [all(np.isfinite(v) for v in vals), spread < 0.5],
         started,
         300.0,
+    )
+
+
+@pytest.mark.parametrize("name", ["mero2", "analytic2"])
+def test_criterion_3_minor_upper_bound_block(request, name):
+    """The minor-bound constant on the 2x2 models: finite, below 1 and stable in N.
+
+    The sweep is criterion 3's on maryland at N 4 and 8.  Measured per-N
+    constants: mero2 -0.711 and -0.870 (spread 0.18), analytic2 -0.325 and
+    -0.225 (spread 0.31).  A spread bar alone cannot fail here: a sweep
+    whose |p - p'| counts flat indices instead of sites lifts the constants
+    to +2.7..+3.1 with spreads 0.04 and 0.13, which the bar "every constant
+    < 1" catches.  Dropping the growth term |p - p'|/Nl log(lam + |E|) leaves
+    constants of -0.96..-0.43 with spreads below 0.1, so this test cannot
+    see that.
+    """
+    started = time.perf_counter()
+    model = request.getfixturevalue(name)
+    per_n = {}
+    for lam in (10.0, 100.0, 1000.0):
+        rep = check_minor_bound(model, [4, 8], [lam], [1.0, math.sqrt(lam), lam], x_count=16)
+        for key, val in rep.group_constants.items():
+            per_n[key] = max(per_n.get(key, float("-inf")), val)
+    vals = list(per_n.values())
+    spread = (max(vals) - min(vals)) / max(abs(v) for v in vals)
+    _verdict(
+        3,
+        f"{name} minor-bound constant below 1 and stable in N (per-N {per_n}, "
+        f"spread {spread:.2f})",
+        [all(np.isfinite(v) for v in vals), max(vals) < 1.0, spread < 0.5],
+        started,
+        60.0,
     )
 
 
@@ -482,4 +515,37 @@ def test_criterion_8_invariant_suite(maryland, mero2):
         checks,
         started,
         120.0,
+    )
+
+
+def test_criterion_9_aubry_andre_transition():
+    """The almost-Mathieu operator localizes exactly above lam = 2.
+
+    A pair counts as localized by localize's own rules with the closed-form
+    exponent gamma_0 = log(lam / 2) as its target (Jitomirskaya, Ann. of
+    Math. 150 (1999) 1159), which holds on the whole spectrum.  Measured
+    interior fractions at lam 1.5, 2.5, 4 and 20: 0.000, 1.000, 1.000 and
+    1.000.  localize's own target log(lam + |E|), whose fractions are the
+    report's aggregate_fraction, gives 0.000, 0.000, 0.047 and 1.000, and
+    log(lam) gives 0.000, 0.000, 0.831 and 1.000: both miss the transition
+    and fail the bars.
+    """
+    started = time.perf_counter()
+    amo = oracles.almost_mathieu()
+    fractions = {}
+    for lam in (1.5, 2.5, 4.0, 20.0):
+        gamma0 = oracles.almost_mathieu_lyapunov(lam)
+        rep = localize(amo, lam, 0.1, 256, margin=32)
+        fractions[lam] = float(np.mean([
+            r.status == "delta"
+            or (r.status == "fit" and gamma0 > 0.0 and r.rate >= RATE_FRACTION * gamma0)
+            for r in rep.records
+            if r.interior
+        ]))
+    _verdict(
+        9,
+        f"almost-Mathieu localized fractions {fractions} against log(lam / 2)",
+        [fractions[1.5] <= 0.05, *(fractions[lam] >= 0.95 for lam in (2.5, 4.0, 20.0))],
+        started,
+        30.0,
     )

@@ -376,10 +376,33 @@ class TestGreenDecayScan:
         with pytest.raises(ValueError, match=match):
             green_decay_scan(maryland, 20.0, 0.5, 0.1, N0, shifts)
 
-    @pytest.mark.parametrize("E", [0.0, -5e-7])
-    def test_energy_below_e_min_rejected(self, maryland, E):
-        with pytest.raises(ValueError, match=r"^\|E\| must be >= 1e-06$"):
-            green_decay_scan(maryland, 20.0, E, 0.1, 2, range(-3, 4))
+    @pytest.mark.parametrize(
+        "lam, E, match",
+        [(0.0, 0.0, r"^lam \+ \|E\| must be > 0$"), (20.0, math.nan, "^E must be finite$")],
+        ids=["lam_and_E_zero", "E_nan"],
+    )
+    def test_energy_outside_the_domain_rejected(self, maryland, lam, E, match):
+        # the slack adds |p - p'| log(lam + |E|), which is -inf only at lam = E = 0
+        with pytest.raises(ValueError, match=match):
+            green_decay_scan(maryland, lam, E, 0.1, 2, range(-3, 4))
+
+    @pytest.mark.parametrize("lam, E", [(20.0, 0.0), (0.0, -5e-7)])
+    def test_energy_near_zero_scanned(self, maryland, lam, E):
+        # c11 is given: at lam 0 every 5-site window holds the eigenvalue 0
+        rep = green_decay_scan(maryland, lam, E, 0.1, 2, range(-3, 4), c11=0.5)
+        assert rep.rate0 == math.log(lam + abs(E))
+        assert rep.counts["good"] + rep.counts["bad"] == 7
+        assert all(math.isfinite(r.slack) for r in rep.records)
+
+    @pytest.mark.parametrize("name", ["maryland", "mero2"])
+    def test_band_centre_is_continuous_in_E(self, request, name):
+        # E = 0 is an energy like any other: c11 there is within rounding of
+        # its value at E = +-1e-9 (measured 4.9e-9 and 1.5e-9 relative)
+        model = request.getfixturevalue(name)
+        at = {E: green_decay_scan(model, 20.0, E, 0.1, 2, range(-3, 4)) for E in (0.0, 1e-9, -1e-9)}
+        for rep in at.values():
+            assert rep.counts == at[0.0].counts
+            assert rep.c11 == pytest.approx(at[0.0].c11, rel=1e-6)
 
     def test_every_window_resonant_cannot_fit_c11(self, maryland):
         # at lam = 0 the windows are the free Laplacian on 5 sites, whose
@@ -430,11 +453,36 @@ class TestResolventPatch:
         assert default.window == given.window == (1, 22)
         assert default == given
 
-    @pytest.mark.parametrize("E", [0.0, -5e-7])
-    def test_energy_below_e_min_rejected(self, maryland, E):
-        # as in the scan whose c11 the check takes; lam + |E| = 0 at lam = E = 0
-        with pytest.raises(ValueError, match=r"^\|E\| must be >= 1e-06$"):
-            resolvent_patch_check(maryland, 0.0, E, 0.1, 2, 4, c11=0.3, shifts=[5, 6])
+    @pytest.mark.parametrize(
+        "lam, E, match",
+        [(0.0, 0.0, r"^lam \+ \|E\| must be > 0$"), (20.0, math.nan, "^E must be finite$")],
+        ids=["lam_and_E_zero", "E_nan"],
+    )
+    def test_energy_outside_the_domain_rejected(self, maryland, lam, E, match):
+        # the scan's rule, whose c11 the check takes
+        with pytest.raises(ValueError, match=match):
+            resolvent_patch_check(maryland, lam, E, 0.1, 2, 4, c11=0.3, shifts=[5, 6])
+
+    def test_tiny_energy_without_coupling_checked(self, maryland):
+        # the 6-site free window (3, 8) has no eigenvalue at 0
+        patch = resolvent_patch_check(maryland, 0.0, -5e-7, 0.1, 2, 4, c11=0.3, shifts=[5, 6])
+        assert patch.passed and patch.pairs_checked == 30
+
+    def test_band_centre_checked(self, maryland):
+        # c11 from the scan at E = 0 over the default shifts 5..31 of N2 = 16
+        scan = green_decay_scan(maryland, 20.0, 0.0, 0.1, 8, range(5, 32))
+        patch = resolvent_patch_check(maryland, 20.0, 0.0, 0.1, 8, 16, scan.c11)
+        # the 43 sites of (-3, 39), less the pairs at distance 0 or 1
+        assert patch.window == (-3, 39) and patch.pairs_checked == 43 * 43 - 43 - 2 * 42
+        assert patch.passed
+
+    @pytest.mark.parametrize("c11", [0.3, -100.0])
+    def test_window_with_no_far_pair_rejected(self, maryland, c11):
+        # no two sites of the 5-site window are N2/10 = 100 apart, so nothing
+        # is checked and no c11, however small, could fail the check
+        match = r"^no pair of the window \(3, 7\) is more than N2/10 = 100 apart$"
+        with pytest.raises(ValueError, match=match):
+            resolvent_patch_check(maryland, 20.0, 0.5, 0.1, 2, 1000, c11=c11, shifts=[5])
 
     @pytest.mark.parametrize("shifts", [[], range(5, 5)])
     def test_empty_shift_list_rejected(self, maryland, shifts):

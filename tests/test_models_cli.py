@@ -519,6 +519,17 @@ class TestCli:
         assert "shift,status,slack" in text
         assert "good" in text
 
+    @pytest.mark.parametrize("model", ["maryland", "mero2"])
+    def test_scan_at_the_band_centre(self, tmp_path, model):
+        # E = 0 lies in the scan's domain lam + |E| > 0: the column header and a row per shift
+        out = tmp_path / "scan.csv"
+        rc = main([
+            "scan", "--model", model, "--lambda", "20", "--E", "0", "--x0", "0.1",
+            "--N0", "2", "--shifts=-3:3", "--out", str(out),
+        ])
+        assert rc == 0
+        assert len([l for l in out.read_text().splitlines() if not l.startswith("#")]) == 8
+
     def test_scan_header_counts_pole_and_near_singular_windows(self, tmp_path, maryland):
         x0 = (0.25 - 5.0 * maryland.omega) % 1.0
         out = tmp_path / "scan.csv"
@@ -893,6 +904,9 @@ class TestCli:
             # energy within exp(-N0 / 2) of E = 2
             (["scan", "--lambda", "0", "--E", "2", "--x0", "0.1", "--N0", "2", "--shifts=0:3"],
              "every scanned window is resonant; cannot fit c11"),
+            # the one energy outside the scan's domain lam + |E| > 0
+            (["scan", "--lambda", "0", "--E", "0", "--x0", "0.1", "--N0", "2", "--shifts=-3:3"],
+             "lam + |E| must be > 0"),
             # the one step sits on the pole of tan(2 pi x) at phase 1/4
             (["lyapunov", "--lambda", "5", "--x", "0.25", "--E", "0.5", "--steps", "1"],
              "no usable transfer steps (orbit entirely on poles)"),
