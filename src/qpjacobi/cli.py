@@ -222,7 +222,7 @@ def _run_scan(args, model):
     extra.update(pole=counts["pole"], near_singular=counts["near_singular"])
     rows = [(r.shift, r.status, r.slack) for r in report.records]
     _write(args, model, (("shift", "status", "slack"), _csv_lines(rows)), extra)
-    if counts["near_singular"] + counts["pole"] > len(report.records) / 2:
+    if counts["near_singular"] + counts["pole"] + counts["underflowed"] > len(report.records) / 2:
         raise NearSingular("more than half of the scanned windows failed")
 
 

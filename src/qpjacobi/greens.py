@@ -275,19 +275,20 @@ def _orbit_windows(model, lam, E, xs, first, n, start, stop):
     Term j is the window of sites first+j..first+j+n-1 at each phase of the
     flat grid xs.  Terms start..stop-1 come in order, per block of 2 to
     TABLE_CHUNK // (n*l^2) columns (a lone last column joins the block before:
-    numpy sums one column pairwise) in runs of max(1, TABLE_CHUNK // (width *
-    l^2)) terms, each a (terms, width) array the caller may write into, so
-    TABLE_CHUNK bounds a table along both axes.  A block writes one table of
-    run + n - 1 rows in place: the n - 1 sites a run shares with the one
-    before move to the top.  A run whose phase rows all equal those of the
-    run before (a rational rotation repeats its rows exactly) evaluates
-    nothing and yields a copy of that run's log-determinants; a run keeps
-    that copy only when its shared rows equal its first n - 1 rows.
+    numpy sums one column pairwise) in runs of TABLE_CHUNK // (width * l^2)
+    terms, rounded down to even (at least 1), each a (terms, width) array the
+    caller may write into, so TABLE_CHUNK bounds a table along both axes.  A
+    block writes one table of run + n - 1 rows in place: the n - 1 sites a
+    run shares with the one before move to the top.  A run whose phase rows
+    all equal those of the run before (a rational rotation repeats its rows
+    exactly, and omega = 1/2 those of an even run) evaluates nothing and
+    yields a copy of that run's log-determinants; a run keeps that copy only
+    when its shared rows equal its first n - 1 rows.
     """
     width, keep = max(2, TABLE_CHUNK // (n * model.l**2)), n - 1
     edges = [*range(0, xs.size - 1 or 1, width), xs.size]
     for c0, c1 in zip(edges, edges[1:]):
-        step = max(1, TABLE_CHUNK // ((c1 - c0) * model.l**2))
+        step = max(1, TABLE_CHUNK // ((c1 - c0) * model.l**2) & -2)
         tab = SymbolTables.empty(model, (min(step, stop - start) + keep, c1 - c0))
         last = None  # the run before's log-dets, while this run may repeat it
         for j0 in range(start, stop, step):

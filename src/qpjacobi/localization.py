@@ -204,18 +204,39 @@ def _transfer_product(model, lam, energies, n_steps, x):
     return rates.reshape(es.shape)[()], used
 
 
-def _slack_matrix(g, l, rate0):
-    """log|G| + |p - p'| * rate0 over every entry pair of the last two axes,
-    and the site distances |p - p'|."""
+def _decay_rate(lam, E, x0, N0, shifts):
+    """Check the arguments both Green-decay checks take; return log(lam + |E|)."""
+    check_coupling(lam)
+    check_finite("E", E)
+    check_finite("x0", x0)
+    if N0 < 1:
+        raise ValueError("N0 must be >= 1")
+    if not shifts:
+        raise ValueError("no shifts to scan")
+    rate0 = comparison_rate(lam, E)
+    if rate0 == -math.inf:  # lam = E = 0: the slack would hold 0 * -inf
+        raise ValueError("lam + |E| must be > 0")
+    if rate0 == math.inf:
+        raise np.linalg.LinAlgError(f"log(lam + |E|) is not finite at lam={lam:g}, E={E:g}")
+    return rate0
+
+
+def _worst_slack(g, l, rate0, beyond):
+    """Per matrix of the stack g: the largest log|G| + |p - p'| * rate0 over pairs of sites
+    p = entry // l more than `beyond` apart, their number, and how many of them have |G| = 0."""
     p = np.arange(g.shape[-1]) // l
     dist = np.abs(p[:, None] - p[None, :])
+    far = dist > beyond
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(g)) + dist * rate0, dist
+        slack = np.log(np.abs(g))
+    zeros = np.count_nonzero((slack == -np.inf) & far, axis=(-2, -1))
+    slack += np.where(far, dist * rate0, -np.inf)  # a nearer pair is never the worst
+    return np.max(slack, axis=(-2, -1)), int(np.count_nonzero(far)), zeros
 
 
 class ShiftRecord(NamedTuple):
     shift: int
-    status: str  # good | bad | near_singular | pole
+    status: str  # good | bad | near_singular | pole | underflowed
     slack: float
     spectral_dist: float
 
@@ -237,20 +258,13 @@ def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
     to E is at least exp(-N0/2), i.e. over the non-resonant windows; a shift
     is good when its slack (t_j - c11) * N0 * l is <= 0 and its solve
     succeeded.  Windows whose orbit hits a pole are skipped and counted.
-    Any finite E with lam + |E| > 0 is scanned; at lam = E = 0 the rate is
-    -inf and the scan raises ValueError.
+    Any finite E is scanned but lam = E = 0, whose rate -inf raises ValueError;
+    a rate that overflowed raises LinAlgError.  A window with a |G| entry that
+    underflowed to 0 has no known slack: it is `underflowed` (slack inf), and
+    fitting c11 over one raises LinAlgError.
     """
-    check_coupling(lam)
-    check_finite("E", E)
-    check_finite("x0", x0)
-    rate0 = comparison_rate(lam, E)
-    if rate0 == -math.inf:  # lam = E = 0: the slack would hold 0 * -inf
-        raise ValueError("lam + |E| must be > 0")
-    if N0 < 1:
-        raise ValueError("N0 must be >= 1")
     shifts = [int(j) for j in shifts]
-    if not shifts:
-        raise ValueError("no shifts to scan")
+    rate0 = _decay_rate(lam, E, x0, N0, shifts)
     l, nl = model.l, N0 * model.l
     # one table over the union of the windows; column k of `cols` lists the
     # table rows of the window of shifts[k]
@@ -258,9 +272,8 @@ def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
     cols = np.searchsorted(sites, np.arange(-N0, N0 + 1)[:, None] + np.array(shifts))
     tab = symbol_tables(model, model.site_phase(x0, sites))
     pole = tab.poles(model.pole_tol)[cols].any(axis=0)
-    dist = np.full(len(shifts), np.nan)
-    t = np.full(len(shifts), np.nan)
-    singular = np.zeros(len(shifts), dtype=bool)
+    dist, t = np.full((2, len(shifts)), np.nan)
+    singular, under = np.zeros((2, len(shifts)), dtype=bool)
     live = np.flatnonzero(~pole)
     # every array of a chunk (H, Ht, their inverses and products) holds at most
     # STACK_CHUNK elements, or one window when a window is larger
@@ -272,16 +285,21 @@ def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
         dist[k] = np.min(np.abs(np.linalg.eigvalsh(h) - E), axis=-1)
         g, residual = green_windows(win, lam, E)
         singular[k] = ~(residual <= NEAR_SINGULAR_RESIDUAL)
-        t[k] = np.max(_slack_matrix(g, l, rate0)[0], axis=(-2, -1)) / nl
+        worst, _, zeros = _worst_slack(g, l, rate0, -1)
+        t[k], under[k] = worst / nl, zeros > 0
     if c11 is None:
-        pool = t[~pole & ~singular & (dist >= math.exp(-N0 / 2.0))]
-        if not pool.size:
+        fit = ~pole & ~singular & (dist >= math.exp(-N0 / 2.0))
+        if not fit.any():
             raise ValueError("every scanned window is resonant; cannot fit c11")
-        c11 = float(pool.max())
-    slack = np.select([pole, singular], [np.nan, np.inf], (t - c11) * nl)
-    status = np.select([pole, singular, slack <= 0.0], ["pole", "near_singular", "good"], "bad")
+        if under[fit].any():
+            raise np.linalg.LinAlgError("|G| underflowed on a window c11 is fitted over")
+        c11 = float(t[fit].max())
+    slack = np.select([pole, singular | under], [np.nan, np.inf], (t - c11) * nl)
+    cases = [pole, singular, under, slack <= 0.0]
+    status = np.select(cases, ["pole", "near_singular", "underflowed", "good"], "bad")
     counts = {
-        s: int(np.count_nonzero(status == s)) for s in ("good", "bad", "near_singular", "pole")
+        s: int(np.count_nonzero(status == s))
+        for s in ("good", "bad", "near_singular", "pole", "underflowed")
     }
     scanned = len(shifts) - counts["pole"]
     return DecayScanReport(
@@ -299,6 +317,7 @@ class PatchReport(NamedTuple):
     threshold: float
     window: tuple
     pairs_checked: int
+    underflowed: int  # the checked pairs whose |G| is 0; any fails the check
 
 
 def resolvent_patch_check(model, lam, E, x0, N0, N2, c11, shifts=None):
@@ -307,37 +326,29 @@ def resolvent_patch_check(model, lam, E, x0, N0, N2, c11, shifts=None):
     The union of [-N0+n, N0+n] over consecutive shifts is a single interval;
     the check computes G there directly and verifies, for every pair with
     |p - p'| > N2/10, that log|G| + |p - p'| log(lam + |E|) stays below the
-    fitted-prefactor bar 2 * c11 * N0 * l.  The energy rule is the scan's;
+    fitted-prefactor bar 2 * c11 * N0 * l.  The argument rules are the scan's;
     a window with no pair that far apart checks nothing and raises ValueError.
+    A checked pair whose |G| underflowed to 0 is counted and fails the check.
     """
-    check_coupling(lam)
-    check_finite("E", E)
-    check_finite("x0", x0)
-    rate0 = comparison_rate(lam, E)
-    if rate0 == -math.inf:  # lam = E = 0, as in the scan
-        raise ValueError("lam + |E| must be > 0")
     if shifts is None:
         shifts = range(int(math.isqrt(int(N2))) + 1, 2 * int(N2))
     shifts = sorted(int(s) for s in shifts)
-    if not shifts:
-        raise ValueError("need at least one shift")
-    gaps = [b - a for a, b in zip(shifts, shifts[1:])]
-    if any(g > 2 * N0 for g in gaps):
+    rate0 = _decay_rate(lam, E, x0, N0, shifts)
+    if any(b - a > 2 * N0 for a, b in zip(shifts, shifts[1:])):
         raise ValueError("shift gaps exceed 2*N0; the window union disconnects")
     window = (-N0 + shifts[0], N0 + shifts[-1])
-    params = OperatorParams(lam=lam, x=x0, E=E, window=window)
-    slack, dist = _slack_matrix(green_solve(model, params)[0], model.l, rate0)
-    far = dist > N2 / 10.0
-    if not far.any():
+    if window[1] - window[0] <= N2 / 10.0:
         raise ValueError(f"no pair of the window {window} is more than N2/10 = {N2 / 10.0:g} apart")
-    worst = float(np.max(slack[far]))
+    g = green_solve(model, OperatorParams(lam=lam, x=x0, E=E, window=window))[0]
+    worst, pairs, underflowed = _worst_slack(g, model.l, rate0, N2 / 10.0)
     threshold = 2.0 * c11 * N0 * model.l
     return PatchReport(
-        passed=worst <= threshold,
-        worst_slack=worst,
+        passed=bool(worst <= threshold and not underflowed),
+        worst_slack=float(worst),
         threshold=threshold,
         window=window,
-        pairs_checked=int(np.count_nonzero(far)),
+        pairs_checked=pairs,
+        underflowed=int(underflowed),
     )
 
 

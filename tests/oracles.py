@@ -520,15 +520,20 @@ def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
         except NearSingular:
             raw.append((j, "near_singular", float("inf"), dist))
             continue
+        if not g.all():  # an entry underflowed to 0: the window's slack is not known
+            raw.append((j, "underflowed", float("inf"), dist))
+            continue
         p = np.arange(g.shape[0]) // model.l
         with np.errstate(divide="ignore"):
             slack = np.log(np.abs(g)) + np.abs(p[:, None] - p[None, :]) * rate0
         raw.append((j, None, float(np.max(slack)) / nl, dist))
     if c11 is None:
         cut = math.exp(-N0 / 2.0)
+        if any(st == "underflowed" and dist >= cut for _, st, _, dist in raw):
+            raise np.linalg.LinAlgError("|G| underflowed on a window c11 is fitted over")
         c11 = max(t for _, st, t, dist in raw if st is None and dist >= cut)
     records = []
-    counts = {"good": 0, "bad": 0, "near_singular": 0, "pole": 0}
+    counts = {"good": 0, "bad": 0, "near_singular": 0, "pole": 0, "underflowed": 0}
     for j, st, t, dist in raw:
         if st is not None:
             counts[st] += 1

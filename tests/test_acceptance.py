@@ -98,21 +98,43 @@ def test_criterion_2_regularized_route_equivalence():
     )
 
 
+def _direct_worst_slacks(model, rep, n, lam, E):
+    """The worst slack of the sweep's first (n, lam, E) row, and the same
+    maximum taken pair by pair from the inequality as written."""
+    row = next(r for r in rep.sweep["rows"] if r[:3] == (n, lam, E))
+    ht = assemble_regularized(model, OperatorParams(lam=lam, x=row[3], E=E, window=(1, n)))
+    nl, l = n * model.l, model.l
+    direct = max(
+        oracles.minor_bound_slack(
+            nl, oracles.minor_logabs(ht, a, b), abs((a - 1) // l - (b - 1) // l), lam, E
+        )
+        for a in range(1, nl + 1)
+        for b in range(1, nl + 1)
+    )
+    return row[-2], direct
+
+
 def test_criterion_3_minor_upper_bound(maryland):
     started = time.perf_counter()
-    per_n = {}
+    per_n, worst = {}, []
     for lam in (10.0, 100.0, 1000.0):
         rep = check_minor_bound(
             maryland, [4, 8, 16], [lam], [1.0, math.sqrt(lam), lam], x_count=16
         )
         for key, val in rep.group_constants.items():
             per_n[key] = max(per_n.get(key, float("-inf")), val)
+        worst.append(_direct_worst_slacks(maryland, rep, 4, lam, lam))
     vals = list(per_n.values())
     spread = (max(vals) - min(vals)) / max(abs(v) for v in vals)
     _verdict(
         3,
-        f"minor-bound constant finite and stable in N (per-N {per_n}, spread {spread:.2f})",
-        [all(np.isfinite(v) for v in vals), spread < 0.5],
+        f"minor-bound constant finite and stable in N (per-N {per_n}, spread {spread:.2f}); "
+        f"worst slacks at N = 4, E = lam equal the direct ones ({worst})",
+        [
+            all(np.isfinite(v) for v in vals),
+            spread < 0.5,
+            all(math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12) for got, want in worst),
+        ],
         started,
         300.0,
     )
@@ -129,22 +151,29 @@ def test_criterion_3_minor_upper_bound_block(request, name):
     to +2.7..+3.1 with spreads 0.04 and 0.13, which the bar "every constant
     < 1" catches.  Dropping the growth term |p - p'|/Nl log(lam + |E|) leaves
     constants of -0.96..-0.43 with spreads below 0.1, so this test cannot
-    see that.
+    see that; the worst slacks of N = 4 at E = lam, recomputed pair by pair
+    from the inequality as written, do.
     """
     started = time.perf_counter()
     model = request.getfixturevalue(name)
-    per_n = {}
+    per_n, worst = {}, []
     for lam in (10.0, 100.0, 1000.0):
         rep = check_minor_bound(model, [4, 8], [lam], [1.0, math.sqrt(lam), lam], x_count=16)
         for key, val in rep.group_constants.items():
             per_n[key] = max(per_n.get(key, float("-inf")), val)
+        worst.append(_direct_worst_slacks(model, rep, 4, lam, lam))
     vals = list(per_n.values())
     spread = (max(vals) - min(vals)) / max(abs(v) for v in vals)
     _verdict(
         3,
         f"{name} minor-bound constant below 1 and stable in N (per-N {per_n}, "
-        f"spread {spread:.2f})",
-        [all(np.isfinite(v) for v in vals), max(vals) < 1.0, spread < 0.5],
+        f"spread {spread:.2f}); worst slacks at N = 4, E = lam equal the direct ones ({worst})",
+        [
+            all(np.isfinite(v) for v in vals),
+            max(vals) < 1.0,
+            spread < 0.5,
+            all(math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12) for got, want in worst),
+        ],
         started,
         60.0,
     )
@@ -424,8 +453,9 @@ def test_criterion_7_sublinear_bad_shifts(maryland):
     _verdict(
         7,
         f"bad shifts {bad} <= {limit:.0f}; patch worst {patch.worst_slack:.2f} "
-        f"vs bar {patch.threshold:.2f}",
-        [bad <= limit, patch.passed],
+        f"vs bar {patch.threshold:.2f} over {patch.pairs_checked} pairs, "
+        f"{patch.underflowed} underflowed",
+        [bad <= limit, patch.passed, patch.underflowed == 0],
         started,
         300.0,
     )

@@ -278,6 +278,29 @@ class TestResumedSums:
             # one running sum is kept: the largest Q of the last orbit
             assert ergodic._orbit_sum[1] == 1000
 
+    def test_a_half_rotation_reuses_runs_at_every_grid_size(self, maryland):
+        # grid 3000 has runs of 16384 // 3000 = 5 terms rounded down to 4: under
+        # omega = 1/2 a run of odd length never repeats the run before, and the
+        # ladder would evaluate all 1000 terms
+        model, ladder, rows = maryland.with_omega(0.5), (10, 32, 100, 316, 1000), []
+
+        def counted(tab, lam, E, n):
+            out = window_logdets(tab, lam, E, n)
+            rows.append(len(out))
+            return out
+
+        window_logdets = greens.window_logdets
+        evaluated = {}
+        for grid in (2000, 3000):
+            rows.clear()
+            ergodic._orbit_sum = None
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(greens, "window_logdets", counted)
+                for Q in ladder:
+                    _orbit_average(model, LAM, E, 4, Q, midpoint_grid(grid))
+            evaluated[grid] = sum(rows)
+        assert evaluated == {2000: 144, 3000: 88}
+
     def test_new_rows_that_repeat_after_changed_kept_rows_are_evaluated(self, monkeypatch):
         # omega = 1/2, N = 3 and runs of 4 terms: run j0 holds sites j0+1..j0+6
         # and keeps two.  For x in (1/2, 1), x + k/2 reaches 4, 8 and 16 at

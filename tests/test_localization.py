@@ -386,6 +386,27 @@ class TestGreenDecayScan:
         with pytest.raises(ValueError, match=match):
             green_decay_scan(maryland, lam, E, 0.1, 2, range(-3, 4))
 
+    def test_overflowed_rate_raises(self, maryland):
+        # lam + |E| = 2e308 overflows, and a slack with log(lam + |E|) = inf judges nothing
+        match = r"^log\(lam \+ \|E\|\) is not finite at lam=1e\+308, E=1e\+308$"
+        with pytest.raises(np.linalg.LinAlgError, match=match):
+            green_decay_scan(maryland, 1e308, 1e308, 0.1, 2, range(-3, 4))
+
+    def test_underflowed_windows_are_not_judged(self, maryland):
+        # at lam 1e100 the six |G| entries of each 5-site window that are 3 or 4
+        # sites apart (about lam^-3 and lam^-4) underflow to 0: no slack is known
+        args = (maryland, 1e100, 0.5, 0.1, 2, range(-3, 4))
+        match = r"^\|G\| underflowed on a window c11 is fitted over$"
+        with pytest.raises(np.linalg.LinAlgError, match=match):
+            green_decay_scan(*args)
+        with pytest.raises(np.linalg.LinAlgError, match=match):
+            oracles.green_decay_scan(*args)
+        rep = green_decay_scan(*args, c11=0.5)
+        records, _, counts = oracles.green_decay_scan(*args, c11=0.5)
+        assert rep.counts == counts and counts["underflowed"] == 7
+        assert list(rep.records) == records and rep.good_fraction == 0.0
+        assert {(r.status, r.slack) for r in records} == {("underflowed", math.inf)}
+
     @pytest.mark.parametrize("lam, E", [(20.0, 0.0), (0.0, -5e-7)])
     def test_energy_near_zero_scanned(self, maryland, lam, E):
         # c11 is given: at lam 0 every 5-site window holds the eigenvalue 0
@@ -463,10 +484,29 @@ class TestResolventPatch:
         with pytest.raises(ValueError, match=match):
             resolvent_patch_check(maryland, lam, E, 0.1, 2, 4, c11=0.3, shifts=[5, 6])
 
+    def test_overflowed_rate_raises(self, maryland):
+        # the scan's rule: log(lam + |E|) = inf would turn every slack into NaN
+        match = r"^log\(lam \+ \|E\|\) is not finite at lam=1e\+308, E=1e\+308$"
+        with pytest.raises(np.linalg.LinAlgError, match=match):
+            resolvent_patch_check(maryland, 1e308, 1e308, 0.1, 2, 4, c11=0.3, shifts=[5, 6])
+
+    def test_window_without_sites_rejected(self, maryland):
+        # the scan's rule, checked before the shift gaps are
+        with pytest.raises(ValueError, match=r"^N0 must be >= 1$"):
+            resolvent_patch_check(maryland, 20.0, 0.5, 0.1, 0, 16, c11=0.3)
+
+    def test_underflowed_far_pairs_fail_the_check(self, maryland):
+        # every |G| of the 783-site window more than 40 sites apart underflows
+        # to 0 at lam 1e8, which leaves the worst slack -inf: below any bar
+        patch = resolvent_patch_check(maryland, 1e8, 0.5, 0.1, 2, 400, c11=0.3)
+        assert patch.window == (19, 801) and patch.worst_slack == -math.inf
+        assert patch.underflowed == patch.pairs_checked == 551306
+        assert not patch.passed
+
     def test_tiny_energy_without_coupling_checked(self, maryland):
         # the 6-site free window (3, 8) has no eigenvalue at 0
         patch = resolvent_patch_check(maryland, 0.0, -5e-7, 0.1, 2, 4, c11=0.3, shifts=[5, 6])
-        assert patch.passed and patch.pairs_checked == 30
+        assert patch.passed and patch.pairs_checked == 30 and patch.underflowed == 0
 
     def test_band_centre_checked(self, maryland):
         # c11 from the scan at E = 0 over the default shifts 5..31 of N2 = 16
@@ -486,10 +526,10 @@ class TestResolventPatch:
 
     @pytest.mark.parametrize("shifts", [[], range(5, 5)])
     def test_empty_shift_list_rejected(self, maryland, shifts):
-        with pytest.raises(ValueError, match=r"^need at least one shift$"):
+        with pytest.raises(ValueError, match=r"^no shifts to scan$"):
             resolvent_patch_check(maryland, 20.0, 0.5, 0.1, 2, 16, c11=0.3, shifts=shifts)
         # N2 = 1 leaves the default range 2..1 empty as well
-        with pytest.raises(ValueError, match=r"^need at least one shift$"):
+        with pytest.raises(ValueError, match=r"^no shifts to scan$"):
             resolvent_patch_check(maryland, 20.0, 0.5, 0.1, 2, 1, c11=0.3)
 
 

@@ -1149,6 +1149,17 @@ class TestCli:
         assert "# pole=9" in lines
         assert len([l for l in lines if not l.startswith("#")]) == 1 + 12
 
+    def test_scan_with_an_overflowed_rate_exits_two(self, tmp_path, capsys):
+        # lam + |E| = 2e308 overflows: no slack of log(lam + |E|) = inf is a verdict
+        out = tmp_path / "scan.csv"
+        rc = main([
+            "scan", "--model", "analytic2", "--lambda", "1e308", "--E", "1e308",
+            "--x0", "0.1", "--N0", "2", "--shifts=-3:3", "--out", str(out),
+        ])
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err == "numerical failure: log(lam + |E|) is not finite at lam=1e+308, E=1e+308\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
