@@ -204,11 +204,14 @@ def _transfer_product(model, lam, energies, n_steps, x):
     return rates.reshape(es.shape)[()], used
 
 
-def _decay_rate(lam, E, x0, N0, shifts):
-    """Check the arguments both Green-decay checks take; return log(lam + |E|)."""
+def _decay_rate(lam, E, x0, N0, shifts, c11):
+    """Check the arguments both Green-decay checks take; return log(lam + |E|).
+    A c11 of None is to be fitted, and passes."""
     check_coupling(lam)
     check_finite("E", E)
     check_finite("x0", x0)
+    if c11 is not None:
+        check_finite("c11", c11)
     if N0 < 1:
         raise ValueError("N0 must be >= 1")
     if not shifts:
@@ -238,7 +241,7 @@ class ShiftRecord(NamedTuple):
     shift: int
     status: str  # good | bad | near_singular | pole | underflowed
     slack: float
-    spectral_dist: float
+    resonant: bool  # dist(E, spec H) < exp(-N0/2), or not finite; False on a pole window
 
 
 class DecayScanReport(NamedTuple):
@@ -247,6 +250,7 @@ class DecayScanReport(NamedTuple):
     rate0: float
     good_fraction: float
     counts: dict
+    eigensolved: int  # the windows whose resonance an eigensolve decided
 
 
 def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
@@ -254,41 +258,55 @@ def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
 
     For each shift the scan computes t_j = max over entry pairs of
     (log|G| + |p - p'| * log(lam + |E|)) / (N0 * l).  Unless c11 is given,
-    it is fitted (max-slack convention) over shifts whose spectral distance
-    to E is at least exp(-N0/2), i.e. over the non-resonant windows; a shift
+    it is fitted (max-slack convention) over the non-resonant shifts, whose
+    spectral distance dist(E, spec H) is at least exp(-N0/2); a shift
     is good when its slack (t_j - c11) * N0 * l is <= 0 and its solve
     succeeded.  Windows whose orbit hits a pole are skipped and counted.
     Any finite E is scanned but lam = E = 0, whose rate -inf raises ValueError;
-    a rate that overflowed raises LinAlgError.  A window with a |G| entry that
-    underflowed to 0 has no known slack: it is `underflowed` (slack inf), and
-    fitting c11 over one raises LinAlgError.
+    a rate that overflowed raises LinAlgError, and a non-finite c11 ValueError.
+    A window with a |G| entry that underflowed to 0 has no known slack: it is
+    `underflowed` (slack inf), and fitting c11 over one raises LinAlgError.
+
+    A window is non-resonant when ||G||_F * exp(-N0/2) <= 1 - n * residual,
+    n = (2*N0 + 1) * l: the computed inverse has Ht Ht^-1 = I + R with
+    max|R_ij| = residual, so the true Green's function is G (I + R)^-1 and
+    dist = 1 / ||G (I + R)^-1||_2 >= (1 - n * residual) / ||G||_F.  Only the
+    windows this bound leaves open (a NaN, infinite or overflowed norm among
+    them) are decided by the eigenvalues of their H; `eigensolved` counts them.
     """
     shifts = [int(j) for j in shifts]
-    rate0 = _decay_rate(lam, E, x0, N0, shifts)
-    l, nl = model.l, N0 * model.l
+    rate0 = _decay_rate(lam, E, x0, N0, shifts, c11)
+    l, nl, n = model.l, N0 * model.l, (2 * N0 + 1) * model.l
+    cut = math.exp(-N0 / 2.0)
     # one table over the union of the windows; column k of `cols` lists the
     # table rows of the window of shifts[k]
     sites = np.array(sorted({j + d for j in shifts for d in range(-N0, N0 + 1)}))
     cols = np.searchsorted(sites, np.arange(-N0, N0 + 1)[:, None] + np.array(shifts))
     tab = symbol_tables(model, model.site_phase(x0, sites))
     pole = tab.poles(model.pole_tol)[cols].any(axis=0)
-    dist, t = np.full((2, len(shifts)), np.nan)
-    singular, under = np.zeros((2, len(shifts)), dtype=bool)
+    t = np.full(len(shifts), np.nan)
+    resonant, singular, under = np.zeros((3, len(shifts)), dtype=bool)
     live = np.flatnonzero(~pole)
+    eigensolved = 0
     # every array of a chunk (H, Ht, their inverses and products) holds at most
     # STACK_CHUNK elements, or one window when a window is larger
-    step = max(1, STACK_CHUNK // ((2 * N0 + 1) * l) ** 2)
+    step = max(1, STACK_CHUNK // n**2)
     for s in range(0, live.size, step):
         k = live[s : s + step]
-        win = tab[cols[:, k]]
-        h = dense_blocks(*hamiltonian_blocks(win, lam))
-        dist[k] = np.min(np.abs(np.linalg.eigvalsh(h) - E), axis=-1)
-        g, residual = green_windows(win, lam, E)
+        g, residual = green_windows(tab[cols[:, k]], lam, E)
         singular[k] = ~(residual <= NEAR_SINGULAR_RESIDUAL)
         worst, _, zeros = _worst_slack(g, l, rate0, -1)
         t[k], under[k] = worst / nl, zeros > 0
+        with np.errstate(over="ignore"):  # an overflowed norm leaves its window open
+            frob = np.sqrt(np.einsum("...ij,...ij->...", g, g))
+        unsettled = k[~(frob * cut <= 1.0 - n * residual)]
+        if unsettled.size:
+            h = dense_blocks(*hamiltonian_blocks(tab[cols[:, unsettled]], lam))
+            dist = np.min(np.abs(np.linalg.eigvalsh(h) - E), axis=-1)
+            resonant[unsettled] = ~(dist >= cut)
+            eigensolved += unsettled.size
     if c11 is None:
-        fit = ~pole & ~singular & (dist >= math.exp(-N0 / 2.0))
+        fit = ~pole & ~singular & ~resonant
         if not fit.any():
             raise ValueError("every scanned window is resonant; cannot fit c11")
         if under[fit].any():
@@ -303,11 +321,12 @@ def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
     }
     scanned = len(shifts) - counts["pole"]
     return DecayScanReport(
-        records=tuple(map(ShiftRecord, shifts, status.tolist(), slack.tolist(), dist.tolist())),
+        records=tuple(map(ShiftRecord, shifts, status.tolist(), slack.tolist(), resonant.tolist())),
         c11=float(c11),
         rate0=rate0,
         good_fraction=counts["good"] / scanned if scanned else 0.0,
         counts=counts,
+        eigensolved=eigensolved,
     )
 
 
@@ -333,7 +352,7 @@ def resolvent_patch_check(model, lam, E, x0, N0, N2, c11, shifts=None):
     if shifts is None:
         shifts = range(int(math.isqrt(int(N2))) + 1, 2 * int(N2))
     shifts = sorted(int(s) for s in shifts)
-    rate0 = _decay_rate(lam, E, x0, N0, shifts)
+    rate0 = _decay_rate(lam, E, x0, N0, shifts, c11)
     if any(b - a > 2 * N0 for a, b in zip(shifts, shifts[1:])):
         raise ValueError("shift gaps exceed 2*N0; the window union disconnects")
     window = (-N0 + shifts[0], N0 + shifts[-1])

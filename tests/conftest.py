@@ -29,6 +29,18 @@ def mero2():
     return bundled("mero2")
 
 
+def counted_eigvalsh(monkeypatch):
+    """Patch np.linalg.eigvalsh to keep a copy of every stack it is given."""
+    eigvalsh, stacks = np.linalg.eigvalsh, []
+
+    def counted(h):
+        stacks.append(np.array(h))
+        return eigvalsh(h)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return stacks
+
+
 def random_trig(rng, max_degree=2, scale=1.0, const=0.0):
     coeffs = {0: complex(const + scale * rng.normal(), 0.0)}
     for k in range(1, max_degree + 1):

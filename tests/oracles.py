@@ -503,47 +503,68 @@ def green_scipy_lu(model, params):
 
 
 def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
-    """(records, c11, counts) of the Green-decay scan, one assembled and solved window at a time."""
+    """(records, c11, counts) of the Green-decay scan, one assembled and solved window at a time.
+
+    Every window without a pole is eigensolved: it is resonant unless the
+    distance of E to its spectrum is at least exp(-N0/2)."""
     rate0 = math.log(lam + abs(E))
     nl = N0 * model.l
+    cut = math.exp(-N0 / 2.0)
     raw = []
     for j in shifts:
         params = OperatorParams(lam=lam, x=x0, E=E, window=(-N0 + j, N0 + j))
         try:
             h = package_hamiltonian(model, params)
         except PoleProximity:
-            raw.append((j, "pole", float("nan"), float("nan")))
+            raw.append((j, "pole", float("nan"), False))
             continue
-        dist = float(np.min(np.abs(np.linalg.eigvalsh(h) - E)))
+        resonant = not float(np.min(np.abs(np.linalg.eigvalsh(h) - E))) >= cut
         try:
             g = green_full(model, params)
         except NearSingular:
-            raw.append((j, "near_singular", float("inf"), dist))
+            raw.append((j, "near_singular", float("inf"), resonant))
             continue
         if not g.all():  # an entry underflowed to 0: the window's slack is not known
-            raw.append((j, "underflowed", float("inf"), dist))
+            raw.append((j, "underflowed", float("inf"), resonant))
             continue
         p = np.arange(g.shape[0]) // model.l
         with np.errstate(divide="ignore"):
             slack = np.log(np.abs(g)) + np.abs(p[:, None] - p[None, :]) * rate0
-        raw.append((j, None, float(np.max(slack)) / nl, dist))
+        raw.append((j, None, float(np.max(slack)) / nl, resonant))
     if c11 is None:
-        cut = math.exp(-N0 / 2.0)
-        if any(st == "underflowed" and dist >= cut for _, st, _, dist in raw):
+        if any(st == "underflowed" and not res for _, st, _, res in raw):
             raise np.linalg.LinAlgError("|G| underflowed on a window c11 is fitted over")
-        c11 = max(t for _, st, t, dist in raw if st is None and dist >= cut)
+        c11 = max(t for _, st, t, res in raw if st is None and not res)
     records = []
     counts = {"good": 0, "bad": 0, "near_singular": 0, "pole": 0, "underflowed": 0}
-    for j, st, t, dist in raw:
+    for j, st, t, res in raw:
         if st is not None:
             counts[st] += 1
-            records.append(ShiftRecord(j, st, float("nan") if st == "pole" else float("inf"), dist))
+            records.append(ShiftRecord(j, st, float("nan") if st == "pole" else float("inf"), res))
             continue
         slack = (t - c11) * nl
         status = "good" if slack <= 0.0 else "bad"
         counts[status] += 1
-        records.append(ShiftRecord(j, status, slack, dist))
+        records.append(ShiftRecord(j, status, slack, res))
     return records, c11, counts
+
+
+def norm_bound_leaves_open(model, lam, E, x0, N0, shift):
+    """Whether the scan's norm bound leaves the pole-free window of `shift` to
+    the eigensolve: not ||G||_F exp(-N0/2) <= 1 - n * residual, n = (2 N0 + 1) l,
+    from the window's own inverse (an exactly singular one stays open)."""
+    params = OperatorParams(lam=lam, x=x0, E=E, window=(-N0 + shift, N0 + shift))
+    ht = package_regularized(model, params)
+    n = ht.shape[0]
+    try:
+        inv = np.linalg.inv(ht)
+    except np.linalg.LinAlgError:
+        return True
+    residual = float(np.max(np.abs(ht @ inv - np.eye(n))))
+    g = row_prefactors(model, params)[:, None] * inv
+    with np.errstate(over="ignore"):
+        frob = float(np.sqrt(np.sum(g * g)))
+    return not frob * math.exp(-N0 / 2.0) <= 1.0 - n * residual
 
 
 def decay_fit(profile):

@@ -24,7 +24,13 @@ from qpjacobi.localization import (
 from qpjacobi.operator import OperatorParams, assemble_hamiltonian, assemble_regularized
 from qpjacobi.symbols import BlockModel, Dioph, MeroScalar, TrigPoly
 
-from conftest import atomic_maryland, pole_free_x, random_model, well_conditioned_params
+from conftest import (
+    atomic_maryland,
+    counted_eigvalsh,
+    pole_free_x,
+    random_model,
+    well_conditioned_params,
+)
 
 
 def constant_diag_model(a, omega=0.0):
@@ -392,7 +398,7 @@ class TestGreenDecayScan:
         with pytest.raises(np.linalg.LinAlgError, match=match):
             green_decay_scan(maryland, 1e308, 1e308, 0.1, 2, range(-3, 4))
 
-    def test_underflowed_windows_are_not_judged(self, maryland):
+    def test_underflowed_windows_are_not_judged(self, maryland, monkeypatch):
         # at lam 1e100 the six |G| entries of each 5-site window that are 3 or 4
         # sites apart (about lam^-3 and lam^-4) underflow to 0: no slack is known
         args = (maryland, 1e100, 0.5, 0.1, 2, range(-3, 4))
@@ -401,11 +407,15 @@ class TestGreenDecayScan:
             green_decay_scan(*args)
         with pytest.raises(np.linalg.LinAlgError, match=match):
             oracles.green_decay_scan(*args)
+        stacks = counted_eigvalsh(monkeypatch)
         rep = green_decay_scan(*args, c11=0.5)
+        # ||G||_F ~ 1/lam settles every window without an eigensolve
+        assert stacks == [] and rep.eigensolved == 0
         records, _, counts = oracles.green_decay_scan(*args, c11=0.5)
         assert rep.counts == counts and counts["underflowed"] == 7
         assert list(rep.records) == records and rep.good_fraction == 0.0
-        assert {(r.status, r.slack) for r in records} == {("underflowed", math.inf)}
+        want = {("underflowed", math.inf, False)}
+        assert {(r.status, r.slack, r.resonant) for r in records} == want
 
     @pytest.mark.parametrize("lam, E", [(20.0, 0.0), (0.0, -5e-7)])
     def test_energy_near_zero_scanned(self, maryland, lam, E):
@@ -424,6 +434,57 @@ class TestGreenDecayScan:
         for rep in at.values():
             assert rep.counts == at[0.0].counts
             assert rep.c11 == pytest.approx(at[0.0].c11, rel=1e-6)
+
+    @pytest.mark.parametrize("c11", [math.nan, math.inf, -math.inf])
+    def test_non_finite_c11_rejected(self, maryland, c11):
+        # inf would mark every window good, NaN every window bad
+        with pytest.raises(ValueError, match="^c11 must be finite$"):
+            green_decay_scan(maryland, 20.0, 0.5, 0.1, 2, range(-3, 4), c11=c11)
+
+    def test_window_scalar_scan_takes_no_eigensolve(self, maryland, monkeypatch):
+        # the benchmark's window-scalar scan: the norm bound settles all 512 windows
+        stacks = counted_eigvalsh(monkeypatch)
+        rep = green_decay_scan(maryland, 20.0, 0.5, 0.11, 16, range(-256, 256))
+        assert stacks == [] and rep.eigensolved == 0
+        assert rep.counts["good"] == 512 and not any(r.resonant for r in rep.records)
+
+    def test_eigensolves_stay_near_the_resonant_windows(self, analytic2):
+        # 43 of these 200 windows are resonant; the bound leaves 46 open
+        args = (analytic2, 2.0, 0.3, 0.2, 8, range(-100, 100))
+        rep = green_decay_scan(*args)
+        records, c11, counts = oracles.green_decay_scan(*args)
+        assert list(rep.records) == records and rep.c11 == c11 and rep.counts == counts
+        resonant = sum(r.resonant for r in records)
+        assert resonant == 43 and resonant <= rep.eigensolved <= 50
+
+    def test_a_resonance_below_the_max_entry_bound_is_found(self, maryland):
+        # the 5-site free Laplacian's eigenvalue sqrt(3) lies 0.27 from E = 2,
+        # within exp(-N0/2) = 0.37; no |G_ij| reaches exp(N0/2), ||G||_F does
+        args = (maryland, 0.0, 2.0, 0.1, 2, range(0, 4))
+        cut = math.exp(-1.0)
+        for j in args[-1]:
+            params = OperatorParams(lam=0.0, x=0.1, E=2.0, window=(j - 2, j + 2))
+            g = green_solve(maryland, params)[0]
+            assert np.max(np.abs(g)) * cut < 1.0 < np.linalg.norm(g) * cut
+        rep = green_decay_scan(*args, c11=1.0)
+        assert list(rep.records) == oracles.green_decay_scan(*args, c11=1.0)[0]
+        assert all(r.resonant for r in rep.records) and rep.eigensolved == 4
+
+    def test_a_loose_inverse_is_left_to_the_eigensolve(self, maryland, monkeypatch):
+        # a residual of 0.5 on 5-site windows leaves 1 - 5 * 0.5 < 0 of the
+        # bound (1 - 0.5 would still settle them): every window is eigensolved
+        args = (maryland, 20.0, 0.5, 0.1, 2, range(-3, 4))
+        windows = localization.green_windows
+
+        def loose(tab, lam, E):
+            g, residual = windows(tab, lam, E)
+            return g, np.full_like(residual, 0.5)
+
+        monkeypatch.setattr(localization, "green_windows", loose)
+        rep = green_decay_scan(*args, c11=0.5)
+        assert rep.eigensolved == 7 and rep.counts["near_singular"] == 7
+        want = oracles.green_decay_scan(*args, c11=0.5)[0]
+        assert [r.resonant for r in rep.records] == [r.resonant for r in want]
 
     def test_every_window_resonant_cannot_fit_c11(self, maryland):
         # at lam = 0 the windows are the free Laplacian on 5 sites, whose
@@ -515,6 +576,12 @@ class TestResolventPatch:
         # the 43 sites of (-3, 39), less the pairs at distance 0 or 1
         assert patch.window == (-3, 39) and patch.pairs_checked == 43 * 43 - 43 - 2 * 42
         assert patch.passed
+
+    @pytest.mark.parametrize("c11", [math.nan, math.inf, -math.inf])
+    def test_non_finite_c11_rejected(self, maryland, c11):
+        # inf would pass any slack with the bar inf
+        with pytest.raises(ValueError, match="^c11 must be finite$"):
+            resolvent_patch_check(maryland, 20.0, 0.5, 0.1, 2, 16, c11=c11)
 
     @pytest.mark.parametrize("c11", [0.3, -100.0])
     def test_window_with_no_far_pair_rejected(self, maryland, c11):

@@ -1163,7 +1163,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
-            # the on-site values overflow H: eigvalsh does not converge
+            # the on-site values overflow H, and every |G| of the windows
+            # underflows: no c11 can be fitted
             ["scan", "--E", "0.5", "--x0", "0.1", "--N0", "2", "--shifts=-2:2"],
             # eigh returns NaN energies, which localize refuses to fit
             ["localize", "--x0", "0.1", "--N", "8", "--margin", "0"],

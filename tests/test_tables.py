@@ -33,7 +33,14 @@ from qpjacobi.operator import (
 )
 from qpjacobi.symbols import BlockModel, Dioph, MeroScalar, TrigPoly, symbol_tables
 
-from conftest import GOLDEN, atomic_maryland, band_blocks, pole_free_x, random_model
+from conftest import (
+    GOLDEN,
+    atomic_maryland,
+    band_blocks,
+    counted_eigvalsh,
+    pole_free_x,
+    random_model,
+)
 
 MODELS = ("maryland", "analytic2", "mero2")
 
@@ -705,7 +712,15 @@ def test_minor_sweep_rejects_a_window_without_sites(maryland, N_list):
 
 
 def _bits(records):
-    return [(r.shift, r.status, r.slack.hex(), r.spectral_dist.hex()) for r in records]
+    return [(r.shift, r.status, r.slack.hex(), r.resonant) for r in records]
+
+
+def _window_h(model, lam, x0, N0, shifts):
+    """The H of the windows of `shifts`, each assembled on its own, stacked."""
+    return np.stack([
+        assemble_hamiltonian(model, OperatorParams(lam=lam, x=x0, E=0.0, window=(j - N0, j + N0)))
+        for j in shifts
+    ])
 
 
 def _near_singular_energy(maryland):
@@ -735,22 +750,27 @@ def test_scan_equals_the_per_window_oracle(request, monkeypatch, case):
         E = _near_singular_energy(model)
     records, c11, counts = oracles.green_decay_scan(model, lam, E, x0, N0, shifts)
     assert counts[met] > 0
-    eigvalsh, chunks = np.linalg.eigvalsh, []
-
-    def counted(h):
-        chunks.append(h.shape[0])
-        return eigvalsh(h)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    live = [r.shift for r in records if r.status != "pole"]
+    left_open = {j for j in live if oracles.norm_bound_leaves_open(model, lam, E, x0, N0, j)}
+    # the bound settles no resonant window
+    assert {r.shift for r in records if r.resonant} <= left_open
+    stacks = counted_eigvalsh(monkeypatch)
     size = ((2 * N0 + 1) * model.l) ** 2
-    live = len(shifts) - counts["pole"]
     for per_chunk in (1, 3, localization.STACK_CHUNK // size):
         monkeypatch.setattr("qpjacobi.localization.STACK_CHUNK", per_chunk * size + size - 1)
-        chunks.clear()
+        stacks.clear()
         rep = green_decay_scan(model, lam, E, x0, N0, shifts)
         assert _bits(rep.records) == _bits(records)
         assert rep.c11 == c11 and rep.counts == counts
-        assert chunks == [min(per_chunk, live - s) for s in range(0, live, per_chunk)]
+        assert rep.eigensolved == len(left_open)
+        # one eigvalsh stack per chunk that leaves a window open, holding
+        # exactly the H of those windows
+        chunks = [live[s : s + per_chunk] for s in range(0, len(live), per_chunk)]
+        want = [[j for j in c if j in left_open] for c in chunks]
+        want = [w for w in want if w]
+        assert [len(h) for h in stacks] == [len(w) for w in want]
+        for h, w in zip(stacks, want):
+            assert np.array_equal(h, _window_h(model, lam, x0, N0, w))
 
 
 GREEN_CASES = pytest.mark.parametrize("name, lam, E, x", [
@@ -787,6 +807,7 @@ def test_green_full_agrees_with_scipy_lu(request, name, lam, E, x, sites):
 def test_an_exactly_singular_window_fails_alone(maryland, monkeypatch):
     args = (maryland, 20.0, 0.5, 0.1, 4, range(-3, 4))
     ref = green_decay_scan(*args)
+    records = oracles.green_decay_scan(*args)[0]
     blocks, inv, solves = greens.regularized_blocks, np.linalg.inv, []
 
     def singular_second_window(tab, lam, E):
@@ -801,10 +822,14 @@ def test_an_exactly_singular_window_fails_alone(maryland, monkeypatch):
 
     monkeypatch.setattr("qpjacobi.greens.regularized_blocks", singular_second_window)
     monkeypatch.setattr(np.linalg, "inv", counted)
+    stacks = counted_eigvalsh(monkeypatch)
     got = green_decay_scan(*args, c11=ref.c11)
     # one stacked inverse meets the zero matrix, then each window is inverted alone
     assert solves == [(7, 9, 9)] + [(9, 9)] * 7
     assert got.records[1].status == "near_singular" and got.counts["near_singular"] == 1
-    assert got.records[1].spectral_dist == ref.records[1].spectral_dist
+    # its NaN inverse leaves only it to the eigensolve, which decides as the oracle does
+    assert ref.eigensolved == 0 and got.eigensolved == 1
+    assert len(stacks) == 1 and np.array_equal(stacks[0], _window_h(maryland, 20.0, 0.1, 4, [-2]))
+    assert got.records[1].resonant == ref.records[1].resonant == records[1].resonant
     others = [r for k, r in enumerate(got.records) if k != 1]
     assert _bits(others) == _bits(r for k, r in enumerate(ref.records) if k != 1)
