@@ -34,6 +34,9 @@ def _orbit_average(model, lam, E, N, Q, xs):
     the slot, so no other call sees it half-advanced, re-evaluates the N - 1
     sites it overlaps and adds terms Q..Q'-1 in a cold call's order, one
     reduction per run: the result is bit-identical to a cold call's.
+    A -inf term is floored to U_FLOOR and counted; a NaN or +inf one (an
+    overflowed entry) leaves its Birkhoff sum not finite, and the call
+    raises LinAlgError naming the first such phase and keeps no sum.
     """
     global _orbit_sum
     key = (model, float(lam), float(E), int(N), hashlib.sha256(xs).digest())
@@ -53,6 +56,12 @@ def _orbit_average(model, lam, E, N, Q, xs):
         # numpy reduces axis 0 of a C-contiguous array row by row, in order
         u[0] += acc[cols]
         np.add.reduce(u, axis=0, out=acc[cols])
+    over = ~np.isfinite(acc[: xs.size])
+    if over.any():
+        raise np.linalg.LinAlgError(
+            "the Birkhoff sum of log|det| is NaN or +inf (an entry overflowed) "
+            f"on the orbit of x={xs[np.argmax(over)]:.17g}"
+        )
     with _orbit_lock:
         if _orbit_sum is None or _orbit_sum[0] != key or _orbit_sum[1] < Q:
             _orbit_sum = key, Q, acc, floored

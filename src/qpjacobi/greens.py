@@ -45,17 +45,18 @@ STACK_CHUNK = 1 << 16
 def logdet_abs(mat):
     """log |det| of a matrix, or of each matrix of a (..., n, n) stack.
 
-    One stacked slogdet call; the result is -inf where the sign is 0 or the
-    log is not finite, and a float for a single matrix.
+    One stacked slogdet call, kept as numpy computes it (as in minor_logabs):
+    -inf exactly where LU meets a zero pivot, NaN or +inf for a matrix with a
+    non-finite entry; a float for a single matrix.
     """
-    with np.errstate(invalid="ignore"):  # a NaN entry: the -inf rule below covers it
-        sign, logdet = np.linalg.slogdet(np.asarray(mat, dtype=float))
-    out = np.where((sign == 0) | ~np.isfinite(logdet), -np.inf, logdet)
+    with np.errstate(invalid="ignore"):  # a NaN entry: its NaN is the answer
+        out = np.linalg.slogdet(np.asarray(mat, dtype=float))[1]
     return float(out) if out.ndim == 0 else out
 
 
 def minor_logabs(mat, alpha, alpha_prime):
-    """log |minor| without row alpha_prime and column alpha; -inf if singular.
+    """log |minor| without row alpha_prime and column alpha; -inf if singular,
+    NaN or +inf if an entry is not finite.
 
     `mat` is one matrix (n, n) or a stack (..., n, n).  Flat indices are
     1-based scalars or broadcastable arrays; the result has the stack axes
@@ -99,20 +100,18 @@ def green_windows(tab, lam, E):
     defects of (H - E) G - I, shape (...).  The pole-free regularized
     matrices are inverted in one stacked call and row-scaled by the
     denominator products.  When that call meets an exactly singular matrix,
-    each matrix is inverted alone and only the singular one gets a NaN
-    inverse, hence a NaN residual.  numpy inverts a stack one matrix at a
-    time, so a stacked inverse equals the one-matrix inverse bit for bit.
+    the zero signs of one stacked slogdet (the same getrf) mark the singular
+    ones, which get a NaN inverse, hence a NaN residual, and one more stacked
+    call inverts the rest.  numpy inverts a stack one matrix at a time, so
+    each inverse equals the one-matrix inverse bit for bit.
     """
     ht = dense_blocks(*regularized_blocks(tab, lam, E))
     try:
         inv = np.linalg.inv(ht)
     except np.linalg.LinAlgError:
-        inv = np.empty_like(ht)
-        for k in np.ndindex(ht.shape[:-2]):
-            try:
-                inv[k] = np.linalg.inv(ht[k])
-            except np.linalg.LinAlgError:
-                inv[k] = np.nan
+        live = np.linalg.slogdet(ht)[0] != 0
+        inv = np.full_like(ht, np.nan)
+        inv[live] = np.linalg.inv(ht[live])
     eye = np.eye(ht.shape[-1])
     defect = ht @ inv
     defect -= eye
@@ -181,7 +180,8 @@ def check_minor_bound(
     |E| < E_MIN are skipped, and a sweep left with no (N, lam, E, x)
     instance raises ValueError.  A (lam, E) whose log(lam + |E|) or
     log(1 + lam/|E|) is not finite (it overflowed) raises LinAlgError before
-    any minor is factored.
+    any minor is factored, and so does the first (N, lam, E, x) instance with
+    a NaN or +inf log-minor (an overflowed entry) before its rows are kept.
     sweep["rows"] holds one (N, lam, E, x, quantity, worst slack, zero
     minors) row per instance, where quantity is the (1/Nl) log|minor| of the
     first sampled pair reaching the worst slack and zero minors counts the
@@ -232,6 +232,12 @@ def check_minor_bound(
                     mlog = np.array([minor_logabs(*args) for args in zip(hts, a, b)])
                 else:
                     mlog = minor_logabs(hts, a, b)
+                over = ~(mlog < math.inf).all(axis=1)  # a NaN or +inf log-minor
+                if over.any():
+                    raise np.linalg.LinAlgError(
+                        f"log|minor| is NaN or +inf (an entry overflowed) at N={n}, "
+                        f"lam={lam:g}, E={E:g}, x={xs[cut][np.argmax(over)]:.17g}"
+                    )
                 p_dist = np.abs((a - 1) // l - (b - 1) // l)
                 slack = mlog / nl + (p_dist / nl) * growth - shift
                 k = np.argmax(slack, axis=1)
@@ -402,7 +408,8 @@ def avg_logdet(model, lam, E, N, x_grid):
 
     Nodes whose log-determinant underflows to -inf sit on a spectral curve
     of the sampled energy; they are excluded and counted, and more than
-    EXCLUSION_LIMIT of them raises TooManyExclusions.
+    EXCLUSION_LIMIT of them raises TooManyExclusions.  A NaN or +inf node
+    (an overflowed entry) raises LinAlgError naming its phase.
     """
     xs = np.asarray(x_grid, dtype=float)
     if xs.size < 512:
@@ -410,6 +417,12 @@ def avg_logdet(model, lam, E, N, x_grid):
     check_finite("x_grid", xs)
     nl = N * model.l
     u = logdet_grid(model, lam, E, (1, N), xs) / nl
+    over = ~(u < math.inf)  # NaN or +inf
+    if over.any():
+        raise np.linalg.LinAlgError(
+            "log|det| is NaN or +inf (an entry overflowed) at the quadrature node"
+            f" x={xs.flat[np.argmax(over)]:.17g}"
+        )
     finite = np.isfinite(u)
     excluded = int(xs.size - np.count_nonzero(finite))
     if excluded > EXCLUSION_LIMIT * xs.size:

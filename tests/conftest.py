@@ -132,6 +132,18 @@ def atomic_maryland(maryland_model):
     return maryland_model._replace(W=((TrigPoly.zero(),),))
 
 
+#: an F[0][0] amplitude A for overflowing_f00: at lam = 10 the entries it
+#: puts in the regularized matrix overflow to inf where |sin(2 pi x)| > 0.999995
+F00_OVERFLOW = 1.7976931348623157e308 / 10 / 0.999995
+
+
+def overflowing_f00(model, amp=F00_OVERFLOW):
+    """`model` with F[0][0] = amp * sin(2 pi x) / cos(2 pi x)."""
+    F = [list(row) for row in model.F]
+    F[0][0] = MeroScalar.from_ratio(TrigPoly.sine(amp=amp), TrigPoly.cosine())
+    return model._replace(F=F)
+
+
 def scaled_f_diagonals(model, s):
     """`model` with the numerator and denominator of every F diagonal times s:
     the same F and H, with M and so det[(F - t)M] scaled by s per component."""

@@ -171,6 +171,17 @@ def assemble_regularized(model, params):
     return _dense(diag, lower, upper)
 
 
+def first_overflowed_phase(model, lam, E, window, xs):
+    """The first phase of xs at which an entry of the regularized matrix on
+    `window`, assembled one site at a time, overflowed; None if none did."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in np.asarray(xs, dtype=float).ravel():
+            params = OperatorParams(lam, float(x), E, window)
+            if not np.isfinite(assemble_regularized(model, params)).all():
+                return float(x)
+    return None
+
+
 def trig_sum(*polys):
     """The TrigPoly sum of `polys`, from their added coefficient dicts."""
     acc = {}

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import GOLDEN
+from conftest import GOLDEN, overflowing_f00
 from qpjacobi import bundled, ergodic, greens
 from qpjacobi.ergodic import (
     DeviationReport,
@@ -158,6 +159,21 @@ class TestUnderflowFloor:
         x = 1.0 - maryland.omega
         avg, floored = _orbit_average(maryland, 1.0, 0.0, 1, 1, np.array([x]))
         assert (avg.tolist(), floored) == ([U_FLOOR], 1)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("name", ["maryland", "mero2"])
+    def test_an_overflowed_term_raises_naming_the_first_phase(self, request, monkeypatch, name):
+        # an F[0][0] entry overflows near |sin| = 1: its NaN or +inf term is
+        # neither averaged nor floored as an underflowed -inf
+        model, xs = overflowing_f00(request.getfixturevalue(name)), midpoint_grid(2000)
+        # term j reads sites j+1..j+4, so terms 0..9 read sites 1..13
+        x = oracles.first_overflowed_phase(model, 10.0, 1.0, (1, 13), xs)
+        monkeypatch.setattr(ergodic, "_orbit_sum", None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError, match=re.escape(f"orbit of x={x:.17g}") + "$"):
+                _orbit_average(model, 10.0, 1.0, 4, 10, xs)
+        assert ergodic._orbit_sum is None
 
 
 # -- running sums resumed across calls -------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,14 @@ from qpjacobi.operator import (
 )
 from qpjacobi.symbols import BlockModel, Dioph, MeroScalar, TrigPoly, symbol_tables
 
-from conftest import GOLDEN, atomic_maryland, random_model, well_conditioned_params
+from conftest import (
+    F00_OVERFLOW,
+    GOLDEN,
+    atomic_maryland,
+    overflowing_f00,
+    random_model,
+    well_conditioned_params,
+)
 
 
 def det_cofactor(a):
@@ -118,15 +126,14 @@ class TestStackedLogdet:
         assert np.array_equal(got[keep], [logdet_abs(a[k]) for k in keep])
         assert np.all(np.isfinite(got[keep])) and _close_to_lu(got[keep], logdet_lu_stack(a[keep]))
 
-    def test_non_finite_entry_is_neg_infinity(self):
+    def test_non_finite_entry_is_nan(self):
+        # numpy's answer is kept: an overflowed matrix is not a singular one
         for bad in (np.nan, np.inf):
             a = np.eye(3)
             a[1, 2] = bad
-            assert logdet_abs(a) == float("-inf")
-            assert logdet_abs(np.stack([2.0 * np.eye(3), a])).tolist() == [
-                3.0 * math.log(2.0),
-                float("-inf"),
-            ]
+            assert math.isnan(logdet_abs(a))
+            got = logdet_abs(np.stack([2.0 * np.eye(3), a]))
+            assert got[0] == 3.0 * math.log(2.0) and math.isnan(got[1])
 
     def test_empty_matrix(self):
         got = logdet_abs(np.zeros((0, 0)))
@@ -279,6 +286,32 @@ class TestCramerIdentity:
                 assert abs(lhs - rhs) <= 1e-8 * max(lhs, rhs, 1e-30)
 
 
+class TestGreenWindows:
+    def test_a_singular_window_takes_one_more_stacked_inverse(self, maryland, monkeypatch):
+        # 7 windows of 9 sites; the second is made exactly singular
+        x = maryland.site_phase(0.1, np.arange(-4, 5)[:, None] + np.arange(-3, 4))
+        alone = [greens.green_windows(symbol_tables(maryland, x[:, k]), 20.0, 0.5) for k in range(7)]
+        blocks, inv, solves = greens.regularized_blocks, np.linalg.inv, []
+
+        def singular_second_window(tab, lam, E):
+            diag, lower, upper = blocks(tab, lam, E)
+            for b in (diag, lower, upper):
+                b[:, 1] = 0.0
+            return diag, lower, upper
+
+        def counted(a):
+            solves.append(a.shape)
+            return inv(a)
+
+        monkeypatch.setattr(greens, "regularized_blocks", singular_second_window)
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        g, residual = greens.green_windows(symbol_tables(maryland, x), 20.0, 0.5)
+        assert solves == [(7, 9, 9), (6, 9, 9)]
+        assert np.isnan(g[1]).all() and np.isnan(residual[1])
+        for k in (0, 2, 3, 4, 5, 6):
+            assert np.array_equal(g[k], alone[k][0]) and residual[k] == alone[k][1]
+
+
 class TestGreenFull:
     def test_scalar_closed_form(self, maryland):
         lam, E, x = 3.0, 0.7, 0.05
@@ -391,6 +424,18 @@ class TestMinorBound:
         assert rep.sweep["rows"] == want["rows"] and rep.sweep["zero_minors"] == 0
         assert np.isfinite(rep.fitted_constant)
 
+    @pytest.mark.parametrize("name", ["maryland", "mero2"])
+    @pytest.mark.parametrize("pairs", [None, 2])
+    def test_an_overflowed_entry_raises_naming_its_instance(self, request, name, pairs):
+        # at A = 1e308 every x holds an overflowed entry; the fit's max()
+        # drops a NaN row, so nothing downstream of this check would see it
+        model = overflowing_f00(request.getfixturevalue(name), amp=1e308)
+        x = oracles.first_overflowed_phase(model, 10.0, 1.0, (1, 2), midpoint_grid(4))
+        message = f"at N=2, lam=10, E=1, x={x:.17g}"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError, match=re.escape(message) + "$"):
+                check_minor_bound(model, [2, 3], [10.0], [1.0], x_count=4, pairs_per_instance=pairs)
+
     def test_small_energy_excluded(self, maryland):
         rep = check_minor_bound(maryland, [4], [10.0], [1e-9, 1.0], x_count=4)
         assert rep.sweep["skipped_small_E"] == 1
@@ -453,6 +498,24 @@ class TestAvgLogdet:
     def test_empty_window_rejected(self, maryland, window):
         with pytest.raises(ValueError, match="at least one site"):
             logdet_grid(maryland, 10.0, 1.0, window, midpoint_grid(8))
+
+    @pytest.mark.parametrize(
+        "name, amp, lam, nodes",
+        [
+            # 64 of the 8000 nodes hold an overflowed entry, within the 1%
+            # exclusion limit: they must not pass for underflowed nodes
+            ("maryland", F00_OVERFLOW, 10.0, 8000),
+            ("mero2", F00_OVERFLOW, 10.0, 8000),
+            # every node overflows: the failure names an overflow, not 1024 underflows
+            ("maryland", 1e307, 30.0, 1024),
+        ],
+    )
+    def test_an_overflowed_node_raises_naming_its_phase(self, request, name, amp, lam, nodes):
+        model, xs = overflowing_f00(request.getfixturevalue(name), amp), midpoint_grid(nodes)
+        x = oracles.first_overflowed_phase(model, lam, 1.0, (1, 4), xs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError, match=re.escape(f"node x={x:.17g}") + "$"):
+                avg_logdet(model, lam, 1.0, 4, xs)
 
     def test_degenerate_model_excluded_nodes(self, maryland):
         zero = MeroScalar.from_ratio(TrigPoly.zero())

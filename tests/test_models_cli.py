@@ -42,7 +42,14 @@ from qpjacobi.symbols import (
     symbol_tables,
 )
 
-from conftest import GOLDEN, atomic_maryland, random_model, scaled_f_diagonals
+from conftest import (
+    F00_OVERFLOW,
+    GOLDEN,
+    atomic_maryland,
+    overflowing_f00,
+    random_model,
+    scaled_f_diagonals,
+)
 from test_tables import models as random_models
 
 SRC = str(pathlib.Path(cli.__file__).resolve().parents[1])
@@ -672,12 +679,12 @@ class TestCli:
         assert rc == 1 and captured.out == ""
         assert captured.err == "error: transfer-matrix oracle requires block size 1\n"
 
-    def _bounds(self, tmp_path, sweep, check="minor"):
+    def _bounds(self, tmp_path, sweep, check="minor", model="maryland"):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(sweep))
         out = tmp_path / "bounds.csv"
         rc = main([
-            "bounds", "--model", "maryland", "--sweep", str(path),
+            "bounds", "--model", str(model), "--sweep", str(path),
             "--check", check, "--out", str(out),
         ])
         return rc, out
@@ -1244,6 +1251,64 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 2 and not out.exists()
         assert re.fullmatch(r"numerical failure: [^\n]*not finite[^\n]*\n", captured.err)
+
+    def _overflowing(self, tmp_path, name, amp=F00_OVERFLOW):
+        """A model file of `name` with F[0][0] = amp * sin / cos, and that model."""
+        model, path = overflowing_f00(bundled(name), amp), tmp_path / "overflowing.json"
+        save_model(model, path)
+        return model, path
+
+    @pytest.mark.parametrize("name", ["maryland", "mero2"])
+    def test_an_overflowed_entry_in_ldt_exits_two(self, tmp_path, capsys, name):
+        # a NaN average never deviates, and a floored term always does, so
+        # neither bad fraction means anything; the reference integral,
+        # 4 * 2000 nodes, is the first to meet the overflow
+        model, path = self._overflowing(tmp_path, name)
+        x = oracles.first_overflowed_phase(model, 10.0, 1.0, (1, 4), midpoint_grid(8000))
+        out = tmp_path / "ldt.csv"
+        rc = main([
+            "ldt", "--model", str(path), "--lambda", "10", "--E", "1", "--N", "4",
+            "--Qs", "10,100,1000", "--grid", "2000", "--out", str(out),
+        ])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            "numerical failure: log|det| is NaN or +inf (an entry overflowed)"
+            f" at the quadrature node x={x:.17g}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "name, amp, lam",
+        [
+            # 8 of the 1024 nodes overflow, within the exclusion limit
+            ("maryland", F00_OVERFLOW, 10),
+            ("mero2", F00_OVERFLOW, 10),
+            # every node overflows: the failure names an overflow, not 1024 underflows
+            ("maryland", 1e307, 30),
+        ],
+    )
+    def test_an_overflowed_entry_in_the_det_sweep_exits_two(self, tmp_path, capsys, name, amp, lam):
+        model, path = self._overflowing(tmp_path, name, amp)
+        x = oracles.first_overflowed_phase(model, lam, 1.0, (1, 4), midpoint_grid(1024))
+        sweep = {"N": [4], "lambda": [lam], "E": [1], "nodes": 1024}
+        rc, out = self._bounds(tmp_path, sweep, check="det", model=path)
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            "numerical failure: log|det| is NaN or +inf (an entry overflowed)"
+            f" at the quadrature node x={x:.17g}\n"
+        )
+
+    @pytest.mark.parametrize("name", ["maryland", "mero2"])
+    def test_an_overflowed_entry_in_the_minor_sweep_exits_two(self, tmp_path, capsys, name):
+        # NaN and +inf rows would fit an infinite constant
+        model, path = self._overflowing(tmp_path, name, 1e308)
+        x = oracles.first_overflowed_phase(model, 10.0, 1.0, (1, 2), midpoint_grid(4))
+        sweep = {"N": [2, 3], "lambda": [10], "E": [1], "x_count": 4}
+        rc, out = self._bounds(tmp_path, sweep, model=path)
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            "numerical failure: log|minor| is NaN or +inf (an entry overflowed)"
+            f" at N=2, lam=10, E=1, x={x:.17g}\n"
+        )
 
     def test_diophantine_warning_not_fatal(self, tmp_path, capsys):
         rational = tmp_path / "rational.json"

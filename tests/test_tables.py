@@ -824,8 +824,8 @@ def test_an_exactly_singular_window_fails_alone(maryland, monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", counted)
     stacks = counted_eigvalsh(monkeypatch)
     got = green_decay_scan(*args, c11=ref.c11)
-    # one stacked inverse meets the zero matrix, then each window is inverted alone
-    assert solves == [(7, 9, 9)] + [(9, 9)] * 7
+    # one stacked inverse meets the zero matrix, then one stack inverts the other windows
+    assert solves == [(7, 9, 9), (6, 9, 9)]
     assert got.records[1].status == "near_singular" and got.counts["near_singular"] == 1
     # its NaN inverse leaves only it to the eigensolve, which decides as the oracle does
     assert ref.eigensolved == 0 and got.eigensolved == 1
