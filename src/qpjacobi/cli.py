@@ -220,6 +220,7 @@ def _run_scan(args, model):
     counts = report.counts
     extra = {"c11": report.c11, "good_fraction": report.good_fraction}
     extra.update(pole=counts["pole"], near_singular=counts["near_singular"])
+    extra["eigensolved"] = report.eigensolved
     rows = [(r.shift, r.status, r.slack) for r in report.records]
     _write(args, model, (("shift", "status", "slack"), _csv_lines(rows)), extra)
     if counts["near_singular"] + counts["pole"] + counts["underflowed"] > len(report.records) / 2:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import AllZero
 from .greens import _orbit_windows, avg_logdet, midpoint_grid
-from .operator import check_coupling, check_finite
+from .operator import check_coupling, check_finite, check_overflow
 
 #: underflowed nodes contribute this floor (roughly log of the smallest
 #: normal double) so averages stay finite; occurrences are counted
@@ -56,12 +56,11 @@ def _orbit_average(model, lam, E, N, Q, xs):
         # numpy reduces axis 0 of a C-contiguous array row by row, in order
         u[0] += acc[cols]
         np.add.reduce(u, axis=0, out=acc[cols])
-    over = ~np.isfinite(acc[: xs.size])
-    if over.any():
-        raise np.linalg.LinAlgError(
-            "the Birkhoff sum of log|det| is NaN or +inf (an entry overflowed) "
-            f"on the orbit of x={xs[np.argmax(over)]:.17g}"
-        )
+    check_overflow(
+        acc[: xs.size],
+        "the Birkhoff sum of log|det| is NaN or +inf (an entry overflowed) on the orbit of",
+        lambda i: f"x={xs[i]:.17g}",
+    )
     with _orbit_lock:
         if _orbit_sum is None or _orbit_sum[0] != key or _orbit_sum[1] < Q:
             _orbit_sum = key, Q, acc, floored

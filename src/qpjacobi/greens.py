@@ -16,6 +16,7 @@ from .errors import NearSingular, TooManyExclusions
 from .operator import (
     check_coupling,
     check_finite,
+    check_overflow,
     comparison_rate,
     dense_blocks,
     regularization_scale,
@@ -103,7 +104,9 @@ def green_windows(tab, lam, E):
     the zero signs of one stacked slogdet (the same getrf) mark the singular
     ones, which get a NaN inverse, hence a NaN residual, and one more stacked
     call inverts the rest.  numpy inverts a stack one matrix at a time, so
-    each inverse equals the one-matrix inverse bit for bit.
+    each inverse equals the one-matrix inverse bit for bit.  An overflowed
+    entry also leaves a NaN residual; then the first row, in C order, holding
+    a non-finite entry raises LinAlgError naming the phase of its site.
     """
     ht = dense_blocks(*regularized_blocks(tab, lam, E))
     try:
@@ -116,6 +119,10 @@ def green_windows(tab, lam, E):
     defect = ht @ inv
     defect -= eye
     residual = np.max(np.abs(defect), axis=(-2, -1))
+    if not np.isfinite(residual).all():
+        rows = np.maximum(ht.max(axis=-1), -ht.min(axis=-1))
+        phase = np.repeat(np.moveaxis(tab.phases, 0, -1), tab.m.shape[-1], axis=-1)
+        check_overflow(rows, "non-finite entry of Ht at", lambda i: f"phase x={phase.flat[i]:.17g}")
     pref = np.moveaxis(regularization_scale(E) * tab.m, 0, -2)
     return pref.reshape(pref.shape[:-2] + (-1, 1)) * inv, residual
 
@@ -124,7 +131,7 @@ def green_solve(model, params):
     """Green's function of (H - E) over the window, and its solve residual.
 
     green_windows on one window.  Above a residual of NEAR_SINGULAR_RESIDUAL,
-    or at a non-finite one, the energy is flagged NearSingular.
+    or at a NaN one (an exactly singular matrix), the energy is flagged NearSingular.
     """
     g, residual = green_windows(window_tables(model, params), params.lam, params.E)
     residual = float(residual)
@@ -201,11 +208,10 @@ def check_minor_bound(
         (lam, E, comparison_rate(lam, E), math.log1p(lam / abs(E)))
         for lam in lambda_list for E in E_list if not abs(E) < E_MIN
     ]
-    for lam, E, *logs in live:
-        if not all(map(math.isfinite, logs)):
-            raise np.linalg.LinAlgError(
-                f"log(lam + |E|) or log(1 + lam/|E|) is not finite at lam={lam:g}, E={E:g}"
-            )
+    check_overflow(
+        [row[2:] for row in live], "log(lam + |E|) or log(1 + lam/|E|) is not finite at",
+        lambda i: f"lam={live[i // 2][0]:g}, E={live[i // 2][1]:g}",
+    )
     rng = None  # made at the first sampled instance: numpy.random is a slow import
     xs = midpoint_grid(x_count)
     # one table for sites 1..max(N) (axis 0) at every x (axis 1); N takes its first rows
@@ -232,12 +238,10 @@ def check_minor_bound(
                     mlog = np.array([minor_logabs(*args) for args in zip(hts, a, b)])
                 else:
                     mlog = minor_logabs(hts, a, b)
-                over = ~(mlog < math.inf).all(axis=1)  # a NaN or +inf log-minor
-                if over.any():
-                    raise np.linalg.LinAlgError(
-                        f"log|minor| is NaN or +inf (an entry overflowed) at N={n}, "
-                        f"lam={lam:g}, E={E:g}, x={xs[cut][np.argmax(over)]:.17g}"
-                    )
+                check_overflow(
+                    mlog, "log|minor| is NaN or +inf (an entry overflowed) at",
+                    lambda i: f"N={n}, lam={lam:g}, E={E:g}, x={xs[s + i // mlog.shape[1]]:.17g}",
+                )
                 p_dist = np.abs((a - 1) // l - (b - 1) // l)
                 slack = mlog / nl + (p_dist / nl) * growth - shift
                 k = np.argmax(slack, axis=1)
@@ -417,12 +421,10 @@ def avg_logdet(model, lam, E, N, x_grid):
     check_finite("x_grid", xs)
     nl = N * model.l
     u = logdet_grid(model, lam, E, (1, N), xs) / nl
-    over = ~(u < math.inf)  # NaN or +inf
-    if over.any():
-        raise np.linalg.LinAlgError(
-            "log|det| is NaN or +inf (an entry overflowed) at the quadrature node"
-            f" x={xs.flat[np.argmax(over)]:.17g}"
-        )
+    check_overflow(
+        u, "log|det| is NaN or +inf (an entry overflowed) at the quadrature node",
+        lambda i: f"x={xs.flat[i]:.17g}",
+    )
     finite = np.isfinite(u)
     excluded = int(xs.size - np.count_nonzero(finite))
     if excluded > EXCLUSION_LIMIT * xs.size:

@@ -15,6 +15,7 @@ from .operator import (
     assemble_hamiltonian,
     check_coupling,
     check_finite,
+    check_overflow,
     comparison_rate,
     dense_blocks,
     hamiltonian_blocks,
@@ -196,11 +197,10 @@ def _transfer_product(model, lam, energies, n_steps, x):
         raise ValueError("no usable transfer steps (orbit entirely on poles)")
     norm = np.sqrt(top[0] ** 2 + top[1] ** 2 + bot[0] ** 2 + bot[1] ** 2)
     rates = ((logs[0] + np.log(norm)) / used)[: es.size]
-    bad = np.flatnonzero(~np.isfinite(rates))
-    if bad.size:
-        raise np.linalg.LinAlgError(
-            f"transfer product overflowed: the rate at E = {float(flat[bad[0]])!r} is not finite"
-        )
+    check_overflow(
+        np.abs(rates), "transfer product overflowed: the rate at",
+        lambda i: f"E = {float(flat[i])!r} is not finite",
+    )
     return rates.reshape(es.shape)[()], used
 
 
@@ -263,7 +263,7 @@ def green_decay_scan(model, lam, E, x0, N0, shifts, c11=None):
     is good when its slack (t_j - c11) * N0 * l is <= 0 and its solve
     succeeded.  Windows whose orbit hits a pole are skipped and counted.
     Any finite E is scanned but lam = E = 0, whose rate -inf raises ValueError;
-    a rate that overflowed raises LinAlgError, and a non-finite c11 ValueError.
+    a rate or an entry of Ht that overflowed raises LinAlgError, a non-finite c11 ValueError.
     A window with a |G| entry that underflowed to 0 has no known slack: it is
     `underflowed` (slack inf), and fitting c11 over one raises LinAlgError.
 

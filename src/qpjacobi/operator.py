@@ -35,6 +35,14 @@ def check_finite(name, value):
         raise ValueError(f"{name} must be finite")
 
 
+def check_overflow(values, message, where):
+    """Raise LinAlgError(f"{message} {where(i)}") at the first NaN or +inf (an overflow)
+    of `values`, flat index i in C order; a -inf, the log of a zero or an underflow, passes."""
+    over = ~(np.asarray(values) < math.inf)
+    if over.any():
+        raise np.linalg.LinAlgError(f"{message} {where(int(np.argmax(over)))}")
+
+
 class _ParamFields(NamedTuple):
     lam: float
     x: float
@@ -105,15 +113,10 @@ def window_tables(model, params):
 
 
 def _finite(mat, params, what):
-    """`mat`, or LinAlgError naming the first window site whose row of `mat`
-    holds an entry that overflowed."""
-    # a row's max and min are finite exactly when its entries are, and they
-    # need no temporary the size of the matrix
-    rows = np.isfinite(mat.max(axis=1)) & np.isfinite(mat.min(axis=1))
-    if not rows.all():
-        l = len(rows) // params.n_sites
-        site = params.window[0] + int(np.argmin(rows)) // l
-        raise np.linalg.LinAlgError(f"non-finite {what} at site {site}")
+    """`mat`, or LinAlgError naming the first site whose row of `mat` holds an overflowed entry."""
+    l = mat.shape[0] // params.n_sites
+    rows = np.maximum(mat.max(axis=1), -mat.min(axis=1))  # no temporary the size of mat
+    check_overflow(rows, f"non-finite {what} at", lambda i: f"site {params.window[0] + i // l}")
     return mat
 
 

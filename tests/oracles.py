@@ -182,6 +182,26 @@ def first_overflowed_phase(model, lam, E, window, xs):
     return None
 
 
+def first_overflowed_row_phase(model, lam, E, x, windows, skip_poles=False):
+    """The phase of the first site, window by window and site by site, whose
+    row of the regularized matrix on its window, assembled one site at a
+    time, holds a non-finite entry; None if none does.  With skip_poles a
+    window with a site within pole_tol of a pole is passed over, as the
+    Green-decay scan skips it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u, v in windows:
+            try:
+                for site in range(u, v + 1) if skip_poles else ():
+                    check_poles(model, model.site_phase(x, site), site)
+            except PoleProximity:
+                continue
+            ht = assemble_regularized(model, OperatorParams(lam, x, E, (u, v)))
+            for row in range(ht.shape[0]):
+                if not np.isfinite(ht[row]).all():
+                    return float(model.site_phase(x, u + row // model.l))
+    return None
+
+
 def trig_sum(*polys):
     """The TrigPoly sum of `polys`, from their added coefficient dicts."""
     acc = {}

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from qpjacobi.greens import green_solve, logdet_abs, midpoint_grid, avg_logdet
-from qpjacobi import localization
+from qpjacobi import greens, localization
 from qpjacobi.localization import (
     FIT_FLOOR,
     FIT_MIN_POINTS,
@@ -27,6 +28,7 @@ from qpjacobi.symbols import BlockModel, Dioph, MeroScalar, TrigPoly
 from conftest import (
     atomic_maryland,
     counted_eigvalsh,
+    overflowing_f00,
     pole_free_x,
     random_model,
     well_conditioned_params,
@@ -598,6 +600,57 @@ class TestResolventPatch:
         # N2 = 1 leaves the default range 2..1 empty as well
         with pytest.raises(ValueError, match=r"^no shifts to scan$"):
             resolvent_patch_check(maryland, 20.0, 0.5, 0.1, 2, 1, c11=0.3)
+
+
+class TestOverflowedEntry:
+    """F[0][0] = 1e308 sin/cos at lam = 10 overflows entries of Ht wherever
+    |sin| > 0.18; x = 0.1 puts such sites in every window below."""
+
+    @staticmethod
+    def _raises_at(x):
+        assert x is not None
+        message = f"^non-finite entry of Ht at phase x={re.escape(f'{x:.17g}')}$"
+        return pytest.raises(np.linalg.LinAlgError, match=message)
+
+    @pytest.mark.parametrize("name", ["maryland", "mero2"])
+    def test_green_solve_names_the_phase(self, request, name):
+        # not a near-singular energy: the overflowed entry left a NaN residual
+        model = overflowing_f00(request.getfixturevalue(name), amp=1e308)
+        x = oracles.first_overflowed_row_phase(model, 10.0, 1.0, 0.1, [(-3, 3)])
+        with np.errstate(over="ignore", invalid="ignore"), self._raises_at(x):
+            green_solve(model, OperatorParams(lam=10.0, x=0.1, E=1.0, window=(-3, 3)))
+
+    @pytest.mark.parametrize("name", ["maryland", "mero2"])
+    def test_the_scan_names_the_phase_of_its_first_overflowed_window(self, request, name):
+        # the overflowed H would reach eigvalsh, which does not converge on it
+        model = overflowing_f00(request.getfixturevalue(name), amp=1e308)
+        windows = [(j - 2, j + 2) for j in range(-3, 4)]
+        x = oracles.first_overflowed_row_phase(model, 10.0, 1.0, 0.1, windows, skip_poles=True)
+        with np.errstate(over="ignore", invalid="ignore"), self._raises_at(x):
+            green_decay_scan(model, 10.0, 1.0, 0.1, 2, range(-3, 4))
+
+    @pytest.mark.parametrize("name", ["maryland", "mero2"])
+    def test_the_patch_check_names_the_phase(self, request, name):
+        model = overflowing_f00(request.getfixturevalue(name), amp=1e308)
+        x = oracles.first_overflowed_row_phase(model, 10.0, 1.0, 0.1, [(-3, 3)])
+        with np.errstate(over="ignore", invalid="ignore"), self._raises_at(x):
+            resolvent_patch_check(model, 10.0, 1.0, 0.1, 2, 16, c11=1.0, shifts=range(-1, 2))
+
+    def test_finite_residuals_skip_the_entry_check(self, maryland, monkeypatch):
+        # the window-scalar benchmark's scan: no residual is NaN, so no row
+        # of Ht is searched; the overflowed model's scan does search them
+        check, calls = greens.check_overflow, []
+
+        def spy(values, message, where):
+            calls.append(message)
+            return check(values, message, where)
+
+        monkeypatch.setattr(greens, "check_overflow", spy)
+        rep = green_decay_scan(maryland, 20.0, 0.5, 0.16, 16, range(-256, 256))
+        assert calls == [] and rep.counts["near_singular"] == 0
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            green_decay_scan(overflowing_f00(maryland, amp=1e308), 10.0, 1.0, 0.1, 2, range(-3, 4))
+        assert calls == ["non-finite entry of Ht at"]
 
 
 class TestSpectralConsistency:

@@ -551,6 +551,20 @@ class TestCli:
         assert meta["pole"] == str(counts["pole"]) == "9"
         assert meta["near_singular"] == str(counts["near_singular"])
 
+    def test_scan_header_counts_the_eigensolved_windows(self, tmp_path, analytic2):
+        # 43 of these 200 windows are resonant, and the norm bound leaves 46 open
+        out = tmp_path / "scan.csv"
+        rc = main([
+            "scan", "--model", "analytic2", "--lambda", "2", "--E", "0.3", "--x0", "0.2",
+            "--N0", "8", "--shifts=-100:99", "--out", str(out),
+        ])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        meta = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+        rep = green_decay_scan(analytic2, 2.0, 0.3, 0.2, 8, range(-100, 100))
+        assert meta["eigensolved"] == str(rep.eigensolved) == "46"
+        assert list(meta)[-3:] == ["pole", "near_singular", "eigensolved"]
+
     def test_bounds_minor_smoke(self, tmp_path):
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps({"N": [2, 3], "lambda": [5.0], "E": [1.0], "x_count": 4}))
@@ -1309,6 +1323,24 @@ class TestCli:
             "numerical failure: log|minor| is NaN or +inf (an entry overflowed)"
             f" at N=2, lam=10, E=1, x={x:.17g}\n"
         )
+
+    @pytest.mark.parametrize("name", ["maryland", "mero2"])
+    @pytest.mark.parametrize(
+        "argv, x",
+        [
+            # not "Eigenvalues did not converge", from an eigensolve of the overflowed H
+            (["scan", "--x0", "0.1", "--N0", "2", "--shifts=-3:3"], "0.62786404500042048"),
+            # not "solve residual nan exceeds 1.0e-06": the energy is not near-singular
+            (["green", "--x", "0.1", "--window=-3:3"], "0.24589803375031538"),
+        ],
+    )
+    def test_an_overflowed_entry_of_a_green_window_exits_two(self, tmp_path, capsys, name, argv, x):
+        _, path = self._overflowing(tmp_path, name, 1e308)
+        out = tmp_path / "out.csv"
+        rc = main([*argv, "--model", str(path), "--lambda", "10", "--E", "1", "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"numerical failure: non-finite entry of Ht at phase x={x}\n"
 
     def test_diophantine_warning_not_fatal(self, tmp_path, capsys):
         rational = tmp_path / "rational.json"

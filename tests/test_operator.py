@@ -22,6 +22,7 @@ from qpjacobi.operator import (
     OperatorParams,
     assemble_hamiltonian,
     assemble_regularized,
+    check_overflow,
     comparison_rate,
     dense_blocks,
     hamiltonian_blocks,
@@ -219,6 +220,34 @@ class TestOverflow:
         big = [e for e in E if abs(e) >= 2.0**27]
         assert [1.0 / abs(e) for e in big] == [1.0 / math.sqrt(1.0 + e * e) for e in big]
         assert regularization_scale(-1e300) == 1e-300 and regularization_scale(1.7e308) > 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_check_overflow_fails_a_nan_or_plus_inf(self, bad):
+        with pytest.raises(np.linalg.LinAlgError, match=r"^sum overflowed at 2$"):
+            check_overflow(np.array([0.0, -1e308, bad, 1.0]), "sum overflowed at", str)
+
+    def test_check_overflow_passes_minus_inf(self):
+        # the log of a zero or of an underflow is no overflow
+        check_overflow(np.array([-math.inf, 1e308, -1e308, 0.0]), "unused", self._no_call)
+        check_overflow(np.array([]), "unused", self._no_call)
+
+    def test_check_overflow_names_the_first_value_in_c_order(self):
+        # column by column, the NaN at [1, 0] would come first; in C order the
+        # +inf at [0, 2] does, and `where` gets its flat index
+        values = np.array([[0.0, -math.inf, math.inf], [math.nan, 0.0, math.inf]])
+        seen = []
+
+        def where(i):
+            seen.append(i)
+            return f"row {i // 3}, column {i % 3}"
+
+        with pytest.raises(np.linalg.LinAlgError, match=r"^log overflowed at row 0, column 2$"):
+            check_overflow(values, "log overflowed at", where)
+        assert seen == [2]
+
+    @staticmethod
+    def _no_call(i):
+        raise AssertionError(f"where({i}) called on values that did not overflow")
 
     def test_a_nan_phase_raises(self):
         for x, E, name in ((math.nan, 0.5, "x"), (0.1, math.nan, "E"), (0.1, -math.inf, "E")):
